@@ -26,7 +26,9 @@ from .errors import (
     CoverageError,
     DimensionExplosionError,
     EncodingError,
+    ManifestError,
     MissingArtifactError,
+    NoAdmissibleWordError,
     SamplingError,
     SegdynError,
 )
@@ -83,6 +85,7 @@ from .transitions import (
     expanding_to_depth,
     row_sensitivity,
     sample_itineraries,
+    transitions_from_itineraries,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Every randomized operation in the package draws from a stream keyed by the
 user seed plus a fixed tag and the task's own indices, so results do not
-depend on evaluation order or worker count.
+depend on evaluation order.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cover import cover_from_json
-from .errors import MissingArtifactError
+from .errors import ManifestError, MissingArtifactError
 from .segments import load_library
 from .transitions import tensor_from_json, transitions_from_json
 
@@ -72,7 +72,13 @@ def require(outdir: Path, relpath: str, needed_by: str) -> Path:
 def load_manifest(outdir: Path) -> dict:
     path = outdir / MANIFEST_JSON
     if path.exists():
-        return read_json(path)
+        try:
+            doc = read_json(path)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ManifestError(f"{path} is not a readable manifest: {err}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("stages"), dict):
+            raise ManifestError(f"{path} is not a readable manifest: no 'stages' object")
+        return doc
     return {"tool_version": None, "rng_seed": None, "config_echo": None, "stages": {}}
 
 
@@ -124,7 +130,8 @@ def check_artifacts(outdir: Path) -> list:
     """Re-validate artifacts against the manifest without recomputation.
 
     Returns a list of problems: missing files, digest mismatches, or files
-    that no longer parse under their schema.
+    that no longer parse under their schema. An unreadable manifest raises
+    ManifestError.
     """
     outdir = Path(outdir)
     problems: list[str] = []

@@ -3,8 +3,7 @@ enumerate, entropy, bounds, report.
 
 Each stage reads one JSON config, writes artifacts into the output
 directory, and appends wall time plus output digests to the manifest.
-Identical config and seed reproduce identical artifact bytes regardless of
-the worker count.
+Identical config and seed reproduce identical artifact bytes.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from .cover import (
     Partition, calibrate_deltas, cell_measure, collocate, cover_from_json,
     cover_to_json, metric_entropy, minimal_cover,
 )
-from .errors import ConfigError, MissingArtifactError, SegdynError
+from .errors import ConfigError, ManifestError, MissingArtifactError, SegdynError
 from .flow import jacobian_norms
 from .quantities import quantity_to_json, reachable_bounds, segment_envelope
 from .segments import (
@@ -37,9 +36,9 @@ from .segments import (
 )
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
-    MarkovMatrix, TransitionMatrix, TransitionTensor, ball_admissibility,
-    expanding_to_depth, row_sensitivity, sample_itineraries, tensor_from_json,
-    tensor_to_json, transitions_from_json, transitions_to_json,
+    ball_admissibility, expanding_to_depth, row_sensitivity, sample_itineraries,
+    tensor_from_json, tensor_to_json, transitions_from_itineraries,
+    transitions_from_json, transitions_to_json,
 )
 
 STAGES = ("calibrate", "segments", "transitions", "encode", "shadow",
@@ -102,23 +101,6 @@ def stage_segments(cfg: PipelineConfig, outdir: Path):
     return [LIBRARY_DIR, MAX_DIFFERENCE_CSV], {"n_segments": lib.n_segments}
 
 
-def _tensors_from_itineraries(itins: np.ndarray, orders: list, n_cells: int):
-    """Order-k tensors as alive length-k prefixes of shared itineraries.
-
-    Equivalent to estimating each order from scratch with the same seed, at
-    the cost of a single sampling pass; prefix closure is exact by
-    construction.
-    """
-    tensors = []
-    for k in orders:
-        prefix = itins[:, :k]
-        alive = np.all(prefix > 0, axis=1)
-        tensors.append(TransitionTensor(
-            order=k, admissible_tuples=frozenset(map(tuple, prefix[alive].tolist())),
-            n_cells=n_cells))
-    return tensors
-
-
 def stage_transitions(cfg: PipelineConfig, outdir: Path):
     cover = _load_cover(outdir, "transitions")
     lib = _load_library(outdir, "transitions")
@@ -126,16 +108,10 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
     n = partition.n_cells
     _, itins = sample_itineraries(
         cfg.model, partition, cfg.horizon, cfg.tensor_order - 1,
-        cfg.samples_per_cell, cfg.integrator, cfg.rng_seed, jobs=cfg.jobs)
-    full = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(full, (itins[:, 0], itins[:, 1]), 1)
-    counts = full[1:, 1:]
-    landed = counts.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
-    tm = TransitionMatrix(admissible=counts > 0, counts=counts, escapes=full[1:, 0])
-    mm = MarkovMatrix(p=p)
-    tensors = _tensors_from_itineraries(itins, list(range(2, cfg.tensor_order + 1)), n)
+        cfg.samples_per_cell, cfg.integrator, cfg.rng_seed)
+    # one sampling pass serves every tensor order: each is a prefix of the
+    # same itineraries, as if estimated from scratch with the same seed
+    tm, mm, tensors = transitions_from_itineraries(itins, n, range(2, cfg.tensor_order + 1))
 
     sensitive = row_sensitivity(tm)
     verdict = expanding_to_depth(tensors, m_max=cfg.expansion_m_max)
@@ -217,6 +193,13 @@ def stage_shadow(cfg: PipelineConfig, outdir: Path):
                                   "complete_orbits": report["complete_orbits"]}
 
 
+def _check_start_cell(field: str, cell: int, n_cells: int) -> None:
+    # the config is validated before the cover exists, so the upper bound on
+    # a start cell can only be checked once the stage knows n_cells
+    if cell > n_cells:
+        raise ConfigError([f"{field}: must be <= {n_cells} (the number of cells), got {cell}"])
+
+
 def stage_enumerate(cfg: PipelineConfig, outdir: Path):
     if cfg.enumerate_mode == "tensor":
         doc = read_json(require(outdir, TENSORS_JSON, "enumerate"))
@@ -228,6 +211,7 @@ def stage_enumerate(cfg: PipelineConfig, outdir: Path):
     else:
         tm, _ = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "enumerate")))
         system = tm
+    _check_start_cell("enumerate_from", cfg.enumerate_from, system.n_cells)
     res = enumerate_admissible(system, cfg.enumerate_from, cfg.word_length,
                                cap=cfg.enumeration_cap)
     write_json(outdir / ENUMERATION_JSON, {
@@ -252,16 +236,15 @@ def stage_entropy(cfg: PipelineConfig, outdir: Path):
     mu = cell_measure(partition, samples)
     h = metric_entropy(mu)
     ks = ks_entropy(mm)
-    covered = int((partition.assign_many(samples) > 0).sum())
     write_json(outdir / ENTROPY_JSON, {
         "metric_entropy": h,
         "ks_entropy_unweighted": ks.unweighted,
         "ks_entropy_stationary_weighted": ks.stationary_weighted,
         "measure_samples": cfg.measure_samples,
-        "covered_samples": covered,
+        "covered_samples": mu.covered,
         "cell_weights": [round(float(w), 12) for w in mu.weights],
     })
-    print(f"entropy: partition H = {h:.6g} (over {covered} covered samples)")
+    print(f"entropy: partition H = {h:.6g} (over {mu.covered} covered samples)")
     print(f"entropy: landing-matrix H = {ks.unweighted:.6g} unweighted, "
           f"{ks.stationary_weighted:.6g} stationary-weighted")
     return [ENTROPY_JSON], {"metric_entropy": h}
@@ -270,6 +253,7 @@ def stage_entropy(cfg: PipelineConfig, outdir: Path):
 def stage_bounds(cfg: PipelineConfig, outdir: Path):
     lib = _load_library(outdir, "bounds")
     tm, _ = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "bounds")))
+    _check_start_cell("bounds_from", cfg.bounds_from, tm.n_cells)
     blocks = []
     for q in cfg.quantities:
         env = segment_envelope(lib, q)
@@ -369,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override rng_seed")
         p.add_argument("--out", default=None, help="override output_dir")
-        p.add_argument("--jobs", type=int, default=None, help="worker pool size")
         p.add_argument("--check", action="store_true",
                        help="re-validate existing artifacts instead of computing")
     return parser
@@ -382,7 +365,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, overrides={
-            "rng_seed": args.seed, "output_dir": args.out, "jobs": args.jobs})
+            "rng_seed": args.seed, "output_dir": args.out})
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.check:
@@ -403,6 +386,9 @@ def main(argv=None) -> int:
         print("error: invalid configuration:", file=sys.stderr)
         for p in err.problems:
             print(f"  - {p}", file=sys.stderr)
+        return 1
+    except ManifestError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
     except MissingArtifactError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,6 +6,7 @@ offending fields are reported together.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,28 +21,30 @@ Array = np.ndarray
 
 __all__ = ["PipelineConfig", "load_config", "parse_config"]
 
-_DEFAULTS = {
-    "segment_samples": 11,
-    "samples_per_cell": 100,
-    "tensor_order": 3,
-    "word_length": 10,
-    "rng_seed": 0,
-    "integrator_step": 1e-3,
-    "boundary_samples": 32,
-    "collocation_cap": 2_000_000,
-    "delta_cap_fraction": 0.25,
-    "delta_floor": 1e-9,
-    "calibration_time_samples": 17,
-    "expansion_m_max": 2,
-    "encode_points": 100,
-    "encode_draw_budget": 200_000,
-    "enumerate_from": 1,
-    "enumerate_mode": "markov",
-    "enumeration_cap": 100_000,
-    "bounds_from": 1,
-    "measure_samples": 20_000,
-    "jobs": 1,
-}
+# numeric fields: (name, default, minimum, strict, integer); a default of
+# None makes the field required, and strict makes the minimum exclusive
+_NUMBERS = (
+    ("epsilon", None, 0, True, False),
+    ("horizon", None, 0, True, False),
+    ("segment_samples", 11, 2, False, True),
+    ("samples_per_cell", 100, 1, False, True),
+    ("tensor_order", 3, 2, False, True),
+    ("word_length", 10, 1, False, True),
+    ("rng_seed", 0, 0, False, True),
+    ("integrator_step", 1e-3, 0, True, False),
+    ("boundary_samples", 32, 0, False, True),
+    ("collocation_cap", 2_000_000, 1, False, True),
+    ("delta_cap_fraction", 0.25, 0, True, False),
+    ("delta_floor", 1e-9, 0, True, False),
+    ("calibration_time_samples", 17, 2, False, True),
+    ("expansion_m_max", 2, 1, False, True),
+    ("encode_points", 100, 1, False, True),
+    ("encode_draw_budget", 200_000, 1, False, True),
+    ("enumerate_from", 1, 1, False, True),
+    ("enumeration_cap", 100_000, 1, False, True),
+    ("bounds_from", 1, 1, False, True),
+    ("measure_samples", 20_000, 1, False, True),
+)
 
 
 @dataclass(eq=False)
@@ -73,7 +76,6 @@ class PipelineConfig:
     enumeration_cap: int
     bounds_from: int
     measure_samples: int
-    jobs: int
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -84,8 +86,8 @@ class PipelineConfig:
         return self.delta_cap_fraction * float(self.domain.widths.min())
 
 
-def _get_number(doc: dict, key: str, problems: list, *, minimum=None,
-                strict: bool = False, integer: bool = False, default=None):
+def _get_number(doc: dict, problems: list, key: str, default, minimum,
+                strict: bool, integer: bool):
     value = doc.get(key, default)
     if value is None:
         problems.append(f"{key}: missing")
@@ -93,17 +95,19 @@ def _get_number(doc: dict, key: str, problems: list, *, minimum=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{key}: expected a number, got {value!r}")
         return None
+    if isinstance(value, float) and not math.isfinite(value):
+        problems.append(f"{key}: expected a finite number, got {value!r}")
+        return None
     if integer and int(value) != value:
         problems.append(f"{key}: expected an integer, got {value!r}")
         return None
     value = int(value) if integer else float(value)
-    if minimum is not None:
-        if strict and value <= minimum:
-            problems.append(f"{key}: must be > {minimum}, got {value}")
-            return None
-        if not strict and value < minimum:
-            problems.append(f"{key}: must be >= {minimum}, got {value}")
-            return None
+    if strict and value <= minimum:
+        problems.append(f"{key}: must be > {minimum}, got {value}")
+        return None
+    if not strict and value < minimum:
+        problems.append(f"{key}: must be >= {minimum}, got {value}")
+        return None
     return value
 
 
@@ -128,8 +132,8 @@ def parse_config(doc: dict) -> PipelineConfig:
         problems.append(
             f"domain: dimension {domain.dimension} does not match model ({model.dimension})")
 
-    epsilon = _get_number(doc, "epsilon", problems, minimum=0, strict=True)
-    horizon = _get_number(doc, "horizon", problems, minimum=0, strict=True)
+    # epsilon and horizon are reported before resolution, the rest after it
+    numbers = {row[0]: _get_number(doc, problems, *row) for row in _NUMBERS[:2]}
 
     resolution = doc.get("resolution")
     if resolution is None:
@@ -145,48 +149,9 @@ def parse_config(doc: dict) -> PipelineConfig:
         except (TypeError, ValueError):
             problems.append(f"resolution: expected a list of integers, got {resolution!r}")
 
-    d = _DEFAULTS
-    segment_samples = _get_number(doc, "segment_samples", problems, minimum=2,
-                                  integer=True, default=d["segment_samples"])
-    samples_per_cell = _get_number(doc, "samples_per_cell", problems, minimum=1,
-                                   integer=True, default=d["samples_per_cell"])
-    tensor_order = _get_number(doc, "tensor_order", problems, minimum=2,
-                               integer=True, default=d["tensor_order"])
-    word_length = _get_number(doc, "word_length", problems, minimum=1,
-                              integer=True, default=d["word_length"])
-    rng_seed = _get_number(doc, "rng_seed", problems, minimum=0, integer=True,
-                           default=d["rng_seed"])
-    integrator_step = _get_number(doc, "integrator_step", problems, minimum=0,
-                                  strict=True, default=d["integrator_step"])
-    boundary_samples = _get_number(doc, "boundary_samples", problems, minimum=0,
-                                   integer=True, default=d["boundary_samples"])
-    collocation_cap = _get_number(doc, "collocation_cap", problems, minimum=1,
-                                  integer=True, default=d["collocation_cap"])
-    delta_cap_fraction = _get_number(doc, "delta_cap_fraction", problems, minimum=0,
-                                     strict=True, default=d["delta_cap_fraction"])
-    delta_floor = _get_number(doc, "delta_floor", problems, minimum=0, strict=True,
-                              default=d["delta_floor"])
-    calibration_time_samples = _get_number(doc, "calibration_time_samples", problems,
-                                           minimum=2, integer=True,
-                                           default=d["calibration_time_samples"])
-    expansion_m_max = _get_number(doc, "expansion_m_max", problems, minimum=1,
-                                  integer=True, default=d["expansion_m_max"])
-    encode_points = _get_number(doc, "encode_points", problems, minimum=1,
-                                integer=True, default=d["encode_points"])
-    encode_draw_budget = _get_number(doc, "encode_draw_budget", problems, minimum=1,
-                                     integer=True, default=d["encode_draw_budget"])
-    enumerate_from = _get_number(doc, "enumerate_from", problems, minimum=1,
-                                 integer=True, default=d["enumerate_from"])
-    enumeration_cap = _get_number(doc, "enumeration_cap", problems, minimum=1,
-                                  integer=True, default=d["enumeration_cap"])
-    bounds_from = _get_number(doc, "bounds_from", problems, minimum=1,
-                              integer=True, default=d["bounds_from"])
-    measure_samples = _get_number(doc, "measure_samples", problems, minimum=1,
-                                  integer=True, default=d["measure_samples"])
-    jobs = _get_number(doc, "jobs", problems, minimum=1, integer=True,
-                       default=d["jobs"])
+    numbers.update((row[0], _get_number(doc, problems, *row)) for row in _NUMBERS[2:])
 
-    enumerate_mode = doc.get("enumerate_mode", d["enumerate_mode"])
+    enumerate_mode = doc.get("enumerate_mode", "markov")
     if enumerate_mode not in ("markov", "tensor"):
         problems.append(f"enumerate_mode: must be 'markov' or 'tensor', got {enumerate_mode!r}")
 
@@ -215,24 +180,13 @@ def parse_config(doc: dict) -> PipelineConfig:
     if problems:
         raise ConfigError(problems)
     return PipelineConfig(
-        model=model, domain=domain, epsilon=epsilon, horizon=horizon,
-        resolution=resolution, segment_samples=segment_samples,
-        samples_per_cell=samples_per_cell, tensor_order=tensor_order,
-        word_length=word_length, quantities=quantities, rng_seed=rng_seed,
-        output_dir=output_dir, integrator_step=integrator_step,
-        boundary_samples=boundary_samples, collocation_cap=collocation_cap,
-        delta_cap_fraction=delta_cap_fraction, delta_floor=delta_floor,
-        calibration_time_samples=calibration_time_samples,
-        expansion_m_max=expansion_m_max, encode_points=encode_points,
-        encode_draw_budget=encode_draw_budget, initial_points=initial_points,
-        enumerate_from=enumerate_from, enumerate_mode=enumerate_mode,
-        enumeration_cap=enumeration_cap, bounds_from=bounds_from,
-        measure_samples=measure_samples, jobs=jobs, raw=dict(doc),
-    )
+        model=model, domain=domain, resolution=resolution, quantities=quantities,
+        output_dir=output_dir, initial_points=initial_points,
+        enumerate_mode=enumerate_mode, raw=dict(doc), **numbers)
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    """Read, override (seed/out/jobs from the command line), and validate."""
+    """Read, override (seed/out from the command line), and validate."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:

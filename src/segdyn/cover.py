@@ -118,6 +118,28 @@ class Cover:
                 for n in range(self.n_balls)]
 
 
+def _membership_blocks(points: Array, centers: Array, r2: Array):
+    """The point-in-ball test, chunked so one block holds at most
+    _ASSIGN_CHUNK x N entries.
+
+    Yields (rows, inside) where inside[i, n] says points[rows][i] lies in the
+    closed ball with center centers[n] and squared radius r2[n].
+    """
+    for start in range(0, points.shape[0], _ASSIGN_CHUNK):
+        rows = slice(start, start + _ASSIGN_CHUNK)
+        d2 = ((points[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        yield rows, d2 <= r2
+
+
+def largest_ball(points: Array, centers: Array, r2: Array) -> Array:
+    """1-based index of the largest-index ball containing each point, 0 for none."""
+    ids = np.arange(1, centers.shape[0] + 1, dtype=np.int64)
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for rows, inside in _membership_blocks(points, centers, r2):
+        out[rows] = np.where(inside, ids, 0).max(axis=1)
+    return out
+
+
 @dataclass(eq=False)
 class Partition:
     """Disjoint cells induced by the cover: a point belongs to the cell of
@@ -134,16 +156,7 @@ class Partition:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected an (M, d) array, got shape {pts.shape}")
-        centers = self.cover.centers
-        r2 = self.cover.radii ** 2
-        ids = np.arange(1, self.n_cells + 1, dtype=np.int64)
-        out = np.empty(pts.shape[0], dtype=np.int64)
-        for start in range(0, pts.shape[0], _ASSIGN_CHUNK):
-            chunk = pts[start:start + _ASSIGN_CHUNK]
-            d2 = ((chunk[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-            inside = d2 <= r2[None, :]
-            out[start:start + _ASSIGN_CHUNK] = np.where(inside, ids[None, :], 0).max(axis=1)
-        return out
+        return largest_ball(pts, self.cover.centers, self.cover.radii ** 2)
 
     def assign(self, x) -> int | None:
         """Cell id for a single point, or None when no ball contains it."""
@@ -153,9 +166,10 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class CellMeasure:
-    """Empirical cell weights, normalized over the covered samples."""
+    """Empirical cell weights, normalized over the ``covered`` samples."""
 
     weights: Array
+    covered: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -301,17 +315,6 @@ def calibrate_delta(model: FlowModel, center, horizon: float, epsilon: float,
     return float(out[0])
 
 
-def _membership(samples: Array, centers: Array, radii: Array) -> Array:
-    """Boolean (n_samples, n_balls) table of ball membership, chunked."""
-    out = np.empty((samples.shape[0], centers.shape[0]), dtype=bool)
-    r2 = radii ** 2
-    for start in range(0, samples.shape[0], _ASSIGN_CHUNK):
-        chunk = samples[start:start + _ASSIGN_CHUNK]
-        d2 = ((chunk[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        out[start:start + _ASSIGN_CHUNK] = d2 <= r2[None, :]
-    return out
-
-
 def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:
     """Greedily prune balls whose removal keeps every domain sample covered.
 
@@ -322,7 +325,9 @@ def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     samples = np.asarray(domain_samples, dtype=float)
-    member = _membership(samples, centers, radii)
+    member = np.empty((samples.shape[0], centers.shape[0]), dtype=bool)
+    for rows, inside in _membership_blocks(samples, centers, radii ** 2):
+        member[rows] = inside
     uncovered = ~member.any(axis=1)
     if np.any(uncovered):
         first = int(np.flatnonzero(uncovered)[0])
@@ -349,7 +354,7 @@ def cell_measure(partition: Partition, samples: Array) -> CellMeasure:
     if total == 0:
         raise CoverageError("no sample is covered by any cell; measure undefined")
     counts = np.bincount(assigned[covered], minlength=partition.n_cells + 1)[1:]
-    return CellMeasure(weights=counts / total)
+    return CellMeasure(weights=counts / total, covered=total)
 
 
 def metric_entropy(mu) -> float:

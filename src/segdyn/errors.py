@@ -39,6 +39,14 @@ class EncodingError(SegdynError):
     """Raised when an orbit cannot be encoded (initial point outside every cell)."""
 
 
+class NoAdmissibleWordError(SegdynError, ValueError):
+    """Raised when no admissible word of the requested length starts at a cell."""
+
+
+class ManifestError(SegdynError):
+    """Raised when an existing manifest cannot be read."""
+
+
 class MissingArtifactError(SegdynError):
     """Raised when a pipeline stage needs an artifact that has not been produced."""
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoAdmissibleWordError
 from .segments import SegmentLibrary
 from .symbolic import reachable_symbols
 
@@ -122,7 +123,7 @@ def reachable_bounds(env: QuantityEnvelope, gamma, n0: int,
     """
     reach = reachable_symbols(gamma, n0, length)
     if not reach:
-        raise ValueError(f"no admissible word of length {length} starts at {n0}")
+        raise NoAdmissibleWordError(f"no admissible word of length {length} starts at {n0}")
     idx = np.asarray(sorted(reach), dtype=np.int64) - 1
     return ReachableBounds(
         lo=float(env.inf_per_cell[idx].min()),

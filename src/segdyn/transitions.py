@@ -8,14 +8,13 @@ across orders exact.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
-from .cover import Partition
+from .cover import Partition, largest_ball
 from .errors import SamplingError
 from .flow import FlowModel, IntegratorConfig, advance_many
 from .segments import SegmentLibrary
@@ -30,6 +29,7 @@ __all__ = [
     "estimate_transitions",
     "estimate_tensor",
     "sample_itineraries",
+    "transitions_from_itineraries",
     "row_sensitivity",
     "expanding_to_depth",
     "ball_admissibility",
@@ -152,13 +152,18 @@ def _neighbor_lists(partition: Partition) -> list[Array]:
 def _draw_cell_starts(partition: Partition, cell: int, count: int,
                       rng: np.random.Generator, neighbors: Array,
                       max_draw_factor: int = 200) -> Array:
-    """Uniform samples in ball(cell) that the partition assigns to ``cell``."""
+    """Uniform samples in ball(cell) that the partition assigns to ``cell``.
+
+    Only the balls in ``neighbors`` (ascending 0-based indices) can contain a
+    point of ball(cell), so membership runs on that sub-cover; mapping its
+    local ids back through ``neighbors`` keeps the largest-index rule.
+    """
     center = partition.cover.centers[cell - 1]
     radius = partition.cover.radii[cell - 1]
     d = center.shape[0]
-    cand_centers = partition.cover.centers[neighbors]
-    cand_r2 = partition.cover.radii[neighbors] ** 2
-    cand_ids = neighbors + 1
+    sub_centers = partition.cover.centers[neighbors]
+    sub_r2 = partition.cover.radii[neighbors] ** 2
+    global_ids = np.concatenate(([0], neighbors + 1))
     accepted: list[Array] = []
     got = 0
     drawn = 0
@@ -169,9 +174,7 @@ def _draw_cell_starts(partition: Partition, cell: int, count: int,
         u = rng.normal(size=(m, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts = center + (radius * rng.random(m) ** (1.0 / d))[:, None] * u
-        d2 = ((pts[:, None, :] - cand_centers[None, :, :]) ** 2).sum(axis=-1)
-        inside = d2 <= cand_r2[None, :]
-        assigned = np.where(inside, cand_ids[None, :], 0).max(axis=1)
+        assigned = global_ids[largest_ball(pts, sub_centers, sub_r2)]
         hit = pts[assigned == cell]
         if hit.shape[0]:
             accepted.append(hit[:count - got])
@@ -185,31 +188,23 @@ def _draw_cell_starts(partition: Partition, cell: int, count: int,
 
 def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
                        n_steps: int, samples_per_cell: int, cfg: IntegratorConfig,
-                       rng_seed: int, jobs: int = 1,
-                       max_draw_factor: int = 200) -> tuple[Array, Array]:
+                       rng_seed: int, max_draw_factor: int = 200) -> tuple[Array, Array]:
     """Seeded cell samples and their cell itineraries over ``n_steps`` hops of T.
 
     Returns (starts of shape (M, d), itineraries of shape (M, n_steps + 1));
     itinerary entry 0 is the source cell and 0 marks an escape. Entries after
     the first escape are zeroed: an itinerary is only trusted up to the time
     it leaves the partition. Start points depend only on (rng_seed, cell), so
-    different n_steps and worker counts see identical samples.
+    different n_steps see identical samples.
     """
     n_cells = partition.n_cells
     neighbors = _neighbor_lists(partition)
-
-    def draw(cell: int) -> Array:
-        rng = derive_rng(rng_seed, STREAM_TRANSITIONS, cell)
-        return _draw_cell_starts(partition, cell, samples_per_cell, rng,
-                                 neighbors[cell - 1], max_draw_factor)
-
-    cells = range(1, n_cells + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(draw, cells))
-    else:
-        per_cell = [draw(c) for c in cells]
-    starts = np.concatenate(per_cell, axis=0)
+    starts = np.concatenate([
+        _draw_cell_starts(partition, cell, samples_per_cell,
+                          derive_rng(rng_seed, STREAM_TRANSITIONS, cell),
+                          neighbors[cell - 1], max_draw_factor)
+        for cell in range(1, n_cells + 1)
+    ], axis=0)
     source = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
 
     itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
@@ -227,50 +222,58 @@ def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
     return starts, itins
 
 
-def estimate_transitions(model: FlowModel, partition: Partition, horizon: float,
-                         samples_per_cell: int, cfg: IntegratorConfig, rng_seed: int,
-                         jobs: int = 1, max_draw_factor: int = 200,
-                         ) -> tuple[TransitionMatrix, MarkovMatrix]:
-    """Ulam-style transition matrix and landing probabilities.
+def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[int] = ()
+                                 ) -> tuple[TransitionMatrix, MarkovMatrix, list]:
+    """Ulam-style transition matrix, landing probabilities and tensors.
 
-    Gamma[m][n] is set when at least one sample of cell m lands in cell n
-    after time ``horizon``. Probabilities divide by the landed samples of
-    each row; escapes are tallied separately and excluded from the
-    denominator.
+    Gamma[m][n] is set when at least one itinerary goes from cell m to cell n
+    in its first hop. Probabilities divide by the landed samples of each
+    row; escapes are tallied separately and excluded from the denominator.
+    The order-k tensor for each k in ``orders`` holds the alive length-k
+    prefixes, so tensors built from one set of itineraries are prefix closed
+    by construction.
     """
-    if samples_per_cell < 1:
-        raise ValueError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
-    _, itins = sample_itineraries(model, partition, horizon, 1, samples_per_cell,
-                                  cfg, rng_seed, jobs=jobs,
-                                  max_draw_factor=max_draw_factor)
-    n = partition.n_cells
-    full = np.zeros((n + 1, n + 1), dtype=np.int64)
+    full = np.zeros((n_cells + 1, n_cells + 1), dtype=np.int64)
     np.add.at(full, (itins[:, 0], itins[:, 1]), 1)
     counts = full[1:, 1:]
-    escapes = full[1:, 0]
     landed = counts.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
-    return (
-        TransitionMatrix(admissible=counts > 0, counts=counts, escapes=escapes),
-        MarkovMatrix(p=p),
-    )
+    tensors = []
+    for k in orders:
+        prefix = itins[:, :k]
+        alive = np.all(prefix > 0, axis=1)
+        tensors.append(TransitionTensor(
+            order=k, admissible_tuples=frozenset(map(tuple, prefix[alive].tolist())),
+            n_cells=n_cells))
+    return (TransitionMatrix(admissible=counts > 0, counts=counts, escapes=full[1:, 0]),
+            MarkovMatrix(p=p), tensors)
+
+
+def estimate_transitions(model: FlowModel, partition: Partition, horizon: float,
+                         samples_per_cell: int, cfg: IntegratorConfig, rng_seed: int,
+                         max_draw_factor: int = 200,
+                         ) -> tuple[TransitionMatrix, MarkovMatrix]:
+    """Transition matrix and landing probabilities from one hop of T."""
+    if samples_per_cell < 1:
+        raise ValueError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
+    _, itins = sample_itineraries(model, partition, horizon, 1, samples_per_cell,
+                                  cfg, rng_seed, max_draw_factor=max_draw_factor)
+    tm, mm, _ = transitions_from_itineraries(itins, partition.n_cells)
+    return tm, mm
 
 
 def estimate_tensor(model: FlowModel, partition: Partition, horizon: float,
                     order: int, samples_per_cell: int, cfg: IntegratorConfig,
-                    rng_seed: int, jobs: int = 1,
-                    max_draw_factor: int = 200) -> TransitionTensor:
+                    rng_seed: int, max_draw_factor: int = 200) -> TransitionTensor:
     """Order-k admissibility tensor from full k-step sample itineraries."""
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
     _, itins = sample_itineraries(model, partition, horizon, order - 1,
-                                  samples_per_cell, cfg, rng_seed, jobs=jobs,
+                                  samples_per_cell, cfg, rng_seed,
                                   max_draw_factor=max_draw_factor)
-    alive = np.all(itins > 0, axis=1)
-    tuples = frozenset(map(tuple, itins[alive].tolist()))
-    return TransitionTensor(order=order, admissible_tuples=tuples,
-                            n_cells=partition.n_cells)
+    _, _, (tensor,) = transitions_from_itineraries(itins, partition.n_cells, (order,))
+    return tensor
 
 
 def _admissible_rows(gamma) -> Array:

@@ -51,7 +51,7 @@ from segdyn.cover import BoxDomain, cover_from_json
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
 from segdyn.symbolic import _shadowing_errors, reconstruct_pseudo_orbit
-from segdyn.transitions import MarkovMatrix, TransitionMatrix, TransitionTensor, transitions_to_json
+from segdyn.transitions import MarkovMatrix, transitions_from_itineraries, transitions_to_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LORENZ_CONFIG = REPO_ROOT / "configs" / "lorenz.json"
@@ -115,22 +115,7 @@ def run4():
 
     _, itins = sample_itineraries(model, partition, horizon, 2, 200, cfg,
                                   rng_seed=seed)
-    n = partition.n_cells
-    full = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(full, (itins[:, 0], itins[:, 1]), 1)
-    counts = full[1:, 1:]
-    landed = counts.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
-    tm = TransitionMatrix(admissible=counts > 0, counts=counts, escapes=full[1:, 0])
-    mm = MarkovMatrix(p=p)
-    tensors = []
-    for k in (2, 3):
-        prefix = itins[:, :k]
-        alive = np.all(prefix > 0, axis=1)
-        tensors.append(TransitionTensor(
-            order=k, admissible_tuples=frozenset(map(tuple, prefix[alive].tolist())),
-            n_cells=n))
+    tm, mm, tensors = transitions_from_itineraries(itins, partition.n_cells, (2, 3))
 
     covered = fresh_pool[partition.assign_many(fresh_pool) > 0]
     assert covered.shape[0] >= 1000, "fresh pool too sparse for 1000 encoded orbits"

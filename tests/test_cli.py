@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from segdyn.artifacts import check_artifacts, file_digest, load_manifest, read_json
+from segdyn.artifacts import check_artifacts, load_manifest, read_json
 from segdyn.cli import main
 from segdyn.config import load_config
 from segdyn.errors import ConfigError
@@ -91,16 +91,6 @@ def test_rerun_reproduces_identical_digests(pipeline, tmp_path):
         assert m1["stages"][stage]["outputs"] == m2["stages"][stage]["outputs"]
 
 
-def test_jobs_flag_keeps_bytes_identical(pipeline, tmp_path):
-    _, _, out = pipeline
-    config3 = _write_config(tmp_path, {"output_dir": str(tmp_path / "out3")})
-    for stage in ["calibrate", "segments"]:
-        assert main([stage, "--config", str(config3)]) == 0
-    assert main(["transitions", "--config", str(config3), "--jobs", "4"]) == 0
-    assert file_digest(tmp_path / "out3" / "transitions.json") == \
-        file_digest(out / "transitions.json")
-
-
 def test_check_detects_corruption(pipeline, tmp_path):
     tmp, config, out = pipeline
     target = out / "entropy.json"
@@ -135,6 +125,16 @@ def test_config_error_collects_fields(tmp_path):
         load_config(config)
     text = str(exc.value)
     assert "epsilon" in text and "samples_per_cell" in text
+
+
+def test_config_rejects_non_finite_numbers(tmp_path):
+    # JSON readers accept NaN and Infinity; neither is a usable setting
+    config = _write_config(tmp_path, {"epsilon": float("nan"),
+                                      "samples_per_cell": float("inf")})
+    with pytest.raises(ConfigError) as exc:
+        load_config(config)
+    assert exc.value.problems == ["epsilon: expected a finite number, got nan",
+                                  "samples_per_cell: expected a finite number, got inf"]
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -181,6 +181,47 @@ def test_seed_override_changes_seeded_artifacts(tmp_path):
     assert main(["transitions", "--config", str(config), "--seed", "99"]) == 0
     reseeded = (out / "transitions.json").read_bytes()
     assert base != reseeded
+
+
+@pytest.mark.parametrize("stage, field", [("enumerate", "enumerate_from"),
+                                          ("bounds", "bounds_from")])
+def test_start_cell_beyond_cover_is_config_error(pipeline, tmp_path, capsys, stage, field):
+    _, _, out = pipeline
+    n_cells = len(read_json(out / "cover.json")["balls"])
+    config = _write_config(tmp_path, {"output_dir": str(out), field: n_cells + 1})
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{field}: must be <= {n_cells}" in err
+    assert "Traceback" not in err
+
+
+def test_bounds_dead_start_is_runtime_error(tmp_path, capsys):
+    # under dx/dt = x every sample of the outermost cell leaves the domain
+    config = _write_config(tmp_path, {
+        "model": {"model_id": "QuadraticGeneric", "dimension": 1,
+                  "parameters": {"linear": [[1.0]], "quadratic": [[[0.0]]],
+                                 "forcing": [0.0]}},
+        "bounds_from": 8,
+    })
+    for stage in ["calibrate", "segments", "transitions"]:
+        assert main([stage, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: no admissible word of length 6 starts at 8\n"
+
+
+def test_corrupt_manifest_is_check_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert main(["calibrate", "--config", str(config)]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.write_text("{not json")
+    for argv in (["report", "--check"], ["segments"]):
+        capsys.readouterr()
+        assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest} ")
+        assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code_is_one(capsys):

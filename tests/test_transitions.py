@@ -120,10 +120,15 @@ def test_seed_determinism_bytes(linear1, sink_partition, cfg):
     assert docs[0] == docs[1]
 
 
-def test_jobs_do_not_change_results(linear1, sink_partition, cfg):
-    tm1, _ = estimate_transitions(linear1, sink_partition, 1.0, 40, cfg, rng_seed=13)
-    tm4, _ = estimate_transitions(linear1, sink_partition, 1.0, 40, cfg, rng_seed=13, jobs=4)
-    assert np.array_equal(tm1.counts, tm4.counts)
+def test_sampled_starts_follow_largest_index_rule(cfg):
+    # the rejection sampler tests only the balls that meet the sampled one;
+    # the full partition must still assign every start to its source cell
+    grid = np.stack(np.meshgrid(np.arange(4) * 0.3, np.arange(4) * 0.3,
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    part = _partition(grid, np.full(16, 0.25))
+    model = LinearDiagonal(rates=[1.0, 2.0])
+    starts, itins = sample_itineraries(model, part, 0.1, 1, 50, cfg, rng_seed=16)
+    assert np.array_equal(part.assign_many(starts), itins[:, 0])
 
 
 def test_sampled_start_pairs_are_admissible(linear1, sink_partition, cfg):

@@ -20,6 +20,7 @@ from .cover import (
     minimal_cover,
 )
 from .errors import (
+    ArtifactError,
     BlowupError,
     CalibrationError,
     ConfigError,

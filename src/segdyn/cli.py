@@ -27,7 +27,9 @@ from .cover import (
     Partition, calibrate_deltas, cell_measure, collocate, cover_from_json,
     cover_to_json, metric_entropy, minimal_cover,
 )
-from .errors import ConfigError, ManifestError, MissingArtifactError, SegdynError
+from .errors import (
+    ArtifactError, ConfigError, ManifestError, MissingArtifactError, SegdynError,
+)
 from .flow import jacobian_norms
 from .quantities import quantity_to_json, reachable_bounds, segment_envelope
 from .segments import (
@@ -45,8 +47,17 @@ STAGES = ("calibrate", "segments", "transitions", "encode", "shadow",
           "enumerate", "entropy", "bounds", "report")
 
 
-def _load_cover(outdir: Path, stage: str):
-    return cover_from_json(read_json(require(outdir, COVER_JSON, stage)))
+def _load_cover(cfg: PipelineConfig, outdir: Path, stage: str):
+    path = require(outdir, COVER_JSON, stage)
+    try:
+        cover = cover_from_json(read_json(path))
+    except (ValueError, KeyError, TypeError) as err:
+        raise ArtifactError(f"{path} is not a readable cover: {err!r}") from None
+    if cover.dimension != cfg.model.dimension:
+        raise ArtifactError(
+            f"{path} has dimension {cover.dimension}, but the config's "
+            f"model has dimension {cfg.model.dimension}")
+    return cover
 
 
 def _load_library(outdir: Path, stage: str):
@@ -90,7 +101,7 @@ def stage_calibrate(cfg: PipelineConfig, outdir: Path):
 
 
 def stage_segments(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(outdir, "segments")
+    cover = _load_cover(cfg, outdir, "segments")
     lib = build_segments(cfg.model, cover, cfg.horizon, cfg.segment_samples,
                          cfg.integrator, epsilon=cfg.epsilon)
     save_library(lib, outdir / LIBRARY_DIR)
@@ -102,7 +113,7 @@ def stage_segments(cfg: PipelineConfig, outdir: Path):
 
 
 def stage_transitions(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(outdir, "transitions")
+    cover = _load_cover(cfg, outdir, "transitions")
     lib = _load_library(outdir, "transitions")
     partition = Partition(cover=cover)
     n = partition.n_cells
@@ -151,7 +162,7 @@ def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
 
 
 def stage_encode(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(outdir, "encode")
+    cover = _load_cover(cfg, outdir, "encode")
     partition = Partition(cover=cover)
     x0s = _initial_points(cfg, partition, STREAM_ENCODE)
     words = encode_many(cfg.model, partition, x0s, cfg.word_length, cfg.horizon,
@@ -174,7 +185,7 @@ def stage_encode(cfg: PipelineConfig, outdir: Path):
 
 
 def stage_shadow(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(outdir, "shadow")
+    cover = _load_cover(cfg, outdir, "shadow")
     lib = _load_library(outdir, "shadow")
     partition = Partition(cover=cover)
     x0s = _initial_points(cfg, partition, STREAM_SHADOW)
@@ -228,7 +239,7 @@ def stage_enumerate(cfg: PipelineConfig, outdir: Path):
 
 
 def stage_entropy(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(outdir, "entropy")
+    cover = _load_cover(cfg, outdir, "entropy")
     tm, mm = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "entropy")))
     partition = Partition(cover=cover)
     rng = derive_rng(cfg.rng_seed, STREAM_MEASURE)
@@ -387,7 +398,7 @@ def main(argv=None) -> int:
         for p in err.problems:
             print(f"  - {p}", file=sys.stderr)
         return 1
-    except ManifestError as err:
+    except (ManifestError, ArtifactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MissingArtifactError as err:

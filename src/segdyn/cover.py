@@ -7,7 +7,9 @@ stays within a target diameter over a finite horizon.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +41,16 @@ __all__ = [
 DEFAULT_COLLOCATION_CAP = 2_000_000
 
 _ASSIGN_CHUNK = 512
+
+# Covers with at least this many balls answer membership through a _BallGrid;
+# smaller ones keep the brute-force scan, which is cheaper for them.
+_INDEX_MIN_BALLS = 128
+# (point, candidate ball) pairs tested per block of a grid query
+_PAIR_CHUNK = 1 << 16
+# buckets are widened only when the registrations of balls in buckets would
+# exceed this many per ball and _MIN_REGISTRATIONS in all
+_BUCKETS_PER_BALL = 64
+_MIN_REGISTRATIONS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +113,8 @@ class Cover:
             raise ValueError(f"centers/radii shapes inconsistent: {c.shape} vs {r.shape}")
         if not np.all(r > 0):
             raise ValueError("all radii must be positive")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r))):
+            raise ValueError("centers and radii must be finite")
         self.centers = c
         self.radii = r
 
@@ -140,6 +154,139 @@ def largest_ball(points: Array, centers: Array, r2: Array) -> Array:
     return out
 
 
+def _expand(starts: Array, counts: Array) -> Array:
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _blocks(counts: Array, limit: int):
+    """Consecutive row slices whose counts add up to at most ``limit``; a
+    row whose count alone exceeds it gets a slice of its own."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.shape[0]:
+        hi = int(np.searchsorted(ends, ends[lo] - counts[lo] + limit, side="right"))
+        hi = max(hi, lo + 1)
+        yield slice(lo, hi)
+        lo = hi
+
+
+class _BallGrid:
+    """Uniform-grid bucket index over the balls of a cover.
+
+    Buckets are cubes of side ``width``, two median radii to begin with.
+    Each ball is registered in every bucket its slightly padded bounding box
+    overlaps, so a point only needs the balls of its own bucket, and a large
+    ball costs extra registrations rather than coarse buckets; the buckets
+    are widened only when the registrations would exceed both
+    _BUCKETS_PER_BALL per ball and _MIN_REGISTRATIONS in all. The map is
+    CSR: occupied bucket ``keys[j]`` (ascending) holds the balls
+    ``ball_ids[offsets[j]:offsets[j + 1]]`` in ascending order. Membership
+    is the squared-distance test of :func:`_membership_blocks`, so every
+    answer is bitwise the brute-force one.
+    """
+
+    def __init__(self, centers: Array, radii: Array):
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
+            raise ValueError("ball centers and radii must be finite")
+        n, d = centers.shape
+        self.centers = centers
+        self.r2 = radii ** 2
+        # far above the rounding of the bucket arithmetic, so every point the
+        # squared-distance test puts in a ball lands in one of its buckets
+        pad = 1e-9 * (float(np.abs(centers).max()) + float(radii.max()))
+        lo = centers - radii[:, None] - pad
+        hi = centers + radii[:, None] + pad
+        self.origin = lo.min(axis=0)
+        width = 2.0 * float(np.median(radii))
+        budget = max(_BUCKETS_PER_BALL * n, _MIN_REGISTRATIONS)
+        while True:
+            first = np.floor((lo - self.origin) / width)
+            last = np.floor((hi - self.origin) / width)
+            extent = last.max(axis=0) + 1.0
+            if (last - first + 1.0).prod(axis=1).sum() <= budget and extent.prod() < 2.0 ** 62:
+                break
+            width *= 2.0
+        self.width = width
+        self.extent = extent
+        dims = [int(e) for e in extent]
+        self.strides = np.array([math.prod(dims[axis + 1:]) for axis in range(d)],
+                                dtype=np.int64)
+        first = first.astype(np.int64)
+        span = last.astype(np.int64) - first + 1
+        count = span.prod(axis=1)
+        owner = np.repeat(np.arange(n), count)
+        # mixed-radix digits of each registration's place in its ball's box
+        rank = _expand(np.zeros(n, dtype=np.int64), count)
+        keys = np.zeros(rank.shape[0], dtype=np.int64)
+        # bit k of corner: the bucket is the ball's lowest one along axis k
+        corner = np.zeros(rank.shape[0], dtype=np.int64)
+        for axis in range(d - 1, -1, -1):
+            side = span[owner, axis]
+            digit = rank % side
+            keys += (first[owner, axis] + digit) * self.strides[axis]
+            corner |= (digit == 0).astype(np.int64) << axis
+            rank //= side
+        order = np.argsort(keys, kind="stable")
+        self.ball_ids = owner[order]
+        self.corner = corner[order]
+        self.keys, starts = np.unique(keys[order], return_index=True)
+        self.offsets = np.append(starts, order.shape[0])
+
+    def _candidates(self, points: Array) -> tuple[Array, Array]:
+        """Start and length of each point's candidate run in ``ball_ids``."""
+        start = np.zeros(points.shape[0], dtype=np.int64)
+        count = np.zeros(points.shape[0], dtype=np.int64)
+        f = (points - self.origin) / self.width
+        rows = np.flatnonzero(np.all((f >= 0.0) & (f < self.extent), axis=1))
+        keys = np.floor(f[rows]).astype(np.int64) @ self.strides
+        j = np.minimum(np.searchsorted(self.keys, keys), self.keys.shape[0] - 1)
+        found = self.keys[j] == keys
+        rows, j = rows[found], j[found]
+        start[rows] = self.offsets[j]
+        count[rows] = self.offsets[j + 1] - self.offsets[j]
+        return start, count
+
+    def pairs(self, points: Array):
+        """Blocks of (row, ball) with points[row] in closed ball ``ball``
+        (0-based); rows ascend, and balls ascend within a row."""
+        start, count = self._candidates(points)
+        for rows in _blocks(count, _PAIR_CHUNK):
+            c = count[rows]
+            row = np.repeat(np.arange(rows.start, rows.stop), c)
+            ball = self.ball_ids[_expand(start[rows], c)]
+            inside = ((points[row] - self.centers[ball]) ** 2).sum(axis=-1) <= self.r2[ball]
+            yield row[inside], ball[inside]
+
+    def largest_ball(self, points: Array) -> Array:
+        """Same result as :func:`largest_ball` on this grid's balls."""
+        out = np.zeros(points.shape[0], dtype=np.int64)
+        for row, ball in self.pairs(points):
+            last = np.flatnonzero(np.diff(row, append=-1))
+            out[row[last]] = ball[last] + 1
+        return out
+
+    def bucket_pairs(self) -> tuple[Array, Array]:
+        """Every (a, b) of balls registered in a common bucket, a == b
+        included, once each and sorted by a and then b. Balls that intersect
+        always share a bucket."""
+        n, d = self.centers.shape
+        size = np.diff(self.offsets)
+        first = np.repeat(self.offsets[:-1], size)
+        partners = np.repeat(size, size)
+        keys = []
+        for rows in _blocks(partners, _PAIR_CHUNK):
+            c = partners[rows]
+            other = _expand(first[rows], c)
+            # two balls share a box of buckets; only its lowest corner,
+            # where their corner bits cover every axis, reports the pair
+            once = (np.repeat(self.corner[rows], c) | self.corner[other]) == (1 << d) - 1
+            keys.append(np.repeat(self.ball_ids[rows], c)[once] * n + self.ball_ids[other][once])
+        key = np.sort(np.concatenate(keys))
+        return key // n, key % n
+
+
 @dataclass(eq=False)
 class Partition:
     """Disjoint cells induced by the cover: a point belongs to the cell of
@@ -156,7 +303,17 @@ class Partition:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected an (M, d) array, got shape {pts.shape}")
-        return largest_ball(pts, self.cover.centers, self.cover.radii ** 2)
+        if pts.shape[1] != self.cover.dimension:
+            raise ValueError(f"points have dimension {pts.shape[1]}, "
+                             f"the cover has dimension {self.cover.dimension}")
+        if self.cover.n_balls < _INDEX_MIN_BALLS:
+            return largest_ball(pts, self.cover.centers, self.cover.radii ** 2)
+        return self._grid.largest_ball(pts)
+
+    @cached_property
+    def _grid(self) -> _BallGrid:
+        """The cover's grid index, built on first use."""
+        return _BallGrid(self.cover.centers, self.cover.radii)
 
     def assign(self, x) -> int | None:
         """Cell id for a single point, or None when no ball contains it."""
@@ -325,6 +482,8 @@ def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     samples = np.asarray(domain_samples, dtype=float)
+    if centers.shape[0] >= _INDEX_MIN_BALLS:
+        return _minimal_cover_sparse(centers, radii, samples)
     member = np.empty((samples.shape[0], centers.shape[0]), dtype=bool)
     for rows, inside in _membership_blocks(samples, centers, radii ** 2):
         member[rows] = inside
@@ -339,6 +498,31 @@ def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:
         col = member[:, ball]
         if np.all(counts[col] >= 2):
             keep[ball] = False
+            counts[col] -= 1
+    return Cover(centers=centers[keep], radii=radii[keep])
+
+
+def _minimal_cover_sparse(centers: Array, radii: Array, samples: Array) -> Cover:
+    """:func:`minimal_cover` on the grid index's (sample, ball) pairs
+    instead of a dense samples x balls table; same result and errors."""
+    n = centers.shape[0]
+    blocks = list(_BallGrid(centers, radii).pairs(samples))
+    sample = np.concatenate([np.empty(0, dtype=np.int64)] + [s for s, _ in blocks])
+    ball = np.concatenate([np.empty(0, dtype=np.int64)] + [b for _, b in blocks])
+    counts = np.bincount(sample, minlength=samples.shape[0])
+    uncovered = counts == 0
+    if np.any(uncovered):
+        first = int(np.flatnonzero(uncovered)[0])
+        raise CoverageError(
+            f"domain sample {first} at {samples[first].tolist()} is outside every input ball")
+    order = np.argsort(ball, kind="stable")
+    by_ball = sample[order]
+    bounds = np.searchsorted(ball[order], np.arange(n + 1))
+    keep = np.ones(n, dtype=bool)
+    for b in range(n - 1, -1, -1):
+        col = by_ball[bounds[b]:bounds[b + 1]]
+        if np.all(counts[col] >= 2):
+            keep[b] = False
             counts[col] -= 1
     return Cover(centers=centers[keep], radii=radii[keep])
 

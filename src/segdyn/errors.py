@@ -47,6 +47,11 @@ class ManifestError(SegdynError):
     """Raised when an existing manifest cannot be read."""
 
 
+class ArtifactError(SegdynError):
+    """Raised when an upstream artifact is malformed or does not fit the
+    current config."""
+
+
 class MissingArtifactError(SegdynError):
     """Raised when a pipeline stage needs an artifact that has not been produced."""
 

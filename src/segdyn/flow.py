@@ -192,22 +192,40 @@ def _substep_count(duration: float, max_step: float) -> int:
     return max(1, math.ceil(duration / max_step - 1e-9))
 
 
+# substeps between finiteness checks; a substep adds to the state, so a
+# non-finite entry never turns finite again and the check at the end of a
+# block sees any blow-up inside it
+_FINITE_CHECK_EVERY = 16
+
+
+def _rk4_step(f, y: Array, dt: float) -> Array:
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
     f = model.rhs
     y = states
     # overflow surfaces as a non-finite state, caught below; silence the
     # intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            k1 = f(y)
-            k2 = f(y + (0.5 * dt) * k1)
-            k3 = f(y + (0.5 * dt) * k2)
-            k4 = f(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for block in range(0, n_steps, _FINITE_CHECK_EVERY):
+            y0 = y
+            for _ in range(min(_FINITE_CHECK_EVERY, n_steps - block)):
+                y = _rk4_step(f, y, dt)
             if not np.all(np.isfinite(y)):
-                bad = int(np.flatnonzero(~np.all(np.isfinite(y), axis=-1))[0]) \
-                    if y.ndim > 1 else None
-                raise BlowupError(time=t_start + (i + 1) * dt, batch_index=bad)
+                # rerun the block one checked substep at a time to report
+                # the substep and row exactly
+                y = y0
+                for i in range(block, n_steps):
+                    y = _rk4_step(f, y, dt)
+                    if not np.all(np.isfinite(y)):
+                        bad = int(np.flatnonzero(~np.all(np.isfinite(y), axis=-1))[0]) \
+                            if y.ndim > 1 else None
+                        raise BlowupError(time=t_start + (i + 1) * dt, batch_index=bad)
     return y
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
-from .cover import Partition, largest_ball
+from .cover import _INDEX_MIN_BALLS, Partition, largest_ball
 from .errors import SamplingError
 from .flow import FlowModel, IntegratorConfig, advance_many
 from .segments import SegmentLibrary
@@ -142,6 +142,12 @@ def _neighbor_lists(partition: Partition) -> list[Array]:
     """
     centers = partition.cover.centers
     radii = partition.cover.radii
+    if centers.shape[0] >= _INDEX_MIN_BALLS:
+        # the same test on the ball pairs that share a grid bucket
+        n, m = partition._grid.bucket_pairs()
+        meet = np.linalg.norm(centers[m] - centers[n], axis=1) <= radii[m] + radii[n]
+        n, m = n[meet], m[meet]
+        return np.split(m, np.searchsorted(n, np.arange(1, centers.shape[0])))
     out = []
     for n in range(centers.shape[0]):
         d = np.linalg.norm(centers - centers[n], axis=1)

@@ -47,11 +47,13 @@ from segdyn._rng import derive_rng
 from segdyn.artifacts import read_json
 from segdyn.cli import main as cli_main
 from segdyn.config import load_config
-from segdyn.cover import BoxDomain, cover_from_json
+from segdyn.cover import _INDEX_MIN_BALLS, BoxDomain, cover_from_json, largest_ball
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
 from segdyn.symbolic import _shadowing_errors, reconstruct_pseudo_orbit
-from segdyn.transitions import MarkovMatrix, transitions_from_itineraries, transitions_to_json
+from segdyn.transitions import (
+    MarkovMatrix, _neighbor_lists, transitions_from_itineraries, transitions_to_json,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LORENZ_CONFIG = REPO_ROOT / "configs" / "lorenz.json"
@@ -225,6 +227,25 @@ def test_criterion_03_partition_correctness(run1):
            f"assign_cell matches the direct definition on 100000 points "
            f"(agree={agree}, disjoint={disjoint}, all {len(grid)} collocation "
            f"centers covered={covered})")
+
+
+def test_orbit_cover_grid_index_matches_brute_force(run4):
+    # the orbit-seeded cover has a wide radius spread; the grid keeps buckets
+    # of two median radii and answers exactly as the brute-force scan
+    partition = run4["partition"]
+    cover = partition.cover
+    assert cover.n_balls >= _INDEX_MIN_BALLS
+    assert partition._grid.width == 2.0 * np.median(cover.radii)
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([run4["fresh"],
+                          rng.uniform([-25.0, -30.0, -5.0], [25.0, 30.0, 50.0], (20_000, 3))])
+    assert np.array_equal(partition.assign_many(pts),
+                          largest_ball(pts, cover.centers, cover.radii ** 2))
+    neighbors = _neighbor_lists(partition)
+    for b in range(cover.n_balls):
+        expected = np.flatnonzero(np.linalg.norm(cover.centers - cover.centers[b], axis=1)
+                                  <= cover.radii + cover.radii[b])
+        assert np.array_equal(neighbors[b], expected)
 
 
 def test_criterion_04_transition_consistency(run4):

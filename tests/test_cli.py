@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from segdyn.artifacts import check_artifacts, load_manifest, read_json
+from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
 from segdyn.cli import main
 from segdyn.config import load_config
 from segdyn.errors import ConfigError
@@ -227,3 +227,34 @@ def test_corrupt_manifest_is_check_error(tmp_path, capsys):
 def test_usage_error_exit_code_is_one(capsys):
     assert main(["calibrate"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"balls": [{"index": 1, "center": [0.0, 0.0, 0.0], "radius": 1.0},
+                {"index": 2, "center": [5.0, 5.0, 5.0], "radius": 1.0}]},
+     "has dimension 3, but the config's model has dimension 1"),
+    ({"balls": [{"index": 1, "center": [float("nan")], "radius": 1.0}]},
+     "is not a readable cover: ValueError('centers and radii must be finite')"),
+    ({"cells": []}, "is not a readable cover: KeyError('balls')"),
+])
+def test_cover_that_does_not_fit_is_check_error(tmp_path, capsys, doc, message):
+    config = _write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "cover.json", doc)
+    for stage in ("segments", "transitions", "encode", "shadow", "entropy"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {out / 'cover.json'} {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["cover.json"]
+
+
+def test_write_json_failure_keeps_previous_file(tmp_path):
+    target = tmp_path / "doc.json"
+    write_json(target, {"b": [1, 2], "a": 0.5})
+    before = target.read_bytes()
+    assert before == json.dumps({"a": 0.5, "b": [1, 2]}, indent=2).encode() + b"\n"
+    with pytest.raises(TypeError):
+        write_json(target, {"a": 1, "z": object()})
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

@@ -20,7 +20,18 @@ from segdyn import (
     metric_entropy,
     minimal_cover,
 )
-from segdyn.cover import cover_from_json, cover_to_json, read_points_csv, write_points_csv
+from segdyn.cover import (
+    _INDEX_MIN_BALLS,
+    _BallGrid,
+    _membership_blocks,
+    _minimal_cover_sparse,
+    cover_from_json,
+    cover_to_json,
+    largest_ball,
+    read_points_csv,
+    write_points_csv,
+)
+from segdyn.transitions import _neighbor_lists
 
 
 def test_collocate_1d_midpoints():
@@ -266,3 +277,119 @@ def test_points_csv_roundtrip(tmp_path):
     path = tmp_path / "cloud.csv"
     write_points_csv(path, pts)
     assert np.allclose(read_points_csv(path), pts)
+
+
+def test_cover_rejects_non_finite_balls():
+    with pytest.raises(ValueError, match="finite"):
+        Cover(centers=np.array([[0.0], [np.nan]]), radii=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Cover(centers=np.array([[0.0], [1.0]]), radii=np.array([1.0, np.inf]))
+
+
+def test_assign_many_rejects_wrong_dimension():
+    part = Partition(cover=Cover(centers=np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]]),
+                                 radii=np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="dimension 1, the cover has dimension 3"):
+        part.assign_many(np.array([[0.1], [5.0]]))
+
+
+@st.composite
+def _overlapping_covers(draw):
+    """Random overlapping covers in d = 1, 2 or 3, optionally with one ball
+    50 times larger than the rest, plus query points: uniform ones reaching
+    beyond every bucket, and points exactly on a sphere along an axis."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1.0, 1.0, size=(n, d))
+    radii = rng.uniform(0.05, 0.6, size=n)
+    if n > 1 and draw(st.booleans()):
+        radii[rng.integers(n)] *= 50.0
+    pts = rng.uniform(-3.0, 3.0, size=(200, d))
+    ball = rng.integers(n, size=40)
+    axis = rng.integers(d, size=40)
+    on_sphere = centers[ball].copy()
+    on_sphere[np.arange(40), axis] += rng.choice([-1.0, 1.0], size=40) * radii[ball]
+    far = np.full((3, d), 1e6)
+    far[1] *= -1.0
+    far[2, 0] = np.nan
+    return centers, radii, np.concatenate([pts, on_sphere, centers, far])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overlapping_covers())
+def test_grid_matches_largest_ball(case):
+    centers, radii, pts = case
+    grid = _BallGrid(centers, radii)
+    assert np.array_equal(grid.largest_ball(pts), largest_ball(pts, centers, radii ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_overlapping_covers())
+def test_grid_pairs_are_exactly_the_memberships(case):
+    centers, radii, pts = case
+    member = np.concatenate(
+        [inside for _, inside in _membership_blocks(pts, centers, radii ** 2)])
+    rows, balls = map(np.concatenate, zip(*_BallGrid(centers, radii).pairs(pts)))
+    expected_rows, expected_balls = np.nonzero(member)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(balls, expected_balls)
+
+
+def test_single_ball_grid():
+    centers, radii = np.array([[0.5, -0.5]]), np.array([0.25])
+    pts = np.array([[0.5, -0.5], [0.75, -0.5], [0.76, -0.5], [9.0, 9.0]])
+    assert _BallGrid(centers, radii).largest_ball(pts).tolist() == [1, 1, 0, 0]
+
+
+def test_grid_large_ball_adds_registrations_not_width():
+    # one ball 50x larger keeps the buckets at two median radii: it is
+    # registered in every bucket of its box instead
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(0.0, 20.0, size=(400, 3))
+    radii = rng.uniform(0.2, 0.4, size=400)
+    radii[7] *= 50.0
+    grid = _BallGrid(centers, radii)
+    assert grid.width == 2.0 * np.median(radii)
+    assert np.count_nonzero(grid.ball_ids == 7) > 1000
+    pts = rng.uniform(-5.0, 25.0, size=(20_000, 3))
+    assert np.array_equal(grid.largest_ball(pts), largest_ball(pts, centers, radii ** 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_minimal_cover_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 3
+    n = 100
+    centers = rng.uniform(0.0, 1.0, size=(n, d))
+    radii = rng.uniform(0.1, 0.5, size=n)
+    radii[seed] *= 50.0 if seed % 2 else 1.0
+    samples = rng.uniform(0.0, 1.0, size=(300, d))
+    dense = minimal_cover(centers, radii, samples)
+    sparse = _minimal_cover_sparse(centers, radii, samples)
+    assert np.array_equal(sparse.centers, dense.centers)
+    assert np.array_equal(sparse.radii, dense.radii)
+    # an uncovered sample gives the same error on the same first sample
+    outside = np.concatenate([samples[:5], np.full((2, d), 40.0), samples[5:]])
+    with pytest.raises(CoverageError) as dense_err:
+        minimal_cover(centers, radii, outside)
+    with pytest.raises(CoverageError) as sparse_err:
+        _minimal_cover_sparse(centers, radii, outside)
+    assert str(sparse_err.value) == str(dense_err.value)
+    assert "domain sample 5 at" in str(dense_err.value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_neighbor_lists_match_pairwise_loop(d):
+    rng = np.random.default_rng(20 + d)
+    n = _INDEX_MIN_BALLS + 72
+    centers = rng.uniform(-1.0, 1.0, size=(n, d))
+    radii = rng.uniform(0.01, 0.3, size=n)
+    radii[5] *= 50.0
+    got = _neighbor_lists(Partition(cover=Cover(centers=centers, radii=radii)))
+    assert len(got) == n
+    for b in range(n):
+        expected = np.flatnonzero(
+            np.linalg.norm(centers - centers[b], axis=1) <= radii + radii[b])
+        assert np.array_equal(got[b], expected)

@@ -126,6 +126,30 @@ def test_blowup_reports_time_reached():
         advance(model, [1.0], 2.0, cfg)  # dx/dt = x^2 escapes at t=1
 
 
+def test_blowup_inside_a_check_block_reports_exact_step_and_row():
+    # dx/dt = x^2: rows starting at 1.7 blow up first, at a substep that is
+    # not a multiple of the finiteness-check block
+    model = QuadraticGeneric(linear=[[0.0]], quadratic=np.ones((1, 1, 1)), forcing=[0.0])
+    states = np.array([[0.1], [0.3], [1.7], [1.7], [0.2]])
+    t, t_start, dt = 2.0, 0.5, 0.01
+    y = states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, 201):
+            k1 = model.rhs(y)
+            k2 = model.rhs(y + (0.5 * dt) * k1)
+            k3 = model.rhs(y + (0.5 * dt) * k2)
+            k4 = model.rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                break
+    assert step % 16 != 0
+    row = int(np.flatnonzero(~np.all(np.isfinite(y), axis=-1))[0])
+    with pytest.raises(BlowupError) as exc:
+        advance_many(model, states, t, IntegratorConfig(step=dt), t_start=t_start)
+    assert exc.value.time == t_start + step * dt
+    assert exc.value.batch_index == row == 2
+
+
 def test_batch_advance_matches_scalar(lorenz, cfg):
     pts = np.array([[1.0, 1.0, 1.0], [-3.0, 4.0, 20.0]])
     batch = advance_many(lorenz, pts, 0.25, cfg)

@@ -47,12 +47,18 @@ STAGES = ("calibrate", "segments", "transitions", "encode", "shadow",
           "enumerate", "entropy", "bounds", "report")
 
 
+def _read_artifact(path: Path, what: str, parse):
+    """parse(path), with any parse failure turned into an ArtifactError that
+    names the file, so a corrupt upstream artifact exits 1 with one line."""
+    try:
+        return parse(path)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ArtifactError(f"{path} is not a readable {what}: {err!r}") from None
+
+
 def _load_cover(cfg: PipelineConfig, outdir: Path, stage: str):
     path = require(outdir, COVER_JSON, stage)
-    try:
-        cover = cover_from_json(read_json(path))
-    except (ValueError, KeyError, TypeError) as err:
-        raise ArtifactError(f"{path} is not a readable cover: {err!r}") from None
+    cover = _read_artifact(path, "cover", lambda p: cover_from_json(read_json(p)))
     if cover.dimension != cfg.model.dimension:
         raise ArtifactError(
             f"{path} has dimension {cover.dimension}, but the config's "
@@ -61,8 +67,14 @@ def _load_cover(cfg: PipelineConfig, outdir: Path, stage: str):
 
 
 def _load_library(outdir: Path, stage: str):
-    require(outdir, f"{LIBRARY_DIR}/library.json", stage)
-    return load_library(outdir / LIBRARY_DIR)
+    for name in ("library.json", "segments.csv"):
+        require(outdir, f"{LIBRARY_DIR}/{name}", stage)
+    return _read_artifact(outdir / LIBRARY_DIR, "segment library", load_library)
+
+
+def _load_transitions(outdir: Path, stage: str):
+    return _read_artifact(require(outdir, TRANSITIONS_JSON, stage), "transition table",
+                          lambda p: transitions_from_json(read_json(p)))
 
 
 def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
@@ -213,15 +225,15 @@ def _check_start_cell(field: str, cell: int, n_cells: int) -> None:
 
 def stage_enumerate(cfg: PipelineConfig, outdir: Path):
     if cfg.enumerate_mode == "tensor":
-        doc = read_json(require(outdir, TENSORS_JSON, "enumerate"))
-        tensors = {t["order"]: tensor_from_json(t) for t in doc["tensors"]}
+        tensors = _read_artifact(
+            require(outdir, TENSORS_JSON, "enumerate"), "tensor set",
+            lambda p: {t["order"]: tensor_from_json(t) for t in read_json(p)["tensors"]})
         if cfg.tensor_order not in tensors:
             raise MissingArtifactError(
                 f"stage 'enumerate' needs the order-{cfg.tensor_order} tensor in {TENSORS_JSON}")
         system = tensors[cfg.tensor_order]
     else:
-        tm, _ = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "enumerate")))
-        system = tm
+        system, _ = _load_transitions(outdir, "enumerate")
     _check_start_cell("enumerate_from", cfg.enumerate_from, system.n_cells)
     res = enumerate_admissible(system, cfg.enumerate_from, cfg.word_length,
                                cap=cfg.enumeration_cap)
@@ -240,7 +252,7 @@ def stage_enumerate(cfg: PipelineConfig, outdir: Path):
 
 def stage_entropy(cfg: PipelineConfig, outdir: Path):
     cover = _load_cover(cfg, outdir, "entropy")
-    tm, mm = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "entropy")))
+    _, mm = _load_transitions(outdir, "entropy")
     partition = Partition(cover=cover)
     rng = derive_rng(cfg.rng_seed, STREAM_MEASURE)
     samples = cfg.domain.sample(rng, cfg.measure_samples)
@@ -263,7 +275,7 @@ def stage_entropy(cfg: PipelineConfig, outdir: Path):
 
 def stage_bounds(cfg: PipelineConfig, outdir: Path):
     lib = _load_library(outdir, "bounds")
-    tm, _ = transitions_from_json(read_json(require(outdir, TRANSITIONS_JSON, "bounds")))
+    tm, _ = _load_transitions(outdir, "bounds")
     _check_start_cell("bounds_from", cfg.bounds_from, tm.n_cells)
     blocks = []
     for q in cfg.quantities:

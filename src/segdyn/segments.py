@@ -146,21 +146,32 @@ def save_library(lib: SegmentLibrary, directory) -> None:
 
 
 def load_library(directory) -> SegmentLibrary:
+    """Read a saved library. segments.csv must hold every (cell, k) row
+    exactly once, with 3 + d fields each; anything else is a ValueError."""
     directory = Path(directory)
     with open(directory / _LIBRARY_JSON, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     n, k, d = meta["n_cells"], meta["segment_samples"], meta["dimension"]
     states = np.empty((n, k, d))
     times = np.empty(k)
+    seen = np.zeros((n, k), dtype=bool)
     with open(directory / _SEGMENTS_CSV, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["cell", "k", "t"]:
             raise ValueError(f"unexpected segments.csv header: {header}")
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 3 + d:
+                raise ValueError(f"segments.csv line {line}: {len(row)} fields, expected {3 + d}")
             cell, kk = int(row[0]), int(row[1])
+            if not (1 <= cell <= n and 0 <= kk < k) or seen[cell - 1, kk]:
+                raise ValueError(f"segments.csv line {line}: (cell {cell}, k {kk}) "
+                                 f"is out of range or repeated")
+            seen[cell - 1, kk] = True
             times[kk] = float(row[2])
-            states[cell - 1, kk] = [float(v) for v in row[3:3 + d]]
+            states[cell - 1, kk] = [float(v) for v in row[3:]]
+    if not seen.all():
+        raise ValueError(f"segments.csv holds {int(seen.sum())} of the {n * k} (cell, k) rows")
     eps = meta["epsilon"]
     return SegmentLibrary(
         cells=np.arange(1, n + 1),

@@ -224,27 +224,100 @@ class EnumerationResult:
     overflowed: bool
 
 
-def _as_tuple_system(gamma_or_tensor) -> tuple[int, set, int]:
-    """Normalize to (window order k, admissible k-tuples, n_cells)."""
-    if isinstance(gamma_or_tensor, TransitionTensor):
-        return (gamma_or_tensor.order, set(gamma_or_tensor.admissible_tuples),
-                gamma_or_tensor.n_cells)
-    rows = _admissible_rows(gamma_or_tensor)
-    pairs = {(int(r) + 1, int(c) + 1) for r, c in zip(*np.nonzero(rows))}
-    return 2, pairs, rows.shape[0]
+class _StateGraph:
+    """An order-k shift (Gamma is order 2) as a labelled graph, its standard
+    presentation, walked from symbol n0. States are the symbols, the proper
+    prefixes of admissible k-tuples and the (k-1)-windows; CSR edges, sorted
+    by label, append one symbol: prefix p -> p + (s,), window t[:-1] -> t[1:].
+    So words shorter than k-1 are prefixes of admissible tuples.
+    """
 
+    def __init__(self, gamma_or_tensor, n0: int):
+        if isinstance(gamma_or_tensor, TransitionTensor):
+            order, n_cells = gamma_or_tensor.order, gamma_or_tensor.n_cells
+            tuples = np.array(list(gamma_or_tensor.admissible_tuples), dtype=np.int64)
+        else:
+            rows = _admissible_rows(gamma_or_tensor)
+            order, n_cells = 2, rows.shape[0]
+            tuples = np.argwhere(rows) + 1
+        if not 1 <= n0 <= n_cells:
+            raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
+        tuples = tuples.reshape(-1, order)
+        # keys padded to k-1 with zeros; symbols are >= 1, so lengths stay apart
+        parts = ([np.arange(1, n_cells + 1)[:, None]]
+                 + [tuples[:, :l] for l in range(1, order)] + [tuples[:, 1:]])
+        keys = np.concatenate([np.pad(p, ((0, 0), (0, order - 1 - p.shape[1])))
+                               for p in parts])
+        uniq, ids = np.unique(keys, axis=0, return_inverse=True)
+        ids = ids.reshape(-1)
+        self.n_states = uniq.shape[0]
+        self.last = uniq[np.arange(self.n_states), np.count_nonzero(uniq, axis=1) - 1]
+        self.start = int(ids[n0 - 1])
+        # per tuple, the states of t[:1], ..., t[:k-1] and t[1:]: each links to the next
+        chain = np.split(ids[n_cells:], order)
+        src, dst = np.concatenate(chain[:-1]), np.concatenate(chain[1:])
+        label = tuples[:, 1:].T.ravel()
+        # one edge per (state, label), sorted by state and then by label
+        _, keep = np.unique(src * (label.max(initial=0) + 1) + label, return_index=True)
+        self.src, self.dst, self.label = src[keep], dst[keep], label[keep]
+        self.indptr = np.searchsorted(self.src, np.arange(self.n_states + 1))
 
-def _successor_map(order: int, tuples: set) -> tuple[dict, dict]:
-    """prefix-validity sets by length, and successors of each (order-1) window."""
-    prefixes: dict[int, set] = {l: set() for l in range(1, order + 1)}
-    succ: dict[tuple, list] = {}
-    for t in tuples:
-        for l in range(1, order + 1):
-            prefixes[l].add(t[:l])
-        succ.setdefault(t[:-1], []).append(t[-1])
-    for k in succ:
-        succ[k] = sorted(set(succ[k]))
-    return prefixes, succ
+    def _step(self, states: Array, src: Array, dst: Array) -> Array:
+        out = np.zeros(self.n_states, dtype=bool)
+        out[dst[states[src]]] = True
+        return out
+
+    def depths(self, length: int) -> Array:
+        """Per state, the most steps (up to length-1) that some path takes
+        from it. Backward frontiers shrink, so depth >= r marks the r-th."""
+        depth = np.zeros(self.n_states, dtype=np.int64)
+        alive = np.ones(self.n_states, dtype=bool)
+        for _ in range(1, length):
+            alive = self._step(alive, self.dst, self.src)
+            depth += alive
+        return depth
+
+    def reachable(self, length: int, depth: Array) -> set:
+        """Last symbols of the union over j of forward layer j and the
+        backward frontier L-1-j, the states at step j of a length-L path."""
+        hit = np.zeros(self.n_states, dtype=bool)
+        layer = np.arange(self.n_states) == self.start
+        for j in range(length):
+            layer &= depth >= length - 1 - j
+            hit |= layer
+            layer = self._step(layer, self.src, self.dst)
+        return set(self.last[hit].tolist())
+
+    def closure(self) -> set:
+        seen = np.arange(self.n_states) == self.start
+        while not seen[self.dst[seen[self.src]]].all():
+            seen |= self._step(seen, self.src, self.dst)
+        return set(self.last[seen].tolist())
+
+    def words(self, length: int, depth: Array, cap: int) -> tuple[list, bool]:
+        """Words of the given length in lexicographic order, by an iterative
+        DFS that enters only states with enough steps left."""
+        indptr, dst, label = self.indptr.tolist(), self.dst.tolist(), self.label.tolist()
+        depth, found, word = depth.tolist(), [], []
+        stack = [iter([(self.start, int(self.last[self.start]))])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if word:
+                    word.pop()
+                continue
+            v, s = step
+            if depth[v] < length - 1 - len(word):
+                continue
+            if len(word) == length - 1:
+                if len(found) >= cap:
+                    return found, True
+                found.append(SymbolSequence(word=(*word, s), horizon=None, complete=True))
+                continue
+            word.append(s)
+            stack.append(zip(dst[indptr[v]:indptr[v + 1]], label[indptr[v]:indptr[v + 1]]))
+        return found, False
 
 
 def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
@@ -259,39 +332,11 @@ def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    order, tuples, n_cells = _as_tuple_system(gamma_or_tensor)
-    if not 1 <= n0 <= n_cells:
-        raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
-    prefixes, succ = _successor_map(order, tuples)
-
-    words: list[SymbolSequence] = []
-    overflowed = False
-
-    def extensions(word: tuple) -> list:
-        if len(word) < order - 1:
-            return sorted({p[len(word)] for p in prefixes[len(word) + 1]
-                           if p[:len(word)] == word})
-        if len(word) == order - 1:
-            return succ.get(word, [])
-        return succ.get(word[-(order - 1):], [])
-
-    def dfs(word: tuple) -> bool:
-        nonlocal overflowed
-        if len(word) == length:
-            if len(words) >= cap:
-                overflowed = True
-                return False
-            words.append(SymbolSequence(word=word, horizon=None, complete=True))
-            return True
-        for s in extensions(word):
-            if not dfs(word + (s,)):
-                return False
-        return True
-
-    dfs((n0,))
-
-    reachable = reachable_symbols(gamma_or_tensor, n0, length)
-    return EnumerationResult(words=words, reachable=reachable, overflowed=overflowed)
+    graph = _StateGraph(gamma_or_tensor, n0)
+    depth = graph.depths(length)
+    words, overflowed = graph.words(length, depth, cap)
+    return EnumerationResult(words=words, reachable=graph.reachable(length, depth),
+                             overflowed=overflowed)
 
 
 def reachable_symbols(gamma_or_tensor, n0: int, length: int | None) -> set:
@@ -302,58 +347,12 @@ def reachable_symbols(gamma_or_tensor, n0: int, length: int | None) -> set:
     the fixpoint surrogate and returns every symbol forward-reachable from
     n0 in any number of steps.
     """
-    order, tuples, n_cells = _as_tuple_system(gamma_or_tensor)
-    if not 1 <= n0 <= n_cells:
-        raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
-    prefixes, succ = _successor_map(order, tuples)
-
-    def state_succ(state: tuple) -> list:
-        if len(state) < order - 1:
-            return sorted({p[len(state)] for p in prefixes[len(state) + 1]
-                           if p[:len(state)] == state})
-        return succ.get(state[-(order - 1):], [])
-
+    graph = _StateGraph(gamma_or_tensor, n0)
     if length is None:
-        seen_states = {(n0,)}
-        frontier = [(n0,)]
-        symbols = {n0}
-        while frontier:
-            nxt = []
-            for st in frontier:
-                for s in state_succ(st):
-                    new = (st + (s,))[-(order - 1):] if order > 2 else (s,)
-                    symbols.add(s)
-                    if new not in seen_states:
-                        seen_states.add(new)
-                        nxt.append(new)
-            frontier = nxt
-        return symbols
-
+        return graph.closure()
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    # forward layers of suffix states
-    layers: list[set] = [{(n0,)}]
-    for _ in range(length - 1):
-        nxt = set()
-        for st in layers[-1]:
-            for s in state_succ(st):
-                nxt.add((st + (s,))[-(order - 1):] if order > 2 else (s,))
-        layers.append(nxt)
-    # survive[r] = states from which r more steps are possible
-    all_states = set().union(*layers)
-    survive: list[set] = [set(all_states)]
-    for _ in range(length - 1):
-        prev = survive[-1]
-        survive.append({st for st in all_states if any(
-            ((st + (s,))[-(order - 1):] if order > 2 else (s,)) in prev
-            for s in state_succ(st))})
-    symbols = set()
-    for j, layer in enumerate(layers):
-        needed = survive[length - 1 - j]
-        for st in layer:
-            if st in needed:
-                symbols.add(st[-1])
-    return symbols
+    return graph.reachable(length, graph.depths(length))
 
 
 def cylinder_measure(p: MarkovMatrix, prefix: SymbolSequence) -> float:

@@ -115,6 +115,8 @@ class TransitionTensor:
         for t in tuples:
             if len(t) != self.order:
                 raise ValueError(f"tuple {t} does not have order {self.order}")
+            if min(t) < 1 or max(t) > self.n_cells:
+                raise ValueError(f"tuple {t} has a symbol outside 1..{self.n_cells}")
         object.__setattr__(self, "admissible_tuples", tuples)
 
 

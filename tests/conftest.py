@@ -76,3 +76,21 @@ def brute_force_words(gamma: np.ndarray, n0: int, length: int) -> set:
         if all(gamma[a - 1, b - 1] for a, b in zip(word, word[1:])):
             words.add(word)
     return words
+
+
+def brute_force_tensor_words(tuples, order: int, n_cells: int, n0: int, length: int) -> set:
+    """Words by the direct order-k definition: a single symbol is a word, as
+    under Gamma; a word shorter than k is a prefix of an admissible tuple;
+    a longer one, found among all N^(m-1) continuations, has every length-k
+    window admissible."""
+    tuples = {tuple(t) for t in tuples}
+    if length == 1:
+        return {(n0,)}
+    if length < order:
+        return {t[:length] for t in tuples if t[0] == n0}
+    words = set()
+    for tail in itertools.product(range(1, n_cells + 1), repeat=length - 1):
+        word = (n0,) + tail
+        if all(word[i:i + order] in tuples for i in range(length - order + 1)):
+            words.add(word)
+    return words

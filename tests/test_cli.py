@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,73 @@ def test_cover_that_does_not_fit_is_check_error(tmp_path, capsys, doc, message):
         assert main([stage, "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {out / 'cover.json'} {message}\n"
     assert sorted(p.name for p in out.iterdir()) == ["cover.json"]
+
+
+def _edit_json(edit):
+    def apply(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def _edit_lines(edit):
+    def apply(path):
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return apply
+
+
+@pytest.mark.parametrize("target, named, corrupt, mode, stages, message", [
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d.pop("escapes")),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: KeyError('escapes')"),
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d["counts"][0].pop()),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: ValueError("),
+    ("tensors.json", "tensors.json", _edit_json(lambda d: d["tensors"][0].pop("tuples")),
+     "tensor", ["enumerate"], "is not a readable tensor set: KeyError('tuples')"),
+    ("tensors.json", "tensors.json",
+     _edit_json(lambda d: d["tensors"][1]["tuples"].append([1, 99, 1])),
+     "tensor", ["enumerate"],
+     "is not a readable tensor set: ValueError('tuple (1, 99, 1) has a symbol outside 1..8')"),
+    ("library/segments.csv", "library", _edit_lines(lambda lines: lines[:-3]),
+     "markov", ["shadow", "bounds"],
+     "is not a readable segment library: ValueError('segments.csv holds 69 of the 72 "
+     "(cell, k) rows')"),
+    ("library/segments.csv", "library", _edit_lines(lambda lines: lines[:-1] + lines[1:2]),
+     "markov", ["shadow", "bounds"],
+     "is not a readable segment library: ValueError('segments.csv line 73: (cell 1, k 0) "
+     "is out of range or repeated')"),
+    ("library/segments.csv", "library",
+     _edit_lines(lambda lines: [lines[0], "0" + lines[1][1:]] + lines[2:]),
+     "markov", ["shadow", "bounds"],
+     "is not a readable segment library: ValueError('segments.csv line 2: (cell 0, k 0) "
+     "is out of range or repeated')"),
+    ("library/segments.csv", "library",
+     _edit_lines(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
+     "markov", ["shadow", "bounds"],
+     "is not a readable segment library: ValueError('segments.csv line 2: 3 fields, "
+     "expected 4')"),
+    ("library/segments.csv", "library",
+     _edit_lines(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",abc\n"] + lines[2:]),
+     "markov", ["shadow", "bounds"],
+     "is not a readable segment library: ValueError(\"could not convert string to float: "
+     "'abc'\")"),
+], ids=["no-escapes", "ragged-counts", "no-tuples", "symbol-out-of-range", "truncated-csv",
+        "repeated-csv-row", "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row"])
+def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
+                                                  corrupt, mode, stages, message):
+    _, _, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    corrupt(copy / target)
+    config = _write_config(tmp_path, {"enumerate_mode": mode})
+    for stage in stages:
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {copy / named} {message}")
+        assert err.count("\n") == 1
 
 
 def test_write_json_failure_keeps_previous_file(tmp_path):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_words
+from conftest import brute_force_tensor_words, brute_force_words
 from segdyn import (
     Cover,
     EncodingError,
@@ -220,6 +222,65 @@ def test_reachable_fixpoint_is_transitive_closure():
     gamma = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
     assert reachable_symbols(gamma, 1, None) == {1, 2, 3}
     assert reachable_symbols(gamma, 3, None) == {3}
+
+
+@pytest.mark.parametrize("system", [
+    np.ones((2, 2), dtype=bool),
+    TransitionTensor(order=3, admissible_tuples=frozenset(
+        (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)), n_cells=2),
+], ids=["gamma", "order-3 tensor"])
+def test_enumerate_words_deeper_than_the_recursion_limit(system):
+    res = enumerate_admissible(system, 1, 1200, cap=10)
+    assert len(res.words) == 10
+    assert res.overflowed
+    assert res.reachable == {1, 2}
+    # the first ten words in lexicographic order vary only their last four symbols
+    assert all(w.word[:-4] == (1,) * 1196 for w in res.words)
+    assert [w.word[-4:] for w in res.words] == [
+        tuple(int(c) + 1 for c in f"{i:04b}") for i in range(10)]
+
+
+def _closure_by_bfs(tuples, order: int, n0: int) -> set:
+    """Symbols forward-reachable from n0, by BFS over the last k-1 symbols."""
+    def successors(state):
+        if len(state) < order - 1:
+            return {t[len(state)] for t in tuples if t[:len(state)] == state}
+        return {t[-1] for t in tuples if t[:-1] == state}
+    seen, todo, symbols = {(n0,)}, [(n0,)], {n0}
+    while todo:
+        state = todo.pop()
+        for s in successors(state):
+            symbols.add(s)
+            nxt = (state + (s,))[-(order - 1):]
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return symbols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([None, 2, 3, 4]), st.integers(1, 7),
+       st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_state_graph_matches_brute_force(n, order, length, cap, seed):
+    # order None is a transition matrix; the others are tensors of that order
+    rng = np.random.default_rng(seed)
+    n0 = int(rng.integers(1, n + 1))
+    density = rng.random()
+    if order is None:
+        system = rng.random((n, n)) < density
+        tuples = {(int(a) + 1, int(b) + 1) for a, b in np.argwhere(system)}
+        brute = brute_force_words(system, n0, length)
+    else:
+        tuples = {t for t in itertools.product(range(1, n + 1), repeat=order)
+                  if rng.random() < density}
+        system = TransitionTensor(order=order, admissible_tuples=frozenset(tuples), n_cells=n)
+        brute = brute_force_tensor_words(tuples, order, n, n0, length)
+    res = enumerate_admissible(system, n0, length, cap=cap)
+    assert [w.word for w in res.words] == sorted(brute)[:cap]
+    assert res.overflowed == (len(brute) > cap)
+    assert res.reachable == {s for w in brute for s in w}
+    assert reachable_symbols(system, n0, length) == res.reachable
+    assert reachable_symbols(system, n0, None) == _closure_by_bfs(tuples, order or 2, n0)
 
 
 def test_cylinder_measure_examples():

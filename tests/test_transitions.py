@@ -277,6 +277,12 @@ def test_tensor_json_roundtrip():
     assert back.admissible_tuples == t.admissible_tuples
 
 
+@pytest.mark.parametrize("bad", [(1, 99, 1), (0, 1, 1)])
+def test_tensor_rejects_symbols_outside_cells(bad):
+    with pytest.raises(ValueError, match=r"outside 1\.\.8"):
+        TransitionTensor(order=3, admissible_tuples=frozenset({(1, 2, 1), bad}), n_cells=8)
+
+
 def test_counts_imply_admissible_invariant():
     with pytest.raises(ValueError, match="requires admissible"):
         TransitionMatrix(admissible=np.zeros((1, 1), dtype=bool),

@@ -16,6 +16,7 @@ from .cover import (
     calibrate_deltas,
     cell_measure,
     collocate,
+    diameters,
     metric_entropy,
     minimal_cover,
 )
@@ -81,6 +82,7 @@ from .transitions import (
     TransitionMatrix,
     TransitionTensor,
     ball_admissibility,
+    ball_successors,
     estimate_tensor,
     estimate_transitions,
     expanding_to_depth,

@@ -38,7 +38,7 @@ from .segments import (
 )
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
-    ball_admissibility, expanding_to_depth, row_sensitivity, sample_itineraries,
+    ball_successors, expanding_to_depth, row_sensitivity, sample_itineraries,
     tensor_from_json, tensor_to_json, transitions_from_itineraries,
     transitions_from_json, transitions_to_json,
 )
@@ -151,8 +151,7 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
         rho = jacobian_norms(cfg.model, lib.ends(), cfg.horizon, cfg.integrator)
         doc["ball_rule"] = {
             "rho": [round(float(r), 12) for r in rho],
-            "successors": [sorted(ball_admissibility(lib, partition, rho, cell))
-                           for cell in range(1, n + 1)],
+            "successors": [ids.tolist() for ids in ball_successors(lib, partition, rho)],
         }
     write_json(outdir / TRANSITIONS_JSON, doc)
     write_json(outdir / TENSORS_JSON, {"tensors": [tensor_to_json(t) for t in tensors]})

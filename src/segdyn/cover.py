@@ -29,6 +29,7 @@ __all__ = [
     "collocate",
     "calibrate_delta",
     "calibrate_deltas",
+    "diameters",
     "minimal_cover",
     "cell_measure",
     "metric_entropy",
@@ -45,8 +46,11 @@ _ASSIGN_CHUNK = 512
 # Covers with at least this many balls answer membership through a _BallGrid;
 # smaller ones keep the brute-force scan, which is cheaper for them.
 _INDEX_MIN_BALLS = 128
-# (point, candidate ball) pairs tested per block of a grid query
+# entries per block of the (point, ball) and (point, point) tables that grid
+# queries, diameter searches and the ball rule build
 _PAIR_CHUNK = 1 << 16
+# point sets of at least this many points take the pruned diameter search
+_PRUNE_MIN_POINTS = 128
 # buckets are widened only when the registrations of balls in buckets would
 # exceed this many per ball and _MIN_REGISTRATIONS in all
 _BUCKETS_PER_BALL = 64
@@ -170,6 +174,83 @@ def _blocks(counts: Array, limit: int):
         hi = max(hi, lo + 1)
         yield slice(lo, hi)
         lo = hi
+
+
+def _squared_distances(a: Array, b: Array) -> Array:
+    """Squared distances between points given coordinate-first: a[k] and
+    b[k] hold coordinate k and broadcast against each other.
+
+    Bitwise the brute-force ``((p - q) ** 2).sum(axis=-1)`` over points
+    stored as (..., d). numpy adds fewer than 8 terms left to right, so
+    there the squares are accumulated one axis at a time; from 8 axes on it
+    sums pairwise, so the squares are laid out as (..., d) and numpy adds
+    them itself.
+    """
+    d = a.shape[0]
+    if not 0 < d < 8:
+        return np.ascontiguousarray(np.moveaxis((a - b) ** 2, 0, -1)).sum(axis=-1)
+    out = (a[0] - b[0]) ** 2
+    for k in range(1, d):
+        out += (a[k] - b[k]) ** 2
+    return out
+
+
+def _max_squared_distances(xt: Array) -> Array:
+    """Largest squared pairwise distance of each point set of xt, given
+    coordinate-first as (d, P, sets). Point i meets only the points after
+    it, so each distinct pair is compared once: (a - b)^2 = (b - a)^2."""
+    best = np.zeros(xt.shape[2])
+    for i in range(xt.shape[1] - 1):
+        np.maximum(best, _squared_distances(xt[:, i + 1:], xt[:, i, None]).max(axis=0), out=best)
+    return best
+
+
+def _pruned_max_squared_distance(x: Array) -> float:
+    """Largest squared pairwise distance of P points given as a (d, P)
+    array, exact.
+
+    A far pair gives a lower bound L: the point farthest from the centroid
+    and its farthest partner. A pair at least L apart has r_a + r_b >= L,
+    where r is the distance to the centroid, so both points of the largest
+    pair have r_i + max(r) >= L. The bound is relaxed by 1e-9 of L, far above
+    the relative rounding of r and of L, and only the points meeting it are
+    compared pairwise. A NaN keeps every point, so it reaches the result.
+    """
+    r = np.sqrt(_squared_distances(x, x.mean(axis=1)[:, None]))
+    best = _squared_distances(x, x[:, np.argmax(r), None]).max()
+    keep = x[:, ~(r + r.max() < math.sqrt(best) * (1.0 - 1e-9))]
+    rows = max(1, _PAIR_CHUNK // keep.shape[1])
+    for start in range(0, keep.shape[1], rows):
+        d2 = _squared_distances(keep[:, start:start + rows, None], keep[:, None, :])
+        best = np.maximum(best, d2.max())
+    return best
+
+
+def diameters(points) -> Array:
+    """Largest pairwise Euclidean distance within each point set.
+
+    points has shape (..., P, d); the result has shape (...), 0 for sets of
+    fewer than two points. It is bitwise the brute force
+    ``sqrt(max over a, b of ((x[a] - x[b]) ** 2).sum(axis=-1))``. Sets of
+    fewer than _PRUNE_MIN_POINTS points compare their P(P-1)/2 distinct
+    pairs, many sets at once; larger sets are searched one at a time with
+    exact pruning (:func:`_pruned_max_squared_distance`).
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim < 2:
+        raise ValueError(f"expected point sets of shape (..., P, d), got shape {x.shape}")
+    *lead, p, d = x.shape
+    # coordinate-first, (d, P, sets): one point of every set is a contiguous row
+    xt = np.ascontiguousarray(x.reshape(math.prod(lead), p, d).transpose(2, 1, 0))
+    out = np.zeros(xt.shape[2])
+    if p < _PRUNE_MIN_POINTS:
+        step = max(1, _PAIR_CHUNK // max(p, 1))
+        for start in range(0, out.shape[0], step):
+            out[start:start + step] = _max_squared_distances(xt[:, :, start:start + step])
+    else:
+        for s in range(out.shape[0]):
+            out[s] = _pruned_max_squared_distance(np.ascontiguousarray(xt[:, :, s]))
+    return np.sqrt(out).reshape(lead)
 
 
 class _BallGrid:
@@ -381,19 +462,15 @@ def _evolved_diameters(model: FlowModel, centers: Array, deltas: Array, dirs: Ar
     """Empirical sup over the time grid of the diameter of each evolved ball.
 
     dirs has shape (N, P, d); point cloud n is centers[n] + deltas[n]*dirs[n].
-    The estimate is a lower bound on the true diameter (finitely many probe
-    points and sample times).
+    Each evolved cloud at each sample time is one point set of
+    :func:`diameters`. The estimate is a lower bound on the true diameter
+    (finitely many probe points and sample times).
     """
     n, p, d = dirs.shape
     clouds = centers[:, None, :] + deltas[:, None, None] * dirs
     _, states = sample_path(model, clouds.reshape(-1, d), horizon, time_samples, cfg)
     states = states.reshape(n, p, time_samples, d)
-    diam = np.zeros(n)
-    for k in range(time_samples):
-        x = states[:, :, k, :]
-        d2 = ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=-1)
-        np.maximum(diam, np.sqrt(d2.max(axis=(1, 2))), out=diam)
-    return diam
+    return diameters(states.transpose(0, 2, 1, 3)).max(axis=1)
 
 
 def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: float,

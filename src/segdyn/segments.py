@@ -6,14 +6,16 @@ Segment n starts at cover center n and is sampled on a uniform grid over
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cover import Cover
+from .cover import Cover, diameters
 from .errors import BlowupError
 from .flow import FlowModel, IntegratorConfig, TrajectorySample, sample_path
 
@@ -104,20 +106,9 @@ def build_segments(model: FlowModel, cover: Cover, horizon: float, n_samples: in
 
 
 def max_difference(lib: SegmentLibrary) -> Array:
-    """Largest pairwise distance between segments at each grid time."""
-    n = lib.n_segments
-    out = np.zeros(lib.n_times)
-    if n < 2:
-        return out
-    for k in range(lib.n_times):
-        x = lib.states[:, k, :]
-        best = 0.0
-        for start in range(0, n, 1024):
-            chunk = x[start:start + 1024]
-            d2 = ((chunk[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-            best = max(best, float(d2.max()))
-        out[k] = math.sqrt(best)
-    return out
+    """Largest pairwise distance between segments at each grid time: the
+    :func:`~segdyn.cover.diameters` of the N segment states at each time."""
+    return diameters(lib.states.transpose(1, 0, 2))
 
 
 def save_library(lib: SegmentLibrary, directory) -> None:
@@ -145,6 +136,18 @@ def save_library(lib: SegmentLibrary, directory) -> None:
                                 + [repr(float(v)) for v in lib.states[n, k]])
 
 
+def _first_unparsable_row(text: str, fields: int) -> None:
+    """Raise a ValueError naming the first row of segments.csv (given as
+    text) that has the wrong number of fields or a field that is not a
+    number."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader, None)
+    for line, row in enumerate(reader, start=2):
+        if len(row) != fields:
+            raise ValueError(f"segments.csv line {line}: {len(row)} fields, expected {fields}")
+        [float(v) for v in row]
+
+
 def load_library(directory) -> SegmentLibrary:
     """Read a saved library. segments.csv must hold every (cell, k) row
     exactly once, with 3 + d fields each; anything else is a ValueError."""
@@ -152,26 +155,44 @@ def load_library(directory) -> SegmentLibrary:
     with open(directory / _LIBRARY_JSON, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     n, k, d = meta["n_cells"], meta["segment_samples"], meta["dimension"]
+    with open(directory / _SEGMENTS_CSV, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    header = next(csv.reader([text.partition("\n")[0]]), [])
+    if header[:3] != ["cell", "k", "t"]:
+        raise ValueError(f"unexpected segments.csv header: {header}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+            data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, skiprows=1,
+                              ndmin=2)
+    except ValueError:
+        _first_unparsable_row(text, 3 + d)
+        raise
+    # loadtxt skips blank lines; each one is a row of 0 fields
+    if data.shape[0] != text.count("\n") + (not text.endswith("\n")) - 1:
+        _first_unparsable_row(text, 3 + d)
+    if data.size == 0:
+        data = data.reshape(0, 3 + d)
+    elif data.shape[1] != 3 + d:
+        raise ValueError(f"segments.csv line 2: {data.shape[1]} fields, expected {3 + d}")
+    cell, kk = data[:, 0], data[:, 1]
+    valid = ((cell == np.floor(cell)) & (kk == np.floor(kk))
+             & (1 <= cell) & (cell <= n) & (0 <= kk) & (kk < k))
+    row = np.where(valid, (cell - 1) * k + kk, -1.0 - np.arange(data.shape[0]))
+    order = np.argsort(row, kind="stable")
+    # a repeat is every occurrence of a (cell, k) row after its first
+    valid[order[1:][row[order[1:]] == row[order[:-1]]]] = False
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        raise ValueError(f"segments.csv line {bad + 2}: (cell {cell[bad]:g}, k {kk[bad]:g}) "
+                         f"is out of range or repeated")
+    if data.shape[0] != n * k:
+        raise ValueError(f"segments.csv holds {data.shape[0]} of the {n * k} (cell, k) rows")
+    cells, ks = cell.astype(np.int64) - 1, kk.astype(np.int64)
     states = np.empty((n, k, d))
     times = np.empty(k)
-    seen = np.zeros((n, k), dtype=bool)
-    with open(directory / _SEGMENTS_CSV, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["cell", "k", "t"]:
-            raise ValueError(f"unexpected segments.csv header: {header}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 3 + d:
-                raise ValueError(f"segments.csv line {line}: {len(row)} fields, expected {3 + d}")
-            cell, kk = int(row[0]), int(row[1])
-            if not (1 <= cell <= n and 0 <= kk < k) or seen[cell - 1, kk]:
-                raise ValueError(f"segments.csv line {line}: (cell {cell}, k {kk}) "
-                                 f"is out of range or repeated")
-            seen[cell - 1, kk] = True
-            times[kk] = float(row[2])
-            states[cell - 1, kk] = [float(v) for v in row[3:]]
-    if not seen.all():
-        raise ValueError(f"segments.csv holds {int(seen.sum())} of the {n * k} (cell, k) rows")
+    times[ks] = data[:, 2]
+    states[cells, ks] = data[:, 3:]
     eps = meta["epsilon"]
     return SegmentLibrary(
         cells=np.arange(1, n + 1),

@@ -53,6 +53,14 @@ class SymbolSequence:
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(int(s) for s in self.word))
 
+    @classmethod
+    def _of_ints(cls, word: tuple) -> SymbolSequence:
+        """The complete word ``word``, a tuple of Python ints, which needs no
+        normalising: enumeration makes thousands of these."""
+        seq = object.__new__(cls)
+        vars(seq).update(word=word, horizon=None, complete=True)
+        return seq
+
     def __len__(self) -> int:
         return len(self.word)
 
@@ -248,8 +256,14 @@ class _StateGraph:
                  + [tuples[:, :l] for l in range(1, order)] + [tuples[:, 1:]])
         keys = np.concatenate([np.pad(p, ((0, 0), (0, order - 1 - p.shape[1])))
                                for p in parts])
-        uniq, ids = np.unique(keys, axis=0, return_inverse=True)
-        ids = ids.reshape(-1)
+        # state ids number the distinct keys in lexicographic order
+        by_key = np.lexsort(keys.T[::-1])
+        ordered = keys[by_key]
+        first = np.ones(by_key.shape[0], dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        ids = np.empty(by_key.shape[0], dtype=np.int64)
+        ids[by_key] = np.cumsum(first) - 1
+        uniq = ordered[first]
         self.n_states = uniq.shape[0]
         self.last = uniq[np.arange(self.n_states), np.count_nonzero(uniq, axis=1) - 1]
         self.start = int(ids[n0 - 1])
@@ -313,7 +327,7 @@ class _StateGraph:
             if len(word) == length - 1:
                 if len(found) >= cap:
                     return found, True
-                found.append(SymbolSequence(word=(*word, s), horizon=None, complete=True))
+                found.append(SymbolSequence._of_ints((*word, s)))
                 continue
             word.append(s)
             stack.append(zip(dst[indptr[v]:indptr[v + 1]], label[indptr[v]:indptr[v + 1]]))

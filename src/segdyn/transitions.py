@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
-from .cover import _INDEX_MIN_BALLS, Partition, largest_ball
+from .cover import _INDEX_MIN_BALLS, _PAIR_CHUNK, Partition, _squared_distances, largest_ball
 from .errors import SamplingError
 from .flow import FlowModel, IntegratorConfig, advance_many
 from .segments import SegmentLibrary
@@ -32,6 +32,7 @@ __all__ = [
     "transitions_from_itineraries",
     "row_sensitivity",
     "expanding_to_depth",
+    "ball_successors",
     "ball_admissibility",
     "transitions_to_json",
     "transitions_from_json",
@@ -357,13 +358,17 @@ def expanding_to_depth(tensors: Sequence[TransitionTensor], m_max: int) -> Expan
                             depth=depth, m_max=m_max)
 
 
-def ball_admissibility(lib: SegmentLibrary, partition: Partition,
-                       rho: Sequence[float], cell: int) -> set[int]:
-    """Successor cells admitted by the gradient-ball rule.
+def ball_successors(lib: SegmentLibrary, partition: Partition, rho: Sequence[float],
+                    cells: Sequence[int] | None = None) -> list[Array]:
+    """Successor cells admitted by the gradient-ball rule, as an ascending
+    array of cell ids for each of ``cells`` (default: every cell, in order).
 
     r_n is the gap from segment start n to its nearest other start; n_* is
-    the start nearest to the segment's endpoint. Every cell whose start lies
-    within rho_n * r_n of start n_* qualifies (n_* always does).
+    the start nearest to the segment's endpoint (the first on ties). Every
+    cell whose start lies within rho_n * r_n of start n_* qualifies (n_*
+    always does). Cells are taken in blocks, with one (block, N) table per
+    distance; each distance is the norm of ``np.linalg.norm`` on one row,
+    bit for bit.
     """
     n_cells = lib.n_segments
     if partition.n_cells != n_cells:
@@ -373,19 +378,35 @@ def ball_admissibility(lib: SegmentLibrary, partition: Partition,
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (n_cells,):
         raise ValueError(f"rho must have one entry per cell, got shape {rho.shape}")
-    if not 1 <= cell <= n_cells:
-        raise ValueError(f"cell id {cell} out of range 1..{n_cells}")
-    starts = lib.starts()
-    gaps = np.linalg.norm(starts - starts[cell - 1], axis=1)
-    gaps[cell - 1] = np.inf
-    r_n = float(gaps.min())
-    end = lib.ends()[cell - 1]
-    dist_end = np.linalg.norm(starts - end, axis=1)
-    n_star = int(dist_end.argmin())
-    radius = float(rho[cell - 1]) * r_n
-    near = np.linalg.norm(starts - starts[n_star], axis=1) <= radius
-    near[n_star] = True
-    return {int(i) + 1 for i in np.flatnonzero(near)}
+    cells = np.arange(1, n_cells + 1) if cells is None else np.asarray(cells, dtype=np.int64)
+    outside = (cells < 1) | (cells > n_cells)
+    if np.any(outside):
+        raise ValueError(f"cell id {cells[outside][0]} out of range 1..{n_cells}")
+    starts = np.ascontiguousarray(lib.starts().T)
+    ends = lib.ends().T
+
+    def norms(points: Array) -> Array:
+        """(block, N) distances from the (d, block) points to every start."""
+        return np.sqrt(_squared_distances(points[:, :, None], starts[:, None, :]))
+
+    found = []
+    step = max(1, _PAIR_CHUNK // n_cells)
+    for lo in range(0, cells.shape[0], step):
+        own = cells[lo:lo + step] - 1
+        rows = np.arange(own.shape[0])
+        gaps = norms(starts[:, own])
+        gaps[rows, own] = np.inf
+        n_star = norms(ends[:, own]).argmin(axis=1)
+        near = norms(starts[:, n_star]) <= (rho[own] * gaps.min(axis=1))[:, None]
+        near[rows, n_star] = True
+        found.extend(np.flatnonzero(row) + 1 for row in near)
+    return found
+
+
+def ball_admissibility(lib: SegmentLibrary, partition: Partition,
+                       rho: Sequence[float], cell: int) -> set[int]:
+    """The :func:`ball_successors` of one cell, as a set."""
+    return set(ball_successors(lib, partition, rho, [cell])[0].tolist())
 
 
 def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,

@@ -17,11 +17,13 @@ from segdyn import (
     calibrate_deltas,
     cell_measure,
     collocate,
+    diameters,
     metric_entropy,
     minimal_cover,
 )
 from segdyn.cover import (
     _INDEX_MIN_BALLS,
+    _PRUNE_MIN_POINTS,
     _BallGrid,
     _membership_blocks,
     _minimal_cover_sparse,
@@ -393,3 +395,65 @@ def test_neighbor_lists_match_pairwise_loop(d):
         expected = np.flatnonzero(
             np.linalg.norm(centers - centers[b], axis=1) <= radii + radii[b])
         assert np.array_equal(got[b], expected)
+
+
+def _brute_force_diameter(x):
+    if x.shape[0] < 2:
+        return 0.0
+    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1).max())
+
+
+@st.composite
+def _point_sets(draw):
+    """Batches of point sets for the diameter oracle. P runs from 0 across
+    the pruning switch; d = 8 and 9 are summed pairwise by numpy. Clouds are
+    uniform at a random scale and offset, clustered on three points (tied
+    pairs), all equal, on a sphere (no point can be pruned) or on an integer
+    lattice (many tied distances)."""
+    d = draw(st.sampled_from([1, 2, 3, 3, 8, 9]))
+    p = draw(st.one_of(st.integers(0, 4), st.integers(1, 2 * _PRUNE_MIN_POINTS),
+                       st.integers(_PRUNE_MIN_POINTS - 2, _PRUNE_MIN_POINTS + 2)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    kind = draw(st.sampled_from(["uniform", "clustered", "equal", "sphere", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = lead + (p, d)
+    if kind == "uniform":
+        x = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-6, 7)
+    elif kind == "clustered":
+        base = rng.uniform(-1.0, 1.0, size=lead + (3, d))
+        x = base[..., rng.integers(3, size=p), :] + rng.normal(size=shape) * 1e-12 * rng.integers(2)
+    elif kind == "equal":
+        x = np.broadcast_to(rng.uniform(-5.0, 5.0, size=lead + (1, d)), shape)
+    elif kind == "sphere":
+        x = rng.normal(size=shape)
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    else:
+        x = rng.integers(-3, 4, size=shape).astype(float)
+    return x + rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(0, 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_diameters_match_brute_force(x):
+    got = diameters(x)
+    assert got.shape == x.shape[:-2]
+    flat = x.reshape(got.size, *x.shape[-2:])
+    expected = np.array([_brute_force_diameter(points) for points in flat])
+    assert np.array_equal(got.reshape(-1), expected)
+
+
+def test_diameters_rejects_a_flat_array():
+    with pytest.raises(ValueError, match=r"\(\.\.\., P, d\)"):
+        diameters(np.zeros(4))
+
+
+def test_diameters_keep_a_pair_just_longer_than_the_first_far_pair():
+    # the centroid is (0, 0) exactly; f = (c, s) is the point farthest from
+    # it, by 1.25e-11, and its farthest partner a lies 2 - 1.25e-11 away, so
+    # a and b, the true diameter 2, meet r_i + max(r) >= L only by a hair
+    s = 1e-5
+    c = 1.0 - 0.375 * s * s
+    x = np.zeros((_PRUNE_MIN_POINTS, 2))
+    x[:5] = [[c, s], [-1.0, 0.0], [1.0, 0.0], [-c, 0.0], [0.0, -s]]
+    assert _brute_force_diameter(x) == 2.0
+    assert diameters(x) == 2.0

@@ -107,6 +107,24 @@ def test_library_persistence_roundtrip(lorenz, cfg, tmp_path):
     assert back.step == cfg.step
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + ["\r\n"] + lines[3:], "line 4: 0 fields, expected 6"),
+    (lambda lines: [lines[0], "1.5" + lines[1][1:]] + lines[2:],
+     r"line 2: \(cell 1.5, k 0\) is out of range or repeated"),
+    (lambda lines: lines[:5] + ["2,4" + lines[5][3:]] + lines[6:],
+     r"line 6: \(cell 2, k 4\) is out of range or repeated"),
+    (lambda lines: lines[:1], "holds 0 of the 8"),
+])
+def test_load_library_rejects_bad_rows(lorenz, cfg, tmp_path, edit, message):
+    lib = build_segments(lorenz, _cover([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 0.7, 4, cfg)
+    save_library(lib, tmp_path)
+    path = tmp_path / "segments.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_library(tmp_path)
+
+
 def test_blowup_names_cell(cfg):
     model = QuadraticGeneric(linear=[[0.0]], quadratic=np.ones((1, 1, 1)), forcing=[0.0])
     with pytest.raises(BlowupError, match="cell 1"):

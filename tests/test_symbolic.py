@@ -277,10 +277,21 @@ def test_state_graph_matches_brute_force(n, order, length, cap, seed):
         brute = brute_force_tensor_words(tuples, order, n, n0, length)
     res = enumerate_admissible(system, n0, length, cap=cap)
     assert [w.word for w in res.words] == sorted(brute)[:cap]
+    assert all(w.complete and w.horizon is None and type(s) is int
+               for w in res.words for s in w.word)
     assert res.overflowed == (len(brute) > cap)
     assert res.reachable == {s for w in brute for s in w}
     assert reachable_symbols(system, n0, length) == res.reachable
     assert reachable_symbols(system, n0, None) == _closure_by_bfs(tuples, order or 2, n0)
+
+
+def test_symbol_sequence_normalises_numpy_ints():
+    seq = SymbolSequence(word=np.array([3, 1, 2]))
+    assert seq.word == (3, 1, 2)
+    assert all(type(s) is int for s in seq.word)
+    found = enumerate_admissible(np.ones((3, 3), dtype=bool), 3, 3).words
+    assert seq in found
+    assert hash(seq) == hash(found[found.index(seq)])
 
 
 def test_cylinder_measure_examples():

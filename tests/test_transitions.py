@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_markov_tensors
 from segdyn import (
@@ -11,6 +13,7 @@ from segdyn import (
     Partition,
     SamplingError,
     ball_admissibility,
+    ball_successors,
     build_segments,
     estimate_tensor,
     estimate_transitions,
@@ -19,6 +22,7 @@ from segdyn import (
     row_sensitivity,
     sample_itineraries,
 )
+from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
     MarkovMatrix,
     TransitionMatrix,
@@ -235,6 +239,50 @@ def test_ball_admissibility_single_cell_errors(linear1, cfg):
     lib = build_segments(linear1, cover, 1.0, 3, cfg)
     with pytest.raises(ValueError, match="at least two"):
         ball_admissibility(lib, Partition(cover=cover), [1.0], 1)
+
+
+def _ball_rule_loop(lib, rho, cell):
+    """The gradient-ball rule for one cell, written out with np.linalg.norm."""
+    starts = lib.starts()
+    gaps = np.linalg.norm(starts - starts[cell - 1], axis=1)
+    gaps[cell - 1] = np.inf
+    n_star = int(np.linalg.norm(starts - lib.ends()[cell - 1], axis=1).argmin())
+    near = np.linalg.norm(starts - starts[n_star], axis=1) <= float(rho[cell - 1]) * gaps.min()
+    near[n_star] = True
+    return np.flatnonzero(near) + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 300), st.integers(0, 2 ** 32 - 1))
+def test_ball_successors_match_per_cell_loop(d, n, seed):
+    # starts on a small integer lattice repeat and tie; half the ends are
+    # midpoints of two starts (a tie for the nearest start) or a start itself;
+    # rho holds zeros, exact lattice distances and NaN (only n_* qualifies);
+    # n > 256 spans blocks
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(-3, 4, size=(n, d)).astype(float)
+    a, b = rng.integers(n, size=(2, n))
+    ends = np.where(rng.random((n, 1)) < 0.5, (starts[a] + starts[b]) / 2,
+                    rng.uniform(-4.0, 4.0, size=(n, d)))
+    rho = rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0), np.nan], size=n)
+    lib = SegmentLibrary(cells=np.arange(1, n + 1), times=np.array([0.0, 1.0]),
+                         states=np.stack([starts, ends], axis=1), horizon=1.0,
+                         epsilon=np.nan, model_id="test", step=0.1)
+    part = Partition(cover=Cover(centers=starts, radii=np.ones(n)))
+    got = ball_successors(lib, part, rho)
+    assert len(got) == n
+    for cell in range(1, n + 1):
+        assert np.array_equal(got[cell - 1], _ball_rule_loop(lib, rho, cell))
+    cell = int(rng.integers(1, n + 1))
+    assert ball_admissibility(lib, part, rho, cell) == set(got[cell - 1].tolist())
+
+
+def test_ball_successors_rejects_cells_outside_the_cover(linear_three_center_library):
+    model, cfg, part, lib = linear_three_center_library
+    with pytest.raises(ValueError, match=r"cell id 4 out of range 1\.\.3"):
+        ball_successors(lib, part, np.ones(3), [1, 4])
+    with pytest.raises(ValueError, match=r"cell id 0 out of range"):
+        ball_admissibility(lib, part, np.ones(3), 0)
 
 
 def test_transitions_json_roundtrip_dense():

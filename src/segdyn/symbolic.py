@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cover import Partition
+from .cover import _PAIR_CHUNK, Partition
 from .errors import EncodingError
 from .flow import FlowModel, IntegratorConfig, advance_many
 from .segments import SegmentLibrary
@@ -415,9 +415,16 @@ def _stationary_distribution(p: Array, iterations: int = 2000) -> Array:
 def ks_entropy(p: MarkovMatrix) -> KSEntropyResult:
     """Both entropy readings of the landing-probability matrix."""
     mat = p.p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(mat > 0, mat * np.log(np.where(mat > 0, mat, 1.0)), 0.0)
-    row_entropy = -plogp.sum(axis=1)
+    n = mat.shape[0]
+    # blocks of rows, so no dense n x n temporary is built; each row's sum
+    # is the same reduction over the same n entries as in one table
+    row_entropy = np.empty(n)
+    step = max(1, _PAIR_CHUNK // max(n, 1))
+    for lo in range(0, n, step):
+        block = mat[lo:lo + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(block > 0, block * np.log(np.where(block > 0, block, 1.0)), 0.0)
+        row_entropy[lo:lo + step] = -plogp.sum(axis=1)
     pi = _stationary_distribution(mat)
     return KSEntropyResult(
         unweighted=float(row_entropy.sum()),

@@ -245,9 +245,8 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
     full = np.zeros((n_cells + 1, n_cells + 1), dtype=np.int64)
     np.add.at(full, (itins[:, 0], itins[:, 1]), 1)
     counts = full[1:, 1:]
-    landed = counts.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
+    # a row with nothing landed is all zeros, and 0 / 1 leaves it so
+    p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
     tensors = []
     for k in orders:
         prefix = itins[:, :k]

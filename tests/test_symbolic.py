@@ -339,6 +339,18 @@ def test_ks_entropy_uniform_both_conventions():
     assert np.allclose(res.stationary, 1.0 / n)
 
 
+def test_ks_entropy_row_blocks_match_one_table():
+    # 300 cells take two row blocks; empty rows and exact zeros included
+    rng = np.random.default_rng(5)
+    n = 300
+    counts = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.03)
+    counts[::7] = 0
+    p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    assert ks_entropy(MarkovMatrix(p=p)).unweighted == float((-plogp.sum(axis=1)).sum())
+
+
 def test_commutation_frozen_flow(zero_field_1d, cfg):
     assert commutation_check(zero_field_1d, _frozen_partition(), [2.1], 5, 1.0, cfg)
 

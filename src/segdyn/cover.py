@@ -141,12 +141,14 @@ def _membership_blocks(points: Array, centers: Array, r2: Array):
     _ASSIGN_CHUNK x N entries.
 
     Yields (rows, inside) where inside[i, n] says points[rows][i] lies in the
-    closed ball with center centers[n] and squared radius r2[n].
+    closed ball with center centers[n] and squared radius r2[n], by the
+    squared distance of :func:`_squared_distances`.
     """
+    pt = np.ascontiguousarray(points.T)
+    ct = np.ascontiguousarray(centers.T)[:, None, :]
     for start in range(0, points.shape[0], _ASSIGN_CHUNK):
         rows = slice(start, start + _ASSIGN_CHUNK)
-        d2 = ((points[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        yield rows, d2 <= r2
+        yield rows, _squared_distances(pt[:, rows, None], ct) <= r2
 
 
 def largest_ball(points: Array, centers: Array, r2: Array) -> Array:
@@ -264,15 +266,16 @@ class _BallGrid:
     _BUCKETS_PER_BALL per ball and _MIN_REGISTRATIONS in all. The map is
     CSR: occupied bucket ``keys[j]`` (ascending) holds the balls
     ``ball_ids[offsets[j]:offsets[j + 1]]`` in ascending order. Membership
-    is the squared-distance test of :func:`_membership_blocks`, so every
-    answer is bitwise the brute-force one.
+    is the squared-distance test of :func:`_membership_blocks`, on the
+    (point, ball) pairs of each point's bucket only, so every answer is
+    bitwise the brute-force one.
     """
 
     def __init__(self, centers: Array, radii: Array):
         if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
             raise ValueError("ball centers and radii must be finite")
         n, d = centers.shape
-        self.centers = centers
+        self.centers_t = np.ascontiguousarray(centers.T)
         self.r2 = radii ** 2
         # far above the rounding of the bucket arithmetic, so every point the
         # squared-distance test puts in a ball lands in one of its buckets
@@ -301,17 +304,12 @@ class _BallGrid:
         # mixed-radix digits of each registration's place in its ball's box
         rank = _expand(np.zeros(n, dtype=np.int64), count)
         keys = np.zeros(rank.shape[0], dtype=np.int64)
-        # bit k of corner: the bucket is the ball's lowest one along axis k
-        corner = np.zeros(rank.shape[0], dtype=np.int64)
         for axis in range(d - 1, -1, -1):
             side = span[owner, axis]
-            digit = rank % side
-            keys += (first[owner, axis] + digit) * self.strides[axis]
-            corner |= (digit == 0).astype(np.int64) << axis
+            keys += (first[owner, axis] + rank % side) * self.strides[axis]
             rank //= side
         order = np.argsort(keys, kind="stable")
         self.ball_ids = owner[order]
-        self.corner = corner[order]
         self.keys, starts = np.unique(keys[order], return_index=True)
         self.offsets = np.append(starts, order.shape[0])
 
@@ -333,11 +331,12 @@ class _BallGrid:
         """Blocks of (row, ball) with points[row] in closed ball ``ball``
         (0-based); rows ascend, and balls ascend within a row."""
         start, count = self._candidates(points)
+        pt = np.ascontiguousarray(points.T)
         for rows in _blocks(count, _PAIR_CHUNK):
             c = count[rows]
             row = np.repeat(np.arange(rows.start, rows.stop), c)
             ball = self.ball_ids[_expand(start[rows], c)]
-            inside = ((points[row] - self.centers[ball]) ** 2).sum(axis=-1) <= self.r2[ball]
+            inside = _squared_distances(pt[:, row], self.centers_t[:, ball]) <= self.r2[ball]
             yield row[inside], ball[inside]
 
     def largest_ball(self, points: Array) -> Array:
@@ -347,25 +346,6 @@ class _BallGrid:
             last = np.flatnonzero(np.diff(row, append=-1))
             out[row[last]] = ball[last] + 1
         return out
-
-    def bucket_pairs(self) -> tuple[Array, Array]:
-        """Every (a, b) of balls registered in a common bucket, a == b
-        included, once each and sorted by a and then b. Balls that intersect
-        always share a bucket."""
-        n, d = self.centers.shape
-        size = np.diff(self.offsets)
-        first = np.repeat(self.offsets[:-1], size)
-        partners = np.repeat(size, size)
-        keys = []
-        for rows in _blocks(partners, _PAIR_CHUNK):
-            c = partners[rows]
-            other = _expand(first[rows], c)
-            # two balls share a box of buckets; only its lowest corner,
-            # where their corner bits cover every axis, reports the pair
-            once = (np.repeat(self.corner[rows], c) | self.corner[other]) == (1 << d) - 1
-            keys.append(np.repeat(self.ball_ids[rows], c)[once] * n + self.ball_ids[other][once])
-        key = np.sort(np.concatenate(keys))
-        return key // n, key % n
 
 
 @dataclass(eq=False)

@@ -127,13 +127,16 @@ def save_library(lib: SegmentLibrary, directory) -> None:
     with open(directory / _LIBRARY_JSON, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # the bytes csv.writer would write: fields are reprs, which it never
+    # quotes, and rows end in \r\n
+    times = [repr(t) for t in lib.times.tolist()]
+    lines = [",".join(["cell", "k", "t"] + [f"coord_{i}" for i in range(lib.dimension)])]
+    lines += [f"{n},{k},{times[k]}," + ",".join(map(repr, state))
+              for n, segment in enumerate(lib.states.tolist(), start=1)
+              for k, state in enumerate(segment)]
+    lines.append("")
     with open(directory / _SEGMENTS_CSV, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "k", "t"] + [f"coord_{i}" for i in range(lib.dimension)])
-        for n in range(lib.n_segments):
-            for k in range(lib.n_times):
-                writer.writerow([n + 1, k, repr(float(lib.times[k]))]
-                                + [repr(float(v)) for v in lib.states[n, k]])
+        fh.write("\r\n".join(lines))
 
 
 def _first_unparsable_row(text: str, fields: int) -> None:
@@ -206,8 +209,7 @@ def load_library(directory) -> SegmentLibrary:
 
 
 def write_max_difference_csv(path, times: Array, values: Array) -> None:
+    """t, M_d rows, in the bytes csv.writer would write (see save_library)."""
+    rows = zip(np.asarray(times, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "M_d"])
-        for t, v in zip(times, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("t,M_d\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows))

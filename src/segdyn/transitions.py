@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
-from .cover import _INDEX_MIN_BALLS, _PAIR_CHUNK, Partition, _squared_distances, largest_ball
+from .cover import _PAIR_CHUNK, Partition, _squared_distances
 from .errors import SamplingError
 from .flow import FlowModel, IntegratorConfig, advance_many
 from .segments import SegmentLibrary
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _DENSE_JSON_LIMIT = 512
+# points drawn per round of the rejection sampler, at most (about): cells are
+# sampled in consecutive groups of this many first-round draws
+_ROUND_POINTS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -64,6 +67,8 @@ class TransitionMatrix:
             raise ValueError("escapes must have one entry per cell")
         if np.any((self.counts > 0) & ~self.admissible):
             raise ValueError("counts[m][n] > 0 requires admissible[m][n]")
+        if np.any(self.counts < 0):
+            raise ValueError("counts must be nonnegative")
 
     @property
     def n_cells(self) -> int:
@@ -137,62 +142,58 @@ class ExpansionVerdict:
     m_max: int
 
 
-def _neighbor_lists(partition: Partition) -> list[Array]:
-    """For each ball, the indices (0-based) of balls it intersects.
-
-    Any ball containing a point of ball n must be in this list, so cell
-    assignment of points drawn inside ball n only needs these candidates.
-    """
-    centers = partition.cover.centers
-    radii = partition.cover.radii
-    if centers.shape[0] >= _INDEX_MIN_BALLS:
-        # the same test on the ball pairs that share a grid bucket
-        n, m = partition._grid.bucket_pairs()
-        meet = np.linalg.norm(centers[m] - centers[n], axis=1) <= radii[m] + radii[n]
-        n, m = n[meet], m[meet]
-        return np.split(m, np.searchsorted(n, np.arange(1, centers.shape[0])))
-    out = []
-    for n in range(centers.shape[0]):
-        d = np.linalg.norm(centers - centers[n], axis=1)
-        out.append(np.flatnonzero(d <= radii + radii[n]))
-    return out
-
-
-def _draw_cell_starts(partition: Partition, cell: int, count: int,
-                      rng: np.random.Generator, neighbors: Array,
+def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
                       max_draw_factor: int = 200) -> Array:
-    """Uniform samples in ball(cell) that the partition assigns to ``cell``.
+    """``count`` uniform samples of each ball that the partition assigns to
+    the ball's own cell, as (n_cells * count, d), cell by cell.
 
-    Only the balls in ``neighbors`` (ascending 0-based indices) can contain a
-    point of ball(cell), so membership runs on that sub-cover; mapping its
-    local ids back through ``neighbors`` keeps the largest-index rule.
+    Cell n draws from its own stream derive_rng(rng_seed, STREAM_TRANSITIONS,
+    n) in rounds of m points, normals for the directions and then uniforms
+    for the radii, until it holds ``count`` hits or has drawn
+    max_draw_factor * count points; it keeps its first hits in draw order.
+    Cells go in consecutive groups of at most about _ROUND_POINTS draws per
+    round, and each round of a group assigns the draws of all its unfinished
+    cells in one :meth:`Partition.assign_many` call, so the result is that
+    of sampling each cell alone. The lowest cell left short raises a
+    SamplingError.
     """
-    center = partition.cover.centers[cell - 1]
-    radius = partition.cover.radii[cell - 1]
-    d = center.shape[0]
-    sub_centers = partition.cover.centers[neighbors]
-    sub_r2 = partition.cover.radii[neighbors] ** 2
-    global_ids = np.concatenate(([0], neighbors + 1))
-    accepted: list[Array] = []
-    got = 0
-    drawn = 0
+    centers, radii = partition.cover.centers, partition.cover.radii
+    n_cells, d = centers.shape
     budget = max_draw_factor * count
-    while got < count and drawn < budget:
-        m = min(max(4 * (count - got), 64), budget - drawn)
-        drawn += m
-        u = rng.normal(size=(m, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        pts = center + (radius * rng.random(m) ** (1.0 / d))[:, None] * u
-        assigned = global_ids[largest_ball(pts, sub_centers, sub_r2)]
-        hit = pts[assigned == cell]
-        if hit.shape[0]:
-            accepted.append(hit[:count - got])
-            got += min(hit.shape[0], count - got)
-    if got < count:
-        raise SamplingError(
-            f"cell {cell}: rejection sampling produced {got}/{count} points "
-            f"after {drawn} draws; the cell is a vanishing fraction of its ball")
-    return np.concatenate(accepted, axis=0)
+    out = np.empty((n_cells, count, d))
+    group = max(1, _ROUND_POINTS // max(1, min(max(4 * count, 64), budget)))
+    for lo in range(0, n_cells, group):
+        ids = np.arange(lo + 1, min(lo + group, n_cells) + 1)
+        rngs = [derive_rng(rng_seed, STREAM_TRANSITIONS, cell) for cell in ids.tolist()]
+        got = np.zeros(ids.shape[0], dtype=np.int64)
+        drawn = np.zeros(ids.shape[0], dtype=np.int64)
+        while True:
+            todo = np.flatnonzero((got < count) & (drawn < budget))
+            if todo.shape[0] == 0:
+                break
+            m = np.minimum(np.maximum(4 * (count - got[todo]), 64), budget - drawn[todo])
+            drawn[todo] += m
+            pts = []
+            for i, size in zip(todo.tolist(), m.tolist()):
+                u = rngs[i].normal(size=(size, d))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                r = radii[lo + i] * rngs[i].random(size) ** (1.0 / d)
+                pts.append(centers[lo + i] + r[:, None] * u)
+            pts = np.concatenate(pts, axis=0)
+            owner = np.repeat(todo, m)
+            hits = np.flatnonzero(partition.assign_many(pts) == ids[owner])
+            own = owner[hits]
+            # hits come grouped by cell: each goes after the cell's earlier ones
+            slot = got[own] + np.arange(hits.shape[0]) - np.searchsorted(own, own)
+            keep = slot < count
+            out[lo + own[keep], slot[keep]] = pts[hits[keep]]
+            got += np.bincount(own[keep], minlength=ids.shape[0])
+        if np.any(got < count):
+            i = int(np.argmax(got < count))
+            raise SamplingError(
+                f"cell {ids[i]}: rejection sampling produced {got[i]}/{count} points "
+                f"after {drawn[i]} draws; the cell is a vanishing fraction of its ball")
+    return out.reshape(n_cells * count, d)
 
 
 def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
@@ -207,13 +208,7 @@ def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
     different n_steps see identical samples.
     """
     n_cells = partition.n_cells
-    neighbors = _neighbor_lists(partition)
-    starts = np.concatenate([
-        _draw_cell_starts(partition, cell, samples_per_cell,
-                          derive_rng(rng_seed, STREAM_TRANSITIONS, cell),
-                          neighbors[cell - 1], max_draw_factor)
-        for cell in range(1, n_cells + 1)
-    ], axis=0)
+    starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor)
     source = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
 
     itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
@@ -438,6 +433,26 @@ def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
     return doc
 
 
+def _triplets(entries, n: int, what: str) -> tuple[Array, Array, Array]:
+    """0-based rows and columns, and values, of sparse (row, col, value)
+    triplets; ids must be integers in 1..n and values nonnegative."""
+    t = np.asarray(entries, dtype=float)
+    if t.shape == (0,):
+        t = t.reshape(0, 3)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError(f"{what} must be a list of (row, col, value) triplets")
+    ids = t[:, :2]
+    bad = (ids != np.floor(ids)) | ~((ids >= 1) & (ids <= n))
+    if np.any(bad):
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(f"{what} entry {i}: {('row', 'col')[k]} {ids[i, k]:g} "
+                         f"is not a cell id in 1..{n}")
+    if not np.all(t[:, 2] >= 0):
+        i = int(np.argmin(t[:, 2] >= 0))
+        raise ValueError(f"{what} entry {i}: value {t[i, 2]:g} is not a nonnegative number")
+    return ids[:, 0].astype(np.int64) - 1, ids[:, 1].astype(np.int64) - 1, t[:, 2]
+
+
 def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
     n = doc["n_cells"]
     escapes = np.asarray(doc["escapes"], dtype=np.int64)
@@ -445,13 +460,15 @@ def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
         counts = np.asarray(doc["counts"], dtype=np.int64)
         p = np.asarray(doc["p"], dtype=float)
         admissible = np.asarray(doc["admissible"], dtype=bool)
+        if p.shape != counts.shape:
+            raise ValueError(f"p has shape {p.shape}, counts has shape {counts.shape}")
     else:
         counts = np.zeros((n, n), dtype=np.int64)
         p = np.zeros((n, n))
-        for r, c, v in doc["counts"]:
-            counts[r - 1, c - 1] = v
-        for r, c, v in doc["p"]:
-            p[r - 1, c - 1] = v
+        r, c, v = _triplets(doc["counts"], n, "counts")
+        counts[r, c] = v
+        r, c, v = _triplets(doc["p"], n, "p")
+        p[r, c] = v
         admissible = counts > 0
     return (TransitionMatrix(admissible=admissible, counts=counts, escapes=escapes),
             MarkovMatrix(p=p))

@@ -51,9 +51,7 @@ from segdyn.cover import _INDEX_MIN_BALLS, BoxDomain, cover_from_json, largest_b
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
 from segdyn.symbolic import _shadowing_errors, reconstruct_pseudo_orbit
-from segdyn.transitions import (
-    MarkovMatrix, _neighbor_lists, transitions_from_itineraries, transitions_to_json,
-)
+from segdyn.transitions import MarkovMatrix, transitions_from_itineraries, transitions_to_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LORENZ_CONFIG = REPO_ROOT / "configs" / "lorenz.json"
@@ -241,11 +239,6 @@ def test_orbit_cover_grid_index_matches_brute_force(run4):
                           rng.uniform([-25.0, -30.0, -5.0], [25.0, 30.0, 50.0], (20_000, 3))])
     assert np.array_equal(partition.assign_many(pts),
                           largest_ball(pts, cover.centers, cover.radii ** 2))
-    neighbors = _neighbor_lists(partition)
-    for b in range(cover.n_balls):
-        expected = np.flatnonzero(np.linalg.norm(cover.centers - cover.centers[b], axis=1)
-                                  <= cover.radii + cover.radii[b])
-        assert np.array_equal(neighbors[b], expected)
 
 
 def test_criterion_04_transition_consistency(run4):

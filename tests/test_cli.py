@@ -258,6 +258,17 @@ def _edit_json(edit):
     return apply
 
 
+def _sparse_with_first_triplet(triplet):
+    """Rewrite a dense transitions.json as sparse triplets, led by ``triplet``."""
+    def edit(doc):
+        doc["format"] = "sparse"
+        for key in ("counts", "p"):
+            doc[key] = [triplet] + [[r + 1, c + 1, v] for r, row in enumerate(doc[key])
+                                    for c, v in enumerate(row) if v]
+        del doc["admissible"]
+    return _edit_json(edit)
+
+
 def _edit_lines(edit):
     def apply(path):
         path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
@@ -271,6 +282,10 @@ def _edit_lines(edit):
     ("transitions.json", "transitions.json", _edit_json(lambda d: d["counts"][0].pop()),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: ValueError("),
+    ("transitions.json", "transitions.json", _sparse_with_first_triplet([9, 1, 1]),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('counts entry 0: row 9 is not a cell id in 1..8')"),
     ("tensors.json", "tensors.json", _edit_json(lambda d: d["tensors"][0].pop("tuples")),
      "tensor", ["enumerate"], "is not a readable tensor set: KeyError('tuples')"),
     ("tensors.json", "tensors.json",
@@ -300,8 +315,9 @@ def _edit_lines(edit):
      "markov", ["shadow", "bounds"],
      "is not a readable segment library: ValueError(\"could not convert string to float: "
      "'abc'\")"),
-], ids=["no-escapes", "ragged-counts", "no-tuples", "symbol-out-of-range", "truncated-csv",
-        "repeated-csv-row", "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row"])
+], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
+        "symbol-out-of-range", "truncated-csv", "repeated-csv-row", "csv-cell-out-of-range",
+        "short-csv-row", "malformed-csv-row"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline

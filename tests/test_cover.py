@@ -22,7 +22,6 @@ from segdyn import (
     minimal_cover,
 )
 from segdyn.cover import (
-    _INDEX_MIN_BALLS,
     _PRUNE_MIN_POINTS,
     _BallGrid,
     _membership_blocks,
@@ -33,7 +32,6 @@ from segdyn.cover import (
     read_points_csv,
     write_points_csv,
 )
-from segdyn.transitions import _neighbor_lists
 
 
 def test_collocate_1d_midpoints():
@@ -295,12 +293,20 @@ def test_assign_many_rejects_wrong_dimension():
         part.assign_many(np.array([[0.1], [5.0]]))
 
 
+def _literal_memberships(pts, centers, radii):
+    """inside[i, n]: pts[i] lies in closed ball n, by the broadcast squared
+    distance. From d = 8 on numpy sums its last axis pairwise."""
+    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= radii ** 2
+
+
 @st.composite
 def _overlapping_covers(draw):
-    """Random overlapping covers in d = 1, 2 or 3, optionally with one ball
-    50 times larger than the rest, plus query points: uniform ones reaching
-    beyond every bucket, and points exactly on a sphere along an axis."""
-    d = draw(st.integers(1, 3))
+    """Random overlapping covers in d = 1, 2, 3, 8 or 9, optionally with one
+    ball 50 times larger than the rest, plus query points: uniform ones
+    reaching beyond every bucket, points exactly on a sphere along an axis,
+    and points on a sphere in a random direction, whose membership turns on
+    the rounding of the squared distance."""
+    d = draw(st.sampled_from([1, 2, 3, 3, 8, 9]))
     n = draw(st.integers(1, 60))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -313,26 +319,32 @@ def _overlapping_covers(draw):
     axis = rng.integers(d, size=40)
     on_sphere = centers[ball].copy()
     on_sphere[np.arange(40), axis] += rng.choice([-1.0, 1.0], size=40) * radii[ball]
+    u = rng.normal(size=(40, d))
+    rim = centers[ball] + radii[ball, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
     far = np.full((3, d), 1e6)
     far[1] *= -1.0
     far[2, 0] = np.nan
-    return centers, radii, np.concatenate([pts, on_sphere, centers, far])
+    return centers, radii, np.concatenate([pts, on_sphere, rim, centers, far])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_overlapping_covers())
 def test_grid_matches_largest_ball(case):
     centers, radii, pts = case
-    grid = _BallGrid(centers, radii)
-    assert np.array_equal(grid.largest_ball(pts), largest_ball(pts, centers, radii ** 2))
+    inside = _literal_memberships(pts, centers, radii)
+    expected = np.where(inside, np.arange(1, centers.shape[0] + 1), 0).max(axis=1)
+    assert np.array_equal(largest_ball(pts, centers, radii ** 2), expected)
+    assert np.array_equal(_BallGrid(centers, radii).largest_ball(pts), expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_overlapping_covers())
 def test_grid_pairs_are_exactly_the_memberships(case):
     centers, radii, pts = case
-    member = np.concatenate(
+    member = _literal_memberships(pts, centers, radii)
+    blocks = np.concatenate(
         [inside for _, inside in _membership_blocks(pts, centers, radii ** 2)])
+    assert np.array_equal(blocks, member)
     rows, balls = map(np.concatenate, zip(*_BallGrid(centers, radii).pairs(pts)))
     expected_rows, expected_balls = np.nonzero(member)
     assert np.array_equal(rows, expected_rows)
@@ -380,21 +392,6 @@ def test_sparse_minimal_cover_matches_dense(seed):
         _minimal_cover_sparse(centers, radii, outside)
     assert str(sparse_err.value) == str(dense_err.value)
     assert "domain sample 5 at" in str(dense_err.value)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_neighbor_lists_match_pairwise_loop(d):
-    rng = np.random.default_rng(20 + d)
-    n = _INDEX_MIN_BALLS + 72
-    centers = rng.uniform(-1.0, 1.0, size=(n, d))
-    radii = rng.uniform(0.01, 0.3, size=n)
-    radii[5] *= 50.0
-    got = _neighbor_lists(Partition(cover=Cover(centers=centers, radii=radii)))
-    assert len(got) == n
-    for b in range(n):
-        expected = np.flatnonzero(
-            np.linalg.norm(centers - centers[b], axis=1) <= radii + radii[b])
-        assert np.array_equal(got[b], expected)
 
 
 def _brute_force_diameter(x):

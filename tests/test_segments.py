@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from segdyn import (
     max_difference,
     save_library,
 )
-from segdyn.segments import write_max_difference_csv
+from segdyn.segments import SegmentLibrary, write_max_difference_csv
 
 
 def _cover(centers, radius=0.6):
@@ -129,3 +132,35 @@ def test_blowup_names_cell(cfg):
     model = QuadraticGeneric(linear=[[0.0]], quadratic=np.ones((1, 1, 1)), forcing=[0.0])
     with pytest.raises(BlowupError, match="cell 1"):
         build_segments(model, _cover([[1.0]]), 2.0, 5, IntegratorConfig(step=0.01))
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    """The rows as csv.writer renders them into a file opened with newline=""."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_files_are_the_csv_writer_bytes(tmp_path):
+    # 17-digit values, signed zeros, subnormal-range and huge magnitudes
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(3, 4, 2)) * 10.0 ** rng.integers(-20, 20, size=(3, 4, 2))
+    states[0, 0] = [-0.0, 0.0]
+    states[1, 2] = [1e-300, -1e300]
+    states[2, 3] = [0.1 + 0.2, 2.0 ** -1074]
+    times = np.array([0.0, 0.1, 1.0 / 3.0, 0.30000000000000004])
+    lib = SegmentLibrary(cells=np.arange(1, 4), times=times, states=states, horizon=1.0,
+                         epsilon=np.nan, model_id="test", step=0.1)
+    save_library(lib, tmp_path)
+    expected = _csv_writer_bytes(
+        [["cell", "k", "t", "coord_0", "coord_1"]]
+        + [[n + 1, k, repr(float(times[k]))] + [repr(float(v)) for v in states[n, k]]
+           for n in range(3) for k in range(4)])
+    assert (tmp_path / "segments.csv").read_bytes() == expected
+    assert np.array_equal(load_library(tmp_path).states, states)
+
+    values = np.array([12.5, -0.0, 1e-300, 0.1 + 0.2])
+    write_max_difference_csv(tmp_path / "md.csv", times, values)
+    expected = _csv_writer_bytes([["t", "M_d"]] + [[repr(float(t)), repr(float(v))]
+                                                    for t, v in zip(times, values)])
+    assert (tmp_path / "md.csv").read_bytes() == expected

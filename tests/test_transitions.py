@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from segdyn import (
     row_sensitivity,
     sample_itineraries,
 )
+from segdyn import transitions
+from segdyn._rng import STREAM_TRANSITIONS, derive_rng
+from segdyn.cover import _INDEX_MIN_BALLS
 from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
     MarkovMatrix,
@@ -125,8 +129,8 @@ def test_seed_determinism_bytes(linear1, sink_partition, cfg):
 
 
 def test_sampled_starts_follow_largest_index_rule(cfg):
-    # the rejection sampler tests only the balls that meet the sampled one;
-    # the full partition must still assign every start to its source cell
+    # every start is drawn in its source ball and kept only when the
+    # largest-index rule puts it in that ball's cell
     grid = np.stack(np.meshgrid(np.arange(4) * 0.3, np.arange(4) * 0.3,
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     part = _partition(grid, np.full(16, 0.25))
@@ -154,6 +158,94 @@ def test_sampling_error_for_empty_cell(linear1, cfg):
     part = _partition([[0.0], [0.0]], [0.5, 0.5])
     with pytest.raises(SamplingError, match="cell 1"):
         estimate_transitions(linear1, part, 1.0, 10, cfg, rng_seed=15, max_draw_factor=20)
+
+
+def _reference_starts(partition, count, seed, max_draw_factor):
+    """Rejection sampling one cell at a time, each point assigned by the
+    broadcast squared distance to every ball of the cover."""
+    centers, radii = partition.cover.centers, partition.cover.radii
+    ids = np.arange(1, centers.shape[0] + 1)
+    d = centers.shape[1]
+    budget = max_draw_factor * count
+    starts = []
+    for cell in ids.tolist():
+        rng = derive_rng(seed, STREAM_TRANSITIONS, cell)
+        got = drawn = 0
+        while got < count and drawn < budget:
+            m = min(max(4 * (count - got), 64), budget - drawn)
+            drawn += m
+            u = rng.normal(size=(m, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            pts = centers[cell - 1] + (radii[cell - 1] * rng.random(m) ** (1.0 / d))[:, None] * u
+            inside = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= radii ** 2
+            hit = pts[np.where(inside, ids, 0).max(axis=1) == cell][:count - got]
+            starts.append(hit)
+            got += hit.shape[0]
+        if got < count:
+            raise SamplingError(
+                f"cell {cell}: rejection sampling produced {got}/{count} points "
+                f"after {drawn} draws; the cell is a vanishing fraction of its ball")
+    return np.concatenate(starts).reshape(-1, d)
+
+
+def _sampled_or_error(draw):
+    try:
+        return draw()
+    except SamplingError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([3, 40, _INDEX_MIN_BALLS + 30]),
+       st.integers(1, 12), st.sampled_from([200, 30]), st.booleans(),
+       st.sampled_from([1 << 18, 500, 1]), st.integers(0, 2 ** 32 - 1))
+def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_points, seed):
+    # overlapping balls on a jittered lattice, so that every cell keeps a
+    # core of its own; the last ball leaves only a thin shell (2% of its
+    # volume) of the one before it, whose cell then needs many rounds or
+    # runs out of draws; ball 1 may be 50x larger. Covers of 3 and 40 balls
+    # are assigned by the brute-force scan, larger ones through the grid
+    # index, and small round sizes split the cells into several groups.
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(n ** (1.0 / d)))
+    sites = np.indices((side,) * d).reshape(d, -1).T
+    centers = rng.permutation(sites)[:n] + rng.uniform(-0.1, 0.1, size=(n, d))
+    radii = rng.uniform(0.5, 0.7, size=n)
+    centers[-1] = centers[-2]
+    radii[-1] = radii[-2] * 0.98 ** (1.0 / d)
+    if huge:
+        radii[0] *= 50.0
+    part = _partition(centers, radii)
+    expected = _sampled_or_error(lambda: _reference_starts(part, count, seed, factor))
+    with mock.patch.object(transitions, "_ROUND_POINTS", round_points):
+        got = _sampled_or_error(
+            lambda: transitions._draw_cell_starts(part, count, seed, factor))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("round_points", [1 << 18, 1])
+def test_sampling_error_names_the_lowest_failing_cell(round_points):
+    # cells 2 and 4 are shadowed by identical later balls and never get a
+    # point: 10 points at a budget of 20 per point are 64 + 64 + 64 + 8 draws
+    part = _partition([[0.0], [3.0], [3.0], [6.0], [6.0]], np.full(5, 0.5))
+    with mock.patch.object(transitions, "_ROUND_POINTS", round_points):
+        with pytest.raises(SamplingError) as err:
+            transitions._draw_cell_starts(part, 10, 3, 20)
+    assert str(err.value) == ("cell 2: rejection sampling produced 0/10 points after 200 "
+                              "draws; the cell is a vanishing fraction of its ball")
+    # a cell that gets some points but not all: ball 3 keeps a thin shell of
+    # ball 2, and ball 5 swallows ball 4
+    part = _partition([[0.0], [3.0], [3.0], [6.0], [6.0]], [0.5, 0.5, 0.499, 0.5, 0.6])
+    with pytest.raises(SamplingError) as err:
+        transitions._draw_cell_starts(part, 10, 3, 20)
+    with pytest.raises(SamplingError) as expected:
+        _reference_starts(part, 10, 3, 20)
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith("cell 2: rejection sampling produced ")
+    assert "produced 0/10" not in str(err.value)
 
 
 def test_row_sensitivity_examples():
@@ -315,6 +407,47 @@ def test_transitions_json_roundtrip_sparse():
     tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
     assert np.array_equal(tm2.counts, tm.counts)
     assert np.allclose(mm2.p, p)
+
+
+def _sparse_doc(n=600):
+    return {"n_cells": n, "escapes": [0] * n, "format": "sparse",
+            "counts": [[1, 2, 3], [n, n, 1]], "p": [[1, 2, 1.0], [n, n, 1.0]]}
+
+
+def test_sparse_transitions_read_their_triplets():
+    tm, mm = transitions_from_json(_sparse_doc())
+    assert np.array_equal(np.argwhere(tm.counts), [[0, 1], [599, 599]])
+    assert tm.counts[0, 1] == 3 and mm.p[599, 599] == 1.0
+    with pytest.raises(ValueError, match=r"counts must be a list of \(row, col, value\)"):
+        transitions_from_json(dict(_sparse_doc(), counts=[[1, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("counts", [0, 2, 3], "counts entry 1: row 0 is not a cell id in 1..600"),
+    ("counts", [601, 2, 3], "counts entry 1: row 601 is not a cell id in 1..600"),
+    ("counts", [1, 0, 3], "counts entry 1: col 0 is not a cell id in 1..600"),
+    ("counts", [1, 2.5, 3], "counts entry 1: col 2.5 is not a cell id in 1..600"),
+    ("counts", [1, 2, -1], "counts entry 1: value -1 is not a nonnegative number"),
+    ("p", [1, 601, 0.5], "p entry 1: col 601 is not a cell id in 1..600"),
+    ("p", [1, 2, float("nan")], "p entry 1: value nan is not a nonnegative number"),
+])
+def test_sparse_transitions_reject_bad_triplets(key, entry, message):
+    doc = _sparse_doc()
+    doc[key] = [doc[key][0], entry]
+    with pytest.raises(ValueError) as err:
+        transitions_from_json(doc)
+    assert str(err.value) == message
+
+
+def test_dense_transitions_reject_mismatched_p_and_negative_counts():
+    doc = transitions_to_json(
+        TransitionMatrix(admissible=np.eye(2, dtype=bool), counts=np.eye(2, dtype=np.int64),
+                         escapes=np.zeros(2, dtype=np.int64)),
+        MarkovMatrix(p=np.eye(2)), rng_seed=1, samples_per_cell=1)
+    with pytest.raises(ValueError, match=r"p has shape \(1, 1\), counts has shape \(2, 2\)"):
+        transitions_from_json(dict(doc, p=[[1.0]]))
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        transitions_from_json(dict(doc, counts=[[1, 0], [0, -1]]))
 
 
 def test_tensor_json_roundtrip():

@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 _DENSE_JSON_LIMIT = 512
-# points drawn per round of the rejection sampler, at most (about): cells are
-# sampled in consecutive groups of this many first-round draws
+# the rejection sampler takes cells in consecutive groups whose first-round
+# draws, the largest of any round, add up to at most this many points
 _ROUND_POINTS = 1 << 18
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_json
 from .cover import cover_from_json
 from .errors import ManifestError, MissingArtifactError
 from .segments import load_library
@@ -39,22 +39,6 @@ ENTROPY_JSON = "entropy.json"
 BOUNDS_JSON = "bounds.json"
 REPORT_JSON = "report.json"
 MANIFEST_JSON = "manifest.json"
-
-
-def write_json(path, doc: dict) -> None:
-    """Write doc atomically: a temporary file in the same directory replaces
-    ``path`` only once it is complete, so an interrupted or failed write
-    leaves the previous file as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def read_json(path) -> dict:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic, write_json
 from .cover import Cover, diameters
 from .errors import BlowupError
 from .flow import FlowModel, IntegratorConfig, TrajectorySample, sample_path
@@ -124,9 +125,7 @@ def save_library(lib: SegmentLibrary, directory) -> None:
         "model_id": lib.model_id,
         "integrator_step": lib.step,
     }
-    with open(directory / _LIBRARY_JSON, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / _LIBRARY_JSON, meta)
     # the bytes csv.writer would write: fields are reprs, which it never
     # quotes, and rows end in \r\n
     times = [repr(t) for t in lib.times.tolist()]
@@ -135,8 +134,7 @@ def save_library(lib: SegmentLibrary, directory) -> None:
               for n, segment in enumerate(lib.states.tolist(), start=1)
               for k, state in enumerate(segment)]
     lines.append("")
-    with open(directory / _SEGMENTS_CSV, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+    write_atomic(directory / _SEGMENTS_CSV, ["\r\n".join(lines)])
 
 
 def _first_unparsable_row(text: str, fields: int) -> None:
@@ -211,5 +209,4 @@ def load_library(directory) -> SegmentLibrary:
 def write_max_difference_csv(path, times: Array, values: Array) -> None:
     """t, M_d rows, in the bytes csv.writer would write (see save_library)."""
     rows = zip(np.asarray(times, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,M_d\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows))
+    write_atomic(path, ["t,M_d\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows)])

@@ -8,7 +8,10 @@ across orders exact.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -117,12 +120,17 @@ class TransitionTensor:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"tensor order must be at least 2, got {self.order}")
-        tuples = frozenset(tuple(int(s) for s in t) for t in self.admissible_tuples)
-        for t in tuples:
-            if len(t) != self.order:
-                raise ValueError(f"tuple {t} does not have order {self.order}")
-            if min(t) < 1 or max(t) > self.n_cells:
-                raise ValueError(f"tuple {t} has a symbol outside 1..{self.n_cells}")
+        tuples = frozenset(map(tuple, self.admissible_tuples))
+        if not set(map(type, chain.from_iterable(tuples))) <= {int}:
+            tuples = frozenset(tuple(int(s) for s in t) for t in tuples)
+        # the checks run per tuple only when some tuple fails, to name it
+        if tuples and (set(map(len, tuples)) != {self.order} or min(map(min, tuples)) < 1
+                       or max(map(max, tuples)) > self.n_cells):
+            for t in tuples:
+                if len(t) != self.order:
+                    raise ValueError(f"tuple {t} does not have order {self.order}")
+                if min(t) < 1 or max(t) > self.n_cells:
+                    raise ValueError(f"tuple {t} has a symbol outside 1..{self.n_cells}")
         object.__setattr__(self, "admissible_tuples", tuples)
 
 
@@ -435,14 +443,18 @@ def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
 
 def _triplets(entries, n: int, what: str) -> tuple[Array, Array, Array]:
     """0-based rows and columns, and values, of sparse (row, col, value)
-    triplets; ids must be integers in 1..n and values nonnegative."""
+    triplets; ids must be JSON integers in 1..n and values nonnegative."""
     t = np.asarray(entries, dtype=float)
     if t.shape == (0,):
         t = t.reshape(0, 3)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"{what} must be a list of (row, col, value) triplets")
+    if not set(map(type, chain.from_iterable(map(itemgetter(0, 1), entries)))) <= {int}:
+        i, k = next((i, k) for i, e in enumerate(entries) for k in (0, 1) if type(e[k]) is not int)
+        raise ValueError(f"{what} entry {i}: {('row', 'col')[k]} {json.dumps(entries[i][k])} "
+                         f"is not a cell id in 1..{n}")
     ids = t[:, :2]
-    bad = (ids != np.floor(ids)) | ~((ids >= 1) & (ids <= n))
+    bad = ~((ids >= 1) & (ids <= n))
     if np.any(bad):
         i, k = np.argwhere(bad)[0]
         raise ValueError(f"{what} entry {i}: {('row', 'col')[k]} {ids[i, k]:g} "
@@ -483,8 +495,16 @@ def tensor_to_json(tensor: TransitionTensor) -> dict:
 
 
 def tensor_from_json(doc: dict) -> TransitionTensor:
+    """The tensor of a ``tensors.json`` entry; every tuple must be a list of
+    JSON integers (not floats, strings or booleans)."""
+    tuples = doc["tuples"]
+    if not (set(map(type, tuples)) <= {list}
+            and set(map(type, chain.from_iterable(tuples))) <= {int}):
+        i, t = next((i, t) for i, t in enumerate(tuples)
+                    if type(t) is not list or not set(map(type, t)) <= {int})
+        raise ValueError(f"tuples entry {i}: {json.dumps(t)} is not a list of integer cell ids")
     return TransitionTensor(
         order=doc["order"],
-        admissible_tuples=frozenset(tuple(t) for t in doc["tuples"]),
+        admissible_tuples=tuples,
         n_cells=doc["n_cells"],
     )

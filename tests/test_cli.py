@@ -3,8 +3,11 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
+from segdyn.atomic import _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
 from segdyn.errors import ConfigError
@@ -292,6 +295,11 @@ def _edit_lines(edit):
      _edit_json(lambda d: d["tensors"][1]["tuples"].append([1, 99, 1])),
      "tensor", ["enumerate"],
      "is not a readable tensor set: ValueError('tuple (1, 99, 1) has a symbol outside 1..8')"),
+    ("tensors.json", "tensors.json",
+     _edit_json(lambda d: d["tensors"][1]["tuples"].insert(0, [True, 2, 4])),
+     "tensor", ["enumerate"],
+     "is not a readable tensor set: "
+     "ValueError('tuples entry 0: [true, 2, 4] is not a list of integer cell ids')"),
     ("library/segments.csv", "library", _edit_lines(lambda lines: lines[:-3]),
      "markov", ["shadow", "bounds"],
      "is not a readable segment library: ValueError('segments.csv holds 69 of the 72 "
@@ -316,8 +324,8 @@ def _edit_lines(edit):
      "is not a readable segment library: ValueError(\"could not convert string to float: "
      "'abc'\")"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
-        "symbol-out-of-range", "truncated-csv", "repeated-csv-row", "csv-cell-out-of-range",
-        "short-csv-row", "malformed-csv-row"])
+        "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
+        "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline
@@ -342,3 +350,57 @@ def test_write_json_failure_keeps_previous_file(tmp_path):
         write_json(target, {"a": 1, "z": object()})
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    target = tmp_path / "segments.csv"
+    write_atomic(target, ["cell,k\r\n", "1,0\r\n"])
+    assert target.read_bytes() == b"cell,k\r\n1,0\r\n"
+
+    def pieces():
+        yield "cell,k\r\n"
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(target, pieces())
+    assert target.read_bytes() == b"cell,k\r\n1,0\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["segments.csv"]
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-300,
+                     2 ** 63, 2 ** 64 + 1]))
+_STRINGS = st.one_of(st.text(max_size=6),
+                     st.sampled_from(["], [", ", ", "x, y", '"quoted"', "a\nb", "\u00e9\u2202"]))
+
+
+def _sequences(items, min_size=0):
+    lists = st.lists(items, min_size=min_size, max_size=4)
+    return st.one_of(lists, lists.map(tuple))
+
+
+# rows of numbers, some with booleans mixed in, and tables of such rows with
+# row counts on both sides of the encoder's block size
+_ROW = st.one_of(_sequences(_NUMBERS, min_size=1), _sequences(st.one_of(_NUMBERS, st.booleans())))
+_TABLE = st.one_of(
+    _sequences(_ROW),
+    st.tuples(st.lists(_ROW, min_size=1, max_size=3),
+              st.sampled_from([_ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+                               2 * _ROWS_PER_BLOCK + 1])).map(
+        lambda a: [a[0][i % len(a[0])] for i in range(a[1])]))
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), _STRINGS, _ROW, _TABLE,
+                    st.just([]), st.just({}), st.just(()))
+_DOCS = st.dictionaries(_STRINGS, st.recursive(_LEAVES, lambda inner: st.one_of(
+    _sequences(inner),
+    st.dictionaries(_STRINGS, inner, max_size=3),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=2)), max_leaves=8), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_write_json_writes_the_stdlib_indent_2_bytes(tmp_path_factory, doc):
+    target = tmp_path_factory.mktemp("oracle") / "doc.json"
+    write_json(target, doc)
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert target.read_bytes() == expected.encode("utf-8")

@@ -430,6 +430,10 @@ def test_sparse_transitions_read_their_triplets():
     ("counts", [1, 2, -1], "counts entry 1: value -1 is not a nonnegative number"),
     ("p", [1, 601, 0.5], "p entry 1: col 601 is not a cell id in 1..600"),
     ("p", [1, 2, float("nan")], "p entry 1: value nan is not a nonnegative number"),
+    ("counts", [1, 2.0, 3], "counts entry 1: col 2.0 is not a cell id in 1..600"),
+    ("counts", [True, "2", 3], "counts entry 1: row true is not a cell id in 1..600"),
+    ("counts", [1, "2", 3], 'counts entry 1: col "2" is not a cell id in 1..600'),
+    ("p", [1, False, 0.5], "p entry 1: col false is not a cell id in 1..600"),
 ])
 def test_sparse_transitions_reject_bad_triplets(key, entry, message):
     doc = _sparse_doc()
@@ -456,6 +460,19 @@ def test_tensor_json_roundtrip():
     back = tensor_from_json(json.loads(json.dumps(tensor_to_json(t))))
     assert back.order == 3
     assert back.admissible_tuples == t.admissible_tuples
+
+
+@pytest.mark.parametrize("tuples, message", [
+    ([[1, 2, 3], [1.5, 2, 3]], "tuples entry 1: [1.5, 2, 3] is not a list of integer cell ids"),
+    ([[True, 2, 4]], "tuples entry 0: [true, 2, 4] is not a list of integer cell ids"),
+    ([[1, 2, 3], ["2", 2, 3]], 'tuples entry 1: ["2", 2, 3] is not a list of integer cell ids'),
+    ([[1, 2, 3], 4], "tuples entry 1: 4 is not a list of integer cell ids"),
+    ([[1, 99, 1]], r"tuple (1, 99, 1) has a symbol outside 1..5"),
+])
+def test_tensor_json_rejects_non_integer_cell_ids(tuples, message):
+    with pytest.raises(ValueError) as err:
+        tensor_from_json({"order": 3, "n_cells": 5, "tuples": tuples})
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [(1, 99, 1), (0, 1, 1)])

@@ -99,17 +99,18 @@ def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
 
 def stage_calibrate(cfg: PipelineConfig, outdir: Path):
     centers = collocate(cfg.domain, cfg.resolution, max_points=cfg.collocation_cap)
+    counters: dict = {}
     deltas = calibrate_deltas(
         cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
         cfg.boundary_samples, delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
-        time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+        time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed, counters=counters)
     cover = minimal_cover(centers, deltas, centers)
     write_json(outdir / COVER_JSON, cover_to_json(cover))
     print(f"calibrate: {len(centers)} centers -> {cover.n_balls} balls, "
           f"radius range [{cover.radii.min():.6g}, {cover.radii.max():.6g}] "
           f"({cfg.boundary_samples} boundary samples per center)")
     return [COVER_JSON], {"n_centers": len(centers), "n_balls": cover.n_balls,
-                          "boundary_samples": cfg.boundary_samples}
+                          "boundary_samples": cfg.boundary_samples, "counters": counters}
 
 
 def stage_segments(cfg: PipelineConfig, outdir: Path):
@@ -129,9 +130,10 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
     lib = _load_library(outdir, "transitions")
     partition = Partition(cover=cover)
     n = partition.n_cells
+    counters: dict = {}
     _, itins = sample_itineraries(
         cfg.model, partition, cfg.horizon, cfg.tensor_order - 1,
-        cfg.samples_per_cell, cfg.integrator, cfg.rng_seed)
+        cfg.samples_per_cell, cfg.integrator, cfg.rng_seed, counters=counters)
     # one sampling pass serves every tensor order: each is a prefix of the
     # same itineraries, as if estimated from scratch with the same seed
     tm, mm, tensors = transitions_from_itineraries(itins, n, range(2, cfg.tensor_order + 1))
@@ -163,7 +165,7 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
           f"{verdict.expanding_up_to_depth} "
           f"({len(verdict.witness_failures)} failures, "
           f"{len(verdict.inconclusive)} inconclusive)")
-    return [TRANSITIONS_JSON, TENSORS_JSON], {"n_cells": n}
+    return [TRANSITIONS_JSON, TENSORS_JSON], {"n_cells": n, "counters": counters}
 
 
 def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
@@ -333,10 +335,11 @@ def stage_report(cfg: PipelineConfig, outdir: Path):
         elif name == BOUNDS_JSON:
             summary["bounds"] = [{k: b[k] for k in ("label", "q_lo", "q_hi")}
                                  for b in doc["quantities"]]
-    # wall times stay out of the report so identical runs produce identical bytes
+    # wall times and work counters stay out of the report, so identical
+    # results produce identical bytes
     report = {"tool_version": __version__, "rng_seed": cfg.rng_seed,
               "stages": {k: {kk: vv for kk, vv in v.items()
-                             if kk not in ("outputs", "wall_time_s")}
+                             if kk not in ("outputs", "wall_time_s", "counters")}
                          for k, v in manifest.get("stages", {}).items()},
               "summary": summary}
     write_json(outdir / REPORT_JSON, report)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
 from .errors import CalibrationError, CoverageError, DimensionExplosionError
-from .flow import FlowModel, IntegratorConfig, sample_path
+from .flow import FlowModel, IntegratorConfig, sample_path, walk_open_rows
 
 Array = np.ndarray
 
@@ -55,6 +55,9 @@ _PRUNE_MIN_POINTS = 128
 # exceed this many per ball and _MIN_REGISTRATIONS in all
 _BUCKETS_PER_BALL = 64
 _MIN_REGISTRATIONS = 1 << 18
+# calibration walks the probe clouds of as many centers at once as fit in
+# this many rows
+_CALIBRATE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,34 +440,29 @@ def _probe_directions(dimension: int, boundary_samples: int, rng: np.random.Gene
     return np.concatenate(dirs, axis=0)
 
 
-def _evolved_diameters(model: FlowModel, centers: Array, deltas: Array, dirs: Array,
-                       horizon: float, time_samples: int, cfg: IntegratorConfig) -> Array:
-    """Empirical sup over the time grid of the diameter of each evolved ball.
-
-    dirs has shape (N, P, d); point cloud n is centers[n] + deltas[n]*dirs[n].
-    Each evolved cloud at each sample time is one point set of
-    :func:`diameters`. The estimate is a lower bound on the true diameter
-    (finitely many probe points and sample times).
-    """
-    n, p, d = dirs.shape
-    clouds = centers[:, None, :] + deltas[:, None, None] * dirs
-    _, states = sample_path(model, clouds.reshape(-1, d), horizon, time_samples, cfg)
-    states = states.reshape(n, p, time_samples, d)
-    return diameters(states.transpose(0, 2, 1, 3)).max(axis=1)
-
-
 def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: float,
                      cfg: IntegratorConfig, boundary_samples: int = 32, *,
                      delta_max: float, delta_min: float = 1e-9,
                      time_samples: int = 17, rel_tol: float = 0.01,
-                     seed: int = 0) -> Array:
+                     seed: int = 0, counters: dict | None = None) -> Array:
     """Largest radius per center keeping the evolved-ball diameter within epsilon.
 
     Bisection to ``rel_tol`` relative accuracy, run on all centers at once.
-    Probe clouds use the 2d axis points plus ``boundary_samples`` random unit
-    directions drawn from a per-center stream of ``seed``. Radii are capped
-    at ``delta_max``; if the target diameter is unreachable even at
-    ``delta_min`` a CalibrationError is raised.
+    Probe clouds use the center, the 2d axis points and ``boundary_samples``
+    random unit directions drawn from a per-center stream of ``seed``. A
+    radius is feasible when the cloud's diameter (:func:`diameters`) stays
+    within epsilon at every one of ``time_samples`` uniform times over the
+    horizon; the estimate is a lower bound on the true diameter (finitely
+    many probe points and sample times). Radii are capped at ``delta_max``;
+    if the target diameter is unreachable even at ``delta_min`` a
+    CalibrationError is raised.
+
+    The center's orbit is the same in every round, so it is integrated
+    once. Each round walks the other probes with
+    :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
+    first sample time its diameter exceeds epsilon. When ``counters`` is
+    given, "bisection_rounds" and "rows_dropped" (probe rows that stopped
+    before the horizon) are added to it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -478,15 +476,35 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         _probe_directions(d, boundary_samples, derive_rng(seed, STREAM_CALIBRATION, i))
         for i in range(n)
     ])
+    p = dirs.shape[1]
+    # direction 0 is the zero vector, so this is every round's center probe
+    times, center_paths = sample_path(model, centers + delta_max * dirs[:, 0], horizon,
+                                      time_samples, cfg)
+    interval = horizon / (time_samples - 1)
+    per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
+    tally = {"bisection_rounds": 0, "rows_dropped": 0}
 
     def feasible(deltas: Array, active: Array) -> Array:
         out = np.zeros(n, dtype=bool)
         idx = np.flatnonzero(active)
-        for start in range(0, idx.size, 256):
-            part = idx[start:start + 256]
-            diam = _evolved_diameters(model, centers[part], deltas[part], dirs[part],
-                                      horizon, time_samples, cfg)
-            out[part] = diam <= epsilon
+        for start in range(0, idx.size, per_chunk):
+            part = idx[start:start + per_chunk]
+            ok = np.ones(part.size, dtype=bool)
+
+            def visit(k, rows, y):
+                # rows hold whole clouds, p - 1 probes each, in order
+                live = rows[::p - 1] // (p - 1)
+                clouds = np.concatenate([center_paths[part[live], k][:, None],
+                                         y.reshape(live.size, p - 1, d)], axis=1)
+                failed = ~(diameters(clouds) <= epsilon)
+                ok[live[failed]] = False
+                return np.repeat(failed, p - 1)
+
+            probes = centers[part, None, :] + deltas[part, None, None] * dirs[part, 1:]
+            tally["rows_dropped"] += walk_open_rows(
+                model, probes.reshape(-1, d), interval, time_samples - 1, cfg, visit,
+                times=times)
+            out[part] = ok
         return out
 
     result = np.full(n, delta_max)
@@ -507,12 +525,16 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         for _ in range(200):
             if not np.any(active):
                 break
+            tally["bisection_rounds"] += 1
             mid = np.sqrt(lo * hi)
             ok = feasible(mid, active)
             lo = np.where(active & ok, mid, lo)
             hi = np.where(active & ~ok, mid, hi)
             active &= (hi / lo) > 1.0 + rel_tol
         result[todo] = lo[todo]
+    if counters is not None:
+        for key, value in tally.items():
+            counters[key] = counters.get(key, 0) + value
     return result
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "advance_many",
     "sample_trajectory",
     "sample_path",
+    "walk_open_rows",
     "jacobian_norm",
     "jacobian_norms",
     "model_from_json",
@@ -68,13 +69,19 @@ class LinearDiagonal:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", _as_vector(self.rates, "rates"))
+        # negated once: -rates * x is (-rates) * x, and negation is exact
+        object.__setattr__(self, "_neg_rates", -self.rates)
 
     @property
     def dimension(self) -> int:
         return self.rates.shape[0]
 
     def rhs(self, x: Array) -> Array:
-        return -self.rates * x
+        return self._neg_rates * x
+
+    def rhs_into(self, xt: Array, out: Array, scratch: Array) -> None:
+        """:meth:`rhs` of a coordinate-first (d, M) batch, written into out."""
+        np.multiply(self._neg_rates[:, None], xt, out=out)
 
     def parameters(self) -> dict:
         return {"rates": self.rates.tolist()}
@@ -99,6 +106,19 @@ class Lorenz:
         out[..., 1] = x[..., 0] * (self.rho - x[..., 2]) - x[..., 1]
         out[..., 2] = x[..., 0] * x[..., 1] - self.beta * x[..., 2]
         return out
+
+    def rhs_into(self, xt: Array, out: Array, scratch: Array) -> None:
+        """:meth:`rhs` of a coordinate-first (3, M) batch, written into out
+        with the same operations; scratch is one (M,) buffer."""
+        x0, x1, x2 = xt
+        np.subtract(x1, x0, out=out[0])
+        out[0] *= self.sigma
+        np.subtract(self.rho, x2, out=scratch)
+        scratch *= x0
+        np.subtract(scratch, x1, out=out[1])
+        np.multiply(x0, x1, out=out[2])
+        np.multiply(self.beta, x2, out=scratch)
+        out[2] -= scratch
 
     def parameters(self) -> dict:
         return {"sigma": self.sigma, "rho": self.rho, "beta": self.beta}
@@ -198,6 +218,17 @@ def _substep_count(duration: float, max_step: float) -> int:
 _FINITE_CHECK_EVERY = 16
 
 
+# batches of at least this many rows of a Lorenz or LinearDiagonal model are
+# integrated coordinate-first, through the model's rhs_into; narrower ones
+# keep _rk4_step, which is cheaper for them
+_WIDE_MIN_ROWS = 512
+
+# models whose rhs acts on each row alone and elementwise, so a row's bits
+# do not depend on the batch it is integrated in: they may take the (d, M)
+# kernel, and a walker may drop their finished rows
+_ROW_WISE = (LinearDiagonal, Lorenz)
+
+
 def _rk4_step(f, y: Array, dt: float) -> Array:
     k1 = f(y)
     k2 = f(y + (0.5 * dt) * k1)
@@ -206,27 +237,78 @@ def _rk4_step(f, y: Array, dt: float) -> Array:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
-    f = model.rhs
-    y = states
+def _wide_rk4_step(model, dt: float, yt: Array):
+    """An in-place RK4 step for coordinate-first (d, M) batches shaped like yt.
+
+    It makes the scalar operations of :func:`_rk4_step` in the same order,
+    ((k1 + 2 k2) + 2 k3) + k4 included, so the results are bitwise equal;
+    only the operand order of commutative products and sums differs.
+    """
+    h = 0.5 * dt
+    w = dt / 6.0
+    stage, acc, k = np.empty_like(yt), np.empty_like(yt), np.empty_like(yt)
+    scratch = np.empty_like(yt[0])
+    f = model.rhs_into
+
+    def step(y: Array) -> Array:
+        f(y, acc, scratch)                  # acc = k1
+        np.multiply(acc, h, out=stage)
+        np.add(stage, y, out=stage)
+        f(stage, k, scratch)                # k2
+        np.multiply(k, h, out=stage)
+        np.add(stage, y, out=stage)
+        np.multiply(k, 2.0, out=k)
+        np.add(acc, k, out=acc)             # k1 + 2 k2
+        f(stage, k, scratch)                # k3
+        np.multiply(k, dt, out=stage)
+        np.add(stage, y, out=stage)
+        np.multiply(k, 2.0, out=k)
+        np.add(acc, k, out=acc)             # + 2 k3
+        f(stage, k, scratch)                # k4
+        np.add(acc, k, out=acc)
+        np.multiply(acc, w, out=acc)
+        y += acc
+        return y
+
+    return step
+
+
+def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
+                   coord_axis: int | None, in_place: bool) -> Array:
+    """n_steps calls of step, checking finiteness every _FINITE_CHECK_EVERY.
+
+    A block that ends non-finite is rerun one checked substep at a time
+    from its start, so the BlowupError names the substep and the first row
+    exactly; coord_axis is the axis of y holding the coordinates, None for
+    a single point.
+    """
     # overflow surfaces as a non-finite state, caught below; silence the
     # intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(0, n_steps, _FINITE_CHECK_EVERY):
-            y0 = y
+            y0 = y.copy() if in_place else y
             for _ in range(min(_FINITE_CHECK_EVERY, n_steps - block)):
-                y = _rk4_step(f, y, dt)
+                y = step(y)
             if not np.all(np.isfinite(y)):
-                # rerun the block one checked substep at a time to report
-                # the substep and row exactly
                 y = y0
                 for i in range(block, n_steps):
-                    y = _rk4_step(f, y, dt)
+                    y = step(y)
                     if not np.all(np.isfinite(y)):
-                        bad = int(np.flatnonzero(~np.all(np.isfinite(y), axis=-1))[0]) \
-                            if y.ndim > 1 else None
+                        bad = None if coord_axis is None else int(np.flatnonzero(
+                            ~np.all(np.isfinite(y), axis=coord_axis))[0])
                         raise BlowupError(time=t_start + (i + 1) * dt, batch_index=bad)
     return y
+
+
+def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
+    if isinstance(model, _ROW_WISE) and states.ndim == 2 and states.shape[0] >= _WIDE_MIN_ROWS:
+        yt = np.array(states.T, order="C")
+        yt = _checked_steps(_wide_rk4_step(model, dt, yt), yt, n_steps, dt, t_start,
+                            coord_axis=0, in_place=True)
+        return np.ascontiguousarray(yt.T)
+    f = model.rhs
+    return _checked_steps(lambda y: _rk4_step(f, y, dt), states, n_steps, dt, t_start,
+                          coord_axis=-1 if states.ndim > 1 else None, in_place=False)
 
 
 def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfig,
@@ -272,6 +354,58 @@ def sample_path(model: FlowModel, states: Array, horizon: float, n_samples: int,
         y = _rk4(model, y, dt_grid / n_sub, n_sub, t_start=times[k - 1])
         out[:, k] = y
     return times, out
+
+
+def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals: int,
+                   cfg: IntegratorConfig, visit, times: Array | None = None) -> int:
+    """Advance a batch along the grid 0, interval, ..., n_intervals * interval,
+    integrating only the rows whose answer is still open.
+
+    At grid point k, visit(k, rows, y) gets the caller's indices of the open
+    rows (ascending) and their states, and returns a boolean mask of the
+    rows it has decided, or None. A decided row is never visited again.
+    Rows of a Lorenz or LinearDiagonal model do not depend on each other, so
+    decided rows leave the batch and the walk ends when none is open; any
+    other model keeps every row to the end, as its rows may round
+    differently in another batch. Each interval is one :func:`advance_many`
+    call with the substeps of :func:`sample_path`; a BlowupError there names
+    the caller's row and the time from times[k - 1] (0 when times is None).
+    Returns the number of rows that left the batch before the last grid
+    point.
+    """
+    y = np.asarray(states, dtype=float)
+    rows = np.arange(y.shape[0])
+    is_open = np.ones(y.shape[0], dtype=bool)
+    drop = isinstance(model, _ROW_WISE)
+    dropped = 0
+    for k in range(n_intervals + 1):
+        if k:
+            try:
+                y = advance_many(model, y, interval, cfg,
+                                 t_start=0.0 if times is None else times[k - 1])
+            except BlowupError as err:
+                if err.batch_index is None:
+                    raise
+                raise BlowupError(time=err.time, batch_index=int(rows[err.batch_index])) from None
+        if drop:
+            live = slice(None)
+        else:
+            live = np.flatnonzero(is_open)
+            if live.shape[0] == 0:
+                continue
+        done = visit(k, rows[live], y[live])
+        if done is None or not np.any(done):
+            continue
+        done = np.asarray(done, dtype=bool)
+        if not drop:
+            is_open[live[done]] = False
+            continue
+        if k < n_intervals:
+            dropped += int(np.count_nonzero(done))
+        y, rows = y[~done], rows[~done]
+        if rows.shape[0] == 0:
+            break
+    return dropped
 
 
 def sample_trajectory(model: FlowModel, x, horizon: float, n_samples: int,

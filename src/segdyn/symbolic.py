@@ -15,7 +15,7 @@ import numpy as np
 
 from .cover import _PAIR_CHUNK, Partition
 from .errors import EncodingError
-from .flow import FlowModel, IntegratorConfig, advance_many
+from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
 from .segments import SegmentLibrary
 from .transitions import MarkovMatrix, TransitionTensor, _admissible_rows
 
@@ -92,13 +92,18 @@ class PseudoOrbit:
 def _window_states(model: FlowModel, partition: Partition, x0s: Array, length: int,
                    horizon: float, cfg: IntegratorConfig) -> Array:
     """Cell ids at times 0, T, ..., (length-1) T for a batch of points,
-    computed by one continuous integration per point."""
+    computed by one continuous integration per point. A word ends at its
+    first 0 (no cell): the orbit stops being integrated there
+    (:func:`~segdyn.flow.walk_open_rows`) and the entries after it stay 0."""
     states = np.asarray(x0s, dtype=float)
-    cells = np.empty((states.shape[0], length), dtype=np.int64)
-    cells[:, 0] = partition.assign_many(states)
-    for j in range(1, length):
-        states = advance_many(model, states, horizon, cfg)
-        cells[:, j] = partition.assign_many(states)
+    cells = np.zeros((states.shape[0], length), dtype=np.int64)
+
+    def visit(k, rows, y):
+        found = partition.assign_many(y)
+        cells[rows, k] = found
+        return found == 0
+
+    walk_open_rows(model, states, horizon, length - 1, cfg, visit)
     return cells
 
 

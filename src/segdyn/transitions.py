@@ -19,7 +19,7 @@ import numpy as np
 from ._rng import STREAM_TRANSITIONS, derive_rng
 from .cover import _PAIR_CHUNK, Partition, _squared_distances
 from .errors import SamplingError
-from .flow import FlowModel, IntegratorConfig, advance_many
+from .flow import FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
 
 Array = np.ndarray
@@ -206,31 +206,34 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
 
 def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
                        n_steps: int, samples_per_cell: int, cfg: IntegratorConfig,
-                       rng_seed: int, max_draw_factor: int = 200) -> tuple[Array, Array]:
+                       rng_seed: int, max_draw_factor: int = 200,
+                       counters: dict | None = None) -> tuple[Array, Array]:
     """Seeded cell samples and their cell itineraries over ``n_steps`` hops of T.
 
     Returns (starts of shape (M, d), itineraries of shape (M, n_steps + 1));
     itinerary entry 0 is the source cell and 0 marks an escape. Entries after
-    the first escape are zeroed: an itinerary is only trusted up to the time
-    it leaves the partition. Start points depend only on (rng_seed, cell), so
-    different n_steps see identical samples.
+    the first escape are 0: an itinerary is only trusted up to the time it
+    leaves the partition, so a sample stops being integrated there
+    (:func:`~segdyn.flow.walk_open_rows`). Start points depend only on
+    (rng_seed, cell), so different n_steps see identical samples. When
+    ``counters`` is given, "rows_dropped" (samples that stopped before the
+    last hop) is added to it.
     """
     n_cells = partition.n_cells
     starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor)
-    source = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
-
     itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
-    itins[:, 0] = source
-    states = starts
-    for step in range(1, n_steps + 1):
-        states = advance_many(model, states, horizon, cfg)
-        itins[:, step] = partition.assign_many(states)
-    # zero out everything after the first escape
-    escaped = itins == 0
-    if np.any(escaped):
-        first = np.where(escaped.any(axis=1), escaped.argmax(axis=1), n_steps + 1)
-        mask = np.arange(n_steps + 1)[None, :] >= first[:, None]
-        itins[mask] = 0
+    itins[:, 0] = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
+
+    def visit(k, rows, y):
+        if k == 0:
+            return None
+        cells = partition.assign_many(y)
+        itins[rows, k] = cells
+        return cells == 0
+
+    dropped = walk_open_rows(model, starts, horizon, n_steps, cfg, visit)
+    if counters is not None:
+        counters["rows_dropped"] = counters.get("rows_dropped", 0) + dropped
     return starts, itins
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
+from segdyn.artifacts import check_artifacts, file_digest, load_manifest, read_json, write_json
 from segdyn.atomic import _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
@@ -404,3 +404,45 @@ def test_write_json_writes_the_stdlib_indent_2_bytes(tmp_path_factory, doc):
     write_json(target, doc)
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
+    _, _, out = pipeline
+    stages = load_manifest(out)["stages"]
+    calibrate = stages["calibrate"]["counters"]
+    assert set(calibrate) == {"bisection_rounds", "rows_dropped"}
+    assert calibrate["bisection_rounds"] > 0
+    assert set(stages["transitions"]["counters"]) == {"rows_dropped"}
+    report = read_json(out / "report.json")["stages"]
+    assert all("counters" not in entry for entry in report.values())
+
+
+# SHA-256 of every output of the bundled configs/linear1d.json pipeline,
+# recorded before the live-row walker and the (d, M) RK4 kernel existed;
+# manifest.json holds wall times, so it is left out
+LINEAR1D_DIGESTS = {
+    "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
+    "cover.json": "fec37611c9674cb66080d0faefb939764a40485799b985695c3a2baf0ae2072e",
+    "entropy.json": "bf1c2b8bc36aa1d89ffa4b2b565c9d4f90945fdb09f535c00eeaebaf7817b07f",
+    "enumeration.json": "b0d03a54969f29d0acbbd6d86518a01609898e7c935671601554a298d76238bb",
+    "library/library.json": "62fec790033700ce40a30487edca657eae69472af3d990ee5c86919893942600",
+    "library/segments.csv": "5804f84f976cbd4f848981e863480093da9d1fac87ee26d540d951e3048b99f8",
+    "max_difference.csv": "81fd9d2c7e531ad4bb40a7aa1c7dbcce0503bc1563b8b3f62ef7b25f2dafdeba",
+    "report.json": "3117f84011a44a7222da38360f3fd3518d4d35d92664ceecc1526c65c733caab",
+    "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",
+    "tensors.json": "a3d681a496a63ce5e69c4e62d470f97f85348f3f376f4408074ff4d78cd17787",
+    "transitions.json": "1a02df47f67261a2c96f45ce049a4fcda5089855d0d56fa83a5646ac2abaaed1",
+    "words.json": "b55bf9c41c357db2037fcf3d812de8309642641e93edda6bc3f6b3966b66fbf2",
+}
+
+
+def test_bundled_linear1d_outputs_keep_their_bytes(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "linear1d.json"
+    out = tmp_path / "out"
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    found = {p.relative_to(out).as_posix(): file_digest(p)
+             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+    assert sorted(found) == sorted(LINEAR1D_DIGESTS)
+    changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
+    assert not changed, f"outputs whose bytes differ: {changed}"

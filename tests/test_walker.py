@@ -1,0 +1,414 @@
+"""The live-row walker and the (d, M) RK4 kernel against the loops they replace.
+
+The reference functions below are the integrator, calibration, itinerary
+and encoding loops as they were before rows could leave a batch: every row
+is integrated over the whole grid through ``_rk4_step`` with a freshly
+allocated rhs, and every answer is read off at the end. The fast paths
+must reproduce them bit for bit.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segdyn import (
+    BlowupError,
+    Cover,
+    IntegratorConfig,
+    LinearDiagonal,
+    Lorenz,
+    Partition,
+    advance_many,
+    calibrate_deltas,
+    collocate,
+    encode_many,
+    sample_itineraries,
+)
+from segdyn._rng import STREAM_CALIBRATION, derive_rng
+from segdyn.config import load_config
+from segdyn.cover import _probe_directions, diameters
+from segdyn.flow import _WIDE_MIN_ROWS, sample_path, walk_open_rows
+from segdyn.symbolic import _window_states
+from segdyn.transitions import _draw_cell_starts
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+# ---- reference loops ----------------------------------------------------
+
+def _ref_rhs(model):
+    if isinstance(model, LinearDiagonal):
+        return lambda x: -model.rates * x
+    return model.rhs
+
+
+def ref_rk4_step(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_rk4(model, states, dt, n_steps, t_start=0.0):
+    f = _ref_rhs(model)
+    y = states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in range(0, n_steps, 16):
+            y0 = y
+            for _ in range(min(16, n_steps - block)):
+                y = ref_rk4_step(f, y, dt)
+            if not np.all(np.isfinite(y)):
+                y = y0
+                for i in range(block, n_steps):
+                    y = ref_rk4_step(f, y, dt)
+                    if not np.all(np.isfinite(y)):
+                        bad = int(np.flatnonzero(~np.all(np.isfinite(y), axis=-1))[0]) \
+                            if y.ndim > 1 else None
+                        raise BlowupError(time=t_start + (i + 1) * dt, batch_index=bad)
+    return y
+
+
+def _substeps(duration, max_step):
+    return max(1, int(np.ceil(duration / max_step - 1e-9)))
+
+
+def ref_advance_many(model, states, t, cfg, t_start=0.0):
+    states = np.asarray(states, dtype=float)
+    n = _substeps(t, cfg.step)
+    return ref_rk4(model, states, t / n, n, t_start=t_start)
+
+
+def ref_sample_path(model, states, horizon, n_samples, cfg):
+    states = np.asarray(states, dtype=float)
+    times = np.linspace(0.0, horizon, n_samples)
+    dt_grid = horizon / (n_samples - 1)
+    n_sub = _substeps(dt_grid, cfg.step)
+    out = np.empty((states.shape[0], n_samples, states.shape[1]))
+    out[:, 0] = states
+    y = states
+    for k in range(1, n_samples):
+        y = ref_rk4(model, y, dt_grid / n_sub, n_sub, t_start=times[k - 1])
+        out[:, k] = y
+    return times, out
+
+
+def ref_calibrate_deltas(model, centers, horizon, epsilon, cfg, boundary_samples, *,
+                         delta_max, delta_min=1e-9, time_samples=17, rel_tol=0.01, seed=0):
+    centers = np.asarray(centers, dtype=float)
+    n, d = centers.shape
+    dirs = np.stack([_probe_directions(d, boundary_samples,
+                                       derive_rng(seed, STREAM_CALIBRATION, i))
+                     for i in range(n)])
+
+    def evolved_diameters(c, deltas, dr):
+        m, p, _ = dr.shape
+        clouds = c[:, None, :] + deltas[:, None, None] * dr
+        _, states = ref_sample_path(model, clouds.reshape(-1, d), horizon, time_samples, cfg)
+        states = states.reshape(m, p, time_samples, d)
+        return diameters(states.transpose(0, 2, 1, 3)).max(axis=1)
+
+    def feasible(deltas, active):
+        out = np.zeros(n, dtype=bool)
+        idx = np.flatnonzero(active)
+        for start in range(0, idx.size, 256):
+            part = idx[start:start + 256]
+            out[part] = evolved_diameters(centers[part], deltas[part], dirs[part]) <= epsilon
+        return out
+
+    result = np.full(n, delta_max)
+    todo = ~feasible(np.full(n, delta_max), np.ones(n, dtype=bool))
+    if np.any(todo):
+        floor_ok = feasible(np.full(n, delta_min), todo)
+        assert not np.any(todo & ~floor_ok)
+        lo, hi = np.full(n, delta_min), np.full(n, delta_max)
+        active = todo.copy()
+        for _ in range(200):
+            if not np.any(active):
+                break
+            mid = np.sqrt(lo * hi)
+            ok = feasible(mid, active)
+            lo = np.where(active & ok, mid, lo)
+            hi = np.where(active & ~ok, mid, hi)
+            active &= (hi / lo) > 1.0 + rel_tol
+        result[todo] = lo[todo]
+    return result
+
+
+def ref_sample_itineraries(model, partition, horizon, n_steps, samples_per_cell, cfg,
+                           rng_seed):
+    starts = _draw_cell_starts(partition, samples_per_cell, rng_seed)
+    itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
+    itins[:, 0] = np.repeat(np.arange(1, partition.n_cells + 1), samples_per_cell)
+    states = starts
+    for step in range(1, n_steps + 1):
+        states = ref_advance_many(model, states, horizon, cfg)
+        itins[:, step] = partition.assign_many(states)
+    escaped = itins == 0
+    if np.any(escaped):
+        first = np.where(escaped.any(axis=1), escaped.argmax(axis=1), n_steps + 1)
+        itins[np.arange(n_steps + 1)[None, :] >= first[:, None]] = 0
+    return starts, itins
+
+
+def ref_window_states(model, partition, x0s, length, horizon, cfg):
+    states = np.asarray(x0s, dtype=float)
+    cells = np.empty((states.shape[0], length), dtype=np.int64)
+    cells[:, 0] = partition.assign_many(states)
+    for j in range(1, length):
+        states = ref_advance_many(model, states, horizon, cfg)
+        cells[:, j] = partition.assign_many(states)
+    return cells
+
+
+def _zero_after_first_zero(cells):
+    dead = np.cumsum(cells == 0, axis=1) > 0
+    return np.where(dead, 0, cells)
+
+
+# ---- the (d, M) kernel --------------------------------------------------
+
+WIDTHS = [1, 3, _WIDE_MIN_ROWS - 1, _WIDE_MIN_ROWS, _WIDE_MIN_ROWS + 37, 2000]
+
+
+def _model_and_states(kind, width, seed, d):
+    rng = np.random.default_rng(seed)
+    if kind == "lorenz":
+        model = Lorenz(sigma=rng.uniform(5, 15), rho=rng.uniform(20, 35),
+                       beta=rng.uniform(1, 4))
+        states = rng.uniform([-20, -25, 0], [20, 25, 45], size=(width, 3))
+    else:
+        model = LinearDiagonal(rates=rng.uniform(-2, 5, size=d))
+        states = rng.normal(scale=3.0, size=(width, d))
+    return model, states
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["lorenz", "linear"]), width=st.sampled_from(WIDTHS),
+       seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 8, 9]),
+       t=st.floats(0.001, 0.2), step=st.sampled_from([0.001, 0.003, 0.01]))
+def test_kernel_matches_reference_bitwise(kind, width, seed, d, t, step):
+    model, states = _model_and_states(kind, width, seed, d)
+    cfg = IntegratorConfig(step=step)
+    out = advance_many(model, states, t, cfg)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, ref_advance_many(model, states, t, cfg))
+    times, path = sample_path(model, states, t, 4, cfg)
+    ref_times, ref_path = ref_sample_path(model, states, t, 4, cfg)
+    assert np.array_equal(times, ref_times) and np.array_equal(path, ref_path)
+
+
+def test_linear_rates_are_kept_as_given():
+    model = LinearDiagonal(rates=[1.5, -0.25, 0.0])
+    assert model.parameters() == {"rates": [1.5, -0.25, 0.0]}
+    x = np.array([[0.3, 2.0, -1.0]])
+    assert np.array_equal(model.rhs(x), -model.rates * x)
+
+
+def test_wide_blowup_reports_exact_step_and_row():
+    # dx/dt = 40 x grows through the largest double above the switch width;
+    # rows 300 and 301 start highest and overflow first, inside a check block
+    model = LinearDiagonal(rates=[-40.0])
+    states = np.full((_WIDE_MIN_ROWS + 5, 1), 1e290)
+    states[300:302] = 1e300
+    t, t_start, dt = 1.0, 0.25, 0.01
+    with pytest.raises(BlowupError) as ref:
+        ref_advance_many(model, states, t, IntegratorConfig(step=dt), t_start=t_start)
+    step = round((ref.value.time - t_start) / dt)
+    assert step % 16 != 0 and ref.value.batch_index == 300
+    with pytest.raises(BlowupError) as exc:
+        advance_many(model, states, t, IntegratorConfig(step=dt), t_start=t_start)
+    assert exc.value.time == ref.value.time == t_start + step * dt
+    assert exc.value.batch_index == 300
+
+
+# ---- the walker ---------------------------------------------------------
+
+def test_walker_reports_the_callers_row_after_drops():
+    # the even rows leave at t = 0; odd row 301 overflows first, and the
+    # error names it and the reference time of its grid interval
+    model = LinearDiagonal(rates=[-40.0])
+    m = 2 * _WIDE_MIN_ROWS + 10
+    states = np.full((m, 1), 1e280)
+    states[300] = 1e306          # decided at t = 0: never integrated again
+    states[301] = 1e300
+    times = np.linspace(0.0, 1.2, 7)
+    cfg = IntegratorConfig(step=0.01)
+    with pytest.raises(BlowupError) as ref:
+        ref_sample_path(model, states, 1.2, 7, cfg)
+    assert ref.value.batch_index == 300
+
+    def visit(k, rows, y):
+        return rows % 2 == 0 if k == 0 else None
+
+    with pytest.raises(BlowupError) as exc:
+        walk_open_rows(model, states, 0.2, 6, cfg, visit, times=times)
+    with pytest.raises(BlowupError) as odd:
+        ref_sample_path(model, states[1::2], 1.2, 7, cfg)
+    assert exc.value.batch_index == 301
+    assert exc.value.time == odd.value.time
+
+
+def test_decided_row_no_longer_raises():
+    # the only row that would overflow is decided at t = 0
+    model = LinearDiagonal(rates=[-40.0])
+    states = np.array([[1.0], [1e300], [2.0]])
+    cfg = IntegratorConfig(step=0.01)
+    with pytest.raises(BlowupError):
+        ref_sample_path(model, states, 1.2, 7, cfg)
+    seen = []
+
+    def visit(k, rows, y):
+        seen.append(rows.tolist())
+        return rows == 1
+
+    assert walk_open_rows(model, states, 0.2, 6, cfg, visit) == 1
+    assert seen == [[0, 1, 2]] + [[0, 2]] * 6
+
+
+def test_walker_keeps_quadratic_rows_but_hides_decided_ones(rotation2d, cfg):
+    states = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    seen = []
+
+    def visit(k, rows, y):
+        seen.append((rows.tolist(), y.copy()))
+        return rows == 1
+
+    assert walk_open_rows(rotation2d, states, 0.1, 3, cfg, visit) == 0
+    _, path = ref_sample_path(rotation2d, states, 0.3, 4, cfg)
+    assert [rows for rows, _ in seen] == [[0, 1, 2], [0, 2], [0, 2], [0, 2]]
+    for k, (rows, y) in enumerate(seen):
+        assert np.array_equal(y, path[rows, k])
+
+
+# ---- calibration --------------------------------------------------------
+
+def test_calibrate_matches_reference_on_the_bench_grid():
+    cfg = load_config(CONFIGS / "lorenz.json")
+    centers = collocate(cfg.domain, cfg.resolution)
+    kwargs = dict(delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
+                  time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+    counters = {}
+    radii = calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
+                             4, counters=counters, **kwargs)
+    ref = ref_calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon,
+                               cfg.integrator, 4, **kwargs)
+    assert np.array_equal(radii, ref)
+    assert counters["bisection_rounds"] > 0 and counters["rows_dropped"] > 0
+
+
+def test_calibrate_matches_reference_on_linear1d():
+    cfg = load_config(CONFIGS / "linear1d.json")
+    centers = collocate(cfg.domain, cfg.resolution)
+    kwargs = dict(delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
+                  time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+    radii = calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
+                             cfg.boundary_samples, **kwargs)
+    ref = ref_calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon,
+                               cfg.integrator, cfg.boundary_samples, **kwargs)
+    assert np.array_equal(radii, ref)
+
+
+def test_calibrate_clouds_failing_at_t0(linear1, cfg):
+    # a contracting cloud is widest at t = 0: every cap cloud fails there
+    # and leaves before any substep
+    centers = np.linspace(-0.5, 0.5, 7)[:, None]
+    counters = {}
+    radii = calibrate_deltas(linear1, centers, 1.0, 0.1, cfg, 5, delta_max=1.0, seed=4,
+                             counters=counters)
+    ref = ref_calibrate_deltas(linear1, centers, 1.0, 0.1, cfg, 5, delta_max=1.0, seed=4)
+    assert np.array_equal(radii, ref)
+    assert counters["rows_dropped"] >= 7 * 7
+
+
+def test_calibrate_with_no_row_dropped(linear1, cfg):
+    centers = np.array([[0.0], [0.3]])
+    counters = {}
+    radii = calibrate_deltas(linear1, centers, 1.0, 10.0, cfg, 3, delta_max=0.3, seed=2,
+                             counters=counters)
+    assert np.array_equal(radii, [0.3, 0.3])
+    assert counters == {"bisection_rounds": 0, "rows_dropped": 0}
+
+
+def test_calibrate_quadratic_matches_reference(expanding1d, cfg):
+    centers = np.array([[-0.2], [0.0], [0.4]])
+    radii = calibrate_deltas(expanding1d, centers, 1.0, 0.1, cfg, 4, delta_max=1.0, seed=6)
+    ref = ref_calibrate_deltas(expanding1d, centers, 1.0, 0.1, cfg, 4, delta_max=1.0, seed=6)
+    assert np.array_equal(radii, ref)
+
+
+# ---- itineraries and words ----------------------------------------------
+
+def _lorenz_partition(n_balls, radius, seed=3):
+    rng = np.random.default_rng(seed)
+    cfg = IntegratorConfig(step=0.005)
+    pts = advance_many(Lorenz(), rng.uniform([-12, -15, 8], [12, 15, 35], (n_balls, 3)),
+                       4.0, cfg)
+    return Partition(cover=Cover(centers=pts, radii=np.full(n_balls, radius)))
+
+
+@pytest.mark.parametrize("n_balls,radius,samples", [(60, 2.5, 12), (150, 1.5, 6)])
+def test_itineraries_match_reference(n_balls, radius, samples):
+    partition = _lorenz_partition(n_balls, radius)
+    cfg = IntegratorConfig(step=0.005)
+    counters = {}
+    starts, itins = sample_itineraries(Lorenz(), partition, 0.1, 3, samples, cfg, 21,
+                                       counters=counters)
+    ref_starts, ref_itins = ref_sample_itineraries(Lorenz(), partition, 0.1, 3, samples,
+                                                   cfg, 21)
+    assert np.array_equal(starts, ref_starts) and np.array_equal(itins, ref_itins)
+    assert counters["rows_dropped"] == np.count_nonzero(itins[:, 2] == 0)
+
+
+def test_itineraries_all_escaping_at_the_first_hop(cfg):
+    # dx/dt = 3 x carries every sample of the cover, at least 0.3 from 0,
+    # well out of it
+    model = LinearDiagonal(rates=[-3.0])
+    partition = Partition(cover=Cover(centers=np.array([[-0.6], [0.6]]),
+                                      radii=np.array([0.3, 0.3])))
+    counters = {}
+    starts, itins = sample_itineraries(model, partition, 1.0, 4, 30, cfg, 5,
+                                       counters=counters)
+    _, ref_itins = ref_sample_itineraries(model, partition, 1.0, 4, 30, cfg, 5)
+    assert np.array_equal(itins, ref_itins)
+    assert not np.any(itins[:, 1:])
+    assert counters["rows_dropped"] == starts.shape[0]
+
+
+def test_itineraries_quadratic_keep_every_row(rotation2d, cfg):
+    centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 2.0]])
+    partition = Partition(cover=Cover(centers=centers, radii=np.full(5, 0.6)))
+    counters = {}
+    _, itins = sample_itineraries(rotation2d, partition, 0.8, 3, 20, cfg, 8,
+                                  counters=counters)
+    _, ref_itins = ref_sample_itineraries(rotation2d, partition, 0.8, 3, 20, cfg, 8)
+    assert np.array_equal(itins, ref_itins)
+    assert np.any(itins == 0) and counters["rows_dropped"] == 0
+
+
+@pytest.mark.parametrize("model_name", ["lorenz", "quadratic"])
+def test_window_states_match_reference(model_name, rotation2d, cfg):
+    if model_name == "lorenz":
+        model, partition = Lorenz(), _lorenz_partition(150, 2.5)
+        rng = np.random.default_rng(8)
+        x0s = partition.cover.centers[rng.integers(0, 150, 700)] + rng.normal(size=(700, 3))
+        horizon, icfg = 0.1, IntegratorConfig(step=0.005)
+    else:
+        model, icfg, horizon = rotation2d, cfg, 0.7
+        partition = Partition(cover=Cover(
+            centers=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+            radii=np.full(4, 0.7)))
+        x0s = np.random.default_rng(9).uniform(-1.2, 1.2, size=(40, 2))
+    cells = _window_states(model, partition, x0s, 8, horizon, icfg)
+    ref = ref_window_states(model, partition, x0s, 8, horizon, icfg)
+    assert np.array_equal(cells, _zero_after_first_zero(ref))
+    assert np.any(ref[:, 1:] == 0) and np.any(cells[:, -1] > 0)
+    words = encode_many(model, partition, x0s, 8, horizon, icfg)
+    for row, w in zip(ref, words):
+        if row[0] == 0:
+            assert w is None
+        else:
+            cut = list(row).index(0) if 0 in row else len(row)
+            assert w.word == tuple(row[:cut]) and w.complete == (cut == len(row))

@@ -78,8 +78,10 @@ def _load_transitions(outdir: Path, stage: str):
 
 
 def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
-                         stream: int) -> np.ndarray:
-    """Uniform points of the domain box that lie in some cell, up to budget."""
+                         stream: int) -> tuple[np.ndarray, dict]:
+    """Uniform points of the domain box that lie in some cell, up to budget,
+    and the counters "domain_draws" (points drawn) and "covered_starts"
+    (points kept)."""
     rng = derive_rng(cfg.rng_seed, stream)
     found: list[np.ndarray] = []
     got = 0
@@ -92,9 +94,10 @@ def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
         if hit.shape[0]:
             found.append(hit[:count - got])
             got += min(hit.shape[0], count - got)
+    counters = {"domain_draws": drawn, "covered_starts": got}
     if not found:
-        return np.empty((0, cfg.domain.dimension))
-    return np.concatenate(found, axis=0)
+        return np.empty((0, cfg.domain.dimension)), counters
+    return np.concatenate(found, axis=0), counters
 
 
 def stage_calibrate(cfg: PipelineConfig, outdir: Path):
@@ -170,14 +173,15 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
 
 def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
     if cfg.initial_points is not None:
-        return np.asarray(cfg.initial_points, dtype=float)
+        return (np.asarray(cfg.initial_points, dtype=float),
+                {"domain_draws": 0, "covered_starts": 0})
     return _draw_covered_points(cfg, partition, cfg.encode_points, stream)
 
 
 def stage_encode(cfg: PipelineConfig, outdir: Path):
     cover = _load_cover(cfg, outdir, "encode")
     partition = Partition(cover=cover)
-    x0s = _initial_points(cfg, partition, STREAM_ENCODE)
+    x0s, counters = _initial_points(cfg, partition, STREAM_ENCODE)
     words = encode_many(cfg.model, partition, x0s, cfg.word_length, cfg.horizon,
                         cfg.integrator) if x0s.shape[0] else []
     entries = []
@@ -194,27 +198,23 @@ def stage_encode(cfg: PipelineConfig, outdir: Path):
         "found_starts": len(entries), "complete": n_complete, "words": entries,
     })
     print(f"encode: {len(entries)} starts, {n_complete} complete length-{cfg.word_length} words")
-    return [WORDS_JSON], {"complete_words": n_complete}
+    return [WORDS_JSON], {"complete_words": n_complete, "counters": counters}
 
 
 def stage_shadow(cfg: PipelineConfig, outdir: Path):
     cover = _load_cover(cfg, outdir, "shadow")
     lib = _load_library(outdir, "shadow")
     partition = Partition(cover=cover)
-    x0s = _initial_points(cfg, partition, STREAM_SHADOW)
-    if x0s.shape[0] == 0:
-        report = {"epsilon": cfg.epsilon, "max_error": None, "orbits": 0,
-                  "complete_orbits": 0, "requested_length": cfg.word_length,
-                  "per_orbit": []}
-    else:
-        report = shadowing_report(cfg.model, lib, partition, x0s,
-                                  cfg.word_length, cfg.integrator)
+    x0s, counters = _initial_points(cfg, partition, STREAM_SHADOW)
+    report = shadowing_report(cfg.model, lib, partition, x0s, cfg.word_length,
+                              cfg.integrator)
     report["requested_points"] = cfg.encode_points
     write_json(outdir / SHADOW_REPORT_JSON, report)
     print(f"shadow: {report['orbits']} orbits ({report['complete_orbits']} complete), "
           f"max error {report['max_error']} vs epsilon {report['epsilon']}")
     return [SHADOW_REPORT_JSON], {"max_error": report["max_error"],
-                                  "complete_orbits": report["complete_orbits"]}
+                                  "complete_orbits": report["complete_orbits"],
+                                  "counters": counters}
 
 
 def _check_start_cell(field: str, cell: int, n_cells: int) -> None:

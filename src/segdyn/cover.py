@@ -15,8 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
-from .errors import CalibrationError, CoverageError, DimensionExplosionError
-from .flow import FlowModel, IntegratorConfig, sample_path, walk_open_rows
+from .errors import BlowupError, CalibrationError, CoverageError, DimensionExplosionError
+from .flow import (
+    _ROW_WISE, _WIDE_MIN_ROWS, FlowModel, IntegratorConfig, sample_path, walk_open_rows,
+)
 
 Array = np.ndarray
 
@@ -55,9 +57,13 @@ _PRUNE_MIN_POINTS = 128
 # exceed this many per ball and _MIN_REGISTRATIONS in all
 _BUCKETS_PER_BALL = 64
 _MIN_REGISTRATIONS = 1 << 18
-# calibration walks the probe clouds of as many centers at once as fit in
-# this many rows
+# calibration walks as many probe clouds at once as fit in this many rows
 _CALIBRATE_ROWS = 1 << 14
+# a narrow calibration evaluates as many bisection rounds per walk as keep
+# the walk within this many probe rows (BENCH_12.json, speculation_depth)
+_SPECULATE_ROWS = 2048
+# bisection rounds per calibration, at most
+_MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,6 +446,20 @@ def _probe_directions(dimension: int, boundary_samples: int, rng: np.random.Gene
     return np.concatenate(dirs, axis=0)
 
 
+def _mid_tree(lo: Array, hi: Array, depth: int) -> Array:
+    """Every mid that the next ``depth`` bisection rounds can ask for, per
+    row, computed as the rounds compute them: column 0 is sqrt(lo * hi), and
+    column c's mid has the children 2c + 1, taken when it fails (hi becomes
+    the mid), and 2c + 2, taken when it holds (lo becomes the mid)."""
+    mids = np.empty((lo.shape[0], 2 ** depth - 1))
+    los, his = [lo], [hi]
+    for c in range(mids.shape[1]):
+        mids[:, c] = np.sqrt(los[c] * his[c])
+        los += [los[c], mids[:, c]]
+        his += [mids[:, c], his[c]]
+    return mids
+
+
 def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: float,
                      cfg: IntegratorConfig, boundary_samples: int = 32, *,
                      delta_max: float, delta_min: float = 1e-9,
@@ -455,14 +475,21 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     horizon; the estimate is a lower bound on the true diameter (finitely
     many probe points and sample times). Radii are capped at ``delta_max``;
     if the target diameter is unreachable even at ``delta_min`` a
-    CalibrationError is raised.
+    CalibrationError is raised. A BlowupError names the center whose probe
+    orbit overflowed.
 
-    The center's orbit is the same in every round, so it is integrated
-    once. Each round walks the other probes with
+    The center's orbit is the same for every radius, so it is integrated
+    once. A pass walks the other probes of a set of clouds with
     :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
-    first sample time its diameter exceeds epsilon. When ``counters`` is
-    given, "bisection_rounds" and "rows_dropped" (probe rows that stopped
-    before the horizon) are added to it.
+    first sample time its diameter exceeds epsilon. When the call is narrow
+    (fewer than ``flow._WIDE_MIN_ROWS`` probe rows per radius) and its rows
+    do not depend on each other, a pass carries every mid that the next s
+    rounds can ask for, as many rounds as fit in ``_SPECULATE_ROWS`` probe
+    rows, and the first pass also carries the cap and floor radii; the
+    rounds then replay from those verdicts, so the radii are those of one
+    pass per round. When ``counters`` is given, "bisection_rounds",
+    "probe_passes" and "rows_dropped" (probe rows that stopped before the
+    horizon) are added to it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -477,18 +504,32 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         for i in range(n)
     ])
     p = dirs.shape[1]
-    # direction 0 is the zero vector, so this is every round's center probe
-    times, center_paths = sample_path(model, centers + delta_max * dirs[:, 0], horizon,
-                                      time_samples, cfg)
+
+    def blowup(err: BlowupError, center: int) -> BlowupError:
+        return BlowupError(time=err.time, message=(
+            f"center {center + 1} at {centers[center].tolist()}: probe orbit became "
+            f"non-finite at t~{err.time:.6g}"))
+
+    # direction 0 is the zero vector, so this is every cloud's center probe
+    try:
+        times, center_paths = sample_path(model, centers + delta_max * dirs[:, 0], horizon,
+                                          time_samples, cfg)
+    except BlowupError as err:
+        raise blowup(err, err.batch_index) from None
     interval = horizon / (time_samples - 1)
     per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
-    tally = {"bisection_rounds": 0, "rows_dropped": 0}
+    tally = {"bisection_rounds": 0, "probe_passes": 0, "rows_dropped": 0}
+    speculate = isinstance(model, _ROW_WISE) and n * (p - 1) < _WIDE_MIN_ROWS
 
-    def feasible(deltas: Array, active: Array) -> Array:
-        out = np.zeros(n, dtype=bool)
-        idx = np.flatnonzero(active)
-        for start in range(0, idx.size, per_chunk):
-            part = idx[start:start + per_chunk]
+    def feasible(idx: Array, deltas: Array) -> Array:
+        """Whether the cloud of radius deltas[i, c] about center idx[i] stays
+        within epsilon, for every column c; one pass, in chunks of clouds."""
+        tally["probe_passes"] += 1
+        owner = np.repeat(idx, deltas.shape[1])
+        radius = deltas.ravel()
+        out = np.empty(owner.size, dtype=bool)
+        for start in range(0, owner.size, per_chunk):
+            part = owner[start:start + per_chunk]
             ok = np.ones(part.size, dtype=bool)
 
             def visit(k, rows, y):
@@ -500,37 +541,67 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
                 ok[live[failed]] = False
                 return np.repeat(failed, p - 1)
 
-            probes = centers[part, None, :] + deltas[part, None, None] * dirs[part, 1:]
-            tally["rows_dropped"] += walk_open_rows(
-                model, probes.reshape(-1, d), interval, time_samples - 1, cfg, visit,
-                times=times)
-            out[part] = ok
-        return out
+            probes = (centers[part, None, :]
+                      + radius[start:start + per_chunk, None, None] * dirs[part, 1:])
+            try:
+                tally["rows_dropped"] += walk_open_rows(
+                    model, probes.reshape(-1, d), interval, time_samples - 1, cfg, visit,
+                    times=times)
+            except BlowupError as err:
+                raise blowup(err, int(part[err.batch_index // (p - 1)])) from None
+            out[start:start + per_chunk] = ok
+        return out.reshape(deltas.shape)
 
+    def depth(count: int, fixed: int) -> int:
+        """Rounds one pass answers for count centers that also carry ``fixed``
+        radii each: 1, or on a speculating call the most that fit."""
+        s = 1
+        while (speculate and tally["bisection_rounds"] + s < _MAX_ROUNDS
+               and count * (p - 1) * (fixed + 2 ** (s + 1) - 1) <= _SPECULATE_ROWS):
+            s += 1
+        return s
+
+    everyone = np.arange(n)
+    lo, hi = np.full(n, delta_min), np.full(n, delta_max)
+    radii = [hi[:, None]]
+    if speculate:
+        radii += [lo[:, None], _mid_tree(lo, hi, depth(n, 2))]
+    verdicts = feasible(everyone, np.concatenate(radii, axis=1))
     result = np.full(n, delta_max)
-    all_on = np.ones(n, dtype=bool)
-    cap_ok = feasible(np.full(n, delta_max), all_on)
-    todo = ~cap_ok
+    todo = ~verdicts[:, 0]
     if np.any(todo):
-        floor_ok = feasible(np.full(n, delta_min), todo)
+        # tree holds each center's verdicts on the mids of _mid_tree
+        if speculate:
+            floor_ok, tree = verdicts[:, 1], verdicts[:, 2:]
+        else:
+            floor_ok, tree = np.ones(n, dtype=bool), None
+            floor_ok[todo] = feasible(everyone[todo], lo[todo, None])[:, 0]
         bad = todo & ~floor_ok
         if np.any(bad):
             first = int(np.flatnonzero(bad)[0])
             raise CalibrationError(
                 f"center {first + 1} at {centers[first].tolist()}: evolved-ball diameter "
                 f"exceeds epsilon={epsilon} even at the minimum radius {delta_min}")
-        lo = np.full(n, delta_min)
-        hi = np.full(n, delta_max)
         active = todo.copy()
-        for _ in range(200):
-            if not np.any(active):
-                break
-            tally["bisection_rounds"] += 1
-            mid = np.sqrt(lo * hi)
-            ok = feasible(mid, active)
-            lo = np.where(active & ok, mid, lo)
-            hi = np.where(active & ~ok, mid, hi)
-            active &= (hi / lo) > 1.0 + rel_tol
+        while np.any(active) and tally["bisection_rounds"] < _MAX_ROUNDS:
+            if tree is None:
+                idx = np.flatnonzero(active)
+                s = depth(idx.size, 0)
+                tree = np.zeros((n, 2 ** s - 1), dtype=bool)
+                tree[idx] = feasible(idx, _mid_tree(lo[idx], hi[idx], s))
+            # replay the rounds the tree answers; pos is each center's next mid
+            pos = np.zeros(n, dtype=np.int64)
+            for _ in range(tree.shape[1].bit_length()):
+                if not np.any(active) or tally["bisection_rounds"] == _MAX_ROUNDS:
+                    break
+                tally["bisection_rounds"] += 1
+                mid = np.sqrt(lo * hi)
+                ok = tree[everyone, pos]
+                lo = np.where(active & ok, mid, lo)
+                hi = np.where(active & ~ok, mid, hi)
+                active &= (hi / lo) > 1.0 + rel_tol
+                pos = 2 * pos + 1 + ok
+            tree = None
         result[todo] = lo[todo]
     if counters is not None:
         for key, value in tally.items():

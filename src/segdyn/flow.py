@@ -371,9 +371,11 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     call with the substeps of :func:`sample_path`; a BlowupError there names
     the caller's row and the time from times[k - 1] (0 when times is None).
     Returns the number of rows that left the batch before the last grid
-    point.
+    point; an empty batch is never visited.
     """
     y = np.asarray(states, dtype=float)
+    if y.shape[0] == 0:
+        return 0
     rows = np.arange(y.shape[0])
     is_open = np.ones(y.shape[0], dtype=bool)
     drop = isinstance(model, _ROW_WISE)

@@ -155,63 +155,86 @@ def reconstruct_pseudo_orbit(lib: SegmentLibrary, word: SymbolSequence) -> Pseud
     return PseudoOrbit(word=word, times=times, states=states)
 
 
+def _shadow_walk(model: FlowModel, x0s: Array, segments: Array, horizon: float,
+                 length: int, cfg: IntegratorConfig, assign) -> tuple[Array, Array]:
+    """Words of up to ``length`` windows and their shadowing errors, from one
+    integration per start on the segment grid: segments has shape (S, K, d),
+    and the walk steps horizon / (K - 1) at a time
+    (:func:`~segdyn.flow.walk_open_rows`).
+
+    At the start of window j, assign(j, y) names each state's segment,
+    1..S, or 0 to end its word there. At every grid point the state is
+    compared with its segment's sample; at a junction, with the last sample
+    of the outgoing segment and the first of the incoming one. An orbit
+    leaves the walk when its word ends. Returns the segment ids, 0 from a
+    word's end on, and each orbit's largest distance.
+    """
+    last = segments.shape[1] - 1
+    cells = np.zeros((x0s.shape[0], length), dtype=np.int64)
+    errors = np.zeros(x0s.shape[0])
+
+    def compare(rows, y, seg, k):
+        dist = np.linalg.norm(segments[seg - 1, k] - y, axis=1)
+        errors[rows] = np.maximum(errors[rows], dist)
+
+    def visit(g, rows, y):
+        j, k = divmod(g, last)
+        if k:
+            compare(rows, y, cells[rows, j], k)
+            return None
+        if j:
+            compare(rows, y, cells[rows, j - 1], last)
+        if j == length:
+            return None
+        found = assign(j, y)
+        cells[rows, j] = found
+        inside = found > 0
+        compare(rows[inside], y[inside], found[inside], 0)
+        return ~inside
+
+    interval = horizon / last
+    walk_open_rows(model, x0s, interval, length * last, cfg, visit,
+                   times=np.arange(length * last + 1) * interval)
+    return cells, errors
+
+
 def shadowing_error(model: FlowModel, x0, pseudo: PseudoOrbit,
                     cfg: IntegratorConfig) -> float:
     """Max distance between the true orbit of x0 and the pseudo-orbit on the
     global sample grid. The true orbit is integrated once, continuously; at
     window junctions both retained pseudo-orbit values are compared."""
     x0 = np.asarray(x0, dtype=float)
-    return float(_shadowing_errors(model, x0[None, :], [pseudo], cfg)[0])
-
-
-def _shadowing_errors(model: FlowModel, x0s: Array, pseudos: Sequence[PseudoOrbit],
-                      cfg: IntegratorConfig) -> Array:
-    """Shadowing errors for a batch of orbits against same-grid pseudo-orbits."""
-    grid = pseudos[0].times
-    for p in pseudos[1:]:
-        if p.times.shape != grid.shape or not np.array_equal(p.times, grid):
-            raise ValueError("all pseudo-orbits must share one global grid")
-    # The grid repeats junction times; integrate over the unique times and
-    # compare each pseudo sample against the matching true state.
-    unique_times, inverse = np.unique(grid, return_inverse=True)
-    states = np.asarray(x0s, dtype=float)
-    errors = np.zeros(states.shape[0])
-    pstack = np.stack([p.states for p in pseudos])
-    prev_t = 0.0
-    for k, t in enumerate(unique_times):
-        if t > prev_t:
-            states = advance_many(model, states, t - prev_t, cfg, t_start=prev_t)
-            prev_t = t
-        for col in np.flatnonzero(inverse == k):
-            dist = np.linalg.norm(pstack[:, col, :] - states, axis=1)
-            np.maximum(errors, dist, out=errors)
-    return errors
+    length = len(pseudo.word)
+    windows = pseudo.states.reshape(length, -1, pseudo.states.shape[1])
+    # window j of the pseudo-orbit is the walk's segment j + 1
+    _, errors = _shadow_walk(model, x0[None, :], windows,
+                             float(pseudo.times[windows.shape[1] - 1]), length, cfg,
+                             lambda j, y: np.array([j + 1]))
+    return float(errors[0])
 
 
 def shadowing_report(model: FlowModel, lib: SegmentLibrary, partition: Partition,
                      x0s: Array, length: int, cfg: IntegratorConfig) -> dict:
-    """Encode a batch of points and verify their pseudo-orbits in one pass.
+    """Encode a batch of points and verify their pseudo-orbits in one walk.
 
     Incomplete encodings are verified over their truncated prefix. Points
-    outside every cell are reported but carry no error value.
+    outside every cell are reported but carry no error value. The words are
+    those of :func:`encode_many` whenever the walk's substep, horizon / (K -
+    1) / n_sub, has the same bits as encode's horizon / n.
     """
-    x0s = np.asarray(x0s, dtype=float)
-    words = encode_many(model, partition, x0s, length, lib.horizon, cfg)
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
+    x0s = np.asarray(x0s, dtype=float).reshape(-1, lib.dimension)
+    cells, errs = _shadow_walk(model, x0s, lib.states, lib.horizon, length, cfg,
+                               lambda j, y: partition.assign_many(y))
     per_orbit = []
-    by_length: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        if w is None or len(w) == 0:
-            per_orbit.append({"x0": x0s[i].tolist(), "word_length": 0,
-                              "complete": False, "error": None})
+    for x0, row, err in zip(x0s.tolist(), cells, errs.tolist()):
+        if row[0] == 0:
+            per_orbit.append({"x0": x0, "word_length": 0, "complete": False, "error": None})
             continue
-        per_orbit.append(None)
-        by_length.setdefault(len(w), []).append(i)
-    for wlen, rows in by_length.items():
-        pseudos = [reconstruct_pseudo_orbit(lib, words[i]) for i in rows]
-        errs = _shadowing_errors(model, x0s[rows], pseudos, cfg)
-        for i, e in zip(rows, errs):
-            per_orbit[i] = {"x0": x0s[i].tolist(), "word_length": len(words[i]),
-                            "complete": words[i].complete, "error": float(e)}
+        word = _truncate(row, lib.horizon)
+        per_orbit.append({"x0": x0, "word_length": len(word), "complete": word.complete,
+                          "error": err})
     errors = [r["error"] for r in per_orbit if r["error"] is not None]
     n_complete = sum(1 for r in per_orbit if r["complete"])
     return {

@@ -50,8 +50,9 @@ from segdyn.config import load_config
 from segdyn.cover import _INDEX_MIN_BALLS, BoxDomain, cover_from_json, largest_ball
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
-from segdyn.symbolic import _shadowing_errors, reconstruct_pseudo_orbit
+from segdyn.symbolic import reconstruct_pseudo_orbit
 from segdyn.transitions import MarkovMatrix, transitions_from_itineraries, transitions_to_json
+from test_walker import ref_shadowing_errors
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LORENZ_CONFIG = REPO_ROOT / "configs" / "lorenz.json"
@@ -160,7 +161,7 @@ def test_criterion_01_epsilon_shadowing_lorenz_grid(run1):
 
     if total_complete >= 100:
         pseudos = [reconstruct_pseudo_orbit(lib, words[i]) for i in complete_idx]
-        errors = _shadowing_errors(model, extra[complete_idx], pseudos, icfg)
+        errors = ref_shadowing_errors(model, extra[complete_idx], pseudos, icfg)
         shadow_errors = [r["error"] for r in shadow["per_orbit"] if r["complete"]]
         worst = max([*errors, *shadow_errors])
         record(1, worst <= epsilon + 1e-6,

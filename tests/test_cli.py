@@ -154,6 +154,46 @@ def test_runtime_error_exit_code(tmp_path):
     assert main(["calibrate", "--config", str(config)]) == 2
 
 
+def test_calibration_blowup_names_the_center(tmp_path, capsys):
+    # the center probe of center 8, the largest start, overflows first
+    config = _write_config(tmp_path, {
+        "model": {"model_id": "QuadraticGeneric", "dimension": 1,
+                  "parameters": {"linear": [[0.0]], "quadratic": [[[1.0]]],
+                                 "forcing": [0.0]}},
+        "domain": {"lower": [0.5], "upper": [4.0]},
+        "horizon": 3.0,
+        "integrator_step": 0.01,
+    })
+    capsys.readouterr()
+    assert main(["calibrate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: center 8 at [3.78125]: probe orbit became non-finite at t~")
+    assert err.count("\n") == 1
+
+
+def test_no_covered_start_gives_empty_words_and_shadow(tmp_path):
+    # four balls of radius at most 0.02 in [-1, 1]^2: the single draw the
+    # budget allows misses them all
+    config = _write_config(tmp_path, {
+        "model": {"model_id": "LinearDiagonal", "dimension": 2,
+                  "parameters": {"rates": [1.0, 1.0]}},
+        "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "resolution": [2, 2],
+        "delta_cap_fraction": 0.01,
+        "encode_draw_budget": 1,
+    })
+    for stage in ["calibrate", "segments", "encode", "shadow"]:
+        assert main([stage, "--config", str(config)]) == 0
+    out = Path(json.loads(config.read_text())["output_dir"])
+    assert read_json(out / "words.json")["words"] == []
+    assert read_json(out / "shadow_report.json") == {
+        "epsilon": 0.5, "max_error": None, "orbits": 0, "complete_orbits": 0,
+        "requested_length": 6, "per_orbit": [], "requested_points": 20}
+    stages = load_manifest(out)["stages"]
+    for stage in ("encode", "shadow"):
+        assert stages[stage]["counters"] == {"domain_draws": 1, "covered_starts": 0}
+
+
 def test_single_cell_fixture_has_zero_entropies(tmp_path):
     config = _write_config(tmp_path, {"resolution": [1], "word_length": 3})
     for stage in ["calibrate", "segments", "transitions", "entropy"]:
@@ -410,9 +450,15 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
     _, _, out = pipeline
     stages = load_manifest(out)["stages"]
     calibrate = stages["calibrate"]["counters"]
-    assert set(calibrate) == {"bisection_rounds", "rows_dropped"}
+    assert set(calibrate) == {"bisection_rounds", "probe_passes", "rows_dropped"}
     assert calibrate["bisection_rounds"] > 0
+    # the eight narrow LinearDiagonal clouds answer several rounds per walk
+    assert calibrate["probe_passes"] < calibrate["bisection_rounds"] + 2
     assert set(stages["transitions"]["counters"]) == {"rows_dropped"}
+    for stage in ("encode", "shadow"):
+        draws = stages[stage]["counters"]
+        assert set(draws) == {"domain_draws", "covered_starts"}
+        assert draws["covered_starts"] == 20 and draws["domain_draws"] >= 20
     report = read_json(out / "report.json")["stages"]
     assert all("counters" not in entry for entry in report.values())
 

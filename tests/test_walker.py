@@ -3,8 +3,10 @@
 The reference functions below are the integrator, calibration, itinerary
 and encoding loops as they were before rows could leave a batch: every row
 is integrated over the whole grid through ``_rk4_step`` with a freshly
-allocated rhs, and every answer is read off at the end. The fast paths
-must reproduce them bit for bit.
+allocated rhs, every answer is read off at the end, and calibration walks
+once per bisection round. The fast paths must reproduce them bit for bit.
+The shadowing reference is the two-pass check: encode, then integrate each
+word length's orbits again over the pseudo-orbit's grid.
 """
 from pathlib import Path
 
@@ -15,16 +17,22 @@ from hypothesis import strategies as st
 
 from segdyn import (
     BlowupError,
+    CalibrationError,
     Cover,
     IntegratorConfig,
     LinearDiagonal,
     Lorenz,
     Partition,
+    QuadraticGeneric,
     advance_many,
+    build_segments,
     calibrate_deltas,
     collocate,
     encode_many,
+    reconstruct_pseudo_orbit,
     sample_itineraries,
+    shadowing_error,
+    shadowing_report,
 )
 from segdyn._rng import STREAM_CALIBRATION, derive_rng
 from segdyn.config import load_config
@@ -122,7 +130,12 @@ def ref_calibrate_deltas(model, centers, horizon, epsilon, cfg, boundary_samples
     todo = ~feasible(np.full(n, delta_max), np.ones(n, dtype=bool))
     if np.any(todo):
         floor_ok = feasible(np.full(n, delta_min), todo)
-        assert not np.any(todo & ~floor_ok)
+        bad = todo & ~floor_ok
+        if np.any(bad):
+            first = int(np.flatnonzero(bad)[0])
+            raise CalibrationError(
+                f"center {first + 1} at {centers[first].tolist()}: evolved-ball diameter "
+                f"exceeds epsilon={epsilon} even at the minimum radius {delta_min}")
         lo, hi = np.full(n, delta_min), np.full(n, delta_max)
         active = todo.copy()
         for _ in range(200):
@@ -161,6 +174,50 @@ def ref_window_states(model, partition, x0s, length, horizon, cfg):
         states = ref_advance_many(model, states, horizon, cfg)
         cells[:, j] = partition.assign_many(states)
     return cells
+
+
+def ref_shadowing_errors(model, x0s, pseudos, cfg):
+    """Shadowing errors for a batch of orbits against same-grid pseudo-orbits."""
+    grid = pseudos[0].times
+    for p in pseudos[1:]:
+        if p.times.shape != grid.shape or not np.array_equal(p.times, grid):
+            raise ValueError("all pseudo-orbits must share one global grid")
+    # The grid repeats junction times; integrate over the unique times and
+    # compare each pseudo sample against the matching true state.
+    unique_times, inverse = np.unique(grid, return_inverse=True)
+    states = np.asarray(x0s, dtype=float)
+    errors = np.zeros(states.shape[0])
+    pstack = np.stack([p.states for p in pseudos])
+    prev_t = 0.0
+    for k, t in enumerate(unique_times):
+        if t > prev_t:
+            states = advance_many(model, states, t - prev_t, cfg, t_start=prev_t)
+            prev_t = t
+        for col in np.flatnonzero(inverse == k):
+            dist = np.linalg.norm(pstack[:, col, :] - states, axis=1)
+            np.maximum(errors, dist, out=errors)
+    return errors
+
+
+def ref_shadowing_report(model, lib, partition, x0s, length, cfg):
+    x0s = np.asarray(x0s, dtype=float)
+    words = encode_many(model, partition, x0s, length, lib.horizon, cfg)
+    per_orbit = []
+    by_length = {}
+    for i, w in enumerate(words):
+        if w is None or len(w) == 0:
+            per_orbit.append({"x0": x0s[i].tolist(), "word_length": 0,
+                              "complete": False, "error": None})
+            continue
+        per_orbit.append(None)
+        by_length.setdefault(len(w), []).append(i)
+    for wlen, rows in by_length.items():
+        pseudos = [reconstruct_pseudo_orbit(lib, words[i]) for i in rows]
+        errs = ref_shadowing_errors(model, x0s[rows], pseudos, cfg)
+        for i, e in zip(rows, errs):
+            per_orbit[i] = {"x0": x0s[i].tolist(), "word_length": len(words[i]),
+                            "complete": words[i].complete, "error": float(e)}
+    return per_orbit
 
 
 def _zero_after_first_zero(cells):
@@ -297,6 +354,8 @@ def test_calibrate_matches_reference_on_the_bench_grid():
                                cfg.integrator, 4, **kwargs)
     assert np.array_equal(radii, ref)
     assert counters["bisection_rounds"] > 0 and counters["rows_dropped"] > 0
+    # a wide call walks once for the cap, once for the floor and once per round
+    assert counters["probe_passes"] == counters["bisection_rounds"] + 2
 
 
 def test_calibrate_matches_reference_on_linear1d():
@@ -304,11 +363,15 @@ def test_calibrate_matches_reference_on_linear1d():
     centers = collocate(cfg.domain, cfg.resolution)
     kwargs = dict(delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
                   time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+    counters = {}
     radii = calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
-                             cfg.boundary_samples, **kwargs)
+                             cfg.boundary_samples, counters=counters, **kwargs)
     ref = ref_calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon,
                                cfg.integrator, cfg.boundary_samples, **kwargs)
     assert np.array_equal(radii, ref)
+    # a narrow call answers several rounds per walk
+    assert counters["bisection_rounds"] > 0
+    assert counters["probe_passes"] < counters["bisection_rounds"] + 2
 
 
 def test_calibrate_clouds_failing_at_t0(linear1, cfg):
@@ -329,7 +392,7 @@ def test_calibrate_with_no_row_dropped(linear1, cfg):
     radii = calibrate_deltas(linear1, centers, 1.0, 10.0, cfg, 3, delta_max=0.3, seed=2,
                              counters=counters)
     assert np.array_equal(radii, [0.3, 0.3])
-    assert counters == {"bisection_rounds": 0, "rows_dropped": 0}
+    assert counters == {"bisection_rounds": 0, "probe_passes": 1, "rows_dropped": 0}
 
 
 def test_calibrate_quadratic_matches_reference(expanding1d, cfg):
@@ -337,6 +400,93 @@ def test_calibrate_quadratic_matches_reference(expanding1d, cfg):
     radii = calibrate_deltas(expanding1d, centers, 1.0, 0.1, cfg, 4, delta_max=1.0, seed=6)
     ref = ref_calibrate_deltas(expanding1d, centers, 1.0, 0.1, cfg, 4, delta_max=1.0, seed=6)
     assert np.array_equal(radii, ref)
+
+
+def _calibration_case(kind, wide, rng):
+    """A model and centers whose probe rows per radius, n (p - 1), lie on
+    the given side of _WIDE_MIN_ROWS."""
+    if kind == "lorenz":
+        model, d = Lorenz(), 3
+        centers = rng.uniform([-15, -20, 5], [15, 20, 40], size=(8, 3))
+    else:
+        d = 1
+        a, b = rng.uniform(-3, 3), rng.uniform(-2, 2)
+        model = (LinearDiagonal(rates=[a]) if kind == "linear" else
+                 QuadraticGeneric(linear=[[-a]], quadratic=[[[b]]], forcing=[0.0]))
+        centers = rng.uniform(-1, 1, size=(8, 1))
+    if wide:
+        n, boundary = 8, 64 - 2 * d
+    else:
+        n, boundary = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+    assert (n * (2 * d + boundary) >= _WIDE_MIN_ROWS) == wide
+    return model, centers[:n], boundary
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["linear", "lorenz", "quadratic"]), wide=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), rel_tol=st.sampled_from([0.0, 0.01, 0.3]),
+       epsilon=st.floats(0.02, 3.0), delta_max=st.floats(0.01, 1.0),
+       floor=st.sampled_from([1e-9, 1e-3, 0.5]), time_samples=st.sampled_from([2, 3, 5]))
+def test_calibrate_matches_reference_bitwise(kind, wide, seed, rel_tol, epsilon, delta_max,
+                                             floor, time_samples):
+    # a floor at half the cap can fail on its own; rel_tol = 0 runs to the
+    # 200-round cap; a cap above epsilon / 2 fails at t = 0
+    rng = np.random.default_rng(seed)
+    model, centers, boundary = _calibration_case(kind, wide, rng)
+    kwargs = dict(delta_max=delta_max, delta_min=floor * delta_max,
+                  time_samples=time_samples, rel_tol=rel_tol, seed=seed % 1000)
+    cfg = IntegratorConfig(step=0.02)
+    try:
+        ref = ref_calibrate_deltas(model, centers, 0.2, epsilon, cfg, boundary, **kwargs)
+    except CalibrationError as err:
+        with pytest.raises(CalibrationError) as exc:
+            calibrate_deltas(model, centers, 0.2, epsilon, cfg, boundary, **kwargs)
+        assert str(exc.value) == str(err)
+        return
+    counters = {}
+    radii = calibrate_deltas(model, centers, 0.2, epsilon, cfg, boundary, counters=counters,
+                             **kwargs)
+    assert np.array_equal(radii, ref)
+    bisected = bool(np.any(radii < delta_max))
+    if rel_tol == 0 and bisected:
+        assert counters["bisection_rounds"] == 200
+    if wide or kind == "quadratic":
+        assert counters["probe_passes"] == counters["bisection_rounds"] + (2 if bisected else 1)
+
+
+@pytest.mark.parametrize("model_name", ["quadratic", "lorenz"])
+def test_calibrate_mixes_cap_feasible_and_bisected_centers(model_name, cfg):
+    # clouds near the unstable point 1 of dx/dt = -x + x^2, or far out on the
+    # Lorenz attractor, spread more; the narrow Lorenz call speculates
+    if model_name == "quadratic":
+        model = QuadraticGeneric(linear=[[-1.0]], quadratic=[[[1.0]]], forcing=[0.0])
+        centers, epsilon = np.array([[-0.5], [0.2], [0.6], [0.9]]), 0.2
+    else:
+        model, epsilon = Lorenz(), 1.0
+        centers = np.array([[0.0, 0.0, 0.0], [-8.0, -8.0, 27.0], [0.5, 0.5, 0.5],
+                            [5.0, -3.0, 30.0]])
+    kwargs = dict(delta_max=0.1, time_samples=5, seed=3)
+    radii = calibrate_deltas(model, centers, 0.5, epsilon, cfg, 4, **kwargs)
+    ref = ref_calibrate_deltas(model, centers, 0.5, epsilon, cfg, 4, **kwargs)
+    assert np.array_equal(radii, ref)
+    assert np.any(radii == 0.1) and np.any(radii < 0.1)
+
+
+@pytest.mark.parametrize("model_name", ["linear", "quadratic"])
+def test_calibration_blowup_names_the_center(model_name):
+    # the probes of center 3 start farthest from 0 and overflow first; the
+    # centers' own orbits, RK4 stages included, stay finite over the horizon
+    cfg = IntegratorConfig(step=0.001)
+    if model_name == "linear":
+        model = LinearDiagonal(rates=[-40.0])
+        centers, horizon = np.array([[0.0], [0.0], [0.1]]), 17.645
+    else:
+        model = QuadraticGeneric(linear=[[0.0]], quadratic=[[[1.0]]], forcing=[0.0])
+        centers, horizon = np.array([[0.1], [0.1], [0.2]]), 3.0
+    with pytest.raises(BlowupError) as exc:
+        calibrate_deltas(model, centers, horizon, 1e300, cfg, 0, delta_max=0.5,
+                         time_samples=2)
+    assert str(exc.value).startswith(f"center 3 at {centers[2].tolist()}: probe orbit")
 
 
 # ---- itineraries and words ----------------------------------------------
@@ -412,3 +562,64 @@ def test_window_states_match_reference(model_name, rotation2d, cfg):
         else:
             cut = list(row).index(0) if 0 in row else len(row)
             assert w.word == tuple(row[:cut]) and w.complete == (cut == len(row))
+
+
+# ---- shadowing ------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rate=st.floats(-1.5, 1.5),
+       horizon=st.sampled_from([0.5, 1.0]), samples=st.sampled_from([2, 3, 5, 9]),
+       step=st.sampled_from([1 / 64, 1 / 32]), length=st.integers(1, 6))
+def test_one_walk_shadow_matches_two_pass_reference_bitwise(seed, rate, horizon, samples,
+                                                            step, length):
+    # dyadic horizons, grids and steps: the walk's substep and every
+    # reference interval have the same bits, so nothing may differ
+    rng = np.random.default_rng(seed)
+    model = LinearDiagonal(rates=[rate, 0.5 * rate])
+    cfg = IntegratorConfig(step=step)
+    centers = rng.uniform(-1, 1, size=(12, 2))
+    partition = Partition(cover=Cover(centers=centers, radii=rng.uniform(0.1, 0.5, 12)))
+    lib = build_segments(model, partition.cover, horizon, samples, cfg, epsilon=0.5)
+    x0s = rng.uniform(-1.3, 1.3, size=(40, 2))
+    report = shadowing_report(model, lib, partition, x0s, length, cfg)
+    ref = ref_shadowing_report(model, lib, partition, x0s, length, cfg)
+    assert report["per_orbit"] == ref
+    assert report["orbits"] == 40 and report["requested_length"] == length
+
+
+def test_one_walk_shadow_on_lorenz_matches_within_tolerance():
+    # T / (K - 1) / n_sub and T / n have the same bits here, so the words
+    # agree exactly; the reference steps t - prev_t between grid times, which
+    # can differ from T / (K - 1) in the last bits, so errors agree to 1e-9
+    partition = _lorenz_partition(150, 2.5)
+    cfg = IntegratorConfig(step=0.005)
+    lib = build_segments(Lorenz(), partition.cover, 0.1, 11, cfg)
+    rng = np.random.default_rng(12)
+    x0s = partition.cover.centers[rng.integers(0, 150, 300)] + rng.normal(size=(300, 3))
+    x0s = np.concatenate([x0s, [[100.0, 0.0, 0.0]]])
+    report = shadowing_report(Lorenz(), lib, partition, x0s, 8, cfg)
+    ref = ref_shadowing_report(Lorenz(), lib, partition, x0s, 8, cfg)
+    lengths = [r["word_length"] for r in ref]
+    assert 0 in lengths and 8 in lengths and len(set(lengths)) > 3
+    assert report["epsilon"] is None
+    keys = ("x0", "word_length", "complete")
+    for got, want in zip(report["per_orbit"], ref):
+        assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+        if want["error"] is None:
+            assert got["error"] is None
+        else:
+            assert got["error"] == pytest.approx(want["error"], rel=0, abs=1e-9)
+    # shadowing_error takes the same walk
+    for row in np.flatnonzero(np.array(lengths) > 1)[:5]:
+        word = encode_many(Lorenz(), partition, x0s[row:row + 1], 8, 0.1, cfg)[0]
+        pseudo = reconstruct_pseudo_orbit(lib, word)
+        assert shadowing_error(Lorenz(), x0s[row], pseudo, cfg) == \
+            report["per_orbit"][row]["error"]
+
+
+def test_shadow_of_no_starts_is_an_empty_report(linear1, cfg):
+    partition = Partition(cover=Cover(centers=np.array([[0.0]]), radii=np.array([0.5])))
+    lib = build_segments(linear1, partition.cover, 1.0, 5, cfg, epsilon=0.25)
+    report = shadowing_report(linear1, lib, partition, np.empty((0, 1)), 4, cfg)
+    assert report == {"epsilon": 0.25, "max_error": None, "requested_length": 4,
+                      "orbits": 0, "complete_orbits": 0, "per_orbit": []}

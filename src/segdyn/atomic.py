@@ -10,9 +10,11 @@ CPython's pure-Python encoder, one item at a time. Most of an artifact is
 number lists and tables of number rows (words, tensor tuples, sparse
 triplets, dense rows), and those go through the C encoder here: a number list
 in one ``json.dumps`` call whose item separator carries the indentation, a
-table in blocks of rows whose boundaries one ``str.replace`` rewrites. Only
-the containers around them are walked in Python, and anything else is left
-to the stdlib encoder. The document is written as a stream of such pieces,
+table in blocks of rows whose boundaries one ``str.replace`` rewrites. A 2-D
+integer array, such as the enumerated word table, is written as its rows of
+ints would be, each block joined from one vocabulary of decimal strings.
+Only the containers around them are walked in Python, and anything else is
+left to the stdlib encoder. The document is written as a stream of such pieces,
 never built as one string.
 """
 from __future__ import annotations
@@ -24,6 +26,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["write_atomic", "write_json"]
 
 _INDENT = "  "
@@ -34,6 +38,8 @@ _KEY = frozenset((str,))
 # same time and at the same benchmark peak memory, 1024-row blocks were
 # slower and peaked higher
 _ROWS_PER_BLOCK = 64
+# most decimal strings an integer table's vocabulary holds
+_VOCABULARY = 1 << 16
 _stdlib = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
@@ -54,7 +60,7 @@ def write_atomic(path, pieces) -> None:
 
 def write_json(path, doc: dict) -> None:
     """Write doc atomically, as ``json.dumps(doc, indent=2, sort_keys=True)``
-    plus a newline."""
+    plus a newline; a 2-D integer array in doc is written as its ``tolist()``."""
     write_atomic(path, chain(_pieces(doc, ""), ("\n",)))
 
 
@@ -69,7 +75,9 @@ def _pieces(obj, indent: str):
     indentation of the line the value starts on."""
     kind = type(obj)
     inner = indent + _INDENT
-    if kind is dict and obj and set(map(type, obj)) <= _KEY:
+    if kind is np.ndarray and obj.ndim == 2 and obj.dtype.kind in "iu":
+        yield from _int_table(obj, indent) if obj.size else _pieces(obj.tolist(), indent)
+    elif kind is dict and obj and set(map(type, obj)) <= _KEY:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
             yield sep + encode_basestring_ascii(key) + ": "
@@ -99,3 +107,32 @@ def _pieces(obj, indent: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "]"
+
+
+def _int_table(table, indent: str):
+    """The text of a nonempty 2-D integer array, as its rows of Python ints
+    would be written. When the values span fewer numbers than the array
+    holds (and than _VOCABULARY), each block of rows is joined from one
+    vocabulary of their decimal strings; otherwise each block goes to the C
+    encoder."""
+    inner = indent + _INDENT
+    row = inner + _INDENT
+    item, rows = ",\n" + row, "\n" + inner + "],\n" + inner + "[\n" + row
+    lo, hi = int(table.min()), int(table.max())
+    if hi - lo < min(table.size, _VOCABULARY):
+        vocab = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+        # offsets from lo, in a type wide enough for every value of the array
+        wide = np.uint64 if table.dtype.kind == "u" else np.int64
+
+        def text(block):
+            return rows.join(map(item.join, vocab[block.astype(wide) - wide(lo)].tolist()))
+    else:
+        boundary, encode = "],\n" + row + "[", _separated(row)
+
+        def text(block):
+            return encode(block.tolist())[2:-2].replace(boundary, rows)
+    sep = "[\n" + inner + "[\n" + row
+    for start in range(0, table.shape[0], _ROWS_PER_BLOCK):
+        yield sep + text(table[start:start + _ROWS_PER_BLOCK])
+        sep = rows
+    yield "\n" + inner + "]\n" + indent + "]"

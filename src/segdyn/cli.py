@@ -243,7 +243,7 @@ def stage_enumerate(cfg: PipelineConfig, outdir: Path):
         "mode": cfg.enumerate_mode, "overflowed": res.overflowed,
         "word_count": len(res.words), "cap": cfg.enumeration_cap,
         "reachable": sorted(res.reachable),
-        "words": [w.word for w in res.words],
+        "words": res.words,
     })
     print(f"enumerate: {len(res.words)} words of length {cfg.word_length} from "
           f"{cfg.enumerate_from} (overflowed: {res.overflowed}); "

@@ -552,12 +552,17 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
             out[start:start + per_chunk] = ok
         return out.reshape(deltas.shape)
 
-    def depth(count: int, fixed: int) -> int:
-        """Rounds one pass answers for count centers that also carry ``fixed``
-        radii each: 1, or on a speculating call the most that fit."""
+    def depth(idx: Array, fixed: int) -> int:
+        """Rounds one pass answers for the centers idx, which also carry
+        ``fixed`` radii each: 1, or on a speculating call the most that fit,
+        but no more than the rounds the widest bracket still needs to reach
+        rel_tol. That count is a floating-point estimate: one round too few
+        costs one more pass, never a different radius."""
+        spread = (math.log(float(np.max(hi[idx] / lo[idx]))) / math.log1p(rel_tol)
+                  if rel_tol > 0 else math.inf)
         s = 1
-        while (speculate and tally["bisection_rounds"] + s < _MAX_ROUNDS
-               and count * (p - 1) * (fixed + 2 ** (s + 1) - 1) <= _SPECULATE_ROWS):
+        while (speculate and tally["bisection_rounds"] + s < _MAX_ROUNDS and 2 ** s < spread
+               and idx.size * (p - 1) * (fixed + 2 ** (s + 1) - 1) <= _SPECULATE_ROWS):
             s += 1
         return s
 
@@ -565,7 +570,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     lo, hi = np.full(n, delta_min), np.full(n, delta_max)
     radii = [hi[:, None]]
     if speculate:
-        radii += [lo[:, None], _mid_tree(lo, hi, depth(n, 2))]
+        radii += [lo[:, None], _mid_tree(lo, hi, depth(everyone, 2))]
     verdicts = feasible(everyone, np.concatenate(radii, axis=1))
     result = np.full(n, delta_max)
     todo = ~verdicts[:, 0]
@@ -586,7 +591,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         while np.any(active) and tally["bisection_rounds"] < _MAX_ROUNDS:
             if tree is None:
                 idx = np.flatnonzero(active)
-                s = depth(idx.size, 0)
+                s = depth(idx, 0)
                 tree = np.zeros((n, 2 ** s - 1), dtype=bool)
                 tree[idx] = feasible(idx, _mid_tree(lo[idx], hi[idx], s))
             # replay the rounds the tree answers; pos is each center's next mid

@@ -53,14 +53,6 @@ class SymbolSequence:
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(int(s) for s in self.word))
 
-    @classmethod
-    def _of_ints(cls, word: tuple) -> SymbolSequence:
-        """The complete word ``word``, a tuple of Python ints, which needs no
-        normalising: enumeration makes thousands of these."""
-        seq = object.__new__(cls)
-        vars(seq).update(word=word, horizon=None, complete=True)
-        return seq
-
     def __len__(self) -> int:
         return len(self.word)
 
@@ -251,11 +243,12 @@ def shadowing_report(model: FlowModel, lib: SegmentLibrary, partition: Partition
 class EnumerationResult:
     """Words found by enumeration plus the exactly-computed reachable set.
 
-    overflowed is True when the word list was cut off at the cap; the
+    words is an (n, length) int64 table, one word per row in lexicographic
+    order. overflowed is True when the word list was cut off at the cap; the
     reachable set is computed by layer propagation and is exact either way.
     """
 
-    words: list
+    words: Array
     reachable: set
     overflowed: bool
 
@@ -336,30 +329,81 @@ class _StateGraph:
             seen |= self._step(seen, self.src, self.dst)
         return set(self.last[seen].tolist())
 
-    def words(self, length: int, depth: Array, cap: int) -> tuple[list, bool]:
-        """Words of the given length in lexicographic order, by an iterative
-        DFS that enters only states with enough steps left."""
-        indptr, dst, label = self.indptr.tolist(), self.dst.tolist(), self.label.tolist()
-        depth, found, word = depth.tolist(), [], []
-        stack = [iter([(self.start, int(self.last[self.start]))])]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if word:
-                    word.pop()
-                continue
-            v, s = step
-            if depth[v] < length - 1 - len(word):
-                continue
-            if len(word) == length - 1:
-                if len(found) >= cap:
-                    return found, True
-                found.append(SymbolSequence._of_ints((*word, s)))
-                continue
-            word.append(s)
-            stack.append(zip(dst[indptr[v]:indptr[v + 1]], label[indptr[v]:indptr[v + 1]]))
-        return found, False
+    def _kept_counts(self, alive: Array) -> Array:
+        """Per state, how many of its edges end in an alive state. The edges
+        are read in slices of _PAIR_CHUNK, so no array grows with their
+        number."""
+        before = np.zeros(self.n_states + 1, dtype=np.int64)
+        total = 0
+        for lo in range(0, self.dst.size, _PAIR_CHUNK):
+            run = total + np.cumsum(alive[self.dst[lo:lo + _PAIR_CHUNK]])
+            # states whose first edge lies in the slice past its start
+            i = np.searchsorted(self.indptr, lo + 1)
+            k = np.searchsorted(self.indptr, lo + run.size, side="right")
+            before[i:k] = run[self.indptr[i:k] - lo - 1]
+            total = run[-1]
+        return np.diff(before)
+
+    def _kept_edges(self, states: Array, alive: Array) -> Array:
+        """The edges from states into alive states, state by state in label
+        order, read in blocks of about _PAIR_CHUNK edges."""
+        start = self.indptr[states]
+        deg = self.indptr[states + 1] - start
+        end = np.cumsum(deg)
+        found = []
+        a = 0
+        while a < states.size:
+            b = max(a + 1, int(np.searchsorted(end, end[a] - deg[a] + _PAIR_CHUNK, side="right")))
+            edges = (np.arange(end[a] - deg[a], end[b - 1])
+                     + np.repeat(start[a:b] - end[a:b] + deg[a:b], deg[a:b]))
+            found.append(edges[alive[self.dst[edges]]])
+            a = b
+        return np.concatenate(found)
+
+    def words(self, length: int, depth: Array, cap: int) -> tuple[Array, bool]:
+        """The first ``cap`` words of the given length in lexicographic order,
+        as an (n, length) int64 table, and whether more exist.
+
+        Layer j extends the prefixes of layer j - 1 along the edges into
+        states with depth >= length - 1 - j, so every prefix completes; a
+        layer keeps its first cap + 1 prefixes, cut from each state's count
+        of such edges before they are expanded. A prefix is its parent's
+        index in the previous layer and its last symbol. The table is read
+        back along the parents one column at a time, so it is laid out in
+        Fortran order."""
+        if depth[self.start] < length - 1:
+            return np.empty((0, length), dtype=np.int64), False
+        frontier = np.array([self.start])
+        parents, labels = [], []
+        for j in range(1, length):
+            alive = depth >= length - 1 - j
+            kept = self._kept_counts(alive)
+            count = kept[frontier]
+            before = np.cumsum(count) - count
+            # the first m prefixes hold the first cap + 1 children
+            m = int(np.searchsorted(before, cap + 1))
+            mark = np.zeros(self.n_states, dtype=bool)
+            mark[frontier[:m]] = True
+            used = np.flatnonzero(mark)
+            edges = self._kept_edges(used, alive)
+            offset = np.zeros(self.n_states, dtype=np.int64)
+            offset[used] = np.cumsum(kept[used]) - kept[used]
+            # the kept edges of each state of the first m prefixes start at
+            # its offset in edges; child i is edge i - before of its parent's
+            parent = np.repeat(np.arange(m), count[:m])[:cap + 1]
+            shift = offset[frontier[:m]] - before[:m]
+            edge = edges[np.arange(parent.size) + shift[parent]]
+            frontier = self.dst[edge]
+            parents.append(parent)
+            labels.append(self.label[edge])
+        rows = min(frontier.size, cap)
+        table = np.empty((length, rows), dtype=np.int64)
+        table[0] = self.last[self.start]
+        at = np.arange(rows)
+        for j in range(length - 1, 0, -1):
+            table[j] = labels[j - 1][at]
+            at = parents[j - 1][at]
+        return table.T, frontier.size > cap
 
 
 def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
@@ -368,12 +412,15 @@ def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
 
     Under a transition matrix, consecutive pairs must be admissible; under an
     order-k tensor every sliding length-k window must be an admissible tuple
-    (shorter words must be prefixes of admissible tuples). Enumeration stops
-    collecting past ``cap`` words and sets the overflow flag; the reachable
-    symbol set is still exact.
+    (shorter words must be prefixes of admissible tuples). The words come
+    as one int64 table, a row per word in lexicographic order. Enumeration
+    stops collecting past ``cap`` words and sets the overflow flag; the
+    reachable symbol set is still exact.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     graph = _StateGraph(gamma_or_tensor, n0)
     depth = graph.depths(length)
     words, overflowed = graph.words(length, depth, cap)

@@ -151,7 +151,7 @@ class ExpansionVerdict:
 
 
 def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
-                      max_draw_factor: int = 200) -> Array:
+                      max_draw_factor: int = 200, counters: dict | None = None) -> Array:
     """``count`` uniform samples of each ball that the partition assigns to
     the ball's own cell, as (n_cells * count, d), cell by cell.
 
@@ -163,12 +163,14 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
     round, and each round of a group assigns the draws of all its unfinished
     cells in one :meth:`Partition.assign_many` call, so the result is that
     of sampling each cell alone. The lowest cell left short raises a
-    SamplingError.
+    SamplingError. When ``counters`` is given, "start_draws" (points drawn)
+    and "start_hits" (draws in their own cell, kept or not) are added to it.
     """
     centers, radii = partition.cover.centers, partition.cover.radii
     n_cells, d = centers.shape
     budget = max_draw_factor * count
     out = np.empty((n_cells, count, d))
+    n_draws = n_hits = 0
     group = max(1, _ROUND_POINTS // max(1, min(max(4 * count, 64), budget)))
     for lo in range(0, n_cells, group):
         ids = np.arange(lo + 1, min(lo + group, n_cells) + 1)
@@ -190,6 +192,8 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
             pts = np.concatenate(pts, axis=0)
             owner = np.repeat(todo, m)
             hits = np.flatnonzero(partition.assign_many(pts) == ids[owner])
+            n_draws += owner.shape[0]
+            n_hits += hits.shape[0]
             own = owner[hits]
             # hits come grouped by cell: each goes after the cell's earlier ones
             slot = got[own] + np.arange(hits.shape[0]) - np.searchsorted(own, own)
@@ -201,6 +205,9 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
             raise SamplingError(
                 f"cell {ids[i]}: rejection sampling produced {got[i]}/{count} points "
                 f"after {drawn[i]} draws; the cell is a vanishing fraction of its ball")
+    if counters is not None:
+        counters["start_draws"] = counters.get("start_draws", 0) + n_draws
+        counters["start_hits"] = counters.get("start_hits", 0) + n_hits
     return out.reshape(n_cells * count, d)
 
 
@@ -217,10 +224,12 @@ def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
     (:func:`~segdyn.flow.walk_open_rows`). Start points depend only on
     (rng_seed, cell), so different n_steps see identical samples. When
     ``counters`` is given, "rows_dropped" (samples that stopped before the
-    last hop) is added to it.
+    last hop) and the start sampler's "start_draws" and "start_hits" are
+    added to it.
     """
     n_cells = partition.n_cells
-    starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor)
+    starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor,
+                               counters)
     itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
     itins[:, 0] = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
 

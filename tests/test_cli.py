@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -446,6 +447,48 @@ def test_write_json_writes_the_stdlib_indent_2_bytes(tmp_path_factory, doc):
     assert target.read_bytes() == expected.encode("utf-8")
 
 
+# 2-D integer arrays: empty, single-row and block-boundary row counts; small
+# and wide value ranges, negative values and values past 10^12
+_INT_TABLES = st.tuples(
+    st.sampled_from([np.int8, np.uint16, np.int64]),
+    st.sampled_from([0, 1, 2, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+                     2 * _ROWS_PER_BLOCK + 1]),
+    st.sampled_from([1, 3, 20]),
+    st.sampled_from([(0, 9), (-5, 5), (0, 10 ** 4), (10 ** 12, 10 ** 12 + 9),
+                     (-(10 ** 13), 10 ** 13), (None, None)]),
+    st.integers(0, 2 ** 32 - 1))
+
+
+def _int_table(spec):
+    dtype, rows, cols, (lo, hi), seed = spec
+    info = np.iinfo(dtype)
+    lo = info.min if lo is None else min(max(lo, info.min), info.max)
+    hi = info.max if hi is None else min(hi, info.max)
+    return np.random.default_rng(seed).integers(lo, hi, size=(rows, cols), dtype=dtype,
+                                                endpoint=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=st.lists(_INT_TABLES.map(_int_table), min_size=1, max_size=3))
+def test_write_json_writes_integer_arrays_as_their_rows(tmp_path_factory, tables):
+    target = tmp_path_factory.mktemp("oracle") / "doc.json"
+    doc = {"words": tables[0], "nested": {"tables": tables[1:]}, "count": len(tables)}
+    write_json(target, doc)
+    as_lists = {"words": tables[0].tolist(), "count": len(tables),
+                "nested": {"tables": [t.tolist() for t in tables[1:]]}}
+    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 3)), np.ones((2, 3), dtype=bool),
+                                   np.arange(4), np.zeros((2, 2, 2), dtype=np.int64)],
+                         ids=["float", "bool", "1-d", "3-d"])
+def test_write_json_refuses_other_arrays(tmp_path, array):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "doc.json", {"a": array})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
     _, _, out = pipeline
     stages = load_manifest(out)["stages"]
@@ -454,7 +497,11 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
     assert calibrate["bisection_rounds"] > 0
     # the eight narrow LinearDiagonal clouds answer several rounds per walk
     assert calibrate["probe_passes"] < calibrate["bisection_rounds"] + 2
-    assert set(stages["transitions"]["counters"]) == {"rows_dropped"}
+    transitions = stages["transitions"]
+    assert set(transitions["counters"]) == {"rows_dropped", "start_draws", "start_hits"}
+    # every cell keeps samples_per_cell of its hits; a round may hit more
+    assert (transitions["counters"]["start_draws"] >= transitions["counters"]["start_hits"]
+            >= transitions["n_cells"] * BASE_CONFIG["samples_per_cell"])
     for stage in ("encode", "shadow"):
         draws = stages[stage]["counters"]
         assert set(draws) == {"domain_draws", "covered_starts"}

@@ -163,7 +163,7 @@ GOLDEN = np.array([[0, 1], [1, 1]], dtype=bool)
 
 def test_enumerate_identity_single_word():
     res = enumerate_admissible(np.eye(3, dtype=bool), 2, 4)
-    assert [w.word for w in res.words] == [(2, 2, 2, 2)]
+    assert res.words.tolist() == [[2, 2, 2, 2]]
     assert res.reachable == {2}
     assert not res.overflowed
 
@@ -178,7 +178,7 @@ def test_enumerate_full_shift_counts():
 def test_enumerate_golden_mean_fibonacci(length, count):
     res = enumerate_admissible(GOLDEN, 2, length)
     assert len(res.words) == count
-    assert {w.word for w in res.words} == brute_force_words(GOLDEN, 2, length)
+    assert set(map(tuple, res.words.tolist())) == brute_force_words(GOLDEN, 2, length)
 
 
 def test_enumerate_dead_end_pruning():
@@ -186,11 +186,11 @@ def test_enumerate_dead_end_pruning():
     # reachable set must come out empty rather than {1, 2}
     gamma = np.array([[0, 1], [0, 0]], dtype=bool)
     res = enumerate_admissible(gamma, 1, 3)
-    assert res.words == []
+    assert res.words.shape == (0, 3)
     assert res.reachable == set()
     assert brute_force_words(gamma, 1, 3) == set()
     res2 = enumerate_admissible(gamma, 1, 2)
-    assert {w.word for w in res2.words} == {(1, 2)}
+    assert res2.words.tolist() == [[1, 2]]
     assert res2.reachable == {1, 2}
 
 
@@ -204,6 +204,8 @@ def test_enumerate_overflow_flag_keeps_reachable_exact():
 def test_enumerate_bad_start_errors():
     with pytest.raises(ValueError, match="out of range"):
         enumerate_admissible(GOLDEN, 5, 3)
+    with pytest.raises(ValueError, match="cap must be at least 0"):
+        enumerate_admissible(GOLDEN, 1, 3, cap=-1)
 
 
 def test_enumerate_tensor_mode_sliding_window():
@@ -212,7 +214,7 @@ def test_enumerate_tensor_mode_sliding_window():
     tuples = frozenset({(1, 2, 1), (2, 1, 1), (1, 1, 1), (1, 1, 2)})
     tensor = TransitionTensor(order=3, admissible_tuples=tuples, n_cells=2)
     res = enumerate_admissible(tensor, 1, 4)
-    words = {w.word for w in res.words}
+    words = set(map(tuple, res.words.tolist()))
     assert (1, 2, 1, 1) in words
     assert all(w[i:i + 3] in tuples for w in words for i in range(len(w) - 2))
     assert res.reachable == reachable_symbols(tensor, 1, 4)
@@ -235,9 +237,9 @@ def test_enumerate_words_deeper_than_the_recursion_limit(system):
     assert res.overflowed
     assert res.reachable == {1, 2}
     # the first ten words in lexicographic order vary only their last four symbols
-    assert all(w.word[:-4] == (1,) * 1196 for w in res.words)
-    assert [w.word[-4:] for w in res.words] == [
-        tuple(int(c) + 1 for c in f"{i:04b}") for i in range(10)]
+    words = res.words.tolist()
+    assert all(w[:-4] == [1] * 1196 for w in words)
+    assert [w[-4:] for w in words] == [[int(c) + 1 for c in f"{i:04b}"] for i in range(10)]
 
 
 def _closure_by_bfs(tuples, order: int, n0: int) -> set:
@@ -276,9 +278,10 @@ def test_state_graph_matches_brute_force(n, order, length, cap, seed):
         system = TransitionTensor(order=order, admissible_tuples=frozenset(tuples), n_cells=n)
         brute = brute_force_tensor_words(tuples, order, n, n0, length)
     res = enumerate_admissible(system, n0, length, cap=cap)
-    assert [w.word for w in res.words] == sorted(brute)[:cap]
-    assert all(w.complete and w.horizon is None and type(s) is int
-               for w in res.words for s in w.word)
+    words = res.words.tolist()
+    assert res.words.dtype == np.int64 and res.words.shape == (len(words), length)
+    assert list(map(tuple, words)) == sorted(brute)[:cap]
+    assert all(type(s) is int for w in words for s in w)
     assert res.overflowed == (len(brute) > cap)
     assert res.reachable == {s for w in brute for s in w}
     assert reachable_symbols(system, n0, length) == res.reachable
@@ -289,9 +292,11 @@ def test_symbol_sequence_normalises_numpy_ints():
     seq = SymbolSequence(word=np.array([3, 1, 2]))
     assert seq.word == (3, 1, 2)
     assert all(type(s) is int for s in seq.word)
-    found = enumerate_admissible(np.ones((3, 3), dtype=bool), 3, 3).words
+    found = [SymbolSequence(word=w) for w in
+             enumerate_admissible(np.ones((3, 3), dtype=bool), 3, 3).words]
     assert seq in found
     assert hash(seq) == hash(found[found.index(seq)])
+    assert all(type(s) is int for w in found for s in w.word)
 
 
 def test_cylinder_measure_examples():

@@ -160,9 +160,10 @@ def test_sampling_error_for_empty_cell(linear1, cfg):
         estimate_transitions(linear1, part, 1.0, 10, cfg, rng_seed=15, max_draw_factor=20)
 
 
-def _reference_starts(partition, count, seed, max_draw_factor):
+def _reference_starts(partition, count, seed, max_draw_factor, counters=None):
     """Rejection sampling one cell at a time, each point assigned by the
-    broadcast squared distance to every ball of the cover."""
+    broadcast squared distance to every ball of the cover; counters gets the
+    points drawn and those in their own cell."""
     centers, radii = partition.cover.centers, partition.cover.radii
     ids = np.arange(1, centers.shape[0] + 1)
     d = centers.shape[1]
@@ -178,7 +179,11 @@ def _reference_starts(partition, count, seed, max_draw_factor):
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             pts = centers[cell - 1] + (radii[cell - 1] * rng.random(m) ** (1.0 / d))[:, None] * u
             inside = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= radii ** 2
-            hit = pts[np.where(inside, ids, 0).max(axis=1) == cell][:count - got]
+            hit = pts[np.where(inside, ids, 0).max(axis=1) == cell]
+            if counters is not None:
+                counters["start_draws"] = counters.get("start_draws", 0) + m
+                counters["start_hits"] = counters.get("start_hits", 0) + hit.shape[0]
+            hit = hit[:count - got]
             starts.append(hit)
             got += hit.shape[0]
         if got < count:
@@ -216,14 +221,17 @@ def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_
     if huge:
         radii[0] *= 50.0
     part = _partition(centers, radii)
-    expected = _sampled_or_error(lambda: _reference_starts(part, count, seed, factor))
+    ref_counters, counters = {}, {}
+    expected = _sampled_or_error(
+        lambda: _reference_starts(part, count, seed, factor, ref_counters))
     with mock.patch.object(transitions, "_ROUND_POINTS", round_points):
         got = _sampled_or_error(
-            lambda: transitions._draw_cell_starts(part, count, seed, factor))
+            lambda: transitions._draw_cell_starts(part, count, seed, factor, counters))
     if isinstance(expected, str):
         assert got == expected
     else:
         assert isinstance(got, np.ndarray) and got.tobytes() == expected.tobytes()
+        assert counters == ref_counters
 
 
 @pytest.mark.parametrize("round_points", [1 << 18, 1])

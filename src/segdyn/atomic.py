@@ -12,10 +12,11 @@ triplets, dense rows), and those go through the C encoder here: a number list
 in one ``json.dumps`` call whose item separator carries the indentation, a
 table in blocks of rows whose boundaries one ``str.replace`` rewrites. A 2-D
 integer array, such as the enumerated word table, is written as its rows of
-ints would be, each block joined from one vocabulary of decimal strings.
-Only the containers around them are walked in Python, and anything else is
-left to the stdlib encoder. The document is written as a stream of such pieces,
-never built as one string.
+ints would be: when its values span fewer numbers than it holds, each block
+is joined from one vocabulary of their decimal strings, and otherwise it is
+written as its ``tolist()``. Only the containers around them are walked in
+Python, and anything else is left to the stdlib encoder. The document is
+written as a stream of such pieces, never built as one string.
 """
 from __future__ import annotations
 
@@ -76,7 +77,9 @@ def _pieces(obj, indent: str):
     kind = type(obj)
     inner = indent + _INDENT
     if kind is np.ndarray and obj.ndim == 2 and obj.dtype.kind in "iu":
-        yield from _int_table(obj, indent) if obj.size else _pieces(obj.tolist(), indent)
+        lo, hi = (int(obj.min()), int(obj.max())) if obj.size else (0, _VOCABULARY)
+        yield from (_int_table(obj, lo, hi, indent) if hi - lo < min(obj.size, _VOCABULARY)
+                    else _pieces(obj.tolist(), indent))
     elif kind is dict and obj and set(map(type, obj)) <= _KEY:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
@@ -109,30 +112,19 @@ def _pieces(obj, indent: str):
         yield "\n" + indent + "]"
 
 
-def _int_table(table, indent: str):
-    """The text of a nonempty 2-D integer array, as its rows of Python ints
-    would be written. When the values span fewer numbers than the array
-    holds (and than _VOCABULARY), each block of rows is joined from one
-    vocabulary of their decimal strings; otherwise each block goes to the C
-    encoder."""
+def _int_table(table, lo: int, hi: int, indent: str):
+    """The text of a 2-D integer array with values in lo..hi, as its rows of
+    Python ints would be written: each block of rows is joined from one
+    vocabulary of the decimal strings of lo..hi."""
     inner = indent + _INDENT
     row = inner + _INDENT
     item, rows = ",\n" + row, "\n" + inner + "],\n" + inner + "[\n" + row
-    lo, hi = int(table.min()), int(table.max())
-    if hi - lo < min(table.size, _VOCABULARY):
-        vocab = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-        # offsets from lo, in a type wide enough for every value of the array
-        wide = np.uint64 if table.dtype.kind == "u" else np.int64
-
-        def text(block):
-            return rows.join(map(item.join, vocab[block.astype(wide) - wide(lo)].tolist()))
-    else:
-        boundary, encode = "],\n" + row + "[", _separated(row)
-
-        def text(block):
-            return encode(block.tolist())[2:-2].replace(boundary, rows)
+    vocab = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    # offsets from lo, in a type wide enough for every value of the array
+    wide = np.uint64 if table.dtype.kind == "u" else np.int64
     sep = "[\n" + inner + "[\n" + row
     for start in range(0, table.shape[0], _ROWS_PER_BLOCK):
-        yield sep + text(table[start:start + _ROWS_PER_BLOCK])
+        block = table[start:start + _ROWS_PER_BLOCK].astype(wide) - wide(lo)
+        yield sep + rows.join(map(item.join, vocab[block].tolist()))
         sep = rows
     yield "\n" + inner + "]\n" + indent + "]"

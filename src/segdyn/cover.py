@@ -558,10 +558,12 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         but no more than the rounds the widest bracket still needs to reach
         rel_tol. That count is a floating-point estimate: one round too few
         costs one more pass, never a different radius."""
+        if not speculate:
+            return 1
         spread = (math.log(float(np.max(hi[idx] / lo[idx]))) / math.log1p(rel_tol)
                   if rel_tol > 0 else math.inf)
         s = 1
-        while (speculate and tally["bisection_rounds"] + s < _MAX_ROUNDS and 2 ** s < spread
+        while (tally["bisection_rounds"] + s < _MAX_ROUNDS and 2 ** s < spread
                and idx.size * (p - 1) * (fixed + 2 ** (s + 1) - 1) <= _SPECULATE_ROWS):
             s += 1
         return s

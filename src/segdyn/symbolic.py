@@ -330,19 +330,15 @@ class _StateGraph:
         return set(self.last[seen].tolist())
 
     def _kept_counts(self, alive: Array) -> Array:
-        """Per state, how many of its edges end in an alive state. The edges
-        are read in slices of _PAIR_CHUNK, so no array grows with their
-        number."""
-        before = np.zeros(self.n_states + 1, dtype=np.int64)
-        total = 0
-        for lo in range(0, self.dst.size, _PAIR_CHUNK):
-            run = total + np.cumsum(alive[self.dst[lo:lo + _PAIR_CHUNK]])
-            # states whose first edge lies in the slice past its start
-            i = np.searchsorted(self.indptr, lo + 1)
-            k = np.searchsorted(self.indptr, lo + run.size, side="right")
-            before[i:k] = run[self.indptr[i:k] - lo - 1]
-            total = run[-1]
-        return np.diff(before)
+        """Per state, how many of its edges end in an alive state."""
+        starts = self.indptr[:-1]
+        has = self.indptr[1:] > starts
+        counts = np.zeros(self.n_states, dtype=np.int64)
+        # summed in the narrowest type that holds every out-degree, as
+        # reduceat first casts the whole edge mask to it
+        narrow = np.min_scalar_type(int(np.max(self.indptr[1:] - starts, initial=0)))
+        counts[has] = np.add.reduceat(alive[self.dst], starts[has], dtype=narrow)
+        return counts
 
     def _kept_edges(self, states: Array, alive: Array) -> Array:
         """The edges from states into alive states, state by state in label

@@ -17,7 +17,7 @@ from .cover import _PAIR_CHUNK, Partition
 from .errors import EncodingError
 from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
 from .segments import SegmentLibrary
-from .transitions import MarkovMatrix, TransitionTensor, _admissible_rows
+from .transitions import MarkovMatrix, TransitionTensor, _admissible_rows, _rank_rows
 
 Array = np.ndarray
 
@@ -264,27 +264,20 @@ class _StateGraph:
     def __init__(self, gamma_or_tensor, n0: int):
         if isinstance(gamma_or_tensor, TransitionTensor):
             order, n_cells = gamma_or_tensor.order, gamma_or_tensor.n_cells
-            tuples = np.array(list(gamma_or_tensor.admissible_tuples), dtype=np.int64)
+            tuples = gamma_or_tensor.tuples
         else:
             rows = _admissible_rows(gamma_or_tensor)
             order, n_cells = 2, rows.shape[0]
             tuples = np.argwhere(rows) + 1
         if not 1 <= n0 <= n_cells:
             raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
-        tuples = tuples.reshape(-1, order)
         # keys padded to k-1 with zeros; symbols are >= 1, so lengths stay apart
         parts = ([np.arange(1, n_cells + 1)[:, None]]
                  + [tuples[:, :l] for l in range(1, order)] + [tuples[:, 1:]])
         keys = np.concatenate([np.pad(p, ((0, 0), (0, order - 1 - p.shape[1])))
                                for p in parts])
         # state ids number the distinct keys in lexicographic order
-        by_key = np.lexsort(keys.T[::-1])
-        ordered = keys[by_key]
-        first = np.ones(by_key.shape[0], dtype=bool)
-        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        ids = np.empty(by_key.shape[0], dtype=np.int64)
-        ids[by_key] = np.cumsum(first) - 1
-        uniq = ordered[first]
+        ids, uniq = _rank_rows(keys)
         self.n_states = uniq.shape[0]
         self.last = uniq[np.arange(self.n_states), np.count_nonzero(uniq, axis=1) - 1]
         self.start = int(ids[n0 - 1])

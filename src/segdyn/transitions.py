@@ -111,27 +111,41 @@ class MarkovMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TransitionTensor:
-    """Sparse set of admissible cell itineraries of a fixed length."""
+    """Admissible cell itineraries of a fixed length, as an (n, order) int64
+    table of distinct rows in lexicographic order, made from any table of rows."""
 
     order: int
-    admissible_tuples: frozenset
+    tuples: Array
     n_cells: int
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"tensor order must be at least 2, got {self.order}")
-        tuples = frozenset(map(tuple, self.admissible_tuples))
-        if not set(map(type, chain.from_iterable(tuples))) <= {int}:
-            tuples = frozenset(tuple(int(s) for s in t) for t in tuples)
-        # the checks run per tuple only when some tuple fails, to name it
-        if tuples and (set(map(len, tuples)) != {self.order} or min(map(min, tuples)) < 1
-                       or max(map(max, tuples)) > self.n_cells):
-            for t in tuples:
-                if len(t) != self.order:
-                    raise ValueError(f"tuple {t} does not have order {self.order}")
-                if min(t) < 1 or max(t) > self.n_cells:
-                    raise ValueError(f"tuple {t} has a symbol outside 1..{self.n_cells}")
-        object.__setattr__(self, "admissible_tuples", tuples)
+        try:
+            rows = np.asarray(self.tuples, dtype=np.int64)
+        except OverflowError:  # a symbol past int64 is outside 1..n_cells, named below
+            rows = np.asarray(self.tuples, dtype=object)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, self.order)
+        if rows.ndim != 2 or rows.shape[1] != self.order:
+            raise ValueError(f"tuples must be a table of order-{self.order} rows, "
+                             f"got shape {rows.shape}")
+        bad = np.any((rows < 1) | (rows > self.n_cells), axis=1)
+        if np.any(bad):
+            raise ValueError(f"tuple {tuple(rows[np.argmax(bad)].tolist())} has a symbol "
+                             f"outside 1..{self.n_cells}")
+        object.__setattr__(self, "tuples", _rank_rows(rows)[1])
+
+
+def _rank_rows(table: Array) -> tuple[Array, Array]:
+    """(rank of each row among the distinct rows, the distinct rows), in lexicographic order."""
+    by_row = np.lexsort(table.T[::-1])
+    ordered = table[by_row]
+    first = np.ones(by_row.shape[0], dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.empty(by_row.shape[0], dtype=np.int64)
+    ranks[by_row] = np.cumsum(first) - 1
+    return ranks, ordered[first]
 
 
 @dataclass
@@ -262,13 +276,8 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
     counts = full[1:, 1:]
     # a row with nothing landed is all zeros, and 0 / 1 leaves it so
     p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
-    tensors = []
-    for k in orders:
-        prefix = itins[:, :k]
-        alive = np.all(prefix > 0, axis=1)
-        tensors.append(TransitionTensor(
-            order=k, admissible_tuples=frozenset(map(tuple, prefix[alive].tolist())),
-            n_cells=n_cells))
+    tensors = [TransitionTensor(order=k, tuples=itins[np.all(itins[:, :k] > 0, axis=1), :k],
+                                n_cells=n_cells) for k in orders]
     return (TransitionMatrix(admissible=counts > 0, counts=counts, escapes=full[1:, 0]),
             MarkovMatrix(p=p), tensors)
 
@@ -328,45 +337,25 @@ def expanding_to_depth(tensors: Sequence[TransitionTensor], m_max: int) -> Expan
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    by_order = {t.order: t for t in tensors}
+    by_order = {t.order: t.tuples for t in tensors}
     depth = max(by_order)
-    expected = list(range(2, depth + 1))
-    if sorted(by_order) != expected:
+    if sorted(by_order) != list(range(2, depth + 1)):
         raise ValueError(f"need consecutive tensor orders 2..{depth}, got {sorted(by_order)}")
 
-    symbols = set()
-    for t in by_order[2].admissible_tuples:
-        symbols.update(t)
-    to_check: list[tuple] = [(s,) for s in sorted(symbols)]
-    for order in range(2, depth):
-        to_check.extend(sorted(by_order[order].admissible_tuples))
-
-    failures: list[tuple] = []
-    inconclusive: list[tuple] = []
-    cache: dict[tuple[int, int], dict] = {}
-
-    def finals(j: int, m: int) -> dict:
-        # maps each j-prefix of the order-(j+m) tensor to its final symbols
-        key = (j, m)
-        if key not in cache:
-            table: dict[tuple, set] = {}
-            for tup in by_order[j + m].admissible_tuples:
-                table.setdefault(tup[:j], set()).add(tup[-1])
-            cache[key] = table
-        return cache[key]
-
-    for tup in to_check:
-        j = len(tup)
-        ok = False
+    # the symbols of the order-2 rows (np.unique's first call on ints maps 1.5 MB)
+    checks = [np.flatnonzero(np.bincount(by_order[2].ravel()))[:, None]]
+    checks += [by_order[k] for k in range(2, depth)]
+    failures, inconclusive = [], []
+    for rows in checks:
+        n, j = rows.shape
+        ok = np.zeros(n, dtype=bool)
         for m in range(1, min(m_max, depth - j) + 1):
-            if len(finals(j, m).get(tup, ())) >= 2:
-                ok = True
-                break
-        if not ok:
-            if j + m_max <= depth:
-                failures.append(tup)
-            else:
-                inconclusive.append(tup)
+            longer = by_order[j + m]
+            # rank the rows with the longer tuples' j-prefixes; count distinct finals per rank
+            ranks, _ = _rank_rows(np.concatenate([rows, longer[:, :j]]))
+            _, pairs = _rank_rows(np.stack([ranks[n:], longer[:, -1]], axis=1))
+            ok |= np.bincount(pairs[:, 0], minlength=ranks.shape[0])[ranks[:n]] >= 2
+        (failures if j + m_max <= depth else inconclusive).extend(map(tuple, rows[~ok].tolist()))
     return ExpansionVerdict(expanding_up_to_depth=not failures,
                             witness_failures=failures, inconclusive=inconclusive,
                             depth=depth, m_max=m_max)
@@ -453,18 +442,22 @@ def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
     return doc
 
 
-def _triplets(entries, n: int, what: str) -> tuple[Array, Array, Array]:
+def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, Array, Array]:
     """0-based rows and columns, and values, of sparse (row, col, value)
-    triplets; ids must be JSON integers in 1..n and values nonnegative."""
+    triplets; ids must be JSON integers in 1..n, no (row, col) pair may
+    repeat, and values must be nonnegative (for ``counts``, JSON integers
+    that fit in int64)."""
     t = np.asarray(entries, dtype=float)
     if t.shape == (0,):
         t = t.reshape(0, 3)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"{what} must be a list of (row, col, value) triplets")
-    if not set(map(type, chain.from_iterable(map(itemgetter(0, 1), entries)))) <= {int}:
-        i, k = next((i, k) for i, e in enumerate(entries) for k in (0, 1) if type(e[k]) is not int)
-        raise ValueError(f"{what} entry {i}: {('row', 'col')[k]} {json.dumps(entries[i][k])} "
-                         f"is not a cell id in 1..{n}")
+    ints = (0, 1, 2) if counts else (0, 1)
+    if not set(map(type, chain.from_iterable(map(itemgetter(*ints), entries)))) <= {int}:
+        i, k = next((i, k) for i, e in enumerate(entries) for k in ints if type(e[k]) is not int)
+        raise ValueError(f"{what} entry {i}: {('row', 'col', 'value')[k]} "
+                         f"{json.dumps(entries[i][k])} is not "
+                         f"{f'a cell id in 1..{n}' if k < 2 else 'an int64 count'}")
     ids = t[:, :2]
     bad = ~((ids >= 1) & (ids <= n))
     if np.any(bad):
@@ -474,7 +467,21 @@ def _triplets(entries, n: int, what: str) -> tuple[Array, Array, Array]:
     if not np.all(t[:, 2] >= 0):
         i = int(np.argmin(t[:, 2] >= 0))
         raise ValueError(f"{what} entry {i}: value {t[i, 2]:g} is not a nonnegative number")
-    return ids[:, 0].astype(np.int64) - 1, ids[:, 1].astype(np.int64) - 1, t[:, 2]
+    values = t[:, 2]
+    if counts:
+        try:
+            values = np.array(list(map(itemgetter(2), entries)), dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, e in enumerate(entries) if e[2] > np.iinfo(np.int64).max)
+            raise ValueError(f"{what} entry {i}: value {entries[i][2]} is not an int64 count")
+    rows, cols = ids[:, 0].astype(np.int64) - 1, ids[:, 1].astype(np.int64) - 1
+    key = rows * n + cols
+    _, first = np.unique(key, return_index=True)
+    if first.size < key.size:
+        i = int(np.setdiff1d(np.arange(key.size), first)[0])
+        raise ValueError(f"{what} entry {i}: cell pair ({rows[i] + 1}, {cols[i] + 1}) "
+                         f"repeats an earlier entry")
+    return rows, cols, values
 
 
 def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
@@ -489,9 +496,13 @@ def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
     else:
         counts = np.zeros((n, n), dtype=np.int64)
         p = np.zeros((n, n))
-        r, c, v = _triplets(doc["counts"], n, "counts")
+        r, c, v = _triplets(doc["counts"], n, "counts", counts=True)
         counts[r, c] = v
         r, c, v = _triplets(doc["p"], n, "p")
+        missing = counts[r, c] == 0
+        if np.any(missing):
+            i = int(np.argmax(missing))
+            raise ValueError(f"p entry {i}: cell pair ({r[i] + 1}, {c[i] + 1}) has count 0")
         p[r, c] = v
         admissible = counts > 0
     return (TransitionMatrix(admissible=admissible, counts=counts, escapes=escapes),
@@ -499,24 +510,19 @@ def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
 
 
 def tensor_to_json(tensor: TransitionTensor) -> dict:
-    return {
-        "order": tensor.order,
-        "n_cells": tensor.n_cells,
-        "tuples": sorted(list(t) for t in tensor.admissible_tuples),
-    }
+    return {"order": tensor.order, "n_cells": tensor.n_cells, "tuples": tensor.tuples}
 
 
 def tensor_from_json(doc: dict) -> TransitionTensor:
     """The tensor of a ``tensors.json`` entry; every tuple must be a list of
-    JSON integers (not floats, strings or booleans)."""
-    tuples = doc["tuples"]
+    ``order`` JSON integers (not floats, strings or booleans)."""
+    tuples, order = doc["tuples"], doc["order"]
     if not (set(map(type, tuples)) <= {list}
             and set(map(type, chain.from_iterable(tuples))) <= {int}):
         i, t = next((i, t) for i, t in enumerate(tuples)
                     if type(t) is not list or not set(map(type, t)) <= {int})
         raise ValueError(f"tuples entry {i}: {json.dumps(t)} is not a list of integer cell ids")
-    return TransitionTensor(
-        order=doc["order"],
-        admissible_tuples=tuples,
-        n_cells=doc["n_cells"],
-    )
+    if not set(map(len, tuples)) <= {order}:
+        i, t = next((i, t) for i, t in enumerate(tuples) if len(t) != order)
+        raise ValueError(f"tuples entry {i}: {json.dumps(t)} does not have order {order}")
+    return TransitionTensor(order=order, tuples=tuples, n_cells=doc["n_cells"])

@@ -55,12 +55,11 @@ def make_markov_tensors(gamma: np.ndarray, depth: int) -> list[TransitionTensor]
     gamma = np.asarray(gamma, dtype=bool)
     n = gamma.shape[0]
     pairs = {(i + 1, j + 1) for i, j in zip(*np.nonzero(gamma))}
-    tensors = [TransitionTensor(order=2, admissible_tuples=frozenset(pairs), n_cells=n)]
+    tensors = [TransitionTensor(order=2, tuples=sorted(pairs), n_cells=n)]
     current = pairs
     for order in range(3, depth + 1):
         current = {t + (c,) for t in current for (b, c) in pairs if b == t[-1]}
-        tensors.append(TransitionTensor(order=order, admissible_tuples=frozenset(current),
-                                        n_cells=n))
+        tensors.append(TransitionTensor(order=order, tuples=sorted(current), n_cells=n))
     return tensors
 
 

@@ -250,8 +250,9 @@ def test_criterion_04_transition_consistency(run4):
                    and np.all(sums[landed == 0] == 0.0))
 
     by_order = {t.order: t for t in tensors}
-    closure_ok = all(t[:-1] in by_order[2].admissible_tuples
-                     for t in by_order[3].admissible_tuples)
+    # explicit row membership: `in` on an ndarray tests elements, not rows
+    pairs = set(map(tuple, by_order[2].tuples.tolist()))
+    closure_ok = all(tuple(t[:-1]) in pairs for t in by_order[3].tuples.tolist())
 
     tm2, mm2 = estimate_transitions(run4["model"], run4["partition"], run4["horizon"],
                                     200, run4["cfg"], rng_seed=run4["seed"])

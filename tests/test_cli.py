@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ from segdyn.atomic import _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
 from segdyn.errors import ConfigError
+from segdyn.transitions import TransitionTensor, tensor_to_json
 
 BASE_CONFIG = {
     "model": {"model_id": "LinearDiagonal", "dimension": 1, "parameters": {"rates": [1.0]}},
@@ -364,9 +366,18 @@ def _edit_lines(edit):
      "markov", ["shadow", "bounds"],
      "is not a readable segment library: ValueError(\"could not convert string to float: "
      "'abc'\")"),
+    ("transitions.json", "transitions.json", _sparse_with_first_triplet([1, 2, 2.5]),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('counts entry 0: value 2.5 is not an int64 count')"),
+    ("tensors.json", "tensors.json",
+     _edit_json(lambda d: d["tensors"][1]["tuples"].insert(0, [1, 2])),
+     "tensor", ["enumerate"],
+     "is not a readable tensor set: ValueError('tuples entry 0: [1, 2] does not have order 3')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
-        "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row"])
+        "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
+        "short-tuple"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline
@@ -478,6 +489,24 @@ def test_write_json_writes_integer_arrays_as_their_rows(tmp_path_factory, tables
                 "nested": {"tables": [t.tolist() for t in tables[1:]]}}
     expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
     assert target.read_bytes() == expected.encode("utf-8")
+
+
+# tensor tables: empty, one row, one spanning the vocabulary path's block
+# boundary, and one whose values span more numbers than it holds
+@pytest.mark.parametrize("order, n_cells, rows", [
+    (2, 3, []),
+    (3, 5, [(1, 5, 2)]),
+    (3, 5, list(itertools.product(range(1, 6), repeat=3))[::-1]),
+    (2, 10 ** 6, [(7, 500_000), (1, 10 ** 6), (7, 500_000)]),
+], ids=["empty", "one-row", "vocabulary", "tolist"])
+def test_write_json_writes_tensor_tables_as_their_rows(tmp_path, order, n_cells, rows):
+    doc = {"tensors": [tensor_to_json(TransitionTensor(order=order, tuples=rows,
+                                                       n_cells=n_cells))]}
+    write_json(tmp_path / "tensors.json", doc)
+    as_lists = {"tensors": [{"order": order, "n_cells": n_cells,
+                             "tuples": sorted(map(list, set(rows)))}]}
+    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "tensors.json").read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("array", [np.zeros((2, 3)), np.ones((2, 3), dtype=bool),

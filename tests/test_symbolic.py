@@ -211,8 +211,8 @@ def test_enumerate_bad_start_errors():
 def test_enumerate_tensor_mode_sliding_window():
     # order-3 tensor richer than its Markov shadow: (1,2,1) admissible but
     # (2,1,2) not, so words must respect three-symbol windows
-    tuples = frozenset({(1, 2, 1), (2, 1, 1), (1, 1, 1), (1, 1, 2)})
-    tensor = TransitionTensor(order=3, admissible_tuples=tuples, n_cells=2)
+    tuples = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    tensor = TransitionTensor(order=3, tuples=tuples, n_cells=2)
     res = enumerate_admissible(tensor, 1, 4)
     words = set(map(tuple, res.words.tolist()))
     assert (1, 2, 1, 1) in words
@@ -228,7 +228,7 @@ def test_reachable_fixpoint_is_transitive_closure():
 
 @pytest.mark.parametrize("system", [
     np.ones((2, 2), dtype=bool),
-    TransitionTensor(order=3, admissible_tuples=frozenset(
+    TransitionTensor(order=3, tuples=sorted(
         (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)), n_cells=2),
 ], ids=["gamma", "order-3 tensor"])
 def test_enumerate_words_deeper_than_the_recursion_limit(system):
@@ -275,7 +275,7 @@ def test_state_graph_matches_brute_force(n, order, length, cap, seed):
     else:
         tuples = {t for t in itertools.product(range(1, n + 1), repeat=order)
                   if rng.random() < density}
-        system = TransitionTensor(order=order, admissible_tuples=frozenset(tuples), n_cells=n)
+        system = TransitionTensor(order=order, tuples=sorted(tuples), n_cells=n)
         brute = brute_force_tensor_words(tuples, order, n, n0, length)
     res = enumerate_admissible(system, n0, length, cap=cap)
     words = res.words.tolist()

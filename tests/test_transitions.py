@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -25,6 +26,7 @@ from segdyn import (
 )
 from segdyn import transitions
 from segdyn._rng import STREAM_TRANSITIONS, derive_rng
+from segdyn.artifacts import read_json, write_json
 from segdyn.cover import _INDEX_MIN_BALLS
 from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
@@ -75,19 +77,18 @@ def test_contraction_funnels_into_sink_cell(linear1, sink_partition, cfg):
 def test_tensor_order2_equals_gamma_same_seed(linear1, sink_partition, cfg):
     tm, _ = estimate_transitions(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
     t2 = estimate_tensor(linear1, sink_partition, 3.0, 2, 60, cfg, rng_seed=3)
-    pairs = {(i + 1, j + 1) for i, j in zip(*np.nonzero(tm.admissible))}
-    assert t2.admissible_tuples == frozenset(pairs)
+    assert t2.tuples.tolist() == (np.argwhere(tm.admissible) + 1).tolist()
 
 
 def test_contraction_tensor_order3(linear1, sink_partition, cfg):
     t3 = estimate_tensor(linear1, sink_partition, 3.0, 3, 60, cfg, rng_seed=3)
-    assert t3.admissible_tuples == frozenset({(1, 2, 2), (2, 2, 2)})
+    assert t3.tuples.tolist() == [[1, 2, 2], [2, 2, 2]]
 
 
 def test_zero_field_only_constant_tuples(zero_field_1d, cfg):
     part = _partition([[-0.5], [0.5]], [0.3, 0.3])
     t3 = estimate_tensor(zero_field_1d, part, 1.0, 3, 30, cfg, rng_seed=4)
-    assert t3.admissible_tuples == frozenset({(1, 1, 1), (2, 2, 2)})
+    assert t3.tuples.tolist() == [[1, 1, 1], [2, 2, 2]]
 
 
 def test_prefix_closure_across_orders(linear1, cfg):
@@ -95,8 +96,9 @@ def test_prefix_closure_across_orders(linear1, cfg):
     tensors = {k: estimate_tensor(linear1, part, 0.6, k, 50, cfg, rng_seed=7)
                for k in (2, 3, 4)}
     for k in (3, 4):
-        for t in tensors[k].admissible_tuples:
-            assert t[:-1] in tensors[k - 1].admissible_tuples
+        shorter = set(map(tuple, tensors[k - 1].tuples.tolist()))
+        assert tensors[k].tuples.shape[0] > 0
+        assert all(tuple(t[:-1]) in shorter for t in tensors[k].tuples.tolist())
 
 
 def test_markov_rows_sum_to_one(linear1, cfg):
@@ -275,8 +277,8 @@ def test_expanding_full_shift_true():
 
 def test_expanding_single_itinerary_false_with_witness():
     tensors = [
-        TransitionTensor(order=2, admissible_tuples=frozenset({(1, 1)}), n_cells=1),
-        TransitionTensor(order=3, admissible_tuples=frozenset({(1, 1, 1)}), n_cells=1),
+        TransitionTensor(order=2, tuples=[(1, 1)], n_cells=1),
+        TransitionTensor(order=3, tuples=[(1, 1, 1)], n_cells=1),
     ]
     verdict = expanding_to_depth(tensors, m_max=2)
     assert verdict.expanding_up_to_depth is False
@@ -304,10 +306,95 @@ def test_expanding_identity_false():
 
 
 def test_expanding_missing_order_errors():
-    t2 = TransitionTensor(order=2, admissible_tuples=frozenset({(1, 1)}), n_cells=1)
-    t4 = TransitionTensor(order=4, admissible_tuples=frozenset({(1, 1, 1, 1)}), n_cells=1)
+    t2 = TransitionTensor(order=2, tuples=[(1, 1)], n_cells=1)
+    t4 = TransitionTensor(order=4, tuples=[(1, 1, 1, 1)], n_cells=1)
     with pytest.raises(ValueError, match="consecutive"):
         expanding_to_depth([t2, t4], m_max=1)
+
+
+def _expanding_by_tuple_dicts(tensors, m_max: int):
+    """Reference expanding_to_depth over Python tuples: one prefix -> final
+    symbols dict per (j, m), looked up tuple by tuple. Returns (verdict,
+    witness_failures, inconclusive)."""
+    by_order = {t.order: set(map(tuple, t.tuples.tolist())) for t in tensors}
+    depth = max(by_order)
+    symbols = set()
+    for t in by_order[2]:
+        symbols.update(t)
+    to_check = [(s,) for s in sorted(symbols)]
+    for order in range(2, depth):
+        to_check.extend(sorted(by_order[order]))
+    failures, inconclusive, cache = [], [], {}
+
+    def finals(j, m):
+        if (j, m) not in cache:
+            table = {}
+            for tup in by_order[j + m]:
+                table.setdefault(tup[:j], set()).add(tup[-1])
+            cache[j, m] = table
+        return cache[j, m]
+
+    for tup in to_check:
+        j = len(tup)
+        ok = any(len(finals(j, m).get(tup, ())) >= 2
+                 for m in range(1, min(m_max, depth - j) + 1))
+        if not ok:
+            (failures if j + m_max <= depth else inconclusive).append(tup)
+    return not failures, failures, inconclusive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 5), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_expanding_matches_the_tuple_dict_reference(n, depth, m_max, closed, seed):
+    # random tensor sets, prefix closed or not, some tables empty; m_max runs
+    # past the depth so that every window length is seen
+    rng = np.random.default_rng(seed)
+    m_max = min(m_max, depth + 1)
+    tensors, previous = [], None
+    for order in range(2, depth + 1):
+        density = 0.0 if rng.random() < 0.15 else rng.random()
+        rows = [t for t in itertools.product(range(1, n + 1), repeat=order)
+                if (not closed or previous is None or t[:-1] in previous)
+                and rng.random() < density]
+        previous = set(rows)
+        rng.shuffle(rows)
+        tensors.append(TransitionTensor(order=order, tuples=rows, n_cells=n))
+    verdict = expanding_to_depth(tensors, m_max=m_max)
+    assert (verdict.depth, verdict.m_max) == (depth, m_max)
+    assert (verdict.expanding_up_to_depth, verdict.witness_failures,
+            verdict.inconclusive) == _expanding_by_tuple_dicts(tensors, m_max)
+    assert all(type(s) is int for t in verdict.witness_failures + verdict.inconclusive
+               for s in t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(*[st.integers(1, 4)] * k), max_size=30))))
+def test_tensor_rows_are_distinct_and_sorted(spec):
+    order, rows = spec
+    tensor = TransitionTensor(order=order, tuples=rows, n_cells=4)
+    assert tensor.tuples.dtype == np.int64
+    assert tensor.tuples.shape == (len(set(rows)), order)
+    assert list(map(tuple, tensor.tuples.tolist())) == sorted(set(rows))
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 3), dtype=np.int64)], ids=["list", "array"])
+def test_empty_tensor_is_an_empty_table(rows):
+    tensor = TransitionTensor(order=3, tuples=rows, n_cells=2)
+    assert tensor.tuples.shape == (0, 3) and tensor.tuples.dtype == np.int64
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ([1, 2, 1, 2, 1, 2], "(6,)"),
+    ([(1, 2), (2, 1), (1, 1)], "(3, 2)"),
+    (np.ones((2, 1, 3), dtype=np.int64), "(2, 1, 3)"),
+])
+def test_tensor_rejects_tables_of_the_wrong_shape(rows, shape):
+    # six symbols are never read as two rows of three
+    with pytest.raises(ValueError) as err:
+        TransitionTensor(order=3, tuples=rows, n_cells=2)
+    assert str(err.value) == f"tuples must be a table of order-3 rows, got shape {shape}"
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +529,13 @@ def test_sparse_transitions_read_their_triplets():
     ("counts", [True, "2", 3], "counts entry 1: row true is not a cell id in 1..600"),
     ("counts", [1, "2", 3], 'counts entry 1: col "2" is not a cell id in 1..600'),
     ("p", [1, False, 0.5], "p entry 1: col false is not a cell id in 1..600"),
+    ("counts", [1, 2, 2.5], "counts entry 1: value 2.5 is not an int64 count"),
+    ("counts", [1, 2, 1e30], "counts entry 1: value 1e+30 is not an int64 count"),
+    ("counts", [1, 2, 2 ** 63], "counts entry 1: value 9223372036854775808 is not an int64 count"),
+    ("counts", [1, 2, True], "counts entry 1: value true is not an int64 count"),
+    ("counts", [1, 2, 4], "counts entry 1: cell pair (1, 2) repeats an earlier entry"),
+    ("p", [1, 2, 0.5], "p entry 1: cell pair (1, 2) repeats an earlier entry"),
+    ("p", [3, 4, 0.5], "p entry 1: cell pair (3, 4) has count 0"),
 ])
 def test_sparse_transitions_reject_bad_triplets(key, entry, message):
     doc = _sparse_doc()
@@ -462,12 +556,15 @@ def test_dense_transitions_reject_mismatched_p_and_negative_counts():
         transitions_from_json(dict(doc, counts=[[1, 0], [0, -1]]))
 
 
-def test_tensor_json_roundtrip():
-    t = TransitionTensor(order=3, admissible_tuples=frozenset({(1, 2, 1), (2, 1, 2)}),
-                         n_cells=2)
-    back = tensor_from_json(json.loads(json.dumps(tensor_to_json(t))))
-    assert back.order == 3
-    assert back.admissible_tuples == t.admissible_tuples
+def test_tensor_json_roundtrip(tmp_path):
+    t = TransitionTensor(order=3, tuples=[(2, 1, 2), (1, 2, 1), (2, 1, 2)], n_cells=2)
+    write_json(tmp_path / "tensors.json", {"tensors": [tensor_to_json(t)]})
+    (doc,) = read_json(tmp_path / "tensors.json")["tensors"]
+    assert doc == {"order": 3, "n_cells": 2, "tuples": [[1, 2, 1], [2, 1, 2]]}
+    back = tensor_from_json(doc)
+    assert (back.order, back.n_cells) == (3, 2)
+    assert back.tuples.dtype == np.int64
+    assert np.array_equal(back.tuples, t.tuples)
 
 
 @pytest.mark.parametrize("tuples, message", [
@@ -476,6 +573,8 @@ def test_tensor_json_roundtrip():
     ([[1, 2, 3], ["2", 2, 3]], 'tuples entry 1: ["2", 2, 3] is not a list of integer cell ids'),
     ([[1, 2, 3], 4], "tuples entry 1: 4 is not a list of integer cell ids"),
     ([[1, 99, 1]], r"tuple (1, 99, 1) has a symbol outside 1..5"),
+    ([[1, 2, 3], [1, 2]], "tuples entry 1: [1, 2] does not have order 3"),
+    ([[1, 2, 3], [1, 2 ** 70, 1]], "tuple (1, 1180591620717411303424, 1) has a symbol outside 1..5"),
 ])
 def test_tensor_json_rejects_non_integer_cell_ids(tuples, message):
     with pytest.raises(ValueError) as err:
@@ -486,7 +585,7 @@ def test_tensor_json_rejects_non_integer_cell_ids(tuples, message):
 @pytest.mark.parametrize("bad", [(1, 99, 1), (0, 1, 1)])
 def test_tensor_rejects_symbols_outside_cells(bad):
     with pytest.raises(ValueError, match=r"outside 1\.\.8"):
-        TransitionTensor(order=3, admissible_tuples=frozenset({(1, 2, 1), bad}), n_cells=8)
+        TransitionTensor(order=3, tuples=[(1, 2, 1), bad], n_cells=8)
 
 
 def test_counts_imply_admissible_invariant():

@@ -50,9 +50,8 @@ def _sparse_gamma():
 
 def _order3_tensor():
     rng = np.random.default_rng(4)
-    tuples = frozenset(t for t in itertools.product(range(1, 31), repeat=3)
-                       if rng.random() < 1.5 / 30)
-    return TransitionTensor(order=3, admissible_tuples=tuples, n_cells=30)
+    tuples = [t for t in itertools.product(range(1, 31), repeat=3) if rng.random() < 1.5 / 30]
+    return TransitionTensor(order=3, tuples=tuples, n_cells=30)
 
 
 def _check_against_ref(system, n0, length, cap):

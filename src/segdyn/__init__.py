@@ -12,7 +12,6 @@ from .cover import (
     Cover,
     CoverBall,
     Partition,
-    calibrate_delta,
     calibrate_deltas,
     cell_measure,
     collocate,
@@ -83,8 +82,6 @@ from .transitions import (
     TransitionTensor,
     ball_admissibility,
     ball_successors,
-    estimate_tensor,
-    estimate_transitions,
     expanding_to_depth,
     row_sensitivity,
     sample_itineraries,

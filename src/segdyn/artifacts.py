@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ __all__ = [
     "TENSORS_JSON", "WORDS_JSON", "SHADOW_REPORT_JSON", "ENUMERATION_JSON",
     "ENTROPY_JSON", "BOUNDS_JSON", "REPORT_JSON", "MANIFEST_JSON",
     "write_json", "read_json", "file_digest", "require",
-    "load_manifest", "record_stage", "check_artifacts",
+    "load_manifest", "record_stage", "Reader", "READERS", "check_artifacts",
 ]
 
 COVER_JSON = "cover.json"
@@ -107,17 +108,32 @@ def _check_words_doc(doc: dict) -> None:
             raise ValueError(f"malformed word entry: {w}")
 
 
-_VALIDATORS = {
-    COVER_JSON: lambda p: cover_from_json(read_json(p)),
-    TRANSITIONS_JSON: lambda p: transitions_from_json(read_json(p)),
-    TENSORS_JSON: lambda p: [tensor_from_json(t) for t in read_json(p)["tensors"]],
-    WORDS_JSON: lambda p: _check_words_doc(read_json(p)),
-    SHADOW_REPORT_JSON: lambda p: read_json(p)["per_orbit"],
-    ENUMERATION_JSON: lambda p: read_json(p)["reachable"],
-    ENTROPY_JSON: lambda p: read_json(p)["metric_entropy"],
-    BOUNDS_JSON: lambda p: read_json(p)["quantities"],
-    REPORT_JSON: lambda p: read_json(p)["stages"],
-    MAX_DIFFERENCE_CSV: lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2),
+class Reader(NamedTuple):
+    """How one artifact is read: what errors call it, the parser of its path,
+    and the files a stage reading it must find (default: the path itself)."""
+
+    what: str
+    parse: Callable
+    files: tuple = ()
+
+
+# each parser is called through its module-level name, so a wrapper put on
+# that name (a profiler's, a test's mock) sees every read
+READERS = {
+    COVER_JSON: Reader("cover", lambda p: cover_from_json(read_json(p))),
+    LIBRARY_DIR: Reader("segment library", lambda p: load_library(p),
+                        (f"{LIBRARY_DIR}/library.json", f"{LIBRARY_DIR}/segments.csv")),
+    MAX_DIFFERENCE_CSV: Reader("max-difference profile",
+                               lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)),
+    TRANSITIONS_JSON: Reader("transition table", lambda p: transitions_from_json(read_json(p))),
+    TENSORS_JSON: Reader("tensor set", lambda p: {t["order"]: tensor_from_json(t)
+                                                  for t in read_json(p)["tensors"]}),
+    WORDS_JSON: Reader("word list", lambda p: _check_words_doc(read_json(p))),
+    SHADOW_REPORT_JSON: Reader("shadow report", lambda p: read_json(p)["per_orbit"]),
+    ENUMERATION_JSON: Reader("enumeration", lambda p: read_json(p)["reachable"]),
+    ENTROPY_JSON: Reader("entropy record", lambda p: read_json(p)["metric_entropy"]),
+    BOUNDS_JSON: Reader("bounds record", lambda p: read_json(p)["quantities"]),
+    REPORT_JSON: Reader("report", lambda p: read_json(p)["stages"]),
 }
 
 
@@ -143,21 +159,12 @@ def check_artifacts(outdir: Path) -> list:
                 continue
             if file_digest(path) != digest:
                 problems.append(f"{stage}: {rel} does not match its recorded digest")
-            if rel in seen:
+            name = rel.split("/")[0]  # the artifact the file belongs to
+            if name in seen or name not in READERS:
                 continue
-            seen.add(rel)
-            name = Path(rel).name
-            validator = _VALIDATORS.get(name)
-            if validator is None and rel.startswith(LIBRARY_DIR):
-                continue
-            if validator is not None:
-                try:
-                    validator(path)
-                except Exception as err:
-                    problems.append(f"{stage}: {rel} fails schema validation: {err}")
-    if (outdir / LIBRARY_DIR / "library.json").exists():
-        try:
-            load_library(outdir / LIBRARY_DIR)
-        except Exception as err:
-            problems.append(f"library: fails schema validation: {err}")
+            seen.add(name)
+            try:
+                READERS[name].parse(outdir / name)
+            except Exception as err:
+                problems.append(f"{stage}: {name} fails schema validation: {err}")
     return problems

@@ -2,8 +2,8 @@
 enumerate, entropy, bounds, report.
 
 Each stage reads one JSON config, writes artifacts into the output
-directory, and appends wall time plus output digests to the manifest.
-Identical config and seed reproduce identical artifact bytes.
+directory, and appends wall time, output digests and its report summary to
+the manifest. Identical config and seed reproduce identical artifact bytes.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,63 +19,45 @@ from . import __version__
 from ._rng import STREAM_ENCODE, STREAM_MEASURE, STREAM_SHADOW, derive_rng
 from .artifacts import (
     BOUNDS_JSON, COVER_JSON, ENTROPY_JSON, ENUMERATION_JSON, LIBRARY_DIR,
-    MAX_DIFFERENCE_CSV, REPORT_JSON, SHADOW_REPORT_JSON, TENSORS_JSON,
-    TRANSITIONS_JSON, WORDS_JSON, check_artifacts, load_manifest, read_json,
-    record_stage, require, write_json,
+    MAX_DIFFERENCE_CSV, READERS, REPORT_JSON, SHADOW_REPORT_JSON, TENSORS_JSON,
+    TRANSITIONS_JSON, WORDS_JSON, check_artifacts, load_manifest, record_stage,
+    require, write_json,
 )
 from .config import PipelineConfig, load_config
 from .cover import (
-    Partition, calibrate_deltas, cell_measure, collocate, cover_from_json,
-    cover_to_json, metric_entropy, minimal_cover,
+    Partition, calibrate_deltas, cell_measure, collocate, cover_to_json,
+    metric_entropy, minimal_cover,
 )
 from .errors import (
     ArtifactError, ConfigError, ManifestError, MissingArtifactError, SegdynError,
 )
 from .flow import jacobian_norms
 from .quantities import quantity_to_json, reachable_bounds, segment_envelope
-from .segments import (
-    build_segments, load_library, max_difference, save_library,
-    write_max_difference_csv,
-)
+from .segments import build_segments, max_difference, save_library, write_max_difference_csv
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
     ball_successors, expanding_to_depth, row_sensitivity, sample_itineraries,
-    tensor_from_json, tensor_to_json, transitions_from_itineraries,
-    transitions_from_json, transitions_to_json,
+    tensor_to_json, transitions_from_itineraries, transitions_to_json,
 )
 
-STAGES = ("calibrate", "segments", "transitions", "encode", "shadow",
-          "enumerate", "entropy", "bounds", "report")
 
-
-def _read_artifact(path: Path, what: str, parse):
-    """parse(path), with any parse failure turned into an ArtifactError that
-    names the file, so a corrupt upstream artifact exits 1 with one line."""
+def _load(cfg: PipelineConfig, outdir: Path, stage: str, name: str):
+    """One input artifact of a stage. A missing file exits 3; a file that does
+    not parse, or a cover whose dimension is not the model's, exits 1 with
+    one line that names it."""
+    reader = READERS[name]
+    for rel in reader.files or (name,):
+        require(outdir, rel, stage)
+    path = outdir / name
     try:
-        return parse(path)
+        value = reader.parse(path)
     except (ValueError, KeyError, TypeError) as err:
-        raise ArtifactError(f"{path} is not a readable {what}: {err!r}") from None
-
-
-def _load_cover(cfg: PipelineConfig, outdir: Path, stage: str):
-    path = require(outdir, COVER_JSON, stage)
-    cover = _read_artifact(path, "cover", lambda p: cover_from_json(read_json(p)))
-    if cover.dimension != cfg.model.dimension:
+        raise ArtifactError(f"{path} is not a readable {reader.what}: {err!r}") from None
+    if name == COVER_JSON and value.dimension != cfg.model.dimension:
         raise ArtifactError(
-            f"{path} has dimension {cover.dimension}, but the config's "
+            f"{path} has dimension {value.dimension}, but the config's "
             f"model has dimension {cfg.model.dimension}")
-    return cover
-
-
-def _load_library(outdir: Path, stage: str):
-    for name in ("library.json", "segments.csv"):
-        require(outdir, f"{LIBRARY_DIR}/{name}", stage)
-    return _read_artifact(outdir / LIBRARY_DIR, "segment library", load_library)
-
-
-def _load_transitions(outdir: Path, stage: str):
-    return _read_artifact(require(outdir, TRANSITIONS_JSON, stage), "transition table",
-                          lambda p: transitions_from_json(read_json(p)))
+    return value
 
 
 def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
@@ -112,12 +95,14 @@ def stage_calibrate(cfg: PipelineConfig, outdir: Path):
     print(f"calibrate: {len(centers)} centers -> {cover.n_balls} balls, "
           f"radius range [{cover.radii.min():.6g}, {cover.radii.max():.6g}] "
           f"({cfg.boundary_samples} boundary samples per center)")
-    return [COVER_JSON], {"n_centers": len(centers), "n_balls": cover.n_balls,
-                          "boundary_samples": cfg.boundary_samples, "counters": counters}
+    return {"n_centers": len(centers), "n_balls": cover.n_balls,
+            "boundary_samples": cfg.boundary_samples, "counters": counters,
+            "summary": {"cover": {"n_balls": cover.n_balls,
+                                  "radius_min": float(cover.radii.min()),
+                                  "radius_max": float(cover.radii.max())}}}
 
 
-def stage_segments(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(cfg, outdir, "segments")
+def stage_segments(cfg: PipelineConfig, outdir: Path, cover):
     lib = build_segments(cfg.model, cover, cfg.horizon, cfg.segment_samples,
                          cfg.integrator, epsilon=cfg.epsilon)
     save_library(lib, outdir / LIBRARY_DIR)
@@ -125,12 +110,10 @@ def stage_segments(cfg: PipelineConfig, outdir: Path):
     write_max_difference_csv(outdir / MAX_DIFFERENCE_CSV, lib.times, md)
     print(f"segments: {lib.n_segments} segments x {lib.n_times} samples over "
           f"[0, {lib.horizon}]; M_d range [{md.min():.6g}, {md.max():.6g}]")
-    return [LIBRARY_DIR, MAX_DIFFERENCE_CSV], {"n_segments": lib.n_segments}
+    return {"n_segments": lib.n_segments}
 
 
-def stage_transitions(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(cfg, outdir, "transitions")
-    lib = _load_library(outdir, "transitions")
+def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
     partition = Partition(cover=cover)
     n = partition.n_cells
     counters: dict = {}
@@ -168,7 +151,8 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path):
           f"{verdict.expanding_up_to_depth} "
           f"({len(verdict.witness_failures)} failures, "
           f"{len(verdict.inconclusive)} inconclusive)")
-    return [TRANSITIONS_JSON, TENSORS_JSON], {"n_cells": n, "counters": counters}
+    return {"n_cells": n, "counters": counters,
+            "summary": {"transitions": {"n_cells": n, "verdicts": doc["verdicts"]}}}
 
 
 def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
@@ -178,8 +162,7 @@ def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
     return _draw_covered_points(cfg, partition, cfg.encode_points, stream)
 
 
-def stage_encode(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(cfg, outdir, "encode")
+def stage_encode(cfg: PipelineConfig, outdir: Path, cover):
     partition = Partition(cover=cover)
     x0s, counters = _initial_points(cfg, partition, STREAM_ENCODE)
     words = encode_many(cfg.model, partition, x0s, cfg.word_length, cfg.horizon,
@@ -198,12 +181,12 @@ def stage_encode(cfg: PipelineConfig, outdir: Path):
         "found_starts": len(entries), "complete": n_complete, "words": entries,
     })
     print(f"encode: {len(entries)} starts, {n_complete} complete length-{cfg.word_length} words")
-    return [WORDS_JSON], {"complete_words": n_complete, "counters": counters}
+    return {"complete_words": n_complete, "counters": counters,
+            "summary": {"encode": {"found_starts": len(entries), "complete": n_complete,
+                                   "length": cfg.word_length}}}
 
 
-def stage_shadow(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(cfg, outdir, "shadow")
-    lib = _load_library(outdir, "shadow")
+def stage_shadow(cfg: PipelineConfig, outdir: Path, cover, lib):
     partition = Partition(cover=cover)
     x0s, counters = _initial_points(cfg, partition, STREAM_SHADOW)
     report = shadowing_report(cfg.model, lib, partition, x0s, cfg.word_length,
@@ -212,9 +195,10 @@ def stage_shadow(cfg: PipelineConfig, outdir: Path):
     write_json(outdir / SHADOW_REPORT_JSON, report)
     print(f"shadow: {report['orbits']} orbits ({report['complete_orbits']} complete), "
           f"max error {report['max_error']} vs epsilon {report['epsilon']}")
-    return [SHADOW_REPORT_JSON], {"max_error": report["max_error"],
-                                  "complete_orbits": report["complete_orbits"],
-                                  "counters": counters}
+    return {"max_error": report["max_error"], "complete_orbits": report["complete_orbits"],
+            "counters": counters,
+            "summary": {"shadow": {k: report[k] for k in
+                                   ("epsilon", "max_error", "orbits", "complete_orbits")}}}
 
 
 def _check_start_cell(field: str, cell: int, n_cells: int) -> None:
@@ -224,36 +208,36 @@ def _check_start_cell(field: str, cell: int, n_cells: int) -> None:
         raise ConfigError([f"{field}: must be <= {n_cells} (the number of cells), got {cell}"])
 
 
-def stage_enumerate(cfg: PipelineConfig, outdir: Path):
+def stage_enumerate(cfg: PipelineConfig, outdir: Path, table):
+    # table is the tensor set in tensor mode, else (transitions, probabilities)
     if cfg.enumerate_mode == "tensor":
-        tensors = _read_artifact(
-            require(outdir, TENSORS_JSON, "enumerate"), "tensor set",
-            lambda p: {t["order"]: tensor_from_json(t) for t in read_json(p)["tensors"]})
-        if cfg.tensor_order not in tensors:
+        if cfg.tensor_order not in table:
             raise MissingArtifactError(
                 f"stage 'enumerate' needs the order-{cfg.tensor_order} tensor in {TENSORS_JSON}")
-        system = tensors[cfg.tensor_order]
+        system = table[cfg.tensor_order]
     else:
-        system, _ = _load_transitions(outdir, "enumerate")
+        system, _ = table
     _check_start_cell("enumerate_from", cfg.enumerate_from, system.n_cells)
     res = enumerate_admissible(system, cfg.enumerate_from, cfg.word_length,
                                cap=cfg.enumeration_cap)
+    reachable = sorted(res.reachable)
     write_json(outdir / ENUMERATION_JSON, {
         "from": cfg.enumerate_from, "length": cfg.word_length,
         "mode": cfg.enumerate_mode, "overflowed": res.overflowed,
         "word_count": len(res.words), "cap": cfg.enumeration_cap,
-        "reachable": sorted(res.reachable),
+        "reachable": reachable,
         "words": res.words,
     })
     print(f"enumerate: {len(res.words)} words of length {cfg.word_length} from "
           f"{cfg.enumerate_from} (overflowed: {res.overflowed}); "
           f"{len(res.reachable)} reachable symbols")
-    return [ENUMERATION_JSON], {"word_count": len(res.words), "overflowed": res.overflowed}
+    return {"word_count": len(res.words), "overflowed": res.overflowed,
+            "summary": {"enumeration": {"word_count": len(res.words),
+                                        "overflowed": res.overflowed, "reachable": reachable}}}
 
 
-def stage_entropy(cfg: PipelineConfig, outdir: Path):
-    cover = _load_cover(cfg, outdir, "entropy")
-    _, mm = _load_transitions(outdir, "entropy")
+def stage_entropy(cfg: PipelineConfig, outdir: Path, cover, transitions):
+    _, mm = transitions
     partition = Partition(cover=cover)
     rng = derive_rng(cfg.rng_seed, STREAM_MEASURE)
     samples = cfg.domain.sample(rng, cfg.measure_samples)
@@ -271,12 +255,14 @@ def stage_entropy(cfg: PipelineConfig, outdir: Path):
     print(f"entropy: partition H = {h:.6g} (over {mu.covered} covered samples)")
     print(f"entropy: landing-matrix H = {ks.unweighted:.6g} unweighted, "
           f"{ks.stationary_weighted:.6g} stationary-weighted")
-    return [ENTROPY_JSON], {"metric_entropy": h}
+    return {"metric_entropy": h,
+            "summary": {"entropy": {"metric_entropy": h,
+                                    "ks_entropy_unweighted": ks.unweighted,
+                                    "ks_entropy_stationary_weighted": ks.stationary_weighted}}}
 
 
-def stage_bounds(cfg: PipelineConfig, outdir: Path):
-    lib = _load_library(outdir, "bounds")
-    tm, _ = _load_transitions(outdir, "bounds")
+def stage_bounds(cfg: PipelineConfig, outdir: Path, lib, transitions):
+    tm, _ = transitions
     _check_start_cell("bounds_from", cfg.bounds_from, tm.n_cells)
     blocks = []
     for q in cfg.quantities:
@@ -300,65 +286,51 @@ def stage_bounds(cfg: PipelineConfig, outdir: Path):
     write_json(outdir / BOUNDS_JSON, {
         "from": cfg.bounds_from, "length": cfg.word_length, "quantities": blocks,
     })
-    return [BOUNDS_JSON], {"quantities": len(blocks)}
+    return {"quantities": len(blocks),
+            "summary": {"bounds": [{k: b[k] for k in ("label", "q_lo", "q_hi")}
+                                   for b in blocks]}}
 
 
 def stage_report(cfg: PipelineConfig, outdir: Path):
-    manifest = load_manifest(outdir)
+    stages = load_manifest(outdir)["stages"]
     summary: dict = {}
-    for name in (COVER_JSON, TRANSITIONS_JSON, WORDS_JSON, SHADOW_REPORT_JSON,
-                 ENUMERATION_JSON, ENTROPY_JSON, BOUNDS_JSON):
-        path = outdir / name
-        if not path.exists():
-            continue
-        doc = read_json(path)
-        if name == COVER_JSON:
-            radii = [b["radius"] for b in doc["balls"]]
-            summary["cover"] = {"n_balls": len(radii),
-                                "radius_min": min(radii), "radius_max": max(radii)}
-        elif name == TRANSITIONS_JSON:
-            summary["transitions"] = {"n_cells": doc["n_cells"],
-                                      "verdicts": doc.get("verdicts")}
-        elif name == WORDS_JSON:
-            summary["encode"] = {"found_starts": doc["found_starts"],
-                                 "complete": doc["complete"], "length": doc["length"]}
-        elif name == SHADOW_REPORT_JSON:
-            summary["shadow"] = {k: doc[k] for k in
-                                 ("epsilon", "max_error", "orbits", "complete_orbits")}
-        elif name == ENUMERATION_JSON:
-            summary["enumeration"] = {k: doc[k] for k in
-                                      ("word_count", "overflowed", "reachable")}
-        elif name == ENTROPY_JSON:
-            summary["entropy"] = {k: doc[k] for k in
-                                  ("metric_entropy", "ks_entropy_unweighted",
-                                   "ks_entropy_stationary_weighted")}
-        elif name == BOUNDS_JSON:
-            summary["bounds"] = [{k: b[k] for k in ("label", "q_lo", "q_hi")}
-                                 for b in doc["quantities"]]
-    # wall times and work counters stay out of the report, so identical
-    # results produce identical bytes
+    for name in STAGES:
+        summary.update(stages.get(name, {}).get("summary", {}))
+    # wall times, work counters and the report's own entry stay out, so
+    # identical results, and a rerun of the report, give identical bytes
     report = {"tool_version": __version__, "rng_seed": cfg.rng_seed,
               "stages": {k: {kk: vv for kk, vv in v.items()
-                             if kk not in ("outputs", "wall_time_s", "counters")}
-                         for k, v in manifest.get("stages", {}).items()},
+                             if kk not in ("outputs", "wall_time_s", "counters", "summary")}
+                         for k, v in stages.items() if k != "report"},
               "summary": summary}
     write_json(outdir / REPORT_JSON, report)
-    print("report: stages completed:", ", ".join(sorted(manifest.get("stages", {}))) or "none")
+    print("report: stages completed:", ", ".join(sorted(report["stages"])) or "none")
     for key, value in summary.items():
         print(f"  {key}: {value}")
-    return [REPORT_JSON], {}
+    return {}
 
 
-_STAGE_FUNCS = {
-    "calibrate": stage_calibrate,
-    "segments": stage_segments,
-    "transitions": stage_transitions,
-    "encode": stage_encode,
-    "shadow": stage_shadow,
-    "enumerate": stage_enumerate,
-    "entropy": stage_entropy,
-    "bounds": stage_bounds,
-    "report": stage_report,
+class Stage(NamedTuple):
+    """One pipeline stage: fn(cfg, outdir, *inputs) returns its manifest
+    entry fields, its report "summary" among them; reads lists its input
+    artifacts in argument order and writes what it records in the manifest."""
+
+    fn: Callable
+    reads: tuple
+    writes: tuple
+
+
+STAGES = {
+    "calibrate": Stage(stage_calibrate, (), (COVER_JSON,)),
+    "segments": Stage(stage_segments, (COVER_JSON,), (LIBRARY_DIR, MAX_DIFFERENCE_CSV)),
+    "transitions": Stage(stage_transitions, (COVER_JSON, LIBRARY_DIR),
+                         (TRANSITIONS_JSON, TENSORS_JSON)),
+    "encode": Stage(stage_encode, (COVER_JSON,), (WORDS_JSON,)),
+    "shadow": Stage(stage_shadow, (COVER_JSON, LIBRARY_DIR), (SHADOW_REPORT_JSON,)),
+    "enumerate": Stage(stage_enumerate, (TRANSITIONS_JSON,), (ENUMERATION_JSON,)),
+    "entropy": Stage(stage_entropy, (COVER_JSON, TRANSITIONS_JSON), (ENTROPY_JSON,)),
+    "bounds": Stage(stage_bounds, (LIBRARY_DIR, TRANSITIONS_JSON), (BOUNDS_JSON,)),
+    "report": Stage(stage_report, (), (REPORT_JSON,)),
 }
 
 
@@ -401,9 +373,15 @@ def main(argv=None) -> int:
                 return 1
             print(f"check: all recorded artifacts in {outdir} validate")
             return 0
+        stage = STAGES[args.command]
+        # the one place a config changes what a stage reads: in tensor mode,
+        # enumerate walks the tensor set instead of the transition table
+        tensor_mode = args.command == "enumerate" and cfg.enumerate_mode == "tensor"
         started = time.perf_counter()
-        outputs, extra = _STAGE_FUNCS[args.command](cfg, outdir)
-        record_stage(outdir, args.command, time.perf_counter() - started, outputs,
+        inputs = [_load(cfg, outdir, args.command, name)
+                  for name in ((TENSORS_JSON,) if tensor_mode else stage.reads)]
+        extra = stage.fn(cfg, outdir, *inputs)
+        record_stage(outdir, args.command, time.perf_counter() - started, stage.writes,
                      tool_version=__version__, rng_seed=cfg.rng_seed,
                      config_echo=cfg.raw, extra=extra)
         return 0

@@ -29,7 +29,6 @@ __all__ = [
     "Partition",
     "CellMeasure",
     "collocate",
-    "calibrate_delta",
     "calibrate_deltas",
     "diameters",
     "minimal_cover",
@@ -614,19 +613,6 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         for key, value in tally.items():
             counters[key] = counters.get(key, 0) + value
     return result
-
-
-def calibrate_delta(model: FlowModel, center, horizon: float, epsilon: float,
-                    cfg: IntegratorConfig, boundary_samples: int = 32, *,
-                    delta_max: float, delta_min: float = 1e-9,
-                    time_samples: int = 17, rel_tol: float = 0.01,
-                    seed: int = 0) -> float:
-    """Single-center version of :func:`calibrate_deltas`."""
-    center = np.asarray(center, dtype=float)
-    out = calibrate_deltas(model, center[None, :], horizon, epsilon, cfg,
-                           boundary_samples, delta_max=delta_max, delta_min=delta_min,
-                           time_samples=time_samples, rel_tol=rel_tol, seed=seed)
-    return float(out[0])
 
 
 def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:

@@ -29,8 +29,6 @@ __all__ = [
     "MarkovMatrix",
     "TransitionTensor",
     "ExpansionVerdict",
-    "estimate_transitions",
-    "estimate_tensor",
     "sample_itineraries",
     "transitions_from_itineraries",
     "row_sensitivity",
@@ -282,32 +280,6 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
             MarkovMatrix(p=p), tensors)
 
 
-def estimate_transitions(model: FlowModel, partition: Partition, horizon: float,
-                         samples_per_cell: int, cfg: IntegratorConfig, rng_seed: int,
-                         max_draw_factor: int = 200,
-                         ) -> tuple[TransitionMatrix, MarkovMatrix]:
-    """Transition matrix and landing probabilities from one hop of T."""
-    if samples_per_cell < 1:
-        raise ValueError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
-    _, itins = sample_itineraries(model, partition, horizon, 1, samples_per_cell,
-                                  cfg, rng_seed, max_draw_factor=max_draw_factor)
-    tm, mm, _ = transitions_from_itineraries(itins, partition.n_cells)
-    return tm, mm
-
-
-def estimate_tensor(model: FlowModel, partition: Partition, horizon: float,
-                    order: int, samples_per_cell: int, cfg: IntegratorConfig,
-                    rng_seed: int, max_draw_factor: int = 200) -> TransitionTensor:
-    """Order-k admissibility tensor from full k-step sample itineraries."""
-    if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
-    _, itins = sample_itineraries(model, partition, horizon, order - 1,
-                                  samples_per_cell, cfg, rng_seed,
-                                  max_draw_factor=max_draw_factor)
-    _, _, (tensor,) = transitions_from_itineraries(itins, partition.n_cells, (order,))
-    return tensor
-
-
 def _admissible_rows(gamma) -> Array:
     if isinstance(gamma, TransitionMatrix):
         return gamma.admissible
@@ -484,15 +456,37 @@ def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, 
     return rows, cols, values
 
 
+def _json_counts(values, ndim: int, what: str) -> Array:
+    """The int64 array of a list (ndim 1) or table (ndim 2) of counts; each
+    must be a nonnegative JSON integer in int64 range, so a float, string or
+    boolean is refused rather than truncated."""
+    cells = np.asarray(values, dtype=object)
+    if cells.ndim != ndim:
+        raise ValueError(f"{what} must be a {('list', 'table')[ndim - 1]} of counts")
+    for i, v in enumerate(cells.flat):
+        if type(v) is not int or not 0 <= v <= np.iinfo(np.int64).max:
+            at = (f"cell {i + 1}" if ndim == 1 else
+                  f"cell pair ({i // cells.shape[1] + 1}, {i % cells.shape[1] + 1})")
+            raise ValueError(f"{what} must be nonnegative JSON integers; "
+                             f"{at} holds {json.dumps(v)}")
+    return cells.astype(np.int64)
+
+
 def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
+    """The tables of a ``transitions.json`` document. Escapes and dense counts
+    are checked as sparse counts are, and a dense ``admissible`` must equal
+    ``counts > 0``."""
     n = doc["n_cells"]
-    escapes = np.asarray(doc["escapes"], dtype=np.int64)
+    escapes = _json_counts(doc["escapes"], 1, "escapes")
     if doc["format"] == "dense":
-        counts = np.asarray(doc["counts"], dtype=np.int64)
+        counts = _json_counts(doc["counts"], 2, "counts")
         p = np.asarray(doc["p"], dtype=float)
         admissible = np.asarray(doc["admissible"], dtype=bool)
         if p.shape != counts.shape:
             raise ValueError(f"p has shape {p.shape}, counts has shape {counts.shape}")
+        if admissible.shape == counts.shape and np.any(admissible & (counts == 0)):
+            r, c = np.argwhere(admissible & (counts == 0))[0]
+            raise ValueError(f"admissible cell pair ({r + 1}, {c + 1}) has count 0")
     else:
         counts = np.zeros((n, n), dtype=np.int64)
         p = np.zeros((n, n))
@@ -514,8 +508,12 @@ def tensor_to_json(tensor: TransitionTensor) -> dict:
 
 
 def tensor_from_json(doc: dict) -> TransitionTensor:
-    """The tensor of a ``tensors.json`` entry; every tuple must be a list of
-    ``order`` JSON integers (not floats, strings or booleans)."""
+    """The tensor of a ``tensors.json`` entry; ``order``, ``n_cells`` and every
+    symbol of a tuple (a list of ``order`` of them) must be JSON integers, not
+    floats, strings or booleans."""
+    for field in ("order", "n_cells"):
+        if type(doc[field]) is not int:
+            raise ValueError(f"{field} {json.dumps(doc[field])} is not a JSON integer")
     tuples, order = doc["tuples"], doc["order"]
     if not (set(map(type, tuples)) <= {list}
             and set(map(type, chain.from_iterable(tuples))) <= {int}):

@@ -32,7 +32,6 @@ from segdyn import (
     collocate,
     encode_many,
     enumerate_admissible,
-    estimate_transitions,
     expanding_to_depth,
     ks_entropy,
     max_difference,
@@ -254,8 +253,9 @@ def test_criterion_04_transition_consistency(run4):
     pairs = set(map(tuple, by_order[2].tuples.tolist()))
     closure_ok = all(tuple(t[:-1]) in pairs for t in by_order[3].tuples.tolist())
 
-    tm2, mm2 = estimate_transitions(run4["model"], run4["partition"], run4["horizon"],
-                                    200, run4["cfg"], rng_seed=run4["seed"])
+    _, itins = sample_itineraries(run4["model"], run4["partition"], run4["horizon"], 1,
+                                  200, run4["cfg"], rng_seed=run4["seed"])
+    tm2, mm2, _ = transitions_from_itineraries(itins, run4["partition"].n_cells)
     doc_a = json.dumps(transitions_to_json(tm, mm, run4["seed"], 200), sort_keys=True)
     doc_b = json.dumps(transitions_to_json(tm2, mm2, run4["seed"], 200), sort_keys=True)
     determinism_ok = doc_a == doc_b

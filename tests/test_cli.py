@@ -112,9 +112,40 @@ def test_check_detects_corruption(pipeline, tmp_path):
     assert main(["report", "--config", str(config), "--check"]) == 0
 
 
-def test_missing_artifact_exit_code(tmp_path):
-    config = _write_config(tmp_path)
-    assert main(["shadow", "--config", str(config)]) == 3
+# every (stage, input file) pair of the pipeline; in tensor mode enumerate
+# reads tensors.json instead of transitions.json
+STAGE_INPUTS = [
+    ("segments", "cover.json", "markov"),
+    ("transitions", "cover.json", "markov"),
+    ("transitions", "library/library.json", "markov"),
+    ("transitions", "library/segments.csv", "markov"),
+    ("encode", "cover.json", "markov"),
+    ("shadow", "cover.json", "markov"),
+    ("shadow", "library/library.json", "markov"),
+    ("shadow", "library/segments.csv", "markov"),
+    ("enumerate", "transitions.json", "markov"),
+    ("enumerate", "tensors.json", "tensor"),
+    ("entropy", "cover.json", "markov"),
+    ("entropy", "transitions.json", "markov"),
+    ("bounds", "library/library.json", "markov"),
+    ("bounds", "library/segments.csv", "markov"),
+    ("bounds", "transitions.json", "markov"),
+]
+
+
+@pytest.mark.parametrize("stage, missing, mode", STAGE_INPUTS,
+                         ids=[f"{stage}-{missing}" for stage, missing, _ in STAGE_INPUTS])
+def test_missing_artifact_exit_code(pipeline, tmp_path, capsys, stage, missing, mode):
+    _, _, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / missing).unlink()
+    config = _write_config(tmp_path, {"enumerate_mode": mode})
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: stage '{stage}' needs artifact '{missing}' (not found in {copy}); "
+        "run the producing stage first\n")
 
 
 def test_invalid_config_lists_all_problems(tmp_path, capsys):
@@ -374,10 +405,27 @@ def _edit_lines(edit):
      _edit_json(lambda d: d["tensors"][1]["tuples"].insert(0, [1, 2])),
      "tensor", ["enumerate"],
      "is not a readable tensor set: ValueError('tuples entry 0: [1, 2] does not have order 3')"),
+    ("tensors.json", "tensors.json", _edit_json(lambda d: d["tensors"][1].update(order=3.0)),
+     "tensor", ["enumerate"],
+     "is not a readable tensor set: ValueError('order 3.0 is not a JSON integer')"),
+    ("tensors.json", "tensors.json", _edit_json(lambda d: d["tensors"][1].update(n_cells="8")),
+     "tensor", ["enumerate"],
+     "is not a readable tensor set: ValueError('n_cells \"8\" is not a JSON integer')"),
+    ("transitions.json", "transitions.json",
+     _edit_json(lambda d: d["counts"][0].__setitem__(2, 16.5)),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: ValueError('counts must be nonnegative JSON "
+     "integers; cell pair (1, 3) holds 16.5')"),
+    ("transitions.json", "transitions.json",
+     _edit_json(lambda d: d["admissible"][0].__setitem__(0, 1)),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('admissible cell pair (1, 1) has count 0')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
         "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
-        "short-tuple"])
+        "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
+        "dense-admissible-zero-count"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline
@@ -558,13 +606,29 @@ LINEAR1D_DIGESTS = {
 }
 
 
-def test_bundled_linear1d_outputs_keep_their_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def linear1d(tmp_path_factory):
     config = Path(__file__).resolve().parent.parent / "configs" / "linear1d.json"
-    out = tmp_path / "out"
+    out = tmp_path_factory.mktemp("linear1d") / "out"
     for stage in ALL_STAGES:
         assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    return config, out
+
+
+def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
+    _, out = linear1d
     found = {p.relative_to(out).as_posix(): file_digest(p)
              for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_report_is_built_from_the_manifest_alone(linear1d, tmp_path):
+    config, out = linear1d
+    alone = tmp_path / "out"
+    alone.mkdir()
+    shutil.copyfile(out / "manifest.json", alone / "manifest.json")
+    assert main(["report", "--config", str(config), "--out", str(alone)]) == 0
+    assert sorted(p.name for p in alone.iterdir()) == ["manifest.json", "report.json"]
+    assert (alone / "report.json").read_bytes() == (out / "report.json").read_bytes()

@@ -13,7 +13,6 @@ from segdyn import (
     DimensionExplosionError,
     IntegratorConfig,
     Partition,
-    calibrate_delta,
     calibrate_deltas,
     cell_measure,
     collocate,
@@ -64,18 +63,18 @@ def test_box_validation():
 
 def test_calibrate_contracting_delta_is_half_epsilon(linear1, cfg):
     # diameter 2*delta*e^{-t} peaks at t=0, so the best radius is epsilon/2
-    delta = calibrate_delta(linear1, [0.3], 1.0, 0.1, cfg, delta_max=1.0, seed=3)
+    delta = calibrate_deltas(linear1, [[0.3]], 1.0, 0.1, cfg, delta_max=1.0, seed=3)[0]
     assert abs(delta - 0.05) <= 0.02 * 0.05
 
 
 def test_calibrate_expanding_delta(expanding1d, cfg):
     # diameter 2*delta*e^t peaks at t=T=1, so the best radius is epsilon/(2e)
-    delta = calibrate_delta(expanding1d, [0.0], 1.0, 0.1, cfg, delta_max=1.0, seed=3)
+    delta = calibrate_deltas(expanding1d, [[0.0]], 1.0, 0.1, cfg, delta_max=1.0, seed=3)[0]
     assert abs(delta - 0.1 / (2 * np.e)) <= 0.02 * (0.1 / (2 * np.e))
 
 
 def test_calibrate_returns_cap_when_epsilon_generous(linear1, cfg):
-    delta = calibrate_delta(linear1, [0.0], 1.0, 10.0, cfg, delta_max=0.3, seed=3)
+    delta = calibrate_deltas(linear1, [[0.0]], 1.0, 10.0, cfg, delta_max=0.3, seed=3)[0]
     assert delta == 0.3
 
 
@@ -84,18 +83,18 @@ def test_calibrate_error_when_unreachable(expanding1d, cfg):
     # at the minimum radius
     big_cfg = IntegratorConfig(step=0.05)
     with pytest.raises(CalibrationError, match="minimum radius"):
-        calibrate_delta(expanding1d, [0.0], 25.0, 0.1, big_cfg,
-                        delta_max=1.0, delta_min=1e-6, seed=3)
+        calibrate_deltas(expanding1d, [[0.0]], 25.0, 0.1, big_cfg,
+                         delta_max=1.0, delta_min=1e-6, seed=3)
 
 
 def test_calibrate_monotone_in_horizon(expanding1d, cfg):
-    deltas = [calibrate_delta(expanding1d, [0.0], T, 0.1, cfg, delta_max=1.0, seed=5)
+    deltas = [calibrate_deltas(expanding1d, [[0.0]], T, 0.1, cfg, delta_max=1.0, seed=5)[0]
               for T in (0.5, 1.0, 2.0)]
     assert deltas[0] >= deltas[1] >= deltas[2]
 
 
 def test_calibrate_monotone_in_epsilon(expanding1d, cfg):
-    deltas = [calibrate_delta(expanding1d, [0.0], 1.0, eps, cfg, delta_max=1.0, seed=5)
+    deltas = [calibrate_deltas(expanding1d, [[0.0]], 1.0, eps, cfg, delta_max=1.0, seed=5)[0]
               for eps in (0.05, 0.1, 0.2)]
     assert deltas[0] <= deltas[1] <= deltas[2]
 

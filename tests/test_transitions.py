@@ -17,12 +17,11 @@ from segdyn import (
     ball_admissibility,
     ball_successors,
     build_segments,
-    estimate_tensor,
-    estimate_transitions,
     expanding_to_depth,
     jacobian_norms,
     row_sensitivity,
     sample_itineraries,
+    transitions_from_itineraries,
 )
 from segdyn import transitions
 from segdyn._rng import STREAM_TRANSITIONS, derive_rng
@@ -45,6 +44,21 @@ def _partition(centers, radii):
                                  radii=np.asarray(radii, dtype=float)))
 
 
+def _one_hop(model, partition, horizon, samples_per_cell, cfg, rng_seed, **kwargs):
+    """Transition table and landing probabilities from one hop of T."""
+    _, itins = sample_itineraries(model, partition, horizon, 1, samples_per_cell, cfg,
+                                  rng_seed, **kwargs)
+    tm, mm, _ = transitions_from_itineraries(itins, partition.n_cells)
+    return tm, mm
+
+
+def _tensor(model, partition, horizon, order, samples_per_cell, cfg, rng_seed):
+    """Order-k tensor from samples_per_cell itineraries of k - 1 hops per cell."""
+    _, itins = sample_itineraries(model, partition, horizon, order - 1, samples_per_cell,
+                                  cfg, rng_seed)
+    return transitions_from_itineraries(itins, partition.n_cells, (order,))[2][0]
+
+
 @pytest.fixture(scope="module")
 def sink_partition():
     # contracting 1-d flow: both balls' images end up near 0, which the
@@ -54,14 +68,14 @@ def sink_partition():
 
 def test_single_cell_self_map(linear1, cfg):
     part = _partition([[0.0]], [0.5])
-    tm, mm = estimate_transitions(linear1, part, 1.0, 40, cfg, rng_seed=1)
+    tm, mm = _one_hop(linear1, part, 1.0, 40, cfg, rng_seed=1)
     assert tm.admissible.tolist() == [[True]]
     assert mm.p.tolist() == [[1.0]]
     assert tm.escapes.tolist() == [0]
 
 
 def test_zero_horizon_gives_identity(linear1, sink_partition, cfg):
-    tm, mm = estimate_transitions(linear1, sink_partition, 0.0, 25, cfg, rng_seed=2)
+    tm, mm = _one_hop(linear1, sink_partition, 0.0, 25, cfg, rng_seed=2)
     assert np.array_equal(tm.admissible, np.eye(2, dtype=bool))
     assert np.array_equal(mm.p, np.eye(2))
 
@@ -69,31 +83,31 @@ def test_zero_horizon_gives_identity(linear1, sink_partition, cfg):
 def test_contraction_funnels_into_sink_cell(linear1, sink_partition, cfg):
     # oracle: e^{-3} * x keeps every point of both balls within [-0.041, 0.041],
     # inside both balls, so the largest-index rule lands everything in cell 2
-    tm, mm = estimate_transitions(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
+    tm, mm = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
     assert np.array_equal(tm.admissible, [[False, True], [False, True]])
     assert np.array_equal(mm.p, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_tensor_order2_equals_gamma_same_seed(linear1, sink_partition, cfg):
-    tm, _ = estimate_transitions(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
-    t2 = estimate_tensor(linear1, sink_partition, 3.0, 2, 60, cfg, rng_seed=3)
+    tm, _ = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
+    t2 = _tensor(linear1, sink_partition, 3.0, 2, 60, cfg, rng_seed=3)
     assert t2.tuples.tolist() == (np.argwhere(tm.admissible) + 1).tolist()
 
 
 def test_contraction_tensor_order3(linear1, sink_partition, cfg):
-    t3 = estimate_tensor(linear1, sink_partition, 3.0, 3, 60, cfg, rng_seed=3)
+    t3 = _tensor(linear1, sink_partition, 3.0, 3, 60, cfg, rng_seed=3)
     assert t3.tuples.tolist() == [[1, 2, 2], [2, 2, 2]]
 
 
 def test_zero_field_only_constant_tuples(zero_field_1d, cfg):
     part = _partition([[-0.5], [0.5]], [0.3, 0.3])
-    t3 = estimate_tensor(zero_field_1d, part, 1.0, 3, 30, cfg, rng_seed=4)
+    t3 = _tensor(zero_field_1d, part, 1.0, 3, 30, cfg, rng_seed=4)
     assert t3.tuples.tolist() == [[1, 1, 1], [2, 2, 2]]
 
 
 def test_prefix_closure_across_orders(linear1, cfg):
     part = _partition([[-0.7], [0.0], [0.7]], [0.45, 0.45, 0.45])
-    tensors = {k: estimate_tensor(linear1, part, 0.6, k, 50, cfg, rng_seed=7)
+    tensors = {k: _tensor(linear1, part, 0.6, k, 50, cfg, rng_seed=7)
                for k in (2, 3, 4)}
     for k in (3, 4):
         shorter = set(map(tuple, tensors[k - 1].tuples.tolist()))
@@ -103,7 +117,7 @@ def test_prefix_closure_across_orders(linear1, cfg):
 
 def test_markov_rows_sum_to_one(linear1, cfg):
     part = _partition([[-0.7], [0.0], [0.7]], [0.45, 0.45, 0.45])
-    tm, mm = estimate_transitions(linear1, part, 0.6, 50, cfg, rng_seed=8)
+    tm, mm = _one_hop(linear1, part, 0.6, 50, cfg, rng_seed=8)
     landed = tm.counts.sum(axis=1)
     for m in range(3):
         row = mm.p[m].sum()
@@ -116,7 +130,7 @@ def test_markov_rows_sum_to_one(linear1, cfg):
 
 def test_escaping_cell_is_unsupported(expanding1d, cfg):
     part = _partition([[1.0]], [0.1])
-    tm, mm = estimate_transitions(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
+    tm, mm = _one_hop(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
     assert tm.unsupported_rows == {1}
     assert tm.escape_fractions().tolist() == [1.0]
     assert np.array_equal(mm.p, [[0.0]])
@@ -125,7 +139,7 @@ def test_escaping_cell_is_unsupported(expanding1d, cfg):
 def test_seed_determinism_bytes(linear1, sink_partition, cfg):
     docs = []
     for _ in range(2):
-        tm, mm = estimate_transitions(linear1, sink_partition, 1.0, 40, cfg, rng_seed=12)
+        tm, mm = _one_hop(linear1, sink_partition, 1.0, 40, cfg, rng_seed=12)
         docs.append(json.dumps(transitions_to_json(tm, mm, 12, 40), sort_keys=True))
     assert docs[0] == docs[1]
 
@@ -146,7 +160,7 @@ def test_sampled_start_pairs_are_admissible(linear1, sink_partition, cfg):
     # that Gamma marks admissible
     from segdyn import encode_orbit
     starts, itins = sample_itineraries(linear1, sink_partition, 1.0, 1, 30, cfg, rng_seed=14)
-    tm, _ = estimate_transitions(linear1, sink_partition, 1.0, 30, cfg, rng_seed=14)
+    tm, _ = _one_hop(linear1, sink_partition, 1.0, 30, cfg, rng_seed=14)
     for x0, itin in zip(starts[:20], itins[:20]):
         if itin[1] == 0:
             continue
@@ -159,7 +173,7 @@ def test_sampling_error_for_empty_cell(linear1, cfg):
     # ball 1 is completely shadowed by the identical later ball 2
     part = _partition([[0.0], [0.0]], [0.5, 0.5])
     with pytest.raises(SamplingError, match="cell 1"):
-        estimate_transitions(linear1, part, 1.0, 10, cfg, rng_seed=15, max_draw_factor=20)
+        _one_hop(linear1, part, 1.0, 10, cfg, rng_seed=15, max_draw_factor=20)
 
 
 def _reference_starts(partition, count, seed, max_draw_factor, counters=None):
@@ -554,6 +568,52 @@ def test_dense_transitions_reject_mismatched_p_and_negative_counts():
         transitions_from_json(dict(doc, p=[[1.0]]))
     with pytest.raises(ValueError, match="counts must be nonnegative"):
         transitions_from_json(dict(doc, counts=[[1, 0], [0, -1]]))
+
+
+def _dense_doc():
+    return transitions_to_json(
+        TransitionMatrix(admissible=np.eye(2, dtype=bool), counts=2 * np.eye(2, dtype=np.int64),
+                         escapes=np.array([1, 0], dtype=np.int64)),
+        MarkovMatrix(p=np.eye(2)), rng_seed=1, samples_per_cell=3)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("counts", [[2, 0], [0, 2.5]],
+     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 2.5"),
+    ("counts", [[2, 0], [0, 2.0]],
+     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 2.0"),
+    ("counts", [[2, False], [0, 2]],
+     "counts must be nonnegative JSON integers; cell pair (1, 2) holds false"),
+    ("counts", [[2, 0], [0, 2 ** 63]],
+     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 9223372036854775808"),
+    ("counts", [[2, 0], [0]], "counts must be a table of counts"),
+    ("escapes", [1, 0.5], "escapes must be nonnegative JSON integers; cell 2 holds 0.5"),
+    ("escapes", [1, "0"], 'escapes must be nonnegative JSON integers; cell 2 holds "0"'),
+    ("escapes", [-1, 0], "escapes must be nonnegative JSON integers; cell 1 holds -1"),
+    ("escapes", 1, "escapes must be a list of counts"),
+    ("admissible", [[1, 1], [0, 1]], "admissible cell pair (1, 2) has count 0"),
+    ("admissible", [[1, 0], [0, 0]], "counts[m][n] > 0 requires admissible[m][n]"),
+])
+def test_dense_transitions_reject_bad_cells(key, value, message):
+    with pytest.raises(ValueError) as err:
+        transitions_from_json(dict(_dense_doc(), **{key: value}))
+    assert str(err.value) == message
+
+
+def test_sparse_transitions_reject_fractional_escapes():
+    with pytest.raises(ValueError) as err:
+        transitions_from_json(dict(_sparse_doc(), escapes=[0] * 599 + [2.5]))
+    assert str(err.value) == "escapes must be nonnegative JSON integers; cell 600 holds 2.5"
+
+
+@pytest.mark.parametrize("field, value", [("order", 3.0), ("order", "3"), ("order", True),
+                                          ("n_cells", 5.0), ("n_cells", "5"),
+                                          ("n_cells", False)])
+def test_tensor_json_rejects_non_integer_order_and_cell_count(field, value):
+    doc = dict({"order": 3, "n_cells": 5, "tuples": [[1, 2, 3]]}, **{field: value})
+    with pytest.raises(ValueError) as err:
+        tensor_from_json(doc)
+    assert str(err.value) == f"{field} {json.dumps(value)} is not a JSON integer"
 
 
 def test_tensor_json_roundtrip(tmp_path):

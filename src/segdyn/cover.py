@@ -16,9 +16,7 @@ import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
 from .errors import BlowupError, CalibrationError, CoverageError, DimensionExplosionError
-from .flow import (
-    _ROW_WISE, _WIDE_MIN_ROWS, FlowModel, IntegratorConfig, sample_path, walk_open_rows,
-)
+from .flow import _ROW_WISE, FlowModel, IntegratorConfig, sample_path, walk_open_rows
 
 Array = np.ndarray
 
@@ -58,6 +56,9 @@ _BUCKETS_PER_BALL = 64
 _MIN_REGISTRATIONS = 1 << 18
 # calibration walks as many probe clouds at once as fit in this many rows
 _CALIBRATE_ROWS = 1 << 14
+# a calibration with fewer probe rows per radius than this is narrow and
+# speculates; wider ones walk once per bisection round
+_NARROW_ROWS = 512
 # a narrow calibration evaluates as many bisection rounds per walk as keep
 # the walk within this many probe rows (BENCH_12.json, speculation_depth)
 _SPECULATE_ROWS = 2048
@@ -481,7 +482,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     once. A pass walks the other probes of a set of clouds with
     :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
     first sample time its diameter exceeds epsilon. When the call is narrow
-    (fewer than ``flow._WIDE_MIN_ROWS`` probe rows per radius) and its rows
+    (fewer than ``_NARROW_ROWS`` probe rows per radius) and its rows
     do not depend on each other, a pass carries every mid that the next s
     rounds can ask for, as many rounds as fit in ``_SPECULATE_ROWS`` probe
     rows, and the first pass also carries the cap and floor radii; the
@@ -518,7 +519,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     interval = horizon / (time_samples - 1)
     per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
     tally = {"bisection_rounds": 0, "probe_passes": 0, "rows_dropped": 0}
-    speculate = isinstance(model, _ROW_WISE) and n * (p - 1) < _WIDE_MIN_ROWS
+    speculate = isinstance(model, _ROW_WISE) and n * (p - 1) < _NARROW_ROWS
 
     def feasible(idx: Array, deltas: Array) -> Array:
         """Whether the cloud of radius deltas[i, c] about center idx[i] stays

@@ -2,13 +2,17 @@
 
 All models expose a vectorized right-hand side: ``rhs`` accepts arrays of
 shape (..., d) and returns the same shape, so whole batches of points are
-advanced in lockstep. Fixed time steps make every result bit-reproducible.
+advanced in lockstep. ``Lorenz`` and ``LinearDiagonal`` also bind an
+in-place rhs to coordinate-first (d, M) buffers (``bind_rhs``); the RK4
+kernel integrates their batches through it at every width. Fixed time steps
+make every result bit-reproducible.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Union
 
 import numpy as np
@@ -79,9 +83,11 @@ class LinearDiagonal:
     def rhs(self, x: Array) -> Array:
         return self._neg_rates * x
 
-    def rhs_into(self, xt: Array, out: Array, scratch: Array) -> None:
-        """:meth:`rhs` of a coordinate-first (d, M) batch, written into out."""
-        np.multiply(self._neg_rates[:, None], xt, out=out)
+    def bind_rhs(self, *pairs: tuple[Array, Array]) -> list:
+        """:meth:`rhs` of coordinate-first (d, M) batches: one call per
+        (xt, out) pair of buffers, each writing the rhs of xt into out."""
+        neg = np.repeat(self._neg_rates[:, None], pairs[0][0].shape[1], axis=1)
+        return [partial(np.multiply, neg, xt, out) for xt, out in pairs]
 
     def parameters(self) -> dict:
         return {"rates": self.rates.tolist()}
@@ -107,18 +113,30 @@ class Lorenz:
         out[..., 2] = x[..., 0] * x[..., 1] - self.beta * x[..., 2]
         return out
 
-    def rhs_into(self, xt: Array, out: Array, scratch: Array) -> None:
-        """:meth:`rhs` of a coordinate-first (3, M) batch, written into out
-        with the same operations; scratch is one (M,) buffer."""
-        x0, x1, x2 = xt
-        np.subtract(x1, x0, out=out[0])
-        out[0] *= self.sigma
-        np.subtract(self.rho, x2, out=scratch)
-        scratch *= x0
-        np.subtract(scratch, x1, out=out[1])
-        np.multiply(x0, x1, out=out[2])
-        np.multiply(self.beta, x2, out=scratch)
-        out[2] -= scratch
+    def bind_rhs(self, *pairs: tuple[Array, Array]) -> list:
+        """:meth:`rhs` of coordinate-first (3, M) batches: one call per
+        (xt, out) pair of buffers, each writing the rhs of xt into out with
+        the same operations."""
+        sigma, rho, beta = (np.array(v, dtype=float) for v in (self.sigma, self.rho, self.beta))
+        scratch = np.empty(pairs[0][0].shape[1])
+        sub, mul = np.subtract, np.multiply
+
+        def bind(xt: Array, out: Array):
+            x0, x1, x2 = xt
+            o0, o1, o2 = out
+
+            def rhs() -> None:
+                sub(x1, x0, o0)
+                mul(o0, sigma, o0)
+                sub(rho, x2, scratch)
+                mul(scratch, x0, scratch)
+                sub(scratch, x1, o1)
+                mul(x0, x1, o2)
+                mul(beta, x2, scratch)
+                sub(o2, scratch, o2)
+            return rhs
+
+        return [bind(xt, out) for xt, out in pairs]
 
     def parameters(self) -> dict:
         return {"sigma": self.sigma, "rho": self.rho, "beta": self.beta}
@@ -218,14 +236,9 @@ def _substep_count(duration: float, max_step: float) -> int:
 _FINITE_CHECK_EVERY = 16
 
 
-# batches of at least this many rows of a Lorenz or LinearDiagonal model are
-# integrated coordinate-first, through the model's rhs_into; narrower ones
-# keep _rk4_step, which is cheaper for them
-_WIDE_MIN_ROWS = 512
-
 # models whose rhs acts on each row alone and elementwise, so a row's bits
-# do not depend on the batch it is integrated in: they may take the (d, M)
-# kernel, and a walker may drop their finished rows
+# do not depend on the batch it is integrated in: they take the in-place
+# (d, M) kernel at every width, and a walker may drop their finished rows
 _ROW_WISE = (LinearDiagonal, Lorenz)
 
 
@@ -237,78 +250,91 @@ def _rk4_step(f, y: Array, dt: float) -> Array:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _wide_rk4_step(model, dt: float, yt: Array):
-    """An in-place RK4 step for coordinate-first (d, M) batches shaped like yt.
+def _rk4_kernel(model, yt: Array, dt: float):
+    """A call that advances the coordinate-first (d, M) batch yt by one RK4
+    step of dt, in place.
 
     It makes the scalar operations of :func:`_rk4_step` in the same order,
     ((k1 + 2 k2) + 2 k3) + k4 included, so the results are bitwise equal;
-    only the operand order of commutative products and sums differs.
+    only the operand order of commutative products and sums differs. The
+    constants are 0-d arrays and the buffers are bound once, because on
+    narrow batches a ufunc call's fixed cost outweighs its arithmetic.
     """
-    h = 0.5 * dt
-    w = dt / 6.0
+    h, full, w, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     stage, acc, k = np.empty_like(yt), np.empty_like(yt), np.empty_like(yt)
-    scratch = np.empty_like(yt[0])
-    f = model.rhs_into
+    k1, kn = model.bind_rhs((yt, acc), (stage, k))
+    add, mul = np.add, np.multiply
 
-    def step(y: Array) -> Array:
-        f(y, acc, scratch)                  # acc = k1
-        np.multiply(acc, h, out=stage)
-        np.add(stage, y, out=stage)
-        f(stage, k, scratch)                # k2
-        np.multiply(k, h, out=stage)
-        np.add(stage, y, out=stage)
-        np.multiply(k, 2.0, out=k)
-        np.add(acc, k, out=acc)             # k1 + 2 k2
-        f(stage, k, scratch)                # k3
-        np.multiply(k, dt, out=stage)
-        np.add(stage, y, out=stage)
-        np.multiply(k, 2.0, out=k)
-        np.add(acc, k, out=acc)             # + 2 k3
-        f(stage, k, scratch)                # k4
-        np.add(acc, k, out=acc)
-        np.multiply(acc, w, out=acc)
-        y += acc
-        return y
+    def step() -> None:
+        k1()                        # acc = k1
+        mul(acc, h, stage)
+        add(stage, yt, stage)
+        kn()                        # k = k2
+        mul(k, h, stage)
+        add(stage, yt, stage)
+        mul(k, two, k)
+        add(acc, k, acc)            # k1 + 2 k2
+        kn()                        # k3
+        mul(k, full, stage)
+        add(stage, yt, stage)
+        mul(k, two, k)
+        add(acc, k, acc)            # + 2 k3
+        kn()                        # k4
+        add(acc, k, acc)
+        mul(acc, w, acc)
+        add(yt, acc, yt)
 
     return step
 
 
 def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
-                   coord_axis: int | None, in_place: bool) -> Array:
-    """n_steps calls of step, checking finiteness every _FINITE_CHECK_EVERY.
+                   coord_axis: int) -> None:
+    """n_steps calls of step, which advances y by dt in place, checking
+    finiteness every _FINITE_CHECK_EVERY substeps.
 
     A block that ends non-finite is rerun one checked substep at a time
     from its start, so the BlowupError names the substep and the first row
-    exactly; coord_axis is the axis of y holding the coordinates, None for
-    a single point.
+    exactly; coord_axis is the axis of y holding the coordinates.
     """
     # overflow surfaces as a non-finite state, caught below; silence the
     # intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(0, n_steps, _FINITE_CHECK_EVERY):
-            y0 = y.copy() if in_place else y
+            y0 = y.copy()
             for _ in range(min(_FINITE_CHECK_EVERY, n_steps - block)):
-                y = step(y)
+                step()
             if not np.all(np.isfinite(y)):
-                y = y0
+                np.copyto(y, y0)
                 for i in range(block, n_steps):
-                    y = step(y)
-                    if not np.all(np.isfinite(y)):
-                        bad = None if coord_axis is None else int(np.flatnonzero(
-                            ~np.all(np.isfinite(y), axis=coord_axis))[0])
-                        raise BlowupError(time=t_start + (i + 1) * dt, batch_index=bad)
-    return y
+                    step()
+                    finite = np.all(np.isfinite(y), axis=coord_axis)
+                    if not np.all(finite):
+                        raise BlowupError(time=t_start + (i + 1) * dt,
+                                          batch_index=int(np.flatnonzero(~finite)[0]))
 
 
 def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
-    if isinstance(model, _ROW_WISE) and states.ndim == 2 and states.shape[0] >= _WIDE_MIN_ROWS:
-        yt = np.array(states.T, order="C")
-        yt = _checked_steps(_wide_rk4_step(model, dt, yt), yt, n_steps, dt, t_start,
-                            coord_axis=0, in_place=True)
+    """n_steps RK4 substeps of dt from the (M, d) batch states, into a new
+    array; states itself is never written."""
+    if isinstance(model, _ROW_WISE):
+        yt = states.T.copy()
+        _checked_steps(_rk4_kernel(model, yt, dt), yt, n_steps, dt, t_start, coord_axis=0)
         return np.ascontiguousarray(yt.T)
+    y = states.copy()
     f = model.rhs
-    return _checked_steps(lambda y: _rk4_step(f, y, dt), states, n_steps, dt, t_start,
-                          coord_axis=-1 if states.ndim > 1 else None, in_place=False)
+
+    def step() -> None:
+        y[...] = _rk4_step(f, y, dt)
+
+    _checked_steps(step, y, n_steps, dt, t_start, coord_axis=1)
+    return y
+
+
+def _as_batch(model: FlowModel, states) -> Array:
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != model.dimension:
+        raise ValueError(f"states have shape {states.shape}, model expects (M, {model.dimension})")
+    return states
 
 
 def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfig,
@@ -316,7 +342,7 @@ def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfi
     """Numerical F^t applied to a batch of points, shape (M, d) -> (M, d)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    states = np.asarray(states, dtype=float)
+    states = _as_batch(model, states)
     if t == 0:
         return states.copy()
     n = _substep_count(t, cfg.step)
@@ -343,7 +369,7 @@ def sample_path(model: FlowModel, states: Array, horizon: float, n_samples: int,
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    states = np.asarray(states, dtype=float)
+    states = _as_batch(model, states)
     times = np.linspace(0.0, horizon, n_samples)
     dt_grid = horizon / (n_samples - 1)
     n_sub = _substep_count(dt_grid, cfg.step)
@@ -373,7 +399,7 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     Returns the number of rows that left the batch before the last grid
     point; an empty batch is never visited.
     """
-    y = np.asarray(states, dtype=float)
+    y = _as_batch(model, states)
     if y.shape[0] == 0:
         return 0
     rows = np.arange(y.shape[0])
@@ -427,7 +453,7 @@ def jacobian_norms(model: FlowModel, points: Array, t: float, cfg: IntegratorCon
     """
     if fd_step <= 0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
-    points = np.asarray(points, dtype=float)
+    points = _as_batch(model, points)
     m, d = points.shape
     eye = np.eye(d) * fd_step
     # Layout: [p0+e0, p0-e0, p0+e1, ...] for each point, one batched advance.

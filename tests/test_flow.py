@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from segdyn import (
     advance,
     advance_many,
     jacobian_norm,
+    jacobian_norms,
     load_model,
     model_from_json,
     model_to_json,
     sample_trajectory,
 )
+from segdyn.flow import sample_path, walk_open_rows
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.37, 2.0])
@@ -155,6 +158,62 @@ def test_batch_advance_matches_scalar(lorenz, cfg):
     batch = advance_many(lorenz, pts, 0.25, cfg)
     for i, p in enumerate(pts):
         assert np.array_equal(batch[i], advance(lorenz, p, 0.25, cfg))
+
+
+@pytest.mark.parametrize("model,shape", [
+    (LinearDiagonal(rates=[1.0]), (4, 3)),
+    (Lorenz(), (7, 2)),
+    (Lorenz(), (600, 2)),
+    (Lorenz(), (3,)),
+    (Lorenz(), (2, 3, 1)),
+])
+def test_batch_of_the_wrong_shape_is_refused(cfg, model, shape):
+    states = np.ones(shape)
+    message = re.escape(f"states have shape {shape}, model expects (M, {model.dimension})")
+    calls = [
+        lambda: advance_many(model, states, 0.01, cfg),
+        lambda: advance_many(model, states, 0.0, cfg),
+        lambda: sample_path(model, states, 0.01, 3, cfg),
+        lambda: walk_open_rows(model, states, 0.01, 2, cfg, lambda k, rows, y: None),
+    ]
+    if len(shape) == 2:
+        calls.append(lambda: jacobian_norms(model, states, 0.01, cfg))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("model,shape", [
+    (LinearDiagonal(rates=[0.7]), (6, 1)),
+    (LinearDiagonal(rates=[0.7, -0.2, 1.5]), (1, 3)),
+    (Lorenz(), (1, 3)),
+    (QuadraticGeneric(linear=[[-1.0]], quadratic=[[[0.5]]], forcing=[0.1]), (6, 1)),
+])
+def test_integration_never_writes_the_callers_states(cfg, model, shape):
+    # (M, 1) and (1, d) batches transpose to contiguous views of themselves
+    states = np.random.default_rng(5).uniform(-1.0, 1.0, size=shape)
+    before = states.copy()
+    out = advance_many(model, states, 0.05, cfg)
+    assert not np.shares_memory(out, states)
+    _, path = sample_path(model, states, 0.05, 3, cfg)
+    seen = []
+
+    def visit(k, rows, y):
+        seen.append(y.copy())
+        return None
+
+    walk_open_rows(model, states, 0.025, 2, cfg, visit)
+    assert np.array_equal(states, before)
+    assert np.array_equal(seen[-1], path[:, -1])
+
+
+@pytest.mark.parametrize("model", [LinearDiagonal(rates=[1.0, 2.0]), Lorenz(),
+                                   QuadraticGeneric(linear=np.eye(2), quadratic=np.zeros((2, 2, 2)),
+                                                    forcing=[0.0, 0.0])])
+def test_empty_batch_keeps_its_shape(cfg, model):
+    d = model.dimension
+    assert advance_many(model, np.empty((0, d)), 0.05, cfg).shape == (0, d)
+    assert sample_path(model, np.empty((0, d)), 0.05, 3, cfg)[1].shape == (0, 3, d)
 
 
 def test_model_json_roundtrip():

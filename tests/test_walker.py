@@ -36,8 +36,8 @@ from segdyn import (
 )
 from segdyn._rng import STREAM_CALIBRATION, derive_rng
 from segdyn.config import load_config
-from segdyn.cover import _probe_directions, diameters
-from segdyn.flow import _WIDE_MIN_ROWS, sample_path, walk_open_rows
+from segdyn.cover import _NARROW_ROWS, _probe_directions, diameters
+from segdyn.flow import sample_path, walk_open_rows
 from segdyn.symbolic import _window_states
 from segdyn.transitions import _draw_cell_starts
 
@@ -227,7 +227,7 @@ def _zero_after_first_zero(cells):
 
 # ---- the (d, M) kernel --------------------------------------------------
 
-WIDTHS = [1, 3, _WIDE_MIN_ROWS - 1, _WIDE_MIN_ROWS, _WIDE_MIN_ROWS + 37, 2000]
+WIDTHS = [0, 1, 3, 511, 512, 549, 2000]
 
 
 def _model_and_states(kind, width, seed, d):
@@ -264,21 +264,30 @@ def test_linear_rates_are_kept_as_given():
     assert np.array_equal(model.rhs(x), -model.rates * x)
 
 
-def test_wide_blowup_reports_exact_step_and_row():
-    # dx/dt = 40 x grows through the largest double above the switch width;
-    # rows 300 and 301 start highest and overflow first, inside a check block
+def _assert_exact_blowup(width, first):
+    # dx/dt = 40 x grows through the largest double; rows first and
+    # first + 1 start highest and overflow first, inside a check block, so
+    # the block is rerun from its start
     model = LinearDiagonal(rates=[-40.0])
-    states = np.full((_WIDE_MIN_ROWS + 5, 1), 1e290)
-    states[300:302] = 1e300
+    states = np.full((width, 1), 1e290)
+    states[first:first + 2] = 1e300
     t, t_start, dt = 1.0, 0.25, 0.01
     with pytest.raises(BlowupError) as ref:
         ref_advance_many(model, states, t, IntegratorConfig(step=dt), t_start=t_start)
     step = round((ref.value.time - t_start) / dt)
-    assert step % 16 != 0 and ref.value.batch_index == 300
+    assert step % 16 != 0 and ref.value.batch_index == first
     with pytest.raises(BlowupError) as exc:
         advance_many(model, states, t, IntegratorConfig(step=dt), t_start=t_start)
     assert exc.value.time == ref.value.time == t_start + step * dt
-    assert exc.value.batch_index == 300
+    assert exc.value.batch_index == first
+
+
+def test_wide_blowup_reports_exact_step_and_row():
+    _assert_exact_blowup(517, 300)
+
+
+def test_narrow_blowup_reports_exact_step_and_row():
+    _assert_exact_blowup(5, 3)
 
 
 # ---- the walker ---------------------------------------------------------
@@ -287,7 +296,7 @@ def test_walker_reports_the_callers_row_after_drops():
     # the even rows leave at t = 0; odd row 301 overflows first, and the
     # error names it and the reference time of its grid interval
     model = LinearDiagonal(rates=[-40.0])
-    m = 2 * _WIDE_MIN_ROWS + 10
+    m = 1034
     states = np.full((m, 1), 1e280)
     states[300] = 1e306          # decided at t = 0: never integrated again
     states[301] = 1e300
@@ -404,7 +413,7 @@ def test_calibrate_quadratic_matches_reference(expanding1d, cfg):
 
 def _calibration_case(kind, wide, rng):
     """A model and centers whose probe rows per radius, n (p - 1), lie on
-    the given side of _WIDE_MIN_ROWS."""
+    the given side of _NARROW_ROWS."""
     if kind == "lorenz":
         model, d = Lorenz(), 3
         centers = rng.uniform([-15, -20, 5], [15, 20, 40], size=(8, 3))
@@ -418,7 +427,7 @@ def _calibration_case(kind, wide, rng):
         n, boundary = 8, 64 - 2 * d
     else:
         n, boundary = int(rng.integers(1, 7)), int(rng.integers(0, 7))
-    assert (n * (2 * d + boundary) >= _WIDE_MIN_ROWS) == wide
+    assert (n * (2 * d + boundary) >= _NARROW_ROWS) == wide
     return model, centers[:n], boundary
 
 

@@ -85,9 +85,25 @@ class LinearDiagonal:
 
     def bind_rhs(self, *pairs: tuple[Array, Array]) -> list:
         """:meth:`rhs` of coordinate-first (d, M) batches: one call per
-        (xt, out) pair of buffers, each writing the rhs of xt into out."""
-        neg = np.repeat(self._neg_rates[:, None], pairs[0][0].shape[1], axis=1)
-        return [partial(np.multiply, neg, xt, out) for xt, out in pairs]
+        (xt, out) pair of buffers, each writing the rhs of xt into out.
+
+        Each coordinate is one product with its rate as a 0-d array: a
+        (d, 1) column would be broadcast on every call, and a (d, M) copy
+        adds an operand to stream through memory on wide batches.
+        """
+        rates = [np.array(r) for r in self._neg_rates]
+
+        def bind(xt: Array, out: Array):
+            rows = [partial(np.multiply, r, x, o) for r, x, o in zip(rates, xt, out)]
+            if len(rows) == 1:      # d = 1: the product itself, with no loop around it
+                return rows[0]
+
+            def rhs() -> None:
+                for row in rows:
+                    row()
+            return rhs
+
+        return [bind(xt, out) for xt, out in pairs]
 
     def parameters(self) -> dict:
         return {"rates": self.rates.tolist()}

@@ -17,7 +17,9 @@ from .cover import _PAIR_CHUNK, Partition
 from .errors import EncodingError
 from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
 from .segments import SegmentLibrary
-from .transitions import MarkovMatrix, TransitionTensor, _admissible_rows, _rank_rows
+from .transitions import (
+    MarkovMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows,
+)
 
 Array = np.ndarray
 
@@ -256,21 +258,31 @@ class EnumerationResult:
 class _StateGraph:
     """An order-k shift (Gamma is order 2) as a labelled graph, its standard
     presentation, walked from symbol n0. States are the symbols, the proper
-    prefixes of admissible k-tuples and the (k-1)-windows; CSR edges, sorted
-    by label, append one symbol: prefix p -> p + (s,), window t[:-1] -> t[1:].
-    So words shorter than k-1 are prefixes of admissible tuples.
+    prefixes of admissible k-tuples and the (k-1)-windows; CSR edges
+    (indptr, dst), sorted by label, append one symbol: prefix p -> p + (s,),
+    window t[:-1] -> t[1:]. An edge's label is the last symbol of the state
+    it enters. So words shorter than k-1 are prefixes of admissible tuples.
+    Under Gamma the states are the symbols and Gamma's CSR pattern is the
+    graph, shared rather than copied.
     """
 
     def __init__(self, gamma_or_tensor, n0: int):
-        if isinstance(gamma_or_tensor, TransitionTensor):
-            order, n_cells = gamma_or_tensor.order, gamma_or_tensor.n_cells
-            tuples = gamma_or_tensor.tuples
+        tensor = isinstance(gamma_or_tensor, TransitionTensor)
+        if tensor:
+            n_cells = gamma_or_tensor.n_cells
         else:
-            rows = _admissible_rows(gamma_or_tensor)
-            order, n_cells = 2, rows.shape[0]
-            tuples = np.argwhere(rows) + 1
+            self.indptr, self.dst = _gamma_pattern(gamma_or_tensor)
+            n_cells = self.indptr.shape[0] - 1
         if not 1 <= n0 <= n_cells:
             raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
+        if tensor:
+            self._from_tuples(gamma_or_tensor, n0)
+        else:
+            self.n_states, self.start = n_cells, n0 - 1
+            self.last = np.arange(1, n_cells + 1)
+
+    def _from_tuples(self, tensor: TransitionTensor, n0: int) -> None:
+        order, tuples, n_cells = tensor.order, tensor.tuples, tensor.n_cells
         # keys padded to k-1 with zeros; symbols are >= 1, so lengths stay apart
         parts = ([np.arange(1, n_cells + 1)[:, None]]
                  + [tuples[:, :l] for l in range(1, order)] + [tuples[:, 1:]])
@@ -287,12 +299,13 @@ class _StateGraph:
         label = tuples[:, 1:].T.ravel()
         # one edge per (state, label), sorted by state and then by label
         _, keep = np.unique(src * (label.max(initial=0) + 1) + label, return_index=True)
-        self.src, self.dst, self.label = src[keep], dst[keep], label[keep]
-        self.indptr = np.searchsorted(self.src, np.arange(self.n_states + 1))
+        self.dst = dst[keep]
+        self.indptr = np.searchsorted(src[keep], np.arange(self.n_states + 1))
 
-    def _step(self, states: Array, src: Array, dst: Array) -> Array:
+    def _forward(self, states: Array) -> Array:
+        """The states that an edge from ``states`` enters."""
         out = np.zeros(self.n_states, dtype=bool)
-        out[dst[states[src]]] = True
+        out[self.dst[np.repeat(states, np.diff(self.indptr))]] = True
         return out
 
     def depths(self, length: int) -> Array:
@@ -301,7 +314,7 @@ class _StateGraph:
         depth = np.zeros(self.n_states, dtype=np.int64)
         alive = np.ones(self.n_states, dtype=bool)
         for _ in range(1, length):
-            alive = self._step(alive, self.dst, self.src)
+            alive = self._kept_counts(alive) > 0
             depth += alive
         return depth
 
@@ -313,14 +326,16 @@ class _StateGraph:
         for j in range(length):
             layer &= depth >= length - 1 - j
             hit |= layer
-            layer = self._step(layer, self.src, self.dst)
+            layer = self._forward(layer)
         return set(self.last[hit].tolist())
 
     def closure(self) -> set:
         seen = np.arange(self.n_states) == self.start
-        while not seen[self.dst[seen[self.src]]].all():
-            seen |= self._step(seen, self.src, self.dst)
-        return set(self.last[seen].tolist())
+        while True:
+            grown = seen | self._forward(seen)
+            if np.array_equal(grown, seen):
+                return set(self.last[seen].tolist())
+            seen = grown
 
     def _kept_counts(self, alive: Array) -> Array:
         """Per state, how many of its edges end in an alive state."""
@@ -384,7 +399,7 @@ class _StateGraph:
             edge = edges[np.arange(parent.size) + shift[parent]]
             frontier = self.dst[edge]
             parents.append(parent)
-            labels.append(self.label[edge])
+            labels.append(self.last[frontier])
         rows = min(frontier.size, cap)
         table = np.empty((length, rows), dtype=np.int64)
         table[0] = self.last[self.start]
@@ -440,7 +455,9 @@ def cylinder_measure(p: MarkovMatrix, prefix: SymbolSequence) -> float:
         raise ValueError("prefix must be nonempty")
     out = 1.0
     for a, b in zip(prefix.word, prefix.word[1:]):
-        out *= float(p.p[a - 1, b - 1])
+        lo, hi = p.indptr[a - 1], p.indptr[a]
+        k = lo + int(np.searchsorted(p.indices[lo:hi], b - 1))
+        out *= float(p.p[k]) if k < hi and p.indices[k] == b - 1 else 0.0
     return out
 
 
@@ -458,38 +475,73 @@ class KSEntropyResult:
     stationary: Array
 
 
-def _stationary_distribution(p: Array, iterations: int = 2000) -> Array:
+def _stationary_distribution(p: MarkovMatrix, iterations: int = 2000) -> Array:
     """Stationary row vector by power iteration with running (Cesaro)
-    averaging, which also settles periodic chains such as permutations."""
-    n = p.shape[0]
+    averaging, which also settles periodic chains such as permutations.
+    Each step x @ p adds the stored entries of a column in row order."""
+    n = p.n_cells
+    rows, cols, values = _entry_rows(p.indptr), p.indices, p.p
+    bincount, total_of = np.bincount, np.add.reduce
     x = np.full(n, 1.0 / n)
     acc = np.zeros(n)
-    for _ in range(iterations):
-        x = x @ p
-        total = x.sum()
+    for step in range(iterations):
+        last = x
+        x = bincount(cols, x[rows] * values, n)
+        total = total_of(x)
         if total <= 0:
             break
-        x = x / total
+        x /= total
         acc += x
+        # a step that leaves x as it was, bit for bit, leaves it so for
+        # good: the steps left would only add it to the running sum
+        if step % 32 == 31 and np.array_equal(x, last):
+            for _ in range(iterations - 1 - step):
+                acc += x
+            break
     if acc.sum() == 0:
         return np.full(n, 1.0 / n)
     return acc / acc.sum()
 
 
+def _dense_row_sums(rows: Array, cols: Array, values: Array, lo: int, n: int,
+                    n_rows: int) -> Array:
+    """Per row, the sum over columns lo .. lo+n-1 that numpy's pairwise
+    summation gives for an (n_rows, N) table holding ``values`` at (rows,
+    cols), in row-major order, and 0.0 elsewhere. No value may be -0.0:
+    then adding 0.0 changes no partial sum, so each stored value is added
+    where the dense sum adds it and the zeros are skipped.
+
+    Below 8 columns the sum runs left to right from 0.0; up to 128 it keeps
+    8 running sums of the columns in each residue mod 8, below the last
+    multiple of 8, combines them pairwise and adds the rest left to right;
+    above that it splits at half the columns, rounded down to a multiple of
+    8. A bincount adds its weights in order, so it runs each left-to-right
+    sum."""
+    if n < 8:
+        return np.bincount(rows, values, n_rows)
+    if n <= 128:
+        head = cols < lo + n - n % 8
+        r = np.bincount(rows[head] * 8 + (cols[head] - lo) % 8, values[head],
+                        8 * n_rows).reshape(n_rows, 8).T
+        first = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return np.bincount(np.concatenate([np.arange(n_rows), rows[~head]]),
+                           np.concatenate([first, values[~head]]), n_rows)
+    half = n // 2 - n // 2 % 8
+    left = cols < lo + half
+    return (_dense_row_sums(rows[left], cols[left], values[left], lo, half, n_rows)
+            + _dense_row_sums(rows[~left], cols[~left], values[~left], lo + half, n - half,
+                              n_rows))
+
+
 def ks_entropy(p: MarkovMatrix) -> KSEntropyResult:
-    """Both entropy readings of the landing-probability matrix."""
-    mat = p.p
-    n = mat.shape[0]
-    # blocks of rows, so no dense n x n temporary is built; each row's sum
-    # is the same reduction over the same n entries as in one table
-    row_entropy = np.empty(n)
-    step = max(1, _PAIR_CHUNK // max(n, 1))
-    for lo in range(0, n, step):
-        block = mat[lo:lo + step]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(block > 0, block * np.log(np.where(block > 0, block, 1.0)), 0.0)
-        row_entropy[lo:lo + step] = -plogp.sum(axis=1)
-    pi = _stationary_distribution(mat)
+    """Both entropy readings of the landing-probability matrix, from its
+    stored entries; each row entropy has the bits of the sum over the
+    row's dense table."""
+    n = p.n_cells
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p.p > 0, p.p * np.log(np.where(p.p > 0, p.p, 1.0)), 0.0)
+    row_entropy = -_dense_row_sums(_entry_rows(p.indptr), p.indices, plogp, 0, n, n)
+    pi = _stationary_distribution(p)
     return KSEntropyResult(
         unweighted=float(row_entropy.sum()),
         stationary_weighted=float((pi * row_entropy).sum()),
@@ -517,14 +569,14 @@ def sensitivity_witness(gamma, prefix: Sequence[int]) -> tuple[SymbolSequence, S
     """Two admissible continuations of the prefix that differ at the next
     position, the separation mechanism behind sensitive dependence. Needs
     the prefix's last symbol to have at least two admissible successors."""
-    rows = _admissible_rows(gamma)
+    indptr, indices = _gamma_pattern(gamma)
     prefix = tuple(int(s) for s in prefix)
     if not prefix:
         raise ValueError("prefix must be nonempty")
     for a, b in zip(prefix, prefix[1:]):
-        if not rows[a - 1, b - 1]:
+        if b - 1 not in indices[indptr[a - 1]:indptr[a]]:
             raise ValueError(f"prefix pair ({a}, {b}) is not admissible")
-    successors = np.flatnonzero(rows[prefix[-1] - 1]) + 1
+    successors = indices[indptr[prefix[-1] - 1]:indptr[prefix[-1]]] + 1
     if successors.size < 2:
         raise ValueError(
             f"symbol {prefix[-1]} has {successors.size} admissible successor(s); "

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _DENSE_JSON_LIMIT = 512
+_INT64_MAX = 2 ** 63 - 1
 # the rejection sampler takes cells in consecutive groups whose first-round
 # draws, the largest of any round, add up to at most this many points
 _ROUND_POINTS = 1 << 18
@@ -49,39 +50,41 @@ _ROUND_POINTS = 1 << 18
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Sampled admissibility table: admissible[m-1, n-1] says some sample of
-    cell m landed in cell n. counts holds the raw tallies; escapes counts
-    samples that left the partition entirely."""
+    """Sampled transitions between cells, as CSR arrays: the samples of cell
+    m landed in the cells ``indices[indptr[m-1]:indptr[m]] + 1`` (ascending),
+    ``counts`` of them in each. Gamma is this pattern: cell m -> n is
+    admissible when n - 1 is stored in row m - 1. ``escapes`` counts, per
+    cell, the samples that left the partition."""
 
-    admissible: Array
+    indptr: Array
+    indices: Array
     counts: Array
     escapes: Array
 
     def __post_init__(self):
-        self.admissible = np.asarray(self.admissible, dtype=bool)
+        self.indptr, self.indices = _checked_pattern(self.indptr, self.indices)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         self.escapes = np.asarray(self.escapes, dtype=np.int64)
-        n = self.admissible.shape[0]
-        if self.admissible.shape != (n, n) or self.counts.shape != (n, n):
-            raise ValueError("admissible and counts must be square and same-shaped")
-        if self.escapes.shape != (n,):
+        if self.counts.shape != self.indices.shape:
+            raise ValueError("counts must have one entry per stored cell pair")
+        if self.escapes.shape != (self.n_cells,):
             raise ValueError("escapes must have one entry per cell")
-        if np.any((self.counts > 0) & ~self.admissible):
-            raise ValueError("counts[m][n] > 0 requires admissible[m][n]")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
+        if np.any(self.counts <= 0):
+            raise ValueError("stored counts must be positive")
+        if np.any(self.escapes < 0):
+            raise ValueError("escapes must be nonnegative")
 
     @property
     def n_cells(self) -> int:
-        return self.admissible.shape[0]
+        return self.indptr.shape[0] - 1
 
     @property
     def landed(self) -> Array:
-        return self.counts.sum(axis=1)
+        return _row_totals(self.indptr, self.counts)
 
     @property
     def unsupported_rows(self) -> set[int]:
-        return {int(m) + 1 for m in np.flatnonzero(self.landed == 0)}
+        return {int(m) + 1 for m in np.flatnonzero(np.diff(self.indptr) == 0)}
 
     def escape_fractions(self) -> Array:
         total = self.landed + self.escapes
@@ -92,19 +95,58 @@ class TransitionMatrix:
 
 @dataclass(eq=False)
 class MarkovMatrix:
-    """Row-stochastic landing probabilities on supported rows."""
+    """Landing probabilities in the CSR layout of :class:`TransitionMatrix`:
+    row m - 1 holds p for the cells ``indices[indptr[m-1]:indptr[m]] + 1``;
+    every other entry is 0. Supported rows sum to 1."""
 
+    indptr: Array
+    indices: Array
     p: Array
 
     def __post_init__(self):
+        self.indptr, self.indices = _checked_pattern(self.indptr, self.indices)
         self.p = np.asarray(self.p, dtype=float)
-        n = self.p.shape[0]
-        if self.p.shape != (n, n) or np.any(self.p < 0):
-            raise ValueError("p must be a square nonnegative matrix")
+        if self.p.shape != self.indices.shape:
+            raise ValueError("p must have one entry per stored cell pair")
+        if not np.all(self.p >= 0):
+            raise ValueError("p must be nonnegative")
 
     @property
     def n_cells(self) -> int:
-        return self.p.shape[0]
+        return self.indptr.shape[0] - 1
+
+
+def _checked_pattern(indptr, indices) -> tuple[Array, Array]:
+    """The int64 indptr and column indices of a CSR pattern on n x n cells,
+    n = len(indptr) - 1: indptr runs from 0 to len(indices) without
+    decreasing, and each row's columns ascend strictly within 0..n-1."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indptr.ndim != 1 or indptr.shape[0] < 1 or indices.ndim != 1:
+        raise ValueError("indptr and indices must be 1-d, indptr of length n_cells + 1")
+    n = indptr.shape[0] - 1
+    if indptr[0] != 0 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must run from 0 to len(indices) without decreasing")
+    if np.any((indices < 0) | (indices >= n)):
+        raise ValueError(f"column indices must lie in 0..{n - 1}")
+    rising = np.diff(indices) > 0
+    # a row may start below where the one before it ended
+    rising[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < indices.shape[0])] - 1] = True
+    if not np.all(rising):
+        raise ValueError("the column indices of each row must ascend strictly")
+    return indptr, indices
+
+
+def _entry_rows(indptr: Array) -> Array:
+    """The 0-based row of every stored entry of a CSR pattern."""
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+
+
+def _row_totals(indptr: Array, values: Array) -> Array:
+    """Per row, the sum of its stored integer values, exactly."""
+    running = np.zeros(values.shape[0] + 1, dtype=values.dtype)
+    np.cumsum(values, out=running[1:])
+    return running[indptr[1:]] - running[indptr[:-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,21 +311,28 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
     prefixes, so tensors built from one set of itineraries are prefix closed
     by construction.
     """
-    full = np.zeros((n_cells + 1, n_cells + 1), dtype=np.int64)
-    np.add.at(full, (itins[:, 0], itins[:, 1]), 1)
-    counts = full[1:, 1:]
-    # a row with nothing landed is all zeros, and 0 / 1 leaves it so
-    p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+    src, dst = itins[:, 0] - 1, itins[:, 1] - 1
+    landed = dst >= 0
+    escapes = np.bincount(src[~landed], minlength=n_cells)
+    # each landed (source, landing) pair once, in row-major order, with its count
+    pairs, counts = np.unique(src[landed] * n_cells + dst[landed], return_counts=True)
+    indptr, indices = _csr_pattern(pairs, n_cells)
+    p = counts / _row_totals(indptr, counts)[_entry_rows(indptr)]
     tensors = [TransitionTensor(order=k, tuples=itins[np.all(itins[:, :k] > 0, axis=1), :k],
                                 n_cells=n_cells) for k in orders]
-    return (TransitionMatrix(admissible=counts > 0, counts=counts, escapes=full[1:, 0]),
-            MarkovMatrix(p=p), tensors)
+    return (TransitionMatrix(indptr, indices, counts, escapes),
+            MarkovMatrix(indptr, indices, p), tensors)
 
 
-def _admissible_rows(gamma) -> Array:
+def _gamma_pattern(gamma) -> tuple[Array, Array]:
+    """The CSR pattern (indptr, column indices) of Gamma, given as a
+    :class:`TransitionMatrix` or as a square table read as booleans."""
     if isinstance(gamma, TransitionMatrix):
-        return gamma.admissible
-    return np.asarray(gamma, dtype=bool)
+        return gamma.indptr, gamma.indices
+    table = np.asarray(gamma, dtype=bool)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError(f"Gamma must be a square table, got shape {table.shape}")
+    return _csr_pattern(np.flatnonzero(table), table.shape[0])
 
 
 def row_sensitivity(gamma) -> bool:
@@ -291,10 +340,8 @@ def row_sensitivity(gamma) -> bool:
     successors, the hypothesis under which the shift map has sensitive
     dependence. Rows with no successors at all carry no information and are
     skipped."""
-    rows = _admissible_rows(gamma)
-    degrees = rows.sum(axis=1)
-    supported = degrees > 0
-    return bool(np.all(degrees[supported] >= 2))
+    degrees = np.diff(_gamma_pattern(gamma)[0])
+    return bool(np.all(degrees[degrees > 0] >= 2))
 
 
 def expanding_to_depth(tensors: Sequence[TransitionTensor], m_max: int) -> ExpansionVerdict:
@@ -384,12 +431,24 @@ def ball_admissibility(lib: SegmentLibrary, partition: Partition,
     return set(ball_successors(lib, partition, rho, [cell])[0].tolist())
 
 
+def _dense(indptr: Array, indices: Array, values: Array) -> Array:
+    """The n x n table holding a CSR pattern's values, 0 elsewhere; only the
+    dense JSON form, at most _DENSE_JSON_LIMIT cells, is written from it."""
+    n = indptr.shape[0] - 1
+    table = np.zeros((n, n), dtype=values.dtype)
+    table[_entry_rows(indptr), indices] = values
+    return table
+
+
 def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
                         samples_per_cell: int) -> dict:
-    """JSON document for Gamma, counts, p and escape fractions.
+    """JSON document for Gamma, counts, p and escape fractions; p must be
+    stored on the pattern of the counts.
 
     Dense tables up to 512 cells, sparse (row, col, value) triplets above.
     """
+    if not (np.array_equal(tm.indptr, mm.indptr) and np.array_equal(tm.indices, mm.indices)):
+        raise ValueError("p must be stored on the pattern of the counts")
     n = tm.n_cells
     doc: dict = {
         "n_cells": n,
@@ -400,25 +459,24 @@ def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
         "escape_fractions": [round(v, 12) for v in tm.escape_fractions().tolist()],
     }
     if n <= _DENSE_JSON_LIMIT:
+        counts = _dense(tm.indptr, tm.indices, tm.counts)
         doc["format"] = "dense"
-        doc["admissible"] = tm.admissible.astype(int).tolist()
-        doc["counts"] = tm.counts.tolist()
-        doc["p"] = mm.p.tolist()
+        doc["admissible"] = (counts > 0).astype(int).tolist()
+        doc["counts"] = counts.tolist()
+        doc["p"] = _dense(mm.indptr, mm.indices, mm.p).tolist()
     else:
+        rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
         doc["format"] = "sparse"
-        rows, cols = np.nonzero(tm.counts)
-        doc["counts"] = [[int(r) + 1, int(c) + 1, int(tm.counts[r, c])]
-                         for r, c in zip(rows, cols)]
-        doc["p"] = [[int(r) + 1, int(c) + 1, float(mm.p[r, c])]
-                    for r, c in zip(rows, cols)]
+        doc["counts"] = np.stack([rows, cols, tm.counts], axis=1).tolist()
+        doc["p"] = [list(t) for t in zip(rows.tolist(), cols.tolist(), mm.p.tolist())]
     return doc
 
 
 def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, Array, Array]:
-    """0-based rows and columns, and values, of sparse (row, col, value)
-    triplets; ids must be JSON integers in 1..n, no (row, col) pair may
-    repeat, and values must be nonnegative (for ``counts``, JSON integers
-    that fit in int64)."""
+    """The keys (row - 1) * n + (col - 1) and the values of sparse (row, col,
+    value) triplets, and the order that sorts the keys; ids must be JSON
+    integers in 1..n, no (row, col) pair may repeat, and values must be
+    nonnegative (for ``counts``, JSON integers that fit in int64)."""
     t = np.asarray(entries, dtype=float)
     if t.shape == (0,):
         t = t.reshape(0, 3)
@@ -444,16 +502,15 @@ def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, 
         try:
             values = np.array(list(map(itemgetter(2), entries)), dtype=np.int64)
         except OverflowError:
-            i = next(i for i, e in enumerate(entries) if e[2] > np.iinfo(np.int64).max)
+            i = next(i for i, e in enumerate(entries) if e[2] > _INT64_MAX)
             raise ValueError(f"{what} entry {i}: value {entries[i][2]} is not an int64 count")
-    rows, cols = ids[:, 0].astype(np.int64) - 1, ids[:, 1].astype(np.int64) - 1
-    key = rows * n + cols
+    key = (ids[:, 0].astype(np.int64) - 1) * n + (ids[:, 1].astype(np.int64) - 1)
     _, first = np.unique(key, return_index=True)
     if first.size < key.size:
         i = int(np.setdiff1d(np.arange(key.size), first)[0])
-        raise ValueError(f"{what} entry {i}: cell pair ({rows[i] + 1}, {cols[i] + 1}) "
+        raise ValueError(f"{what} entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
                          f"repeats an earlier entry")
-    return rows, cols, values
+    return key, values, first
 
 
 def _json_counts(values, ndim: int, what: str) -> Array:
@@ -464,7 +521,7 @@ def _json_counts(values, ndim: int, what: str) -> Array:
     if cells.ndim != ndim:
         raise ValueError(f"{what} must be a {('list', 'table')[ndim - 1]} of counts")
     for i, v in enumerate(cells.flat):
-        if type(v) is not int or not 0 <= v <= np.iinfo(np.int64).max:
+        if type(v) is not int or not 0 <= v <= _INT64_MAX:
             at = (f"cell {i + 1}" if ndim == 1 else
                   f"cell pair ({i // cells.shape[1] + 1}, {i % cells.shape[1] + 1})")
             raise ValueError(f"{what} must be nonnegative JSON integers; "
@@ -472,35 +529,64 @@ def _json_counts(values, ndim: int, what: str) -> Array:
     return cells.astype(np.int64)
 
 
+def _csr_pattern(keys: Array, n: int) -> tuple[Array, Array]:
+    """The CSR pattern on n x n cells of the ascending int64 keys
+    row * n + col; the keys are overwritten with the column indices."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return indptr, np.remainder(keys, n, out=keys)
+
+
 def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
-    """The tables of a ``transitions.json`` document. Escapes and dense counts
-    are checked as sparse counts are, and a dense ``admissible`` must equal
-    ``counts > 0``."""
+    """The tables of a ``transitions.json`` document, built straight into
+    CSR arrays. ``n_cells`` must be a JSON integer equal to the number of
+    escapes (and the side of dense tables), checked before any table is
+    read. Escapes and dense counts are checked as sparse counts are; a
+    dense ``admissible`` must equal ``counts > 0``, and p may be nonzero
+    only where a count is."""
     n = doc["n_cells"]
+    if type(n) is not int:
+        raise ValueError(f"n_cells {json.dumps(n)} is not a JSON integer")
+    if type(doc["escapes"]) is list and len(doc["escapes"]) != n:
+        raise ValueError(f"n_cells {n} does not match the {len(doc['escapes'])} escapes")
     escapes = _json_counts(doc["escapes"], 1, "escapes")
     if doc["format"] == "dense":
+        if n > _DENSE_JSON_LIMIT:
+            raise ValueError(f"a dense table holds at most {_DENSE_JSON_LIMIT} cells, "
+                             f"not {n}")
         counts = _json_counts(doc["counts"], 2, "counts")
+        if counts.shape != (n, n):
+            raise ValueError(f"counts has shape {counts.shape}, but n_cells is {n}")
         p = np.asarray(doc["p"], dtype=float)
         admissible = np.asarray(doc["admissible"], dtype=bool)
-        if p.shape != counts.shape:
-            raise ValueError(f"p has shape {p.shape}, counts has shape {counts.shape}")
-        if admissible.shape == counts.shape and np.any(admissible & (counts == 0)):
-            r, c = np.argwhere(admissible & (counts == 0))[0]
-            raise ValueError(f"admissible cell pair ({r + 1}, {c + 1}) has count 0")
+        for name, table in (("p", p), ("admissible", admissible)):
+            if table.shape != counts.shape:
+                raise ValueError(f"{name} has shape {table.shape}, "
+                                 f"counts has shape {counts.shape}")
+        for name, table in (("admissible", admissible), ("p", p != 0)):
+            if np.any(table & (counts == 0)):
+                r, c = np.argwhere(table & (counts == 0))[0]
+                raise ValueError(f"{name} cell pair ({r + 1}, {c + 1}) has count 0")
+        if np.any((counts > 0) & ~admissible):
+            raise ValueError("counts[m][n] > 0 requires admissible[m][n]")
+        keys = np.flatnonzero(counts)
+        counts, p = counts.ravel()[keys], p.ravel()[keys]
     else:
-        counts = np.zeros((n, n), dtype=np.int64)
-        p = np.zeros((n, n))
-        r, c, v = _triplets(doc["counts"], n, "counts", counts=True)
-        counts[r, c] = v
-        r, c, v = _triplets(doc["p"], n, "p")
-        missing = counts[r, c] == 0
-        if np.any(missing):
-            i = int(np.argmax(missing))
-            raise ValueError(f"p entry {i}: cell pair ({r[i] + 1}, {c[i] + 1}) has count 0")
-        p[r, c] = v
-        admissible = counts > 0
-    return (TransitionMatrix(admissible=admissible, counts=counts, escapes=escapes),
-            MarkovMatrix(p=p))
+        key, v, order = _triplets(doc["counts"], n, "counts", counts=True)
+        # a zero count stores nothing
+        order = order[v[order] > 0]
+        keys, counts = key[order], v[order]
+        key, v, _ = _triplets(doc["p"], n, "p")
+        at = np.searchsorted(keys, key)
+        stored = np.append(keys, -1)[at] == key
+        if not np.all(stored):
+            i = int(np.argmin(stored))
+            raise ValueError(f"p entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
+                             f"has count 0")
+        p = np.zeros(keys.shape[0])
+        p[at] = v
+    indptr, indices = _csr_pattern(keys, n)
+    return (TransitionMatrix(indptr, indices, counts, escapes),
+            MarkovMatrix(indptr, indices, p))
 
 
 def tensor_to_json(tensor: TransitionTensor) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from segdyn import IntegratorConfig, LinearDiagonal, Lorenz, QuadraticGeneric
-from segdyn.transitions import TransitionTensor
+from segdyn.transitions import MarkovMatrix, TransitionMatrix, TransitionTensor
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -48,6 +48,38 @@ def zero_field_1d():
 def rotation2d():
     return QuadraticGeneric(linear=[[0.0, -1.0], [1.0, 0.0]],
                             quadratic=np.zeros((2, 2, 2)), forcing=[0.0, 0.0])
+
+
+def csr(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, column indices and values of the nonzero entries of a square
+    table, row by row."""
+    table = np.asarray(table)
+    rows, cols = np.nonzero(table)
+    return np.searchsorted(rows, np.arange(table.shape[0] + 1)), cols, table[rows, cols]
+
+
+def dense(table) -> np.ndarray:
+    """The n x n table of a TransitionMatrix's counts or a MarkovMatrix's p."""
+    values = table.counts if isinstance(table, TransitionMatrix) else table.p
+    out = np.zeros((table.n_cells, table.n_cells), dtype=values.dtype)
+    out[np.repeat(np.arange(table.n_cells), np.diff(table.indptr)), table.indices] = values
+    return out
+
+
+def markov(p) -> MarkovMatrix:
+    """The MarkovMatrix storing the nonzero entries of a dense table."""
+    return MarkovMatrix(*csr(np.asarray(p, dtype=float)))
+
+
+def tables(counts, escapes=None) -> tuple[TransitionMatrix, MarkovMatrix]:
+    """The tables of a dense count table; p divides each row by its landed
+    samples, and escapes default to zeros."""
+    counts = np.asarray(counts, dtype=np.int64)
+    indptr, indices, values = csr(counts)
+    landed = np.repeat(counts.sum(axis=1), np.diff(indptr))
+    escapes = np.zeros(counts.shape[0], dtype=np.int64) if escapes is None else escapes
+    return (TransitionMatrix(indptr, indices, values, escapes),
+            MarkovMatrix(indptr, indices, values / landed))
 
 
 def make_markov_tensors(gamma: np.ndarray, depth: int) -> list[TransitionTensor]:

@@ -421,11 +421,23 @@ def _edit_lines(edit):
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
      "ValueError('admissible cell pair (1, 1) has count 0')"),
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(n_cells=9)),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: ValueError('n_cells 9 does not match the 8 escapes')"),
+    ("transitions.json", "transitions.json",
+     _edit_json(lambda d: d.update(n_cells=9, escapes=d["escapes"] + [0])),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('counts has shape (8, 8), but n_cells is 9')"),
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(n_cells=8.0)),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: ValueError('n_cells 8.0 is not a JSON integer')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
         "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
-        "dense-admissible-zero-count"])
+        "dense-admissible-zero-count", "n_cells-not-escapes", "n_cells-not-table-side",
+        "transitions-n_cells-not-int"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_tensor_words, brute_force_words
+from conftest import brute_force_tensor_words, brute_force_words, markov
 from segdyn import (
     Cover,
     EncodingError,
@@ -32,7 +32,7 @@ from segdyn import (
 )
 from segdyn.cover import BoxDomain
 from segdyn.symbolic import CylinderSet
-from segdyn.transitions import MarkovMatrix, TransitionTensor
+from segdyn.transitions import TransitionTensor
 
 
 @pytest.fixture(scope="module")
@@ -300,10 +300,10 @@ def test_symbol_sequence_normalises_numpy_ints():
 
 
 def test_cylinder_measure_examples():
-    p = MarkovMatrix(p=np.array([[0.25, 0.75], [0.5, 0.5]]))
+    p = markov(np.array([[0.25, 0.75], [0.5, 0.5]]))
     assert cylinder_measure(p, SymbolSequence(word=(2,))) == 1.0
     assert cylinder_measure(p, SymbolSequence(word=(1, 2))) == 0.75
-    uniform = MarkovMatrix(p=np.full((4, 4), 0.25))
+    uniform = markov(np.full((4, 4), 0.25))
     for j in (2, 3, 5):
         prefix = SymbolSequence(word=tuple([1] * j))
         assert abs(cylinder_measure(uniform, prefix) - 4.0 ** (-(j - 1))) <= 1e-15
@@ -315,7 +315,7 @@ def test_cylinder_measure_additive_over_extensions(n, seed):
     rng = np.random.default_rng(seed)
     p = rng.random((n, n))
     p /= p.sum(axis=1, keepdims=True)
-    mm = MarkovMatrix(p=p)
+    mm = markov(p)
     prefix_word = tuple(rng.integers(1, n + 1, size=3).tolist())
     prefix = SymbolSequence(word=prefix_word)
     total = sum(cylinder_measure(mm, SymbolSequence(word=prefix_word + (s,)))
@@ -324,13 +324,13 @@ def test_cylinder_measure_additive_over_extensions(n, seed):
 
 
 def test_ks_entropy_single_cell():
-    res = ks_entropy(MarkovMatrix(p=np.array([[1.0]])))
+    res = ks_entropy(markov(np.array([[1.0]])))
     assert res.unweighted == 0.0
     assert res.stationary_weighted == 0.0
 
 
 def test_ks_entropy_permutation_is_zero():
-    p = MarkovMatrix(p=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    p = markov(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     res = ks_entropy(p)
     assert res.unweighted == 0.0
     assert res.stationary_weighted == 0.0
@@ -338,7 +338,7 @@ def test_ks_entropy_permutation_is_zero():
 
 def test_ks_entropy_uniform_both_conventions():
     n = 5
-    res = ks_entropy(MarkovMatrix(p=np.full((n, n), 1.0 / n)))
+    res = ks_entropy(markov(np.full((n, n), 1.0 / n)))
     assert abs(res.unweighted - n * np.log(n)) <= 1e-12
     assert abs(res.stationary_weighted - np.log(n)) <= 1e-12
     assert np.allclose(res.stationary, 1.0 / n)
@@ -353,7 +353,7 @@ def test_ks_entropy_row_blocks_match_one_table():
     p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    assert ks_entropy(MarkovMatrix(p=p)).unweighted == float((-plogp.sum(axis=1)).sum())
+    assert ks_entropy(markov(p)).unweighted == float((-plogp.sum(axis=1)).sum())
 
 
 def test_commutation_frozen_flow(zero_field_1d, cfg):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_markov_tensors
+from conftest import dense, make_markov_tensors, tables
 from segdyn import (
     Cover,
     IntegratorConfig,
@@ -69,29 +69,29 @@ def sink_partition():
 def test_single_cell_self_map(linear1, cfg):
     part = _partition([[0.0]], [0.5])
     tm, mm = _one_hop(linear1, part, 1.0, 40, cfg, rng_seed=1)
-    assert tm.admissible.tolist() == [[True]]
-    assert mm.p.tolist() == [[1.0]]
+    assert (dense(tm) > 0).tolist() == [[True]]
+    assert dense(mm).tolist() == [[1.0]]
     assert tm.escapes.tolist() == [0]
 
 
 def test_zero_horizon_gives_identity(linear1, sink_partition, cfg):
     tm, mm = _one_hop(linear1, sink_partition, 0.0, 25, cfg, rng_seed=2)
-    assert np.array_equal(tm.admissible, np.eye(2, dtype=bool))
-    assert np.array_equal(mm.p, np.eye(2))
+    assert np.array_equal(dense(tm) > 0, np.eye(2, dtype=bool))
+    assert np.array_equal(dense(mm), np.eye(2))
 
 
 def test_contraction_funnels_into_sink_cell(linear1, sink_partition, cfg):
     # oracle: e^{-3} * x keeps every point of both balls within [-0.041, 0.041],
     # inside both balls, so the largest-index rule lands everything in cell 2
     tm, mm = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
-    assert np.array_equal(tm.admissible, [[False, True], [False, True]])
-    assert np.array_equal(mm.p, [[0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(dense(tm) > 0, [[False, True], [False, True]])
+    assert np.array_equal(dense(mm), [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_tensor_order2_equals_gamma_same_seed(linear1, sink_partition, cfg):
     tm, _ = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
     t2 = _tensor(linear1, sink_partition, 3.0, 2, 60, cfg, rng_seed=3)
-    assert t2.tuples.tolist() == (np.argwhere(tm.admissible) + 1).tolist()
+    assert t2.tuples.tolist() == (np.argwhere(dense(tm)) + 1).tolist()
 
 
 def test_contraction_tensor_order3(linear1, sink_partition, cfg):
@@ -118,14 +118,14 @@ def test_prefix_closure_across_orders(linear1, cfg):
 def test_markov_rows_sum_to_one(linear1, cfg):
     part = _partition([[-0.7], [0.0], [0.7]], [0.45, 0.45, 0.45])
     tm, mm = _one_hop(linear1, part, 0.6, 50, cfg, rng_seed=8)
-    landed = tm.counts.sum(axis=1)
+    landed = dense(tm).sum(axis=1)
     for m in range(3):
-        row = mm.p[m].sum()
+        row = dense(mm)[m].sum()
         if landed[m] > 0:
             assert abs(row - 1.0) <= 1e-9
         else:
             assert row == 0.0
-    assert np.array_equal(mm.p > 0, tm.counts > 0)
+    assert np.array_equal(dense(mm) > 0, dense(tm) > 0)
 
 
 def test_escaping_cell_is_unsupported(expanding1d, cfg):
@@ -133,7 +133,7 @@ def test_escaping_cell_is_unsupported(expanding1d, cfg):
     tm, mm = _one_hop(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
     assert tm.unsupported_rows == {1}
     assert tm.escape_fractions().tolist() == [1.0]
-    assert np.array_equal(mm.p, [[0.0]])
+    assert np.array_equal(dense(mm), [[0.0]])
 
 
 def test_seed_determinism_bytes(linear1, sink_partition, cfg):
@@ -166,7 +166,7 @@ def test_sampled_start_pairs_are_admissible(linear1, sink_partition, cfg):
             continue
         word = encode_orbit(linear1, sink_partition, x0, 2, 1.0, cfg)
         assert word.word == tuple(itin)
-        assert tm.admissible[word.word[0] - 1, word.word[1] - 1]
+        assert dense(tm)[word.word[0] - 1, word.word[1] - 1] > 0
 
 
 def test_sampling_error_for_empty_cell(linear1, cfg):
@@ -488,15 +488,13 @@ def test_ball_successors_rejects_cells_outside_the_cover(linear_three_center_lib
 
 def test_transitions_json_roundtrip_dense():
     counts = np.array([[3, 1], [0, 5]], dtype=np.int64)
-    tm = TransitionMatrix(admissible=counts > 0, counts=counts,
-                          escapes=np.array([1, 0], dtype=np.int64))
-    mm = MarkovMatrix(p=counts / counts.sum(axis=1, keepdims=True))
+    tm, mm = tables(counts, escapes=[1, 0])
     doc = transitions_to_json(tm, mm, rng_seed=5, samples_per_cell=5)
     assert doc["format"] == "dense"
     assert doc["escape_fractions"] == [0.2, 0.0]
     tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
-    assert np.array_equal(tm2.counts, tm.counts)
-    assert np.allclose(mm2.p, mm.p)
+    assert np.array_equal(dense(tm2), counts)
+    assert np.array_equal(dense(mm2), dense(mm))
     assert tm2.unsupported_rows == set()
 
 
@@ -509,13 +507,12 @@ def test_transitions_json_roundtrip_sparse():
     counts[rows, cols] += 7
     landed = counts.sum(axis=1)
     p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
-    tm = TransitionMatrix(admissible=counts > 0, counts=counts,
-                          escapes=np.zeros(n, dtype=np.int64))
-    doc = transitions_to_json(tm, MarkovMatrix(p=p), rng_seed=1, samples_per_cell=7)
+    tm, mm = tables(counts)
+    doc = transitions_to_json(tm, mm, rng_seed=1, samples_per_cell=7)
     assert doc["format"] == "sparse"
     tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
-    assert np.array_equal(tm2.counts, tm.counts)
-    assert np.allclose(mm2.p, p)
+    assert np.array_equal(dense(tm2), counts)
+    assert np.array_equal(dense(mm2), p)
 
 
 def _sparse_doc(n=600):
@@ -525,8 +522,8 @@ def _sparse_doc(n=600):
 
 def test_sparse_transitions_read_their_triplets():
     tm, mm = transitions_from_json(_sparse_doc())
-    assert np.array_equal(np.argwhere(tm.counts), [[0, 1], [599, 599]])
-    assert tm.counts[0, 1] == 3 and mm.p[599, 599] == 1.0
+    assert np.array_equal(np.argwhere(dense(tm)), [[0, 1], [599, 599]])
+    assert dense(tm)[0, 1] == 3 and dense(mm)[599, 599] == 1.0
     with pytest.raises(ValueError, match=r"counts must be a list of \(row, col, value\)"):
         transitions_from_json(dict(_sparse_doc(), counts=[[1, 2], [3, 4]]))
 
@@ -560,10 +557,7 @@ def test_sparse_transitions_reject_bad_triplets(key, entry, message):
 
 
 def test_dense_transitions_reject_mismatched_p_and_negative_counts():
-    doc = transitions_to_json(
-        TransitionMatrix(admissible=np.eye(2, dtype=bool), counts=np.eye(2, dtype=np.int64),
-                         escapes=np.zeros(2, dtype=np.int64)),
-        MarkovMatrix(p=np.eye(2)), rng_seed=1, samples_per_cell=1)
+    doc = transitions_to_json(*tables(np.eye(2)), rng_seed=1, samples_per_cell=1)
     with pytest.raises(ValueError, match=r"p has shape \(1, 1\), counts has shape \(2, 2\)"):
         transitions_from_json(dict(doc, p=[[1.0]]))
     with pytest.raises(ValueError, match="counts must be nonnegative"):
@@ -571,10 +565,8 @@ def test_dense_transitions_reject_mismatched_p_and_negative_counts():
 
 
 def _dense_doc():
-    return transitions_to_json(
-        TransitionMatrix(admissible=np.eye(2, dtype=bool), counts=2 * np.eye(2, dtype=np.int64),
-                         escapes=np.array([1, 0], dtype=np.int64)),
-        MarkovMatrix(p=np.eye(2)), rng_seed=1, samples_per_cell=3)
+    return transitions_to_json(*tables(2 * np.eye(2), escapes=[1, 0]), rng_seed=1,
+                               samples_per_cell=3)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -649,7 +641,32 @@ def test_tensor_rejects_symbols_outside_cells(bad):
 
 
 def test_counts_imply_admissible_invariant():
-    with pytest.raises(ValueError, match="requires admissible"):
-        TransitionMatrix(admissible=np.zeros((1, 1), dtype=bool),
-                         counts=np.array([[2]], dtype=np.int64),
-                         escapes=np.array([0], dtype=np.int64))
+    # Gamma is the pattern of the counts, so a stored pair must have a count
+    with pytest.raises(ValueError, match="stored counts must be positive"):
+        TransitionMatrix(indptr=[0, 1], indices=[0], counts=[0], escapes=[0])
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 1], [0, 1], "indptr must run from 0 to len(indices)"),
+    ([0, 2, 1], [0], "indptr must run from 0 to len(indices)"),
+    ([0, 1, 2], [0, 2], "column indices must lie in 0..1"),
+    ([0, 2, 2], [1, 1], "the column indices of each row must ascend strictly"),
+    ([0, 2, 2], [1, 0], "the column indices of each row must ascend strictly"),
+    ([[0, 1]], [0], "indptr and indices must be 1-d"),
+])
+def test_csr_tables_reject_bad_patterns(indptr, indices, message):
+    counts = np.ones(len(indices), dtype=np.int64)
+    with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        TransitionMatrix(indptr, indices, counts, np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        MarkovMatrix(indptr, indices, np.ones(len(indices)))
+
+
+def test_csr_rows_may_start_below_the_row_before():
+    # row 1 ends at column 1 and row 2 starts at column 0; an empty row between
+    tm = TransitionMatrix([0, 2, 2, 3], [0, 2, 1], [1, 2, 3], [0, 4, 0])
+    assert tm.unsupported_rows == {2}
+    assert tm.landed.tolist() == [3, 0, 3]
+    assert tm.escape_fractions().tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        MarkovMatrix([0, 1], [0], [-0.5])

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
 from .errors import BlowupError, CalibrationError, CoverageError, DimensionExplosionError
-from .flow import _ROW_WISE, FlowModel, IntegratorConfig, sample_path, walk_open_rows
+from .flow import FlowModel, IntegratorConfig, sample_path, walk_open_rows
 
 Array = np.ndarray
 
@@ -482,14 +482,13 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     once. A pass walks the other probes of a set of clouds with
     :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
     first sample time its diameter exceeds epsilon. When the call is narrow
-    (fewer than ``_NARROW_ROWS`` probe rows per radius) and its rows
-    do not depend on each other, a pass carries every mid that the next s
-    rounds can ask for, as many rounds as fit in ``_SPECULATE_ROWS`` probe
-    rows, and the first pass also carries the cap and floor radii; the
-    rounds then replay from those verdicts, so the radii are those of one
-    pass per round. When ``counters`` is given, "bisection_rounds",
-    "probe_passes" and "rows_dropped" (probe rows that stopped before the
-    horizon) are added to it.
+    (fewer than ``_NARROW_ROWS`` probe rows per radius), a pass carries
+    every mid that the next s rounds can ask for, as many rounds as fit in
+    ``_SPECULATE_ROWS`` probe rows, and the first pass also carries the cap
+    and floor radii; the rounds then replay from those verdicts, so the
+    radii are those of one pass per round. When ``counters`` is given,
+    "bisection_rounds", "probe_passes" and "rows_dropped" (probe rows that
+    stopped before the horizon) are added to it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -519,7 +518,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     interval = horizon / (time_samples - 1)
     per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
     tally = {"bisection_rounds": 0, "probe_passes": 0, "rows_dropped": 0}
-    speculate = isinstance(model, _ROW_WISE) and n * (p - 1) < _NARROW_ROWS
+    speculate = n * (p - 1) < _NARROW_ROWS
 
     def feasible(idx: Array, deltas: Array) -> Array:
         """Whether the cloud of radius deltas[i, c] about center idx[i] stays

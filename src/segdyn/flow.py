@@ -1,11 +1,11 @@
 """ODE models and the time-t flow map via fixed-step RK4 integration.
 
 All models expose a vectorized right-hand side: ``rhs`` accepts arrays of
-shape (..., d) and returns the same shape, so whole batches of points are
-advanced in lockstep. ``Lorenz`` and ``LinearDiagonal`` also bind an
-in-place rhs to coordinate-first (d, M) buffers (``bind_rhs``); the RK4
-kernel integrates their batches through it at every width. Fixed time steps
-make every result bit-reproducible.
+shape (..., d) and returns the same shape. Each also binds an in-place rhs
+to coordinate-first (d, M) buffers (``bind_rhs``), and one RK4 kernel
+integrates every batch through it, whole batches of points in lockstep.
+Each point's rhs reads only that point, and fixed time steps make every
+result bit-reproducible, whatever batch a point is integrated in.
 """
 from __future__ import annotations
 
@@ -189,15 +189,52 @@ class QuadraticGeneric:
         object.__setattr__(self, "linear", L)
         object.__setattr__(self, "quadratic", Q)
         object.__setattr__(self, "forcing", f)
+        # per output coordinate: its forcing and nonzero terms (j, k, c), first
+        # c x_j (k None), then c x_j x_k for j <= k, Q[i, j, k] + Q[i, k, j] if j < k
+        triads = np.triu(Q + Q.transpose(0, 2, 1), 1) + Q * np.eye(d)
+        object.__setattr__(self, "_terms", [
+            (np.array(f[i]), [(j, None, np.array(L[i, j])) for j in np.flatnonzero(L[i])]
+             + [(j, k, np.array(triads[i, j, k])) for j, k in np.argwhere(triads[i])])
+            for i in range(d)])
 
     @property
     def dimension(self) -> int:
         return self.linear.shape[0]
 
     def rhs(self, x: Array) -> Array:
-        lin = x @ self.linear.T
-        quad = np.einsum("ijk,...j,...k->...i", self.quadratic, x, x)
-        return lin + quad + self.forcing
+        """The field at x, shape (..., d): :meth:`bind_rhs` on a transposed copy."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dimension,):
+            raise ValueError(f"x has shape {x.shape}, model expects (..., {self.dimension})")
+        xt = np.ascontiguousarray(x.reshape(-1, self.dimension).T)
+        out = np.empty_like(xt)
+        self.bind_rhs((xt, out))[0]()
+        return out.T.reshape(x.shape)
+
+    def bind_rhs(self, *pairs: tuple[Array, Array]) -> list:
+        """:meth:`rhs` of coordinate-first (d, M) batches, one call per
+        (xt, out) pair: each output row starts from its forcing and adds its
+        terms in table order through one scratch row. A term reads only its
+        own column, so a point's bits do not depend on its batch."""
+        scratch = np.empty(pairs[0][0].shape[1])
+        mul, add = np.multiply, np.add
+
+        def bind(xt: Array, out: Array):
+            ops = []
+            for o, (f, terms) in zip(out, self._terms):
+                ops.append(partial(np.copyto, o, f))
+                for j, k, c in terms:
+                    ops.append(partial(mul, xt[j], c, scratch))
+                    if k is not None:
+                        ops.append(partial(mul, scratch, xt[k], scratch))
+                    ops.append(partial(add, o, scratch, o))
+
+            def rhs() -> None:
+                for op in ops:
+                    op()
+            return rhs
+
+        return [bind(xt, out) for xt, out in pairs]
 
     def parameters(self) -> dict:
         return {
@@ -252,29 +289,16 @@ def _substep_count(duration: float, max_step: float) -> int:
 _FINITE_CHECK_EVERY = 16
 
 
-# models whose rhs acts on each row alone and elementwise, so a row's bits
-# do not depend on the batch it is integrated in: they take the in-place
-# (d, M) kernel at every width, and a walker may drop their finished rows
-_ROW_WISE = (LinearDiagonal, Lorenz)
-
-
-def _rk4_step(f, y: Array, dt: float) -> Array:
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _rk4_kernel(model, yt: Array, dt: float):
     """A call that advances the coordinate-first (d, M) batch yt by one RK4
     step of dt, in place.
 
-    It makes the scalar operations of :func:`_rk4_step` in the same order,
-    ((k1 + 2 k2) + 2 k3) + k4 included, so the results are bitwise equal;
-    only the operand order of commutative products and sums differs. The
-    constants are 0-d arrays and the buffers are bound once, because on
-    narrow batches a ufunc call's fixed cost outweighs its arithmetic.
+    It makes the scalar operations of the classic row-major step on
+    ``model.rhs`` in the same order, ((k1 + 2 k2) + 2 k3) + k4 included, so
+    the results are bitwise equal; only the operand order of commutative
+    products and sums differs. The constants are 0-d arrays and the buffers
+    are bound once, because on narrow batches a ufunc call's fixed cost
+    outweighs its arithmetic.
     """
     h, full, w, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     stage, acc, k = np.empty_like(yt), np.empty_like(yt), np.empty_like(yt)
@@ -303,14 +327,13 @@ def _rk4_kernel(model, yt: Array, dt: float):
     return step
 
 
-def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
-                   coord_axis: int) -> None:
-    """n_steps calls of step, which advances y by dt in place, checking
-    finiteness every _FINITE_CHECK_EVERY substeps.
+def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float) -> None:
+    """n_steps calls of step, which advances the (d, M) batch y by dt in
+    place, checking finiteness every _FINITE_CHECK_EVERY substeps.
 
     A block that ends non-finite is rerun one checked substep at a time
     from its start, so the BlowupError names the substep and the first row
-    exactly; coord_axis is the axis of y holding the coordinates.
+    exactly.
     """
     # overflow surfaces as a non-finite state, caught below; silence the
     # intermediate warnings
@@ -323,7 +346,7 @@ def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
                 np.copyto(y, y0)
                 for i in range(block, n_steps):
                     step()
-                    finite = np.all(np.isfinite(y), axis=coord_axis)
+                    finite = np.all(np.isfinite(y), axis=0)
                     if not np.all(finite):
                         raise BlowupError(time=t_start + (i + 1) * dt,
                                           batch_index=int(np.flatnonzero(~finite)[0]))
@@ -332,18 +355,9 @@ def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
 def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
     """n_steps RK4 substeps of dt from the (M, d) batch states, into a new
     array; states itself is never written."""
-    if isinstance(model, _ROW_WISE):
-        yt = states.T.copy()
-        _checked_steps(_rk4_kernel(model, yt, dt), yt, n_steps, dt, t_start, coord_axis=0)
-        return np.ascontiguousarray(yt.T)
-    y = states.copy()
-    f = model.rhs
-
-    def step() -> None:
-        y[...] = _rk4_step(f, y, dt)
-
-    _checked_steps(step, y, n_steps, dt, t_start, coord_axis=1)
-    return y
+    yt = states.T.copy()
+    _checked_steps(_rk4_kernel(model, yt, dt), yt, n_steps, dt, t_start)
+    return np.ascontiguousarray(yt.T)
 
 
 def _as_batch(model: FlowModel, states) -> Array:
@@ -356,8 +370,8 @@ def _as_batch(model: FlowModel, states) -> Array:
 def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfig,
                  t_start: float = 0.0) -> Array:
     """Numerical F^t applied to a batch of points, shape (M, d) -> (M, d)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     states = _as_batch(model, states)
     if t == 0:
         return states.copy()
@@ -381,8 +395,8 @@ def sample_path(model: FlowModel, states: Array, horizon: float, n_samples: int,
     interval continues from the previous grid state, so the whole path is a
     single continuous integration.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     states = _as_batch(model, states)
@@ -406,21 +420,19 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     At grid point k, visit(k, rows, y) gets the caller's indices of the open
     rows (ascending) and their states, and returns a boolean mask of the
     rows it has decided, or None. A decided row is never visited again.
-    Rows of a Lorenz or LinearDiagonal model do not depend on each other, so
-    decided rows leave the batch and the walk ends when none is open; any
-    other model keeps every row to the end, as its rows may round
-    differently in another batch. Each interval is one :func:`advance_many`
-    call with the substeps of :func:`sample_path`; a BlowupError there names
-    the caller's row and the time from times[k - 1] (0 when times is None).
-    Returns the number of rows that left the batch before the last grid
-    point; an empty batch is never visited.
+    No model's rows depend on each other, so decided rows leave the batch
+    and the walk ends when none is open. Each interval is one
+    :func:`advance_many` call with the substeps of :func:`sample_path`; a
+    BlowupError there names the caller's row and the time from times[k - 1]
+    (0 when times is None). Returns the number of rows that left the batch
+    before the last grid point; an empty batch is never visited.
     """
+    if not 0 <= interval < math.inf:
+        raise ValueError(f"interval must be nonnegative and finite, got {interval}")
     y = _as_batch(model, states)
     if y.shape[0] == 0:
         return 0
     rows = np.arange(y.shape[0])
-    is_open = np.ones(y.shape[0], dtype=bool)
-    drop = isinstance(model, _ROW_WISE)
     dropped = 0
     for k in range(n_intervals + 1):
         if k:
@@ -428,22 +440,11 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
                 y = advance_many(model, y, interval, cfg,
                                  t_start=0.0 if times is None else times[k - 1])
             except BlowupError as err:
-                if err.batch_index is None:
-                    raise
                 raise BlowupError(time=err.time, batch_index=int(rows[err.batch_index])) from None
-        if drop:
-            live = slice(None)
-        else:
-            live = np.flatnonzero(is_open)
-            if live.shape[0] == 0:
-                continue
-        done = visit(k, rows[live], y[live])
+        done = visit(k, rows, y)
         if done is None or not np.any(done):
             continue
         done = np.asarray(done, dtype=bool)
-        if not drop:
-            is_open[live[done]] = False
-            continue
         if k < n_intervals:
             dropped += int(np.count_nonzero(done))
         y, rows = y[~done], rows[~done]

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from segdyn import (
     model_to_json,
     sample_trajectory,
 )
-from segdyn.flow import sample_path, walk_open_rows
+from segdyn.flow import _MODEL_IDS, sample_path, walk_open_rows
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.37, 2.0])
@@ -46,6 +48,22 @@ def test_lorenz_origin_is_equilibrium(lorenz, cfg):
 def test_advance_rejects_negative_time(linear1, cfg):
     with pytest.raises(ValueError, match="nonnegative"):
         advance(linear1, [1.0], -0.5, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_times_are_refused(linear1, cfg, bad):
+    states = np.ones((2, 1))
+    calls = {
+        "t": lambda: advance_many(linear1, states, bad, cfg),
+        "horizon": lambda: sample_path(linear1, states, bad, 3, cfg),
+        "interval": lambda: walk_open_rows(linear1, states, bad, 2, cfg,
+                                           lambda k, rows, y: None),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{name} must be .* finite, got {bad}$"):
+                call()
 
 
 def test_advance_rejects_nonfinite_state(linear1, cfg):
@@ -261,3 +279,149 @@ def test_integrator_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError, match="scheme"):
         IntegratorConfig(step=0.1, scheme="euler")
+
+
+# ---- every model on the one (d, M) kernel ---------------------------------
+
+def einsum_rhs(model, x):
+    """L x + Q(x, x) + f through a dense einsum over every coefficient: the
+    arithmetic QuadraticGeneric had before its term table, kept here as an
+    oracle independent of that table."""
+    lin = x @ model.linear.T
+    quad = np.einsum("ijk,...j,...k->...i", model.quadratic, x, x)
+    return lin + quad + model.forcing
+
+
+def einsum_scale(model, x):
+    """Sum of the magnitudes of every term of einsum_rhs at x."""
+    ax = np.abs(x)
+    return (ax @ np.abs(model.linear).T + np.abs(model.forcing)
+            + np.einsum("ijk,...j,...k->...i", np.abs(model.quadratic), ax, ax))
+
+
+# rhs and bind_rhs against einsum_rhs: at most this many units of double
+# rounding of einsum_scale (d <= 6 sums at most 28 terms)
+ORACLE_RTOL = 64 * np.finfo(float).eps
+
+
+def lorenz_as_quadratic(model):
+    s, r, b = model.sigma, model.rho, model.beta
+    quadratic = np.zeros((3, 3, 3))
+    quadratic[1, 0, 2], quadratic[2, 0, 1] = -1.0, 1.0
+    return QuadraticGeneric(linear=[[-s, s, 0.0], [r, -1.0, 0.0], [0.0, 0.0, -b]],
+                            quadratic=quadratic, forcing=np.zeros(3))
+
+
+def random_quadratic(rng, d, density=0.6):
+    """Sparse random L, Q and f; Q is not symmetric in its last two indices,
+    and for d > 1 one output coordinate has no term at all."""
+    linear = rng.normal(size=(d, d)) * (rng.random((d, d)) < density)
+    quadratic = rng.normal(size=(d, d, d)) * (rng.random((d, d, d)) < density)
+    forcing = rng.normal(size=d) * (rng.random(d) < density)
+    if d > 1:
+        empty = rng.integers(d)
+        linear[empty], quadratic[empty], forcing[empty] = 0.0, 0.0, 0.0
+    return QuadraticGeneric(linear=linear, quadratic=quadratic, forcing=forcing)
+
+
+def model_and_states(model_id, rng, d, width):
+    """A random model of the given kind (Lorenz is always 3-d) and a batch
+    of states that stays bounded over t = 0.2."""
+    if model_id == "Lorenz":
+        model = Lorenz(sigma=rng.uniform(5, 15), rho=rng.uniform(20, 35), beta=rng.uniform(1, 4))
+        return model, rng.uniform([-20, -25, 0], [20, 25, 45], size=(width, 3))
+    if model_id == "LinearDiagonal":
+        return LinearDiagonal(rates=rng.uniform(-2, 5, size=d)), rng.normal(size=(width, d))
+    if model_id == "QuadraticGeneric":
+        return random_quadratic(rng, d), rng.uniform(-0.2, 0.2, size=(width, d))
+    raise KeyError(f"no random {model_id} model")
+
+
+def test_quadratic_term_table_cases():
+    # an asymmetric pair Q[0, 0, 1] != Q[0, 1, 0], a square term, an output
+    # with forcing only and one with no term at all
+    quadratic = np.zeros((4, 4, 4))
+    quadratic[0, 0, 1], quadratic[0, 1, 0], quadratic[1, 2, 2] = 2.0, -0.5, 3.0
+    linear = np.zeros((4, 4))
+    linear[0, 3], linear[1, 0] = -1.5, 0.25
+    model = QuadraticGeneric(linear=linear, quadratic=quadratic, forcing=[0.0, 1.0, -2.0, 0.0])
+    x = np.array([[0.5, -2.0, 1.5, 4.0], [np.inf, 1.0, 1.0, 1.0]])
+    out = model.rhs(x[:1])
+    assert np.array_equal(out, [[1.5 * 0.5 * -2.0 - 1.5 * 4.0, 0.25 * 0.5 + 3.0 * 2.25 + 1.0,
+                                 -2.0, 0.0]])
+    assert np.array_equal(model.rhs(x[0]), out[0])
+    # an output with no term reads no coordinate
+    assert model.rhs(x)[1, 3] == 0.0
+    for shape in [(8,), (2, 3), ()]:
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}, model expects")):
+            model.rhs(np.ones(shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1,), (5,), (3, 4), (700,)]))
+def test_quadratic_rhs_matches_the_einsum_oracle(d, seed, shape):
+    rng = np.random.default_rng(seed)
+    model = random_quadratic(rng, d)
+    x = rng.normal(scale=3.0, size=shape + (d,))
+    out = model.rhs(x)
+    assert out.shape == x.shape
+    assert np.all(np.abs(out - einsum_rhs(model, x)) <= ORACLE_RTOL * einsum_scale(model, x))
+    xt = np.ascontiguousarray(x.reshape(-1, d).T)
+    bound = np.full_like(xt, np.nan)
+    model.bind_rhs((xt, bound))[0]()
+    assert np.array_equal(bound.T.reshape(x.shape), out)
+
+
+@pytest.mark.parametrize("model_id", sorted(_MODEL_IDS))
+@pytest.mark.parametrize("width", [0, 1, 7, 600])
+def test_bind_rhs_equals_rhs_bitwise(model_id, width):
+    # two pairs bound at once, as the kernel binds them, sharing any scratch
+    rng = np.random.default_rng(width)
+    model, states = model_and_states(model_id, rng, 4, 2 * width)
+    first, second = states[:width], states[width:]
+    xs = [np.ascontiguousarray(first.T), np.ascontiguousarray(second.T)]
+    outs = [np.full_like(xs[0], np.nan), np.full_like(xs[1], np.nan)]
+    calls = model.bind_rhs(*zip(xs, outs))
+    for call in calls[::-1]:
+        call()
+    assert np.array_equal(outs[0].T, model.rhs(first))
+    assert np.array_equal(outs[1].T, model.rhs(second))
+
+
+def test_lorenz_as_quadratic_matches_lorenz(cfg):
+    # the two rhs differ only in the order of their roundings; over one
+    # time unit on the attractor the orbits stay within 1e-9 of each other
+    rng = np.random.default_rng(11)
+    lorenz = Lorenz()
+    states = advance_many(lorenz, rng.uniform([-15, -20, 5], [15, 20, 40], (64, 3)), 2.0, cfg)
+    x = rng.normal(scale=10.0, size=(50, 3))
+    assert np.allclose(lorenz_as_quadratic(lorenz).rhs(x), lorenz.rhs(x), rtol=0, atol=1e-12)
+    got = advance_many(lorenz_as_quadratic(lorenz), states, 1.0, cfg)
+    assert np.max(np.abs(got - advance_many(lorenz, states, 1.0, cfg))) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(model_id=st.sampled_from(sorted(_MODEL_IDS)), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), width=st.sampled_from([2, 33, 4096]))
+def test_a_row_does_not_depend_on_its_batch(model_id, d, seed, width):
+    # a row integrated alone equals the same row inside a wider batch, bit
+    # for bit, through advance_many and through a walk that drops rows
+    rng = np.random.default_rng(seed)
+    model, states = model_and_states(model_id, rng, d, width)
+    cfg = IntegratorConfig(step=0.01)
+    row = int(rng.integers(width))
+    alone = states[row:row + 1]
+    assert np.array_equal(advance_many(model, states, 0.2, cfg)[row],
+                          advance_many(model, alone, 0.2, cfg)[0])
+    leave = rng.random((5, width)) < 0.3
+    leave[:, row] = False
+    seen, seen_alone = [], []
+
+    def visit(k, rows, y):
+        seen.append(y[np.searchsorted(rows, row)].copy())
+        return leave[k, rows]
+
+    walk_open_rows(model, states, 0.05, 4, cfg, visit)
+    walk_open_rows(model, alone, 0.05, 4, cfg, lambda k, rows, y: seen_alone.append(y[0].copy()))
+    assert np.array_equal(seen, seen_alone)

@@ -104,7 +104,7 @@ def record_stage(outdir: Path, stage: str, wall_time_s: float, outputs: list,
 
 def _check_words_doc(doc: dict) -> None:
     for w in doc["words"]:
-        if not isinstance(w["word"], list) or not all(isinstance(s, int) for s in w["word"]):
+        if not isinstance(w["word"], list) or not all(type(s) is int for s in w["word"]):
             raise ValueError(f"malformed word entry: {w}")
 
 

@@ -7,6 +7,7 @@ stays within a target diameter over a finite horizon.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,11 +41,6 @@ __all__ = [
 
 DEFAULT_COLLOCATION_CAP = 2_000_000
 
-_ASSIGN_CHUNK = 512
-
-# Covers with at least this many balls answer membership through a _BallGrid;
-# smaller ones keep the brute-force scan, which is cheaper for them.
-_INDEX_MIN_BALLS = 128
 # entries per block of the (point, ball) and (point, point) tables that grid
 # queries, diameter searches and the ball rule build
 _PAIR_CHUNK = 1 << 16
@@ -143,30 +139,6 @@ class Cover:
     def balls(self) -> list[CoverBall]:
         return [CoverBall(index=n + 1, center=self.centers[n], radius=float(self.radii[n]))
                 for n in range(self.n_balls)]
-
-
-def _membership_blocks(points: Array, centers: Array, r2: Array):
-    """The point-in-ball test, chunked so one block holds at most
-    _ASSIGN_CHUNK x N entries.
-
-    Yields (rows, inside) where inside[i, n] says points[rows][i] lies in the
-    closed ball with center centers[n] and squared radius r2[n], by the
-    squared distance of :func:`_squared_distances`.
-    """
-    pt = np.ascontiguousarray(points.T)
-    ct = np.ascontiguousarray(centers.T)[:, None, :]
-    for start in range(0, points.shape[0], _ASSIGN_CHUNK):
-        rows = slice(start, start + _ASSIGN_CHUNK)
-        yield rows, _squared_distances(pt[:, rows, None], ct) <= r2
-
-
-def largest_ball(points: Array, centers: Array, r2: Array) -> Array:
-    """1-based index of the largest-index ball containing each point, 0 for none."""
-    ids = np.arange(1, centers.shape[0] + 1, dtype=np.int64)
-    out = np.empty(points.shape[0], dtype=np.int64)
-    for rows, inside in _membership_blocks(points, centers, r2):
-        out[rows] = np.where(inside, ids, 0).max(axis=1)
-    return out
 
 
 def _expand(starts: Array, counts: Array) -> Array:
@@ -275,7 +247,7 @@ class _BallGrid:
     _BUCKETS_PER_BALL per ball and _MIN_REGISTRATIONS in all. The map is
     CSR: occupied bucket ``keys[j]`` (ascending) holds the balls
     ``ball_ids[offsets[j]:offsets[j + 1]]`` in ascending order. Membership
-    is the squared-distance test of :func:`_membership_blocks`, on the
+    is the squared-distance test of :func:`_squared_distances`, on the
     (point, ball) pairs of each point's bucket only, so every answer is
     bitwise the brute-force one.
     """
@@ -349,7 +321,8 @@ class _BallGrid:
             yield row[inside], ball[inside]
 
     def largest_ball(self, points: Array) -> Array:
-        """Same result as :func:`largest_ball` on this grid's balls."""
+        """1-based index of the largest-index ball containing each point, 0
+        for none."""
         out = np.zeros(points.shape[0], dtype=np.int64)
         for row, ball in self.pairs(points):
             last = np.flatnonzero(np.diff(row, append=-1))
@@ -376,8 +349,6 @@ class Partition:
         if pts.shape[1] != self.cover.dimension:
             raise ValueError(f"points have dimension {pts.shape[1]}, "
                              f"the cover has dimension {self.cover.dimension}")
-        if self.cover.n_balls < _INDEX_MIN_BALLS:
-            return largest_ball(pts, self.cover.centers, self.cover.radii ** 2)
         return self._grid.largest_ball(pts)
 
     @cached_property
@@ -625,29 +596,6 @@ def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     samples = np.asarray(domain_samples, dtype=float)
-    if centers.shape[0] >= _INDEX_MIN_BALLS:
-        return _minimal_cover_sparse(centers, radii, samples)
-    member = np.empty((samples.shape[0], centers.shape[0]), dtype=bool)
-    for rows, inside in _membership_blocks(samples, centers, radii ** 2):
-        member[rows] = inside
-    uncovered = ~member.any(axis=1)
-    if np.any(uncovered):
-        first = int(np.flatnonzero(uncovered)[0])
-        raise CoverageError(
-            f"domain sample {first} at {samples[first].tolist()} is outside every input ball")
-    counts = member.sum(axis=1)
-    keep = np.ones(centers.shape[0], dtype=bool)
-    for ball in range(centers.shape[0] - 1, -1, -1):
-        col = member[:, ball]
-        if np.all(counts[col] >= 2):
-            keep[ball] = False
-            counts[col] -= 1
-    return Cover(centers=centers[keep], radii=radii[keep])
-
-
-def _minimal_cover_sparse(centers: Array, radii: Array, samples: Array) -> Cover:
-    """:func:`minimal_cover` on the grid index's (sample, ball) pairs
-    instead of a dense samples x balls table; same result and errors."""
     n = centers.shape[0]
     blocks = list(_BallGrid(centers, radii).pairs(samples))
     sample = np.concatenate([np.empty(0, dtype=np.int64)] + [s for s, _ in blocks])
@@ -702,7 +650,20 @@ def cover_to_json(cover: Cover) -> dict:
 
 
 def cover_from_json(doc: dict) -> Cover:
+    """The cover of a ``cover.json`` document; each ball's ``index`` must be a
+    JSON integer, and its ``center`` coordinates and ``radius`` JSON numbers,
+    not strings or booleans."""
     balls = doc["balls"]
+    for i, b in enumerate(balls):
+        if type(b["index"]) is not int:
+            raise ValueError(f"balls entry {i}: index {json.dumps(b['index'])} "
+                             f"is not a JSON integer")
+        if type(b["center"]) is not list or not set(map(type, b["center"])) <= {int, float}:
+            raise ValueError(f"balls entry {i}: center {json.dumps(b['center'])} "
+                             f"is not a list of JSON numbers")
+        if type(b["radius"]) not in (int, float):
+            raise ValueError(f"balls entry {i}: radius {json.dumps(b['radius'])} "
+                             f"is not a JSON number")
     order = sorted(range(len(balls)), key=lambda i: balls[i]["index"])
     indices = [balls[i]["index"] for i in order]
     if indices != list(range(1, len(balls) + 1)):

@@ -41,7 +41,6 @@ __all__ = [
     "tensor_from_json",
 ]
 
-_DENSE_JSON_LIMIT = 512
 _INT64_MAX = 2 ** 63 - 1
 # the rejection sampler takes cells in consecutive groups whose first-round
 # draws, the largest of any round, add up to at most this many points
@@ -431,45 +430,25 @@ def ball_admissibility(lib: SegmentLibrary, partition: Partition,
     return set(ball_successors(lib, partition, rho, [cell])[0].tolist())
 
 
-def _dense(indptr: Array, indices: Array, values: Array) -> Array:
-    """The n x n table holding a CSR pattern's values, 0 elsewhere; only the
-    dense JSON form, at most _DENSE_JSON_LIMIT cells, is written from it."""
-    n = indptr.shape[0] - 1
-    table = np.zeros((n, n), dtype=values.dtype)
-    table[_entry_rows(indptr), indices] = values
-    return table
-
-
 def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
                         samples_per_cell: int) -> dict:
     """JSON document for Gamma, counts, p and escape fractions; p must be
-    stored on the pattern of the counts.
-
-    Dense tables up to 512 cells, sparse (row, col, value) triplets above.
-    """
+    stored on the pattern of the counts. counts and p are (row, col, value)
+    triplets of the stored entries, in row-major order."""
     if not (np.array_equal(tm.indptr, mm.indptr) and np.array_equal(tm.indices, mm.indices)):
         raise ValueError("p must be stored on the pattern of the counts")
-    n = tm.n_cells
-    doc: dict = {
-        "n_cells": n,
+    rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
+    return {
+        "n_cells": tm.n_cells,
         "rng_seed": rng_seed,
         "samples_per_cell": samples_per_cell,
         "unsupported_rows": sorted(tm.unsupported_rows),
         "escapes": tm.escapes.tolist(),
         "escape_fractions": [round(v, 12) for v in tm.escape_fractions().tolist()],
+        "format": "sparse",
+        "counts": np.stack([rows, cols, tm.counts], axis=1).tolist(),
+        "p": [list(t) for t in zip(rows.tolist(), cols.tolist(), mm.p.tolist())],
     }
-    if n <= _DENSE_JSON_LIMIT:
-        counts = _dense(tm.indptr, tm.indices, tm.counts)
-        doc["format"] = "dense"
-        doc["admissible"] = (counts > 0).astype(int).tolist()
-        doc["counts"] = counts.tolist()
-        doc["p"] = _dense(mm.indptr, mm.indices, mm.p).tolist()
-    else:
-        rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
-        doc["format"] = "sparse"
-        doc["counts"] = np.stack([rows, cols, tm.counts], axis=1).tolist()
-        doc["p"] = [list(t) for t in zip(rows.tolist(), cols.tolist(), mm.p.tolist())]
-    return doc
 
 
 def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, Array, Array]:
@@ -477,11 +456,10 @@ def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, 
     value) triplets, and the order that sorts the keys; ids must be JSON
     integers in 1..n, no (row, col) pair may repeat, and values must be
     nonnegative (for ``counts``, JSON integers that fit in int64)."""
-    t = np.asarray(entries, dtype=float)
-    if t.shape == (0,):
-        t = t.reshape(0, 3)
-    if t.ndim != 2 or t.shape[1] != 3:
+    if not (type(entries) is list and set(map(type, entries)) <= {list}
+            and set(map(len, entries)) <= {3}):
         raise ValueError(f"{what} must be a list of (row, col, value) triplets")
+    t = np.asarray(entries, dtype=float).reshape(len(entries), 3)
     ints = (0, 1, 2) if counts else (0, 1)
     if not set(map(type, chain.from_iterable(map(itemgetter(*ints), entries)))) <= {int}:
         i, k = next((i, k) for i, e in enumerate(entries) for k in ints if type(e[k]) is not int)
@@ -513,19 +491,17 @@ def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, 
     return key, values, first
 
 
-def _json_counts(values, ndim: int, what: str) -> Array:
-    """The int64 array of a list (ndim 1) or table (ndim 2) of counts; each
-    must be a nonnegative JSON integer in int64 range, so a float, string or
-    boolean is refused rather than truncated."""
+def _json_counts(values, what: str) -> Array:
+    """The int64 array of a list of per-cell counts; each must be a
+    nonnegative JSON integer in int64 range, so a float, string or boolean
+    is refused rather than truncated."""
     cells = np.asarray(values, dtype=object)
-    if cells.ndim != ndim:
-        raise ValueError(f"{what} must be a {('list', 'table')[ndim - 1]} of counts")
-    for i, v in enumerate(cells.flat):
+    if cells.ndim != 1:
+        raise ValueError(f"{what} must be a list of counts")
+    for i, v in enumerate(cells):
         if type(v) is not int or not 0 <= v <= _INT64_MAX:
-            at = (f"cell {i + 1}" if ndim == 1 else
-                  f"cell pair ({i // cells.shape[1] + 1}, {i % cells.shape[1] + 1})")
             raise ValueError(f"{what} must be nonnegative JSON integers; "
-                             f"{at} holds {json.dumps(v)}")
+                             f"cell {i + 1} holds {json.dumps(v)}")
     return cells.astype(np.int64)
 
 
@@ -538,52 +514,31 @@ def _csr_pattern(keys: Array, n: int) -> tuple[Array, Array]:
 
 def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
     """The tables of a ``transitions.json`` document, built straight into
-    CSR arrays. ``n_cells`` must be a JSON integer equal to the number of
-    escapes (and the side of dense tables), checked before any table is
-    read. Escapes and dense counts are checked as sparse counts are; a
-    dense ``admissible`` must equal ``counts > 0``, and p may be nonzero
-    only where a count is."""
+    CSR arrays. ``format`` must be "sparse", and ``n_cells`` a JSON integer
+    equal to the number of escapes, both checked before any table is read.
+    Escapes are checked as the counts are; p may be stored only where a
+    count is."""
+    if doc["format"] != "sparse":
+        raise ValueError(f"format {json.dumps(doc['format'])} is not \"sparse\"")
     n = doc["n_cells"]
     if type(n) is not int:
         raise ValueError(f"n_cells {json.dumps(n)} is not a JSON integer")
     if type(doc["escapes"]) is list and len(doc["escapes"]) != n:
         raise ValueError(f"n_cells {n} does not match the {len(doc['escapes'])} escapes")
-    escapes = _json_counts(doc["escapes"], 1, "escapes")
-    if doc["format"] == "dense":
-        if n > _DENSE_JSON_LIMIT:
-            raise ValueError(f"a dense table holds at most {_DENSE_JSON_LIMIT} cells, "
-                             f"not {n}")
-        counts = _json_counts(doc["counts"], 2, "counts")
-        if counts.shape != (n, n):
-            raise ValueError(f"counts has shape {counts.shape}, but n_cells is {n}")
-        p = np.asarray(doc["p"], dtype=float)
-        admissible = np.asarray(doc["admissible"], dtype=bool)
-        for name, table in (("p", p), ("admissible", admissible)):
-            if table.shape != counts.shape:
-                raise ValueError(f"{name} has shape {table.shape}, "
-                                 f"counts has shape {counts.shape}")
-        for name, table in (("admissible", admissible), ("p", p != 0)):
-            if np.any(table & (counts == 0)):
-                r, c = np.argwhere(table & (counts == 0))[0]
-                raise ValueError(f"{name} cell pair ({r + 1}, {c + 1}) has count 0")
-        if np.any((counts > 0) & ~admissible):
-            raise ValueError("counts[m][n] > 0 requires admissible[m][n]")
-        keys = np.flatnonzero(counts)
-        counts, p = counts.ravel()[keys], p.ravel()[keys]
-    else:
-        key, v, order = _triplets(doc["counts"], n, "counts", counts=True)
-        # a zero count stores nothing
-        order = order[v[order] > 0]
-        keys, counts = key[order], v[order]
-        key, v, _ = _triplets(doc["p"], n, "p")
-        at = np.searchsorted(keys, key)
-        stored = np.append(keys, -1)[at] == key
-        if not np.all(stored):
-            i = int(np.argmin(stored))
-            raise ValueError(f"p entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
-                             f"has count 0")
-        p = np.zeros(keys.shape[0])
-        p[at] = v
+    escapes = _json_counts(doc["escapes"], "escapes")
+    key, v, order = _triplets(doc["counts"], n, "counts", counts=True)
+    # a zero count stores nothing
+    order = order[v[order] > 0]
+    keys, counts = key[order], v[order]
+    key, v, _ = _triplets(doc["p"], n, "p")
+    at = np.searchsorted(keys, key)
+    stored = np.append(keys, -1)[at] == key
+    if not np.all(stored):
+        i = int(np.argmin(stored))
+        raise ValueError(f"p entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
+                         f"has count 0")
+    p = np.zeros(keys.shape[0])
+    p[at] = v
     indptr, indices = _csr_pattern(keys, n)
     return (TransitionMatrix(indptr, indices, counts, escapes),
             MarkovMatrix(indptr, indices, p))

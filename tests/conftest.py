@@ -50,6 +50,24 @@ def rotation2d():
                             quadratic=np.zeros((2, 2, 2)), forcing=[0.0, 0.0])
 
 
+def literal_memberships(points, centers, radii) -> np.ndarray:
+    """inside[i, n]: points[i] lies in closed ball n, by the broadcast squared
+    distance. From d = 8 on numpy sums its last axis pairwise."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= radii ** 2
+
+
+def brute_force_cells(points, centers, radii, rows=512) -> np.ndarray:
+    """Cell of each point by the definition: the largest 1-based index of a
+    ball containing it, 0 for none, every ball tested, ``rows`` points at a
+    time."""
+    ids = np.arange(1, centers.shape[0] + 1)
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], rows):
+        inside = literal_memberships(points[start:start + rows], centers, radii)
+        out[start:start + rows] = np.where(inside, ids, 0).max(axis=1, initial=0)
+    return out
+
+
 def csr(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """indptr, column indices and values of the nonzero entries of a square
     table, row by row."""

@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, brute_force_words, dense, make_markov_tensors, markov
+from conftest import (
+    ACCEPTANCE_RESULTS,
+    brute_force_cells,
+    brute_force_words,
+    dense,
+    make_markov_tensors,
+    markov,
+)
 from segdyn import (
     Cover,
     IntegratorConfig,
@@ -46,7 +53,7 @@ from segdyn._rng import derive_rng
 from segdyn.artifacts import read_json
 from segdyn.cli import main as cli_main
 from segdyn.config import load_config
-from segdyn.cover import _INDEX_MIN_BALLS, BoxDomain, cover_from_json, largest_ball
+from segdyn.cover import BoxDomain, cover_from_json
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
 from segdyn.symbolic import reconstruct_pseudo_orbit
@@ -232,13 +239,13 @@ def test_orbit_cover_grid_index_matches_brute_force(run4):
     # of two median radii and answers exactly as the brute-force scan
     partition = run4["partition"]
     cover = partition.cover
-    assert cover.n_balls >= _INDEX_MIN_BALLS
+    assert cover.n_balls >= 128
     assert partition._grid.width == 2.0 * np.median(cover.radii)
     rng = np.random.default_rng(4)
     pts = np.concatenate([run4["fresh"],
                           rng.uniform([-25.0, -30.0, -5.0], [25.0, 30.0, 50.0], (20_000, 3))])
     assert np.array_equal(partition.assign_many(pts),
-                          largest_ball(pts, cover.centers, cover.radii ** 2))
+                          brute_force_cells(pts, cover.centers, cover.radii))
 
 
 def test_criterion_04_transition_consistency(run4):

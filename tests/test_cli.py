@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import shutil
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from segdyn.artifacts import check_artifacts, file_digest, load_manifest, read_json, write_json
 from segdyn.atomic import _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
 from segdyn.errors import ConfigError
-from segdyn.transitions import TransitionTensor, tensor_to_json
+from segdyn.transitions import TransitionTensor, tensor_to_json, transitions_from_json
 
 BASE_CONFIG = {
     "model": {"model_id": "LinearDiagonal", "dimension": 1, "parameters": {"rates": [1.0]}},
@@ -96,6 +98,25 @@ def test_rerun_reproduces_identical_digests(pipeline, tmp_path):
     m2 = load_manifest(tmp_path / "out2")
     for stage in ALL_STAGES:
         assert m1["stages"][stage]["outputs"] == m2["stages"][stage]["outputs"]
+
+
+@pytest.mark.parametrize("word, refused", [([True, False], True), ([1, 2], False)],
+                         ids=["booleans", "ints"])
+def test_check_refuses_non_integer_word_symbols(pipeline, tmp_path, capsys, word, refused):
+    # both edits break the recorded digest; only booleans break the schema
+    _, _, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    doc = read_json(copy / "words.json")
+    doc["words"][0]["word"] = word
+    (copy / "words.json").write_text(json.dumps(doc))
+    config = _write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "check: encode: words.json does not match its recorded digest\n" in err
+    assert ("check: encode: words.json fails schema validation: malformed word entry: "
+            in err) == refused
 
 
 def test_check_detects_corruption(pipeline, tmp_path):
@@ -314,6 +335,25 @@ def test_usage_error_exit_code_is_one(capsys):
     ({"balls": [{"index": 1, "center": [float("nan")], "radius": 1.0}]},
      "is not a readable cover: ValueError('centers and radii must be finite')"),
     ({"cells": []}, "is not a readable cover: KeyError('balls')"),
+    ({"balls": [{"index": True, "center": ["1"], "radius": "0.5"}]},
+     "is not a readable cover: ValueError('balls entry 0: index true is not a JSON integer')"),
+    ({"balls": [{"index": 1, "center": [0.0], "radius": 1.0},
+                {"index": 2, "center": ["1"], "radius": 1.0}]},
+     "is not a readable cover: "
+     "ValueError('balls entry 1: center [\"1\"] is not a list of JSON numbers')"),
+    ({"balls": [{"index": 1, "center": [True], "radius": 1.0}]},
+     "is not a readable cover: "
+     "ValueError('balls entry 0: center [true] is not a list of JSON numbers')"),
+    ({"balls": [{"index": 1, "center": 0.5, "radius": 1.0}]},
+     "is not a readable cover: "
+     "ValueError('balls entry 0: center 0.5 is not a list of JSON numbers')"),
+    ({"balls": [{"index": 1, "center": [0.0], "radius": "0.5"}]},
+     "is not a readable cover: "
+     "ValueError('balls entry 0: radius \"0.5\" is not a JSON number')"),
+    ({"balls": [{"index": 1, "center": [0.0], "radius": False}]},
+     "is not a readable cover: ValueError('balls entry 0: radius false is not a JSON number')"),
+    ({"balls": [{"index": 1.0, "center": [0.0], "radius": 1.0}]},
+     "is not a readable cover: ValueError('balls entry 0: index 1.0 is not a JSON integer')"),
 ])
 def test_cover_that_does_not_fit_is_check_error(tmp_path, capsys, doc, message):
     config = _write_config(tmp_path)
@@ -336,13 +376,10 @@ def _edit_json(edit):
 
 
 def _sparse_with_first_triplet(triplet):
-    """Rewrite a dense transitions.json as sparse triplets, led by ``triplet``."""
+    """Put ``triplet`` before the counts and p triplets of transitions.json."""
     def edit(doc):
-        doc["format"] = "sparse"
         for key in ("counts", "p"):
-            doc[key] = [triplet] + [[r + 1, c + 1, v] for r, row in enumerate(doc[key])
-                                    for c, v in enumerate(row) if v]
-        del doc["admissible"]
+            doc[key].insert(0, triplet)
     return _edit_json(edit)
 
 
@@ -358,7 +395,8 @@ def _edit_lines(edit):
      "is not a readable transition table: KeyError('escapes')"),
     ("transitions.json", "transitions.json", _edit_json(lambda d: d["counts"][0].pop()),
      "markov", ["enumerate", "entropy", "bounds"],
-     "is not a readable transition table: ValueError("),
+     "is not a readable transition table: "
+     "ValueError('counts must be a list of (row, col, value) triplets')"),
     ("transitions.json", "transitions.json", _sparse_with_first_triplet([9, 1, 1]),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
@@ -414,30 +452,26 @@ def _edit_lines(edit):
     ("transitions.json", "transitions.json",
      _edit_json(lambda d: d["counts"][0].__setitem__(2, 16.5)),
      "markov", ["enumerate", "entropy", "bounds"],
-     "is not a readable transition table: ValueError('counts must be nonnegative JSON "
-     "integers; cell pair (1, 3) holds 16.5')"),
-    ("transitions.json", "transitions.json",
-     _edit_json(lambda d: d["admissible"][0].__setitem__(0, 1)),
-     "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
-     "ValueError('admissible cell pair (1, 1) has count 0')"),
+     "ValueError('counts entry 0: value 16.5 is not an int64 count')"),
     ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(n_cells=9)),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: ValueError('n_cells 9 does not match the 8 escapes')"),
-    ("transitions.json", "transitions.json",
-     _edit_json(lambda d: d.update(n_cells=9, escapes=d["escapes"] + [0])),
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(n_cells=7)),
      "markov", ["enumerate", "entropy", "bounds"],
-     "is not a readable transition table: "
-     "ValueError('counts has shape (8, 8), but n_cells is 9')"),
+     "is not a readable transition table: ValueError('n_cells 7 does not match the 8 escapes')"),
     ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(n_cells=8.0)),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: ValueError('n_cells 8.0 is not a JSON integer')"),
+    ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(format="dense")),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: ValueError('format \"dense\" is not \"sparse\"')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
         "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
-        "dense-admissible-zero-count", "n_cells-not-escapes", "n_cells-not-table-side",
-        "transitions-n_cells-not-int"])
+        "n_cells-not-escapes", "n_cells-not-table-side", "transitions-n_cells-not-int",
+        "format-dense"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline
@@ -600,7 +634,8 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
 
 
 # SHA-256 of every output of the bundled configs/linear1d.json pipeline,
-# recorded before the live-row walker and the (d, M) RK4 kernel existed;
+# recorded before the live-row walker and the (d, M) RK4 kernel existed, and
+# for transitions.json when (row, col, value) triplets became its only form;
 # manifest.json holds wall times, so it is left out
 LINEAR1D_DIGESTS = {
     "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
@@ -613,7 +648,7 @@ LINEAR1D_DIGESTS = {
     "report.json": "3117f84011a44a7222da38360f3fd3518d4d35d92664ceecc1526c65c733caab",
     "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",
     "tensors.json": "a3d681a496a63ce5e69c4e62d470f97f85348f3f376f4408074ff4d78cd17787",
-    "transitions.json": "1a02df47f67261a2c96f45ce049a4fcda5089855d0d56fa83a5646ac2abaaed1",
+    "transitions.json": "cf4f325e27447fbdf3bbe2be2a18897760a34580e49ea6847fdd6f1e00ae717b",
     "words.json": "b55bf9c41c357db2037fcf3d812de8309642641e93edda6bc3f6b3966b66fbf2",
 }
 
@@ -634,6 +669,29 @@ def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def _bench_checks():
+    """The benchmark's output checks, bench/segbench/checks.py, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "segbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("segbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_checks_accept_the_bundled_linear1d_outputs(linear1d):
+    # the benchmark reads the artifacts with its own code; an output it cannot
+    # read, or reads wrongly, would make it report outputs_incorrect
+    config, out = linear1d
+    checks = _bench_checks()
+    doc = read_json(out / "transitions.json")
+    assert checks.check_transitions(doc) == []
+    gamma, p = checks.gamma_and_p(doc)
+    tm, mm = transitions_from_json(doc)
+    assert np.array_equal(gamma, dense(tm) > 0) and np.array_equal(p, dense(mm))
+    for name, check in checks.pipeline_checks(out, load_config(config).epsilon):
+        assert check() == [], name
 
 
 def test_report_is_built_from_the_manifest_alone(linear1d, tmp_path):

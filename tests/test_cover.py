@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_cells, literal_memberships
 from segdyn import (
     BoxDomain,
     CalibrationError,
@@ -23,11 +24,8 @@ from segdyn import (
 from segdyn.cover import (
     _PRUNE_MIN_POINTS,
     _BallGrid,
-    _membership_blocks,
-    _minimal_cover_sparse,
     cover_from_json,
     cover_to_json,
-    largest_ball,
     read_points_csv,
     write_points_csv,
 )
@@ -292,12 +290,6 @@ def test_assign_many_rejects_wrong_dimension():
         part.assign_many(np.array([[0.1], [5.0]]))
 
 
-def _literal_memberships(pts, centers, radii):
-    """inside[i, n]: pts[i] lies in closed ball n, by the broadcast squared
-    distance. From d = 8 on numpy sums its last axis pairwise."""
-    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1) <= radii ** 2
-
-
 @st.composite
 def _overlapping_covers(draw):
     """Random overlapping covers in d = 1, 2, 3, 8 or 9, optionally with one
@@ -330,20 +322,16 @@ def _overlapping_covers(draw):
 @given(_overlapping_covers())
 def test_grid_matches_largest_ball(case):
     centers, radii, pts = case
-    inside = _literal_memberships(pts, centers, radii)
-    expected = np.where(inside, np.arange(1, centers.shape[0] + 1), 0).max(axis=1)
-    assert np.array_equal(largest_ball(pts, centers, radii ** 2), expected)
+    expected = brute_force_cells(pts, centers, radii)
     assert np.array_equal(_BallGrid(centers, radii).largest_ball(pts), expected)
+    assert np.array_equal(Partition(Cover(centers, radii)).assign_many(pts), expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_overlapping_covers())
 def test_grid_pairs_are_exactly_the_memberships(case):
     centers, radii, pts = case
-    member = _literal_memberships(pts, centers, radii)
-    blocks = np.concatenate(
-        [inside for _, inside in _membership_blocks(pts, centers, radii ** 2)])
-    assert np.array_equal(blocks, member)
+    member = literal_memberships(pts, centers, radii)
     rows, balls = map(np.concatenate, zip(*_BallGrid(centers, radii).pairs(pts)))
     expected_rows, expected_balls = np.nonzero(member)
     assert np.array_equal(rows, expected_rows)
@@ -367,30 +355,54 @@ def test_grid_large_ball_adds_registrations_not_width():
     assert grid.width == 2.0 * np.median(radii)
     assert np.count_nonzero(grid.ball_ids == 7) > 1000
     pts = rng.uniform(-5.0, 25.0, size=(20_000, 3))
-    assert np.array_equal(grid.largest_ball(pts), largest_ball(pts, centers, radii ** 2))
+    assert np.array_equal(grid.largest_ball(pts), brute_force_cells(pts, centers, radii))
+
+
+def ref_minimal_cover(centers, radii, samples):
+    """minimal_cover on a dense samples x balls membership table."""
+    member = literal_memberships(samples, centers, radii)
+    uncovered = ~member.any(axis=1)
+    if np.any(uncovered):
+        first = int(np.flatnonzero(uncovered)[0])
+        raise CoverageError(
+            f"domain sample {first} at {samples[first].tolist()} is outside every input ball")
+    counts = member.sum(axis=1)
+    keep = np.ones(centers.shape[0], dtype=bool)
+    for ball in range(centers.shape[0] - 1, -1, -1):
+        col = member[:, ball]
+        if np.all(counts[col] >= 2):
+            keep[ball] = False
+            counts[col] -= 1
+    return Cover(centers=centers[keep], radii=radii[keep])
+
+
+def _cover_or_error(build):
+    try:
+        cover = build()
+    except CoverageError as err:
+        return str(err)
+    return cover.centers.tobytes(), cover.radii.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sparse_minimal_cover_matches_dense(seed):
+    # covers of 1 to 100 balls and samples drawn inside them; an uncovered
+    # sample must give the same error on the same first sample
     rng = np.random.default_rng(seed)
     d = 1 + seed % 3
-    n = 100
-    centers = rng.uniform(0.0, 1.0, size=(n, d))
-    radii = rng.uniform(0.1, 0.5, size=n)
-    radii[seed] *= 50.0 if seed % 2 else 1.0
-    samples = rng.uniform(0.0, 1.0, size=(300, d))
-    dense = minimal_cover(centers, radii, samples)
-    sparse = _minimal_cover_sparse(centers, radii, samples)
-    assert np.array_equal(sparse.centers, dense.centers)
-    assert np.array_equal(sparse.radii, dense.radii)
-    # an uncovered sample gives the same error on the same first sample
-    outside = np.concatenate([samples[:5], np.full((2, d), 40.0), samples[5:]])
-    with pytest.raises(CoverageError) as dense_err:
-        minimal_cover(centers, radii, outside)
-    with pytest.raises(CoverageError) as sparse_err:
-        _minimal_cover_sparse(centers, radii, outside)
-    assert str(sparse_err.value) == str(dense_err.value)
-    assert "domain sample 5 at" in str(dense_err.value)
+    for n in (1, 3, 8, 100):
+        centers = rng.uniform(0.0, 1.0, size=(n, d))
+        radii = rng.uniform(0.1, 0.5, size=n)
+        radii[seed % n] *= 50.0 if seed % 2 else 1.0
+        ball = rng.integers(n, size=300)
+        samples = centers[ball] + radii[ball, None] * rng.uniform(-0.99, 0.99, (300, d)) / d
+        outside = np.concatenate([samples[:5], np.full((2, d), 1e3), samples[5:]])
+        outcomes = []
+        for points in (samples, outside):
+            expected = _cover_or_error(lambda: ref_minimal_cover(centers, radii, points))
+            assert _cover_or_error(lambda: minimal_cover(centers, radii, points)) == expected
+            outcomes.append(expected)
+        assert isinstance(outcomes[0], tuple) and "domain sample 5 at" in outcomes[1]
 
 
 def _brute_force_diameter(x):

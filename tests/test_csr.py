@@ -4,7 +4,8 @@
 ``ref_transitions_to_json`` are the dense code that held Gamma, the counts
 and p as n x n tables before they became CSR arrays: an (N+1)^2 tally of
 (source, landing) pairs, the row entropies summed over each dense row, the
-power iteration through ``x @ p`` and the JSON writer over dense tables.
+power iteration through ``x @ p`` and the JSON writer over dense tables,
+here writing the one (row, col, value) triplet form.
 Counts, p, the row entropies, the JSON bytes and cylinder measures must
 match them bit for bit; the stationary vector, whose products now add only
 the stored entries, must match to rounding, and match bit for bit the same
@@ -12,14 +13,13 @@ iteration over the stored entries that makes all of its steps.
 """
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense
-from segdyn import symbolic, transitions
+from segdyn import symbolic
 from segdyn.artifacts import read_json, write_json
 from segdyn.symbolic import SymbolSequence, cylinder_measure, ks_entropy, reachable_symbols
 from segdyn.transitions import (
@@ -97,15 +97,11 @@ def ref_transitions_to_json(counts, p, escapes, rng_seed, samples_per_cell):
         "unsupported_rows": [int(m) + 1 for m in np.flatnonzero(landed == 0)],
         "escapes": escapes.tolist(),
         "escape_fractions": [round(v, 12) for v in frac.tolist()],
+        "format": "sparse",
     }
-    if n <= transitions._DENSE_JSON_LIMIT:
-        doc.update(format="dense", admissible=(counts > 0).astype(int).tolist(),
-                   counts=counts.tolist(), p=p.tolist())
-    else:
-        rows, cols = np.nonzero(counts)
-        doc.update(format="sparse",
-                   counts=[[int(r) + 1, int(c) + 1, int(counts[r, c])] for r, c in zip(rows, cols)],
-                   p=[[int(r) + 1, int(c) + 1, float(p[r, c])] for r, c in zip(rows, cols)])
+    rows, cols = np.nonzero(counts)
+    doc.update(counts=[[int(r) + 1, int(c) + 1, int(counts[r, c])] for r, c in zip(rows, cols)],
+               p=[[int(r) + 1, int(c) + 1, float(p[r, c])] for r, c in zip(rows, cols)])
     return doc
 
 
@@ -137,8 +133,8 @@ def ref_reachable(gamma, n0, length):
 def itineraries(draw):
     """First hops of a random sampling run: cells with no samples, cells
     whose samples all escape, and rows with up to about 40 landing cells
-    spread over the whole row, at up to 700 cells (over the dense JSON
-    limit of 512 and over the 128 columns of one pairwise-sum block)."""
+    spread over the whole row, at up to 700 cells (over the 128 columns of
+    one pairwise-sum block)."""
     n = draw(st.one_of(st.integers(1, 12), st.integers(100, 140), st.integers(513, 700)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -165,18 +161,15 @@ def test_csr_tables_match_the_dense_reference(case):
     assert dense(mm).tobytes() == p.tobytes()
     assert tm.unsupported_rows == set((np.flatnonzero(counts.sum(axis=1) == 0) + 1).tolist())
 
-    # the sparse form at any size and the dense one up to its 512 cells, each
-    # with the bytes of the dense writer, read back
-    for limit in (0, transitions._DENSE_JSON_LIMIT):
-        with mock.patch.object(transitions, "_DENSE_JSON_LIMIT", limit):
-            doc = transitions_to_json(tm, mm, rng_seed=7, samples_per_cell=3)
-            assert json.dumps(doc, sort_keys=True) == json.dumps(
-                ref_transitions_to_json(counts, p, escapes, 7, 3), sort_keys=True)
-            tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
-        for a, b in ((tm, tm2), (mm, mm2)):
-            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-        assert np.array_equal(tm2.counts, tm.counts) and np.array_equal(tm2.escapes, escapes)
-        assert mm2.p.tobytes() == mm.p.tobytes()
+    # the triplet form, with the bytes of the writer over dense tables, read back
+    doc = transitions_to_json(tm, mm, rng_seed=7, samples_per_cell=3)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(
+        ref_transitions_to_json(counts, p, escapes, 7, 3), sort_keys=True)
+    tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
+    for a, b in ((tm, tm2), (mm, mm2)):
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(tm2.counts, tm.counts) and np.array_equal(tm2.escapes, escapes)
+    assert mm2.p.tobytes() == mm.p.tobytes()
 
     res = ks_entropy(mm)
     rows = ref_row_entropies(p)

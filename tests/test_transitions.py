@@ -26,7 +26,6 @@ from segdyn import (
 from segdyn import transitions
 from segdyn._rng import STREAM_TRANSITIONS, derive_rng
 from segdyn.artifacts import read_json, write_json
-from segdyn.cover import _INDEX_MIN_BALLS
 from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
     MarkovMatrix,
@@ -217,16 +216,16 @@ def _sampled_or_error(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.sampled_from([3, 40, _INDEX_MIN_BALLS + 30]),
+@given(st.integers(1, 3), st.sampled_from([3, 40, 158]),
        st.integers(1, 12), st.sampled_from([200, 30]), st.booleans(),
        st.sampled_from([1 << 18, 500, 1]), st.integers(0, 2 ** 32 - 1))
 def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_points, seed):
     # overlapping balls on a jittered lattice, so that every cell keeps a
     # core of its own; the last ball leaves only a thin shell (2% of its
     # volume) of the one before it, whose cell then needs many rounds or
-    # runs out of draws; ball 1 may be 50x larger. Covers of 3 and 40 balls
-    # are assigned by the brute-force scan, larger ones through the grid
-    # index, and small round sizes split the cells into several groups.
+    # runs out of draws; ball 1 may be 50x larger. Covers of 3 to 158 balls
+    # are assigned through the grid index, and small round sizes split the
+    # cells into several groups.
     rng = np.random.default_rng(seed)
     side = int(np.ceil(n ** (1.0 / d)))
     sites = np.indices((side,) * d).reshape(d, -1).T
@@ -486,18 +485,6 @@ def test_ball_successors_rejects_cells_outside_the_cover(linear_three_center_lib
         ball_admissibility(lib, part, np.ones(3), 0)
 
 
-def test_transitions_json_roundtrip_dense():
-    counts = np.array([[3, 1], [0, 5]], dtype=np.int64)
-    tm, mm = tables(counts, escapes=[1, 0])
-    doc = transitions_to_json(tm, mm, rng_seed=5, samples_per_cell=5)
-    assert doc["format"] == "dense"
-    assert doc["escape_fractions"] == [0.2, 0.0]
-    tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
-    assert np.array_equal(dense(tm2), counts)
-    assert np.array_equal(dense(mm2), dense(mm))
-    assert tm2.unsupported_rows == set()
-
-
 def test_transitions_json_roundtrip_sparse():
     n = 600
     rng = np.random.default_rng(0)
@@ -556,40 +543,52 @@ def test_sparse_transitions_reject_bad_triplets(key, entry, message):
     assert str(err.value) == message
 
 
+# the two tests below keep the names they had when tables of up to 512
+# cells were written dense; their small tables' documents are triplets now
+
+
 def test_dense_transitions_reject_mismatched_p_and_negative_counts():
     doc = transitions_to_json(*tables(np.eye(2)), rng_seed=1, samples_per_cell=1)
-    with pytest.raises(ValueError, match=r"p has shape \(1, 1\), counts has shape \(2, 2\)"):
-        transitions_from_json(dict(doc, p=[[1.0]]))
-    with pytest.raises(ValueError, match="counts must be nonnegative"):
-        transitions_from_json(dict(doc, counts=[[1, 0], [0, -1]]))
+    assert doc["format"] == "sparse" and doc["counts"] == [[1, 1, 1], [2, 2, 1]]
+    with pytest.raises(ValueError, match=r"^p entry 0: cell pair \(1, 2\) has count 0$"):
+        transitions_from_json(dict(doc, p=[[1, 2, 1.0]]))
+    with pytest.raises(ValueError, match="^counts entry 1: value -1 is not a nonnegative number$"):
+        transitions_from_json(dict(doc, counts=[[1, 1, 1], [2, 2, -1]]))
 
 
-def _dense_doc():
+def _small_doc():
     return transitions_to_json(*tables(2 * np.eye(2), escapes=[1, 0]), rng_seed=1,
                                samples_per_cell=3)
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("counts", [[2, 0], [0, 2.5]],
-     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 2.5"),
-    ("counts", [[2, 0], [0, 2.0]],
-     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 2.0"),
-    ("counts", [[2, False], [0, 2]],
-     "counts must be nonnegative JSON integers; cell pair (1, 2) holds false"),
-    ("counts", [[2, 0], [0, 2 ** 63]],
-     "counts must be nonnegative JSON integers; cell pair (2, 2) holds 9223372036854775808"),
-    ("counts", [[2, 0], [0]], "counts must be a table of counts"),
+    ("counts", [[1, 1, 2], [2, 2, 2.5]], "counts entry 1: value 2.5 is not an int64 count"),
+    ("counts", [[1, 1, 2], [2, 2, 2.0]], "counts entry 1: value 2.0 is not an int64 count"),
+    ("counts", [[1, 1, 2], [1, 2, False]], "counts entry 1: value false is not an int64 count"),
+    ("counts", [[1, 1, 2], [2, 2, 2 ** 63]],
+     "counts entry 1: value 9223372036854775808 is not an int64 count"),
+    ("counts", [[1, 1, 2], [2, 2]], "counts must be a list of (row, col, value) triplets"),
     ("escapes", [1, 0.5], "escapes must be nonnegative JSON integers; cell 2 holds 0.5"),
     ("escapes", [1, "0"], 'escapes must be nonnegative JSON integers; cell 2 holds "0"'),
     ("escapes", [-1, 0], "escapes must be nonnegative JSON integers; cell 1 holds -1"),
     ("escapes", 1, "escapes must be a list of counts"),
-    ("admissible", [[1, 1], [0, 1]], "admissible cell pair (1, 2) has count 0"),
-    ("admissible", [[1, 0], [0, 0]], "counts[m][n] > 0 requires admissible[m][n]"),
+    ("p", [[1, 1, 1.0], [1, 2, 0.0]], "p entry 1: cell pair (1, 2) has count 0"),
 ])
 def test_dense_transitions_reject_bad_cells(key, value, message):
     with pytest.raises(ValueError) as err:
-        transitions_from_json(dict(_dense_doc(), **{key: value}))
+        transitions_from_json(dict(_small_doc(), **{key: value}))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csr", None, 1])
+def test_transitions_json_refuses_other_formats(fmt):
+    doc = dict(_small_doc(), format=fmt)
+    if fmt == "dense":  # the tables a dense document held
+        doc.update(admissible=[[1, 0], [0, 1]], counts=[[2, 0], [0, 2]],
+                   p=[[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError) as err:
+        transitions_from_json(doc)
+    assert str(err.value) == f'format {json.dumps(fmt)} is not "sparse"'
 
 
 def test_sparse_transitions_reject_fractional_escapes():

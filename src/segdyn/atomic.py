@@ -14,8 +14,10 @@ table in blocks of rows whose boundaries one ``str.replace`` rewrites. A 2-D
 integer array, such as the enumerated word table, is written as its rows of
 ints would be: when its values span fewer numbers than it holds, each block
 is joined from one vocabulary of their decimal strings, and otherwise it is
-written as its ``tolist()``. Only the containers around them are walked in
-Python, and anything else is left to the stdlib encoder. The document is
+written as its ``tolist()``. A 1-D integer array, such as a CSR index
+array, is written as its ``tolist()`` would be, in blocks of items, so no
+list of all its items is built. Only the containers around them are walked
+in Python, and anything else is left to the stdlib encoder. The document is
 written as a stream of such pieces, never built as one string.
 """
 from __future__ import annotations
@@ -39,6 +41,8 @@ _KEY = frozenset((str,))
 # same time and at the same benchmark peak memory, 1024-row blocks were
 # slower and peaked higher
 _ROWS_PER_BLOCK = 64
+# items per C-encoder call in a 1-D integer array
+_ITEMS_PER_BLOCK = 1 << 12
 # most decimal strings an integer table's vocabulary holds
 _VOCABULARY = 1 << 16
 _stdlib = json.JSONEncoder(indent=2, sort_keys=True).encode
@@ -61,7 +65,8 @@ def write_atomic(path, pieces) -> None:
 
 def write_json(path, doc: dict) -> None:
     """Write doc atomically, as ``json.dumps(doc, indent=2, sort_keys=True)``
-    plus a newline; a 2-D integer array in doc is written as its ``tolist()``."""
+    plus a newline; a 1-D or 2-D integer array in doc is written as its
+    ``tolist()``."""
     write_atomic(path, chain(_pieces(doc, ""), ("\n",)))
 
 
@@ -76,7 +81,14 @@ def _pieces(obj, indent: str):
     indentation of the line the value starts on."""
     kind = type(obj)
     inner = indent + _INDENT
-    if kind is np.ndarray and obj.ndim == 2 and obj.dtype.kind in "iu":
+    if kind is np.ndarray and obj.ndim == 1 and obj.dtype.kind in "iu":
+        encode = _separated(inner)
+        sep = "[\n" + inner
+        for lo in range(0, obj.shape[0], _ITEMS_PER_BLOCK):
+            yield sep + encode(obj[lo:lo + _ITEMS_PER_BLOCK].tolist())[1:-1]
+            sep = ",\n" + inner
+        yield "\n" + indent + "]" if obj.size else "[]"
+    elif kind is np.ndarray and obj.ndim == 2 and obj.dtype.kind in "iu":
         lo, hi = (int(obj.min()), int(obj.max())) if obj.size else (0, _VOCABULARY)
         yield from (_int_table(obj, lo, hi, indent) if hi - lo < min(obj.size, _VOCABULARY)
                     else _pieces(obj.tolist(), indent))

@@ -44,6 +44,9 @@ DEFAULT_COLLOCATION_CAP = 2_000_000
 # entries per block of the (point, ball) and (point, point) tables that grid
 # queries, diameter searches and the ball rule build
 _PAIR_CHUNK = 1 << 16
+# points per block of a grid query, so that its memory does not grow with
+# the number of points
+_QUERY_ROWS = 1 << 12
 # point sets of at least this many points take the pruned diameter search
 _PRUNE_MIN_POINTS = 128
 # buckets are widened only when the registrations of balls in buckets would
@@ -310,15 +313,18 @@ class _BallGrid:
 
     def pairs(self, points: Array):
         """Blocks of (row, ball) with points[row] in closed ball ``ball``
-        (0-based); rows ascend, and balls ascend within a row."""
-        start, count = self._candidates(points)
-        pt = np.ascontiguousarray(points.T)
-        for rows in _blocks(count, _PAIR_CHUNK):
-            c = count[rows]
-            row = np.repeat(np.arange(rows.start, rows.stop), c)
-            ball = self.ball_ids[_expand(start[rows], c)]
-            inside = _squared_distances(pt[:, row], self.centers_t[:, ball]) <= self.r2[ball]
-            yield row[inside], ball[inside]
+        (0-based); rows ascend, and balls ascend within a row. The points
+        are taken _QUERY_ROWS at a time."""
+        for lo in range(0, points.shape[0], _QUERY_ROWS):
+            block = points[lo:lo + _QUERY_ROWS]
+            start, count = self._candidates(block)
+            pt = np.ascontiguousarray(block.T)
+            for rows in _blocks(count, _PAIR_CHUNK):
+                c = count[rows]
+                row = np.repeat(np.arange(rows.start, rows.stop), c)
+                ball = self.ball_ids[_expand(start[rows], c)]
+                inside = _squared_distances(pt[:, row], self.centers_t[:, ball]) <= self.r2[ball]
+                yield row[inside] + lo, ball[inside]
 
     def largest_ball(self, points: Array) -> Array:
         """1-based index of the largest-index ball containing each point, 0

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
 
 _LIBRARY_JSON = "library.json"
 _SEGMENTS_CSV = "segments.csv"
+# rows of segments.csv per written block
+_CSV_ROWS = 1 << 12
 
 
 @dataclass(eq=False)
@@ -126,22 +129,38 @@ def save_library(lib: SegmentLibrary, directory) -> None:
         "integrator_step": lib.step,
     }
     write_json(directory / _LIBRARY_JSON, meta)
-    # the bytes csv.writer would write: fields are reprs, which it never
-    # quotes, and rows end in \r\n
+    header = ",".join(["cell", "k", "t"] + [f"coord_{i}" for i in range(lib.dimension)])
+    write_atomic(directory / _SEGMENTS_CSV, chain((header + "\r\n",), _segment_rows(lib)))
+
+
+def _segment_rows(lib: SegmentLibrary):
+    """The rows of segments.csv, about _CSV_ROWS at a time, in the bytes
+    csv.writer would write: fields are reprs, which it never quotes, and
+    rows end in \r\n."""
     times = [repr(t) for t in lib.times.tolist()]
-    lines = [",".join(["cell", "k", "t"] + [f"coord_{i}" for i in range(lib.dimension)])]
-    lines += [f"{n},{k},{times[k]}," + ",".join(map(repr, state))
-              for n, segment in enumerate(lib.states.tolist(), start=1)
-              for k, state in enumerate(segment)]
-    lines.append("")
-    write_atomic(directory / _SEGMENTS_CSV, ["\r\n".join(lines)])
+    cells = max(1, _CSV_ROWS // max(1, lib.n_times))
+    for lo in range(0, lib.n_segments, cells):
+        yield "".join(f"{n},{k},{times[k]}," + ",".join(map(repr, state)) + "\r\n"
+                      for n, segment in enumerate(lib.states[lo:lo + cells].tolist(),
+                                                  start=lo + 1)
+                      for k, state in enumerate(segment))
 
 
-def _first_unparsable_row(text: str, fields: int) -> None:
-    """Raise a ValueError naming the first row of segments.csv (given as
-    text) that has the wrong number of fields or a field that is not a
-    number."""
-    reader = csv.reader(io.StringIO(text))
+def _lines(fh) -> int:
+    """The lines of a text file, read from its start in blocks: its line
+    breaks, plus one for a last line without one."""
+    fh.seek(0)
+    breaks, last = 0, ""
+    for block in iter(lambda: fh.read(1 << 16), ""):
+        breaks += block.count("\n")
+        last = block[-1]
+    return breaks + (last != "\n")
+
+
+def _first_unparsable_row(path: Path, fields: int) -> None:
+    """Raise a ValueError naming the first row of segments.csv that has the
+    wrong number of fields or a field that is not a number."""
+    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
     next(reader, None)
     for line, row in enumerate(reader, start=2):
         if len(row) != fields:
@@ -156,22 +175,22 @@ def load_library(directory) -> SegmentLibrary:
     with open(directory / _LIBRARY_JSON, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     n, k, d = meta["n_cells"], meta["segment_samples"], meta["dimension"]
-    with open(directory / _SEGMENTS_CSV, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    header = next(csv.reader([text.partition("\n")[0]]), [])
-    if header[:3] != ["cell", "k", "t"]:
-        raise ValueError(f"unexpected segments.csv header: {header}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-            data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, skiprows=1,
-                              ndmin=2)
-    except ValueError:
-        _first_unparsable_row(text, 3 + d)
-        raise
+    path = directory / _SEGMENTS_CSV
+    with open(path, "r", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline().partition("\n")[0]]), [])
+        if header[:3] != ["cell", "k", "t"]:
+            raise ValueError(f"unexpected segments.csv header: {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            _first_unparsable_row(path, 3 + d)
+            raise
+        rows = _lines(fh) - 1
     # loadtxt skips blank lines; each one is a row of 0 fields
-    if data.shape[0] != text.count("\n") + (not text.endswith("\n")) - 1:
-        _first_unparsable_row(text, 3 + d)
+    if data.shape[0] != rows:
+        _first_unparsable_row(path, 3 + d)
     if data.size == 0:
         data = data.reshape(0, 3 + d)
     elif data.shape[1] != 3 + d:

@@ -455,17 +455,21 @@ def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, 
     """The keys (row - 1) * n + (col - 1) and the values of sparse (row, col,
     value) triplets, and the order that sorts the keys; ids must be JSON
     integers in 1..n, no (row, col) pair may repeat, and values must be
-    nonnegative (for ``counts``, JSON integers that fit in int64)."""
+    nonnegative JSON numbers (for ``counts``, JSON integers that fit in
+    int64); every refusal names the entry."""
     if not (type(entries) is list and set(map(type, entries)) <= {list}
             and set(map(len, entries)) <= {3}):
         raise ValueError(f"{what} must be a list of (row, col, value) triplets")
-    t = np.asarray(entries, dtype=float).reshape(len(entries), 3)
-    ints = (0, 1, 2) if counts else (0, 1)
-    if not set(map(type, chain.from_iterable(map(itemgetter(*ints), entries)))) <= {int}:
-        i, k = next((i, k) for i, e in enumerate(entries) for k in ints if type(e[k]) is not int)
+    # JSON types first, so that no string or boolean reaches the conversion
+    kinds = ({int}, {int}, {int} if counts else {int, float})
+    if not all(set(map(type, map(itemgetter(k), entries))) <= kinds[k] for k in range(3)):
+        i, k = next((i, k) for i, e in enumerate(entries) for k in range(3)
+                    if type(e[k]) not in kinds[k])
+        should = (f"a cell id in 1..{n}" if k < 2
+                  else "an int64 count" if counts else "a nonnegative number")
         raise ValueError(f"{what} entry {i}: {('row', 'col', 'value')[k]} "
-                         f"{json.dumps(entries[i][k])} is not "
-                         f"{f'a cell id in 1..{n}' if k < 2 else 'an int64 count'}")
+                         f"{json.dumps(entries[i][k])} is not {should}")
+    t = np.asarray(entries, dtype=float).reshape(len(entries), 3)
     ids = t[:, :2]
     bad = ~((ids >= 1) & (ids <= n))
     if np.any(bad):

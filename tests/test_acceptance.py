@@ -12,6 +12,7 @@ LinearDiagonal pipeline and on the orbit-seeded Lorenz cover of run 4.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,31 @@ def test_criterion_03_partition_correctness(run1):
            f"assign_cell matches the direct definition on 100000 points "
            f"(agree={agree}, disjoint={disjoint}, all {len(grid)} collocation "
            f"centers covered={covered})")
+
+
+def test_lorenz_grid_assignment_stays_within_a_small_memory_bound(run1):
+    # 2^18 points in the balls of the 12^3 cover, as many as one round of the
+    # transition-start sampler draws: the grid answers them 4,096 at a time,
+    # so past the 2 MiB of cell ids only one block's tables are held, where
+    # answering every point at once peaked at 26 MiB; measured 2.7 MiB
+    partition = run1["partition"]
+    cover = partition.cover
+    rng = np.random.default_rng(18)
+    n = 1 << 18
+    ball = rng.integers(cover.n_balls, size=n)
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = cover.centers[ball] + (cover.radii[ball] * rng.random(n) ** (1 / 3))[:, None] * u
+    partition.assign_many(pts[:1])  # the grid is built on first use
+    tracemalloc.start()
+    try:
+        cells = partition.assign_many(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert np.all(cells > 0)
+    assert np.array_equal(cells[::64], brute_force_cells(pts[::64], cover.centers, cover.radii))
 
 
 def test_orbit_cover_grid_index_matches_brute_force(run4):

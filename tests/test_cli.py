@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import dense
 from segdyn.artifacts import check_artifacts, file_digest, load_manifest, read_json, write_json
-from segdyn.atomic import _ROWS_PER_BLOCK, write_atomic
+from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
+from segdyn.cover import Partition, cover_from_json
 from segdyn.errors import ConfigError
-from segdyn.transitions import TransitionTensor, tensor_to_json, transitions_from_json
+from segdyn.flow import jacobian_norms
+from segdyn.segments import load_library
+from segdyn.transitions import (
+    TransitionTensor, ball_successors, tensor_to_json, transitions_from_json,
+)
 
 BASE_CONFIG = {
     "model": {"model_id": "LinearDiagonal", "dimension": 1, "parameters": {"rates": [1.0]}},
@@ -60,10 +65,39 @@ def pipeline(tmp_path_factory):
 def test_pipeline_writes_all_artifacts(pipeline):
     _, _, out = pipeline
     for name in ["cover.json", "library/library.json", "library/segments.csv",
-                 "max_difference.csv", "transitions.json", "tensors.json",
+                 "max_difference.csv", "transitions.json", "ball_rule.json", "tensors.json",
                  "words.json", "shadow_report.json", "enumeration.json",
                  "entropy.json", "bounds.json", "report.json", "manifest.json"]:
         assert (out / name).exists(), name
+
+
+def test_ball_rule_holds_each_cells_successors_as_csr(pipeline):
+    _, config, out = pipeline
+    cfg = load_config(config)
+    cover = cover_from_json(read_json(out / "cover.json"))
+    lib = load_library(out / "library")
+    rho = jacobian_norms(cfg.model, lib.ends(), cfg.horizon, cfg.integrator)
+    expected = ball_successors(lib, Partition(cover=cover), rho)
+    doc = read_json(out / "ball_rule.json")
+    assert sorted(doc) == ["indptr", "rho", "successors"]
+    assert doc["rho"] == [round(float(r), 12) for r in rho]
+    indptr, successors = doc["indptr"], doc["successors"]
+    assert len(indptr) == cover.n_balls + 1 and indptr[0] == 0
+    assert indptr[-1] == len(successors)
+    for cell, ids in enumerate(expected):
+        assert successors[indptr[cell]:indptr[cell + 1]] == ids.tolist(), cell + 1
+    assert "ball_rule" not in read_json(out / "transitions.json")
+
+
+def test_single_cell_ball_rule_describes_no_cell(tmp_path):
+    # the rule needs two segments; the file is written all the same, so the
+    # transitions stage always records the same outputs
+    config = _write_config(tmp_path, {"resolution": [1]})
+    for stage in ["calibrate", "segments", "transitions"]:
+        assert main([stage, "--config", str(config)]) == 0
+    out = Path(json.loads(config.read_text())["output_dir"])
+    assert read_json(out / "ball_rule.json") == {"rho": [], "indptr": [0], "successors": []}
+    assert "ball_rule.json" in load_manifest(out)["stages"]["transitions"]["outputs"]
 
 
 def test_artifacts_validate_and_check_passes(pipeline):
@@ -439,6 +473,15 @@ def _edit_lines(edit):
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
      "ValueError('counts entry 0: value 2.5 is not an int64 count')"),
+    ("transitions.json", "transitions.json", _sparse_with_first_triplet([1, "abc", 1]),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('counts entry 0: col \"abc\" is not a cell id in 1..8')"),
+    ("transitions.json", "transitions.json",
+     _edit_json(lambda d: d["p"][0].__setitem__(2, "abc")),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('p entry 0: value \"abc\" is not a nonnegative number')"),
     ("tensors.json", "tensors.json",
      _edit_json(lambda d: d["tensors"][1]["tuples"].insert(0, [1, 2])),
      "tensor", ["enumerate"],
@@ -469,6 +512,7 @@ def _edit_lines(edit):
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
         "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
+        "string-col", "string-p-value",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
         "n_cells-not-escapes", "n_cells-not-table-side", "transitions-n_cells-not-int",
         "format-dense"])
@@ -603,8 +647,25 @@ def test_write_json_writes_tensor_tables_as_their_rows(tmp_path, order, n_cells,
     assert (tmp_path / "tensors.json").read_bytes() == expected.encode("utf-8")
 
 
+# 1-d integer arrays: empty, one item, on both sides of a block boundary and
+# over two blocks; unsigned values past int64 and negative values
+@pytest.mark.parametrize("array", [
+    np.zeros(0, dtype=np.int64),
+    np.array([7], dtype=np.int32),
+    np.arange(-3, _ITEMS_PER_BLOCK - 4, dtype=np.int64),
+    np.arange(_ITEMS_PER_BLOCK + 1, dtype=np.int16) - 2 ** 14,
+    np.arange(2 * _ITEMS_PER_BLOCK + 5, dtype=np.uint64) + np.uint64(2 ** 64 - 10 ** 5),
+    np.array([-(2 ** 63), 2 ** 63 - 1, 0], dtype=np.int64),
+], ids=["empty", "one", "one-block", "block-and-one", "uint64-two-blocks", "int64-extremes"])
+def test_write_json_writes_1d_integer_arrays_as_their_lists(tmp_path, array):
+    write_json(tmp_path / "doc.json", {"b": {"indptr": array}, "a": array, "c": [array]})
+    as_lists = {"b": {"indptr": array.tolist()}, "a": array.tolist(), "c": [array.tolist()]}
+    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "doc.json").read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("array", [np.zeros((2, 3)), np.ones((2, 3), dtype=bool),
-                                   np.arange(4), np.zeros((2, 2, 2), dtype=np.int64)],
+                                   np.arange(4.0), np.zeros((2, 2, 2), dtype=np.int64)],
                          ids=["float", "bool", "1-d", "3-d"])
 def test_write_json_refuses_other_arrays(tmp_path, array):
     with pytest.raises(TypeError):
@@ -634,10 +695,13 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
 
 
 # SHA-256 of every output of the bundled configs/linear1d.json pipeline,
-# recorded before the live-row walker and the (d, M) RK4 kernel existed, and
-# for transitions.json when (row, col, value) triplets became its only form;
-# manifest.json holds wall times, so it is left out
+# recorded before the live-row walker and the (d, M) RK4 kernel existed; for
+# transitions.json when (row, col, value) triplets became its only form, and
+# again when the gradient-ball rule moved out of it into ball_rule.json,
+# whose rho and successors are those transitions.json held; manifest.json
+# holds wall times, so it is left out
 LINEAR1D_DIGESTS = {
+    "ball_rule.json": "1bdbe2be1664c4f346f7a4dfc79db3d28e543705b285fd757997891e52178ca7",
     "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
     "cover.json": "fec37611c9674cb66080d0faefb939764a40485799b985695c3a2baf0ae2072e",
     "entropy.json": "bf1c2b8bc36aa1d89ffa4b2b565c9d4f90945fdb09f535c00eeaebaf7817b07f",
@@ -648,7 +712,7 @@ LINEAR1D_DIGESTS = {
     "report.json": "3117f84011a44a7222da38360f3fd3518d4d35d92664ceecc1526c65c733caab",
     "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",
     "tensors.json": "a3d681a496a63ce5e69c4e62d470f97f85348f3f376f4408074ff4d78cd17787",
-    "transitions.json": "cf4f325e27447fbdf3bbe2be2a18897760a34580e49ea6847fdd6f1e00ae717b",
+    "transitions.json": "a960567644d667bda08af3c407d2d3c433194891f3d6552cf52596eb5e201aa7",
     "words.json": "b55bf9c41c357db2037fcf3d812de8309642641e93edda6bc3f6b3966b66fbf2",
 }
 

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from segdyn import (
     metric_entropy,
     minimal_cover,
 )
+from segdyn import cover as cover_module
 from segdyn.cover import (
     _PRUNE_MIN_POINTS,
     _BallGrid,
@@ -334,6 +336,25 @@ def test_grid_pairs_are_exactly_the_memberships(case):
     member = literal_memberships(pts, centers, radii)
     rows, balls = map(np.concatenate, zip(*_BallGrid(centers, radii).pairs(pts)))
     expected_rows, expected_balls = np.nonzero(member)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(balls, expected_balls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_overlapping_covers())
+def test_grid_answers_in_row_blocks_are_the_whole_answers(case):
+    # 7-row query blocks: most blocks hold points outside the grid, and the
+    # far points at the end make a block with no candidate at all
+    centers, radii, pts = case
+    pts = np.concatenate([pts, np.full((9, pts.shape[1]), 1e6)])
+    grid = _BallGrid(centers, radii)
+    with mock.patch.object(cover_module, "_QUERY_ROWS", 7):
+        cells = grid.largest_ball(pts)
+        blocks = list(grid.pairs(pts))
+    assert np.array_equal(cells, brute_force_cells(pts, centers, radii))
+    assert len(blocks) >= -(-pts.shape[0] // 7)
+    rows, balls = map(np.concatenate, zip(*blocks))
+    expected_rows, expected_balls = np.nonzero(literal_memberships(pts, centers, radii))
     assert np.array_equal(rows, expected_rows)
     assert np.array_equal(balls, expected_balls)
 

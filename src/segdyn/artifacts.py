@@ -22,7 +22,7 @@ from .transitions import tensor_from_json, transitions_from_json
 
 __all__ = [
     "COVER_JSON", "LIBRARY_DIR", "MAX_DIFFERENCE_CSV", "TRANSITIONS_JSON",
-    "BALL_RULE_JSON", "TENSORS_JSON", "WORDS_JSON", "SHADOW_REPORT_JSON", "ENUMERATION_JSON",
+    "ENCLOSURE_JSON", "TENSORS_JSON", "WORDS_JSON", "SHADOW_REPORT_JSON", "ENUMERATION_JSON",
     "ENTROPY_JSON", "BOUNDS_JSON", "REPORT_JSON", "MANIFEST_JSON",
     "write_json", "read_json", "file_digest", "require",
     "load_manifest", "record_stage", "Reader", "READERS", "check_artifacts",
@@ -32,7 +32,7 @@ COVER_JSON = "cover.json"
 LIBRARY_DIR = "library"
 MAX_DIFFERENCE_CSV = "max_difference.csv"
 TRANSITIONS_JSON = "transitions.json"
-BALL_RULE_JSON = "ball_rule.json"
+ENCLOSURE_JSON = "enclosure.json"
 TENSORS_JSON = "tensors.json"
 WORDS_JSON = "words.json"
 SHADOW_REPORT_JSON = "shadow_report.json"
@@ -119,7 +119,7 @@ class Reader(NamedTuple):
 
 
 # each parser is called through its module-level name, so a wrapper put on
-# that name (a profiler's, a test's mock) sees every read; ball_rule.json has
+# that name (a profiler's, a test's mock) sees every read; enclosure.json has
 # no reader, as no stage reads it, and --check compares only its digest
 READERS = {
     COVER_JSON: Reader("cover", lambda p: cover_from_json(read_json(p))),

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from ._rng import STREAM_ENCODE, STREAM_MEASURE, STREAM_SHADOW, derive_rng
 from .artifacts import (
-    BALL_RULE_JSON, BOUNDS_JSON, COVER_JSON, ENTROPY_JSON, ENUMERATION_JSON, LIBRARY_DIR,
+    BOUNDS_JSON, COVER_JSON, ENCLOSURE_JSON, ENTROPY_JSON, ENUMERATION_JSON, LIBRARY_DIR,
     MAX_DIFFERENCE_CSV, READERS, REPORT_JSON, SHADOW_REPORT_JSON, TENSORS_JSON,
     TRANSITIONS_JSON, WORDS_JSON, check_artifacts, load_manifest, record_stage,
     require, write_json,
@@ -36,7 +36,7 @@ from .quantities import quantity_to_json, reachable_bounds, segment_envelope
 from .segments import build_segments, max_difference, save_library, write_max_difference_csv
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
-    ball_successors, expanding_to_depth, row_sensitivity, sample_itineraries,
+    ENCLOSURE_SLACK, ball_successors, expanding_to_depth, row_sensitivity, sample_itineraries,
     tensor_to_json, transitions_from_itineraries, transitions_to_json,
 )
 
@@ -135,9 +135,13 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
         "witness_failures": [list(t) for t in verdict.witness_failures[:100]],
         "inconclusive_count": len(verdict.inconclusive),
     }
-    rule = _ball_rule(cfg, lib, partition)
+    enclosure = _enclosure(cfg, lib, partition)
+    # Gamma's edges outside the enclosure; any means an image radius was under-estimated
+    edges = [np.repeat(np.arange(n), np.diff(indptr)) * n + ids for indptr, ids in
+             ((tm.indptr, tm.indices + 1), (enclosure["indptr"], enclosure["successors"]))]
+    misses = int(np.count_nonzero(~np.isin(*edges)))
     write_json(outdir / TRANSITIONS_JSON, doc)
-    write_json(outdir / BALL_RULE_JSON, rule)
+    write_json(outdir / ENCLOSURE_JSON, enclosure)
     write_json(outdir / TENSORS_JSON, {"tensors": [tensor_to_json(t) for t in tensors]})
     esc = tm.escape_fractions()
     print(f"transitions: {n} cells, {cfg.samples_per_cell} samples/cell, "
@@ -148,24 +152,20 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
           f"({len(verdict.witness_failures)} failures, "
           f"{len(verdict.inconclusive)} inconclusive)")
     return {"n_cells": n, "counters": counters,
-            "summary": {"transitions": {"n_cells": n, "verdicts": doc["verdicts"]}}}
+            "summary": {"transitions": {"n_cells": n, "verdicts": doc["verdicts"],
+                                        "enclosure_misses": misses}}}
 
 
-def _ball_rule(cfg: PipelineConfig, lib, partition: Partition) -> dict:
-    """The gradient-ball rule's document: ``rho`` per cell, and each cell's
-    successors as CSR arrays, cell m's (1-based, ascending) being
-    ``successors[indptr[m-1]:indptr[m]]``. The rule needs two segments, so
-    with fewer cells every array describes no cell: rho [], indptr [0] and
-    successors []."""
-    if partition.n_cells < 2:
-        return {"rho": [], "indptr": np.zeros(1, dtype=np.int64),
-                "successors": np.zeros(0, dtype=np.int64)}
-    rho = jacobian_norms(cfg.model, lib.ends(), cfg.horizon, cfg.integrator)
-    successors = ball_successors(lib, partition, rho)
-    indptr = np.zeros(len(successors) + 1, dtype=np.int64)
-    np.cumsum([ids.shape[0] for ids in successors], out=indptr[1:])
-    return {"rho": [round(float(r), 12) for r in rho], "indptr": indptr,
-            "successors": np.concatenate(successors)}
+def _enclosure(cfg: PipelineConfig, lib, partition: Partition) -> dict:
+    """The image-ball enclosure's document: its ``slack``, each cell's image
+    ``radius``, and the cells' possible successors as CSR arrays, cell m's
+    (1-based, ascending) being ``successors[indptr[m-1]:indptr[m]]``."""
+    cover = partition.cover
+    rho = jacobian_norms(cfg.model, cover.centers, cfg.horizon, cfg.integrator)
+    indptr, successors = ball_successors(lib, partition, rho)
+    return {"slack": ENCLOSURE_SLACK,
+            "radius": [round(float(r), 12) for r in ENCLOSURE_SLACK * rho * cover.radii],
+            "indptr": indptr, "successors": successors}
 
 
 def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
@@ -337,7 +337,7 @@ STAGES = {
     "calibrate": Stage(stage_calibrate, (), (COVER_JSON,)),
     "segments": Stage(stage_segments, (COVER_JSON,), (LIBRARY_DIR, MAX_DIFFERENCE_CSV)),
     "transitions": Stage(stage_transitions, (COVER_JSON, LIBRARY_DIR),
-                         (TRANSITIONS_JSON, BALL_RULE_JSON, TENSORS_JSON)),
+                         (TRANSITIONS_JSON, ENCLOSURE_JSON, TENSORS_JSON)),
     "encode": Stage(stage_encode, (COVER_JSON,), (WORDS_JSON,)),
     "shadow": Stage(stage_shadow, (COVER_JSON, LIBRARY_DIR), (SHADOW_REPORT_JSON,)),
     "enumerate": Stage(stage_enumerate, (TRANSITIONS_JSON,), (ENUMERATION_JSON,)),

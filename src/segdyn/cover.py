@@ -42,7 +42,7 @@ __all__ = [
 DEFAULT_COLLOCATION_CAP = 2_000_000
 
 # entries per block of the (point, ball) and (point, point) tables that grid
-# queries, diameter searches and the ball rule build
+# queries and diameter searches build, and edges per block of a state graph walk
 _PAIR_CHUNK = 1 << 16
 # points per block of a grid query, so that its memory does not grow with
 # the number of points

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
-from .cover import _PAIR_CHUNK, Partition, _squared_distances
+from .cover import Partition, _BallGrid, _squared_distances
 from .errors import SamplingError
 from .flow import FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
@@ -45,6 +45,9 @@ _INT64_MAX = 2 ** 63 - 1
 # the rejection sampler takes cells in consecutive groups whose first-round
 # draws, the largest of any round, add up to at most this many points
 _ROUND_POINTS = 1 << 18
+# the slack s of the image-ball enclosure (ball_successors): cell m's image
+# is taken as a ball of s times its first-order radius
+ENCLOSURE_SLACK = 1.0
 
 
 @dataclass(eq=False)
@@ -236,18 +239,17 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
                 break
             m = np.minimum(np.maximum(4 * (count - got[todo]), 64), budget - drawn[todo])
             drawn[todo] += m
-            pts = []
-            for i, size in zip(todo.tolist(), m.tolist()):
-                u = rngs[i].normal(size=(size, d))
+            stops = np.cumsum(m)
+            pts = np.empty((int(stops[-1]), d))
+            for i, a, b in zip(todo.tolist(), (stops - m).tolist(), stops.tolist()):
+                u = rngs[i].normal(size=(b - a, d))
                 u /= np.linalg.norm(u, axis=1, keepdims=True)
-                r = radii[lo + i] * rngs[i].random(size) ** (1.0 / d)
-                pts.append(centers[lo + i] + r[:, None] * u)
-            pts = np.concatenate(pts, axis=0)
-            owner = np.repeat(todo, m)
-            hits = np.flatnonzero(partition.assign_many(pts) == ids[owner])
-            n_draws += owner.shape[0]
+                r = radii[lo + i] * rngs[i].random(b - a) ** (1.0 / d)
+                np.add(centers[lo + i], r[:, None] * u, out=pts[a:b])
+            hits = np.flatnonzero(partition.assign_many(pts) == np.repeat(ids[todo], m))
+            n_draws += pts.shape[0]
             n_hits += hits.shape[0]
-            own = owner[hits]
+            own = todo[np.searchsorted(stops, hits, side="right")]
             # hits come grouped by cell: each goes after the cell's earlier ones
             slot = got[own] + np.arange(hits.shape[0]) - np.searchsorted(own, own)
             keep = slot < count
@@ -379,55 +381,48 @@ def expanding_to_depth(tensors: Sequence[TransitionTensor], m_max: int) -> Expan
                             depth=depth, m_max=m_max)
 
 
-def ball_successors(lib: SegmentLibrary, partition: Partition, rho: Sequence[float],
-                    cells: Sequence[int] | None = None) -> list[Array]:
-    """Successor cells admitted by the gradient-ball rule, as an ascending
-    array of cell ids for each of ``cells`` (default: every cell, in order).
+def ball_successors(lib: SegmentLibrary, partition: Partition,
+                    rho: Sequence[float]) -> tuple[Array, Array]:
+    """The image-ball enclosure of Gamma as CSR arrays (indptr, successors):
+    cell m's possible successors, 1-based and ascending, are
+    ``successors[indptr[m-1]:indptr[m]]``.
 
-    r_n is the gap from segment start n to its nearest other start; n_* is
-    the start nearest to the segment's endpoint (the first on ties). Every
-    cell whose start lies within rho_n * r_n of start n_* qualifies (n_*
-    always does). Cells are taken in blocks, with one (block, N) table per
-    distance; each distance is the norm of ``np.linalg.norm`` on one row,
-    bit for bit.
+    Cell m's time-T image is taken as the ball about the segment's end
+    phi_T(c_m) of radius s rho_m delta_m, s = ENCLOSURE_SLACK and rho_m the
+    stretch at c_m (:func:`~segdyn.flow.jacobian_norms`). Cell m' is a
+    possible successor when that ball meets ball m', that is when
+    |phi_T(c_m) - c_m'|^2 <= (s rho_m delta_m + delta_m')^2. The radius is
+    first order, so a Gamma edge outside the enclosure means it was
+    under-estimated. The centers query one ball grid of the image balls,
+    widened by the largest delta, and the exact test filters its pairs.
     """
     n_cells = lib.n_segments
     if partition.n_cells != n_cells:
         raise ValueError("partition and library disagree on the number of cells")
-    if n_cells < 2:
-        raise ValueError("the nearest-neighbor gap r_n needs at least two segments")
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (n_cells,):
         raise ValueError(f"rho must have one entry per cell, got shape {rho.shape}")
-    cells = np.arange(1, n_cells + 1) if cells is None else np.asarray(cells, dtype=np.int64)
-    outside = (cells < 1) | (cells > n_cells)
-    if np.any(outside):
-        raise ValueError(f"cell id {cells[outside][0]} out of range 1..{n_cells}")
-    starts = np.ascontiguousarray(lib.starts().T)
-    ends = lib.ends().T
-
-    def norms(points: Array) -> Array:
-        """(block, N) distances from the (d, block) points to every start."""
-        return np.sqrt(_squared_distances(points[:, :, None], starts[:, None, :]))
-
-    found = []
-    step = max(1, _PAIR_CHUNK // n_cells)
-    for lo in range(0, cells.shape[0], step):
-        own = cells[lo:lo + step] - 1
-        rows = np.arange(own.shape[0])
-        gaps = norms(starts[:, own])
-        gaps[rows, own] = np.inf
-        n_star = norms(ends[:, own]).argmin(axis=1)
-        near = norms(starts[:, n_star]) <= (rho[own] * gaps.min(axis=1))[:, None]
-        near[rows, n_star] = True
-        found.extend(np.flatnonzero(row) + 1 for row in near)
-    return found
+    if not np.all(rho >= 0):
+        raise ValueError("rho must be nonnegative")
+    centers, deltas = partition.cover.centers, partition.cover.radii
+    reach = ENCLOSURE_SLACK * rho * deltas
+    grid = _BallGrid(lib.ends(), reach + deltas.max())
+    keys = [np.zeros(0, dtype=np.int64)]
+    for row, image in grid.pairs(centers):
+        meets = (_squared_distances(grid.centers_t[:, image], centers[row].T)
+                 <= (reach[image] + deltas[row]) ** 2)
+        keys.append(image[meets] * n_cells + row[meets])
+    indptr, indices = _csr_pattern(np.sort(np.concatenate(keys)), n_cells)
+    return indptr, indices + 1
 
 
 def ball_admissibility(lib: SegmentLibrary, partition: Partition,
                        rho: Sequence[float], cell: int) -> set[int]:
-    """The :func:`ball_successors` of one cell, as a set."""
-    return set(ball_successors(lib, partition, rho, [cell])[0].tolist())
+    """The possible successors of one cell in :func:`ball_successors`, as a set."""
+    if not 1 <= cell <= partition.n_cells:
+        raise ValueError(f"cell id {cell} out of range 1..{partition.n_cells}")
+    indptr, successors = ball_successors(lib, partition, rho)
+    return set(successors[indptr[cell - 1]:indptr[cell]].tolist())
 
 
 def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,

@@ -35,12 +35,14 @@ from segdyn import (
     QuantitySpec,
     advance,
     advance_many,
+    ball_successors,
     build_segments,
     calibrate_deltas,
     collocate,
     encode_many,
     enumerate_admissible,
     expanding_to_depth,
+    jacobian_norms,
     ks_entropy,
     max_difference,
     metric_entropy,
@@ -51,14 +53,16 @@ from segdyn import (
     segment_envelope,
 )
 from segdyn._rng import derive_rng
-from segdyn.artifacts import read_json
+from segdyn.artifacts import load_manifest, read_json
 from segdyn.cli import main as cli_main
 from segdyn.config import load_config
 from segdyn.cover import BoxDomain, cover_from_json
 from segdyn.flow import sample_path
 from segdyn.segments import load_library
 from segdyn.symbolic import reconstruct_pseudo_orbit
-from segdyn.transitions import transitions_from_itineraries, transitions_to_json
+from segdyn.transitions import (
+    transitions_from_itineraries, transitions_from_json, transitions_to_json,
+)
 from test_walker import ref_shadowing_errors
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -272,6 +276,36 @@ def test_orbit_cover_grid_index_matches_brute_force(run4):
                           rng.uniform([-25.0, -30.0, -5.0], [25.0, 30.0, 50.0], (20_000, 3))])
     assert np.array_equal(partition.assign_many(pts),
                           brute_force_cells(pts, cover.centers, cover.radii))
+
+
+def _edges(indptr, successors) -> set:
+    """The (cell, successor) pairs, 1-based, of CSR successor arrays."""
+    rows = np.repeat(np.arange(1, len(indptr)), np.diff(indptr))
+    return set(zip(rows.tolist(), np.asarray(successors).tolist()))
+
+
+def test_orbit_cover_enclosure_holds_gamma_and_fresh_orbits(run4):
+    # the image-ball enclosure at slack 1 holds every sampled transition and
+    # every window-to-window step of the fresh orbits' encodings
+    partition, lib = run4["partition"], run4["library"]
+    rho = jacobian_norms(run4["model"], partition.cover.centers, run4["horizon"], run4["cfg"])
+    enclosure = _edges(*ball_successors(lib, partition, rho))
+    tm = run4["tm"]
+    gamma = _edges(tm.indptr, tm.indices + 1)
+    assert len(gamma) > 10_000 and gamma <= enclosure
+    pairs = [(a, b) for w in run4["words"] if w is not None for a, b in zip(w.word, w.word[1:])]
+    outside = sum(pair not in enclosure for pair in pairs)
+    assert len(pairs) > 10_000 and outside == 0, f"{outside} of {len(pairs)} pairs outside"
+
+
+def test_lorenz_grid_enclosure_holds_gamma(run1):
+    out = run1["outdir"]
+    assert cli_main(["transitions", "--config", str(LORENZ_CONFIG), "--out", str(out)]) == 0
+    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    doc = read_json(out / "enclosure.json")
+    assert _edges(tm.indptr, tm.indices + 1) <= _edges(doc["indptr"], doc["successors"])
+    summary = load_manifest(out)["stages"]["transitions"]["summary"]["transitions"]
+    assert summary["enclosure_misses"] == 0
 
 
 def test_criterion_04_transition_consistency(run4):

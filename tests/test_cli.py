@@ -19,7 +19,7 @@ from segdyn.errors import ConfigError
 from segdyn.flow import jacobian_norms
 from segdyn.segments import load_library
 from segdyn.transitions import (
-    TransitionTensor, ball_successors, tensor_to_json, transitions_from_json,
+    ENCLOSURE_SLACK, TransitionTensor, ball_successors, tensor_to_json, transitions_from_json,
 )
 
 BASE_CONFIG = {
@@ -65,39 +65,48 @@ def pipeline(tmp_path_factory):
 def test_pipeline_writes_all_artifacts(pipeline):
     _, _, out = pipeline
     for name in ["cover.json", "library/library.json", "library/segments.csv",
-                 "max_difference.csv", "transitions.json", "ball_rule.json", "tensors.json",
+                 "max_difference.csv", "transitions.json", "enclosure.json", "tensors.json",
                  "words.json", "shadow_report.json", "enumeration.json",
                  "entropy.json", "bounds.json", "report.json", "manifest.json"]:
         assert (out / name).exists(), name
 
 
-def test_ball_rule_holds_each_cells_successors_as_csr(pipeline):
+def test_enclosure_holds_each_cells_successors_as_csr(pipeline):
     _, config, out = pipeline
     cfg = load_config(config)
     cover = cover_from_json(read_json(out / "cover.json"))
     lib = load_library(out / "library")
-    rho = jacobian_norms(cfg.model, lib.ends(), cfg.horizon, cfg.integrator)
-    expected = ball_successors(lib, Partition(cover=cover), rho)
-    doc = read_json(out / "ball_rule.json")
-    assert sorted(doc) == ["indptr", "rho", "successors"]
-    assert doc["rho"] == [round(float(r), 12) for r in rho]
-    indptr, successors = doc["indptr"], doc["successors"]
-    assert len(indptr) == cover.n_balls + 1 and indptr[0] == 0
-    assert indptr[-1] == len(successors)
-    for cell, ids in enumerate(expected):
-        assert successors[indptr[cell]:indptr[cell + 1]] == ids.tolist(), cell + 1
-    assert "ball_rule" not in read_json(out / "transitions.json")
+    rho = jacobian_norms(cfg.model, cover.centers, cfg.horizon, cfg.integrator)
+    indptr, successors = ball_successors(lib, Partition(cover=cover), rho)
+    doc = read_json(out / "enclosure.json")
+    assert sorted(doc) == ["indptr", "radius", "slack", "successors"]
+    assert doc["slack"] == ENCLOSURE_SLACK == 1.0
+    assert doc["radius"] == [round(float(r), 12) for r in rho * cover.radii]
+    assert doc["indptr"] == indptr.tolist() and doc["successors"] == successors.tolist()
+    # every sampled transition lies in the enclosure, and the report says so
+    assert _gamma_outside_enclosure(out) == []
+    assert read_json(out / "report.json")["summary"]["transitions"]["enclosure_misses"] == 0
 
 
-def test_single_cell_ball_rule_describes_no_cell(tmp_path):
-    # the rule needs two segments; the file is written all the same, so the
-    # transitions stage always records the same outputs
+def _gamma_outside_enclosure(out) -> list:
+    """The sampled transitions (cell, successor) of an output directory that
+    its enclosure.json leaves out."""
+    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    doc = read_json(out / "enclosure.json")
+    return [(row + 1, int(col) + 1) for row in range(tm.n_cells)
+            for col in tm.indices[tm.indptr[row]:tm.indptr[row + 1]]
+            if col + 1 not in doc["successors"][doc["indptr"][row]:doc["indptr"][row + 1]]]
+
+
+def test_single_cell_enclosure_has_one_row(tmp_path):
     config = _write_config(tmp_path, {"resolution": [1]})
     for stage in ["calibrate", "segments", "transitions"]:
         assert main([stage, "--config", str(config)]) == 0
     out = Path(json.loads(config.read_text())["output_dir"])
-    assert read_json(out / "ball_rule.json") == {"rho": [], "indptr": [0], "successors": []}
-    assert "ball_rule.json" in load_manifest(out)["stages"]["transitions"]["outputs"]
+    doc = read_json(out / "enclosure.json")
+    # the segment from center 0 stays at 0, so its image ball meets its own
+    assert len(doc["radius"]) == 1 and doc["indptr"] == [0, 1] and doc["successors"] == [1]
+    assert "enclosure.json" in load_manifest(out)["stages"]["transitions"]["outputs"]
 
 
 def test_artifacts_validate_and_check_passes(pipeline):
@@ -697,19 +706,19 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
 # SHA-256 of every output of the bundled configs/linear1d.json pipeline,
 # recorded before the live-row walker and the (d, M) RK4 kernel existed; for
 # transitions.json when (row, col, value) triplets became its only form, and
-# again when the gradient-ball rule moved out of it into ball_rule.json,
-# whose rho and successors are those transitions.json held; manifest.json
-# holds wall times, so it is left out
+# again when the gradient-ball rule moved out of it; enclosure.json and
+# report.json when the image-ball enclosure replaced that rule and the report
+# gained enclosure_misses; manifest.json holds wall times, so it is left out
 LINEAR1D_DIGESTS = {
-    "ball_rule.json": "1bdbe2be1664c4f346f7a4dfc79db3d28e543705b285fd757997891e52178ca7",
     "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
     "cover.json": "fec37611c9674cb66080d0faefb939764a40485799b985695c3a2baf0ae2072e",
+    "enclosure.json": "5e93c1c06ebf6d2bd932ac9b521afe79727a3bd8a6585dc68c0efee4c59eb001",
     "entropy.json": "bf1c2b8bc36aa1d89ffa4b2b565c9d4f90945fdb09f535c00eeaebaf7817b07f",
     "enumeration.json": "b0d03a54969f29d0acbbd6d86518a01609898e7c935671601554a298d76238bb",
     "library/library.json": "62fec790033700ce40a30487edca657eae69472af3d990ee5c86919893942600",
     "library/segments.csv": "5804f84f976cbd4f848981e863480093da9d1fac87ee26d540d951e3048b99f8",
     "max_difference.csv": "81fd9d2c7e531ad4bb40a7aa1c7dbcce0503bc1563b8b3f62ef7b25f2dafdeba",
-    "report.json": "3117f84011a44a7222da38360f3fd3518d4d35d92664ceecc1526c65c733caab",
+    "report.json": "5b51c0c8c0601a47548bd89a650734afa3eabb46e74e75327b29630022aa89a2",
     "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",
     "tensors.json": "a3d681a496a63ce5e69c4e62d470f97f85348f3f376f4408074ff4d78cd17787",
     "transitions.json": "a960567644d667bda08af3c407d2d3c433194891f3d6552cf52596eb5e201aa7",
@@ -733,6 +742,14 @@ def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_bundled_linear1d_enclosure_holds_gamma(linear1d):
+    _, out = linear1d
+    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    assert tm.indices.shape[0] == 12 and read_json(out / "enclosure.json")["indptr"][-1] == 22
+    assert _gamma_outside_enclosure(out) == []
+    assert read_json(out / "report.json")["summary"]["transitions"]["enclosure_misses"] == 0
 
 
 def _bench_checks():

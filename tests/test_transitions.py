@@ -23,6 +23,7 @@ from segdyn import (
     sample_itineraries,
     transitions_from_itineraries,
 )
+from segdyn import cover as cover_module
 from segdyn import transitions
 from segdyn._rng import STREAM_TRANSITIONS, derive_rng
 from segdyn.artifacts import read_json, write_json
@@ -421,68 +422,100 @@ def linear_three_center_library():
 
 def test_ball_admissibility_hand_instance(linear_three_center_library):
     model, cfg, part, lib = linear_three_center_library
-    rho = jacobian_norms(model, lib.ends(), 1.0, cfg)
+    rho = jacobian_norms(model, part.cover.centers, 1.0, cfg)
     assert np.allclose(rho, np.exp(-1.0), atol=1e-5)
-    # segment from center 1.0 ends at e^-1 ~ 0.368: nearest start is 0.0, and
-    # the admissibility radius e^-1 * 1 is below the 1.0 gap between centers
+    # the segment from center 1.0 ends at e^-1 ~ 0.368; its image ball, of
+    # radius 0.3 e^-1 ~ 0.110, meets ball 2 (0.368 <= 0.410) and not ball 3
     assert ball_admissibility(lib, part, rho, 3) == {2}
+    indptr, successors = ball_successors(lib, part, rho)
+    assert indptr.tolist() == [0, 1, 2, 3] and successors.tolist() == [2, 2, 2]
 
 
 def test_ball_admissibility_radius_extremes(linear_three_center_library):
     model, cfg, part, lib = linear_three_center_library
-    assert ball_admissibility(lib, part, np.zeros(3), 3) == {2}
+    # a point image: e^-1 is farther than 0.3 from center 0.0
+    assert ball_admissibility(lib, part, np.zeros(3), 3) == set()
     assert ball_admissibility(lib, part, np.full(3, 100.0), 3) == {1, 2, 3}
 
 
-def test_ball_admissibility_single_cell_errors(linear1, cfg):
+def test_single_cell_cover_gives_a_one_row_enclosure(linear1, cfg):
     cover = Cover(centers=np.array([[0.0]]), radii=np.array([0.5]))
     lib = build_segments(linear1, cover, 1.0, 3, cfg)
-    with pytest.raises(ValueError, match="at least two"):
-        ball_admissibility(lib, Partition(cover=cover), [1.0], 1)
+    indptr, successors = ball_successors(lib, Partition(cover=cover), [1.0])
+    assert indptr.tolist() == [0, 1] and successors.tolist() == [1]
 
 
-def _ball_rule_loop(lib, rho, cell):
-    """The gradient-ball rule for one cell, written out with np.linalg.norm."""
-    starts = lib.starts()
-    gaps = np.linalg.norm(starts - starts[cell - 1], axis=1)
-    gaps[cell - 1] = np.inf
-    n_star = int(np.linalg.norm(starts - lib.ends()[cell - 1], axis=1).argmin())
-    near = np.linalg.norm(starts - starts[n_star], axis=1) <= float(rho[cell - 1]) * gaps.min()
-    near[n_star] = True
-    return np.flatnonzero(near) + 1
+def _enclosure_loop(lib, partition, rho):
+    """The enclosure by its definition, one image ball against every ball."""
+    centers, deltas = partition.cover.centers, partition.cover.radii
+    indptr, successors = [0], []
+    for m, end in enumerate(lib.ends()):
+        reach = transitions.ENCLOSURE_SLACK * rho[m] * deltas[m]
+        meets = ((end - centers) ** 2).sum(axis=1) <= (reach + deltas) ** 2
+        successors.extend(np.flatnonzero(meets) + 1)
+        indptr.append(len(successors))
+    return np.array(indptr), np.array(successors, dtype=np.int64)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(2, 300), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 3), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
 def test_ball_successors_match_per_cell_loop(d, n, seed):
-    # starts on a small integer lattice repeat and tie; half the ends are
-    # midpoints of two starts (a tie for the nearest start) or a start itself;
-    # rho holds zeros, exact lattice distances and NaN (only n_* qualifies);
-    # n > 256 spans blocks
+    # centers and half the ends on a small integer lattice, with lattice
+    # radii, so that many distances tie the radius sum exactly; rho holds
+    # zeros; 64-point query blocks make n > 64 span blocks
     rng = np.random.default_rng(seed)
-    starts = rng.integers(-3, 4, size=(n, d)).astype(float)
-    a, b = rng.integers(n, size=(2, n))
-    ends = np.where(rng.random((n, 1)) < 0.5, (starts[a] + starts[b]) / 2,
+    centers = rng.integers(-3, 4, size=(n, d)).astype(float)
+    ends = np.where(rng.random((n, 1)) < 0.5, rng.integers(-3, 4, size=(n, d)),
                     rng.uniform(-4.0, 4.0, size=(n, d)))
-    rho = rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0), np.nan], size=n)
+    radii = rng.choice([0.5, 1.0, 1.5, rng.uniform(0.1, 2.0)], size=n)
+    rho = rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0)], size=n)
     lib = SegmentLibrary(cells=np.arange(1, n + 1), times=np.array([0.0, 1.0]),
-                         states=np.stack([starts, ends], axis=1), horizon=1.0,
+                         states=np.stack([centers, ends], axis=1), horizon=1.0,
                          epsilon=np.nan, model_id="test", step=0.1)
-    part = Partition(cover=Cover(centers=starts, radii=np.ones(n)))
-    got = ball_successors(lib, part, rho)
-    assert len(got) == n
-    for cell in range(1, n + 1):
-        assert np.array_equal(got[cell - 1], _ball_rule_loop(lib, rho, cell))
+    part = Partition(cover=Cover(centers=centers, radii=radii))
+    with mock.patch.object(cover_module, "_QUERY_ROWS", 64):
+        indptr, successors = ball_successors(lib, part, rho)
+    want_indptr, want_successors = _enclosure_loop(lib, part, rho)
+    assert indptr.tolist() == want_indptr.tolist()
+    assert successors.tolist() == want_successors.tolist()
     cell = int(rng.integers(1, n + 1))
-    assert ball_admissibility(lib, part, rho, cell) == set(got[cell - 1].tolist())
+    assert (ball_admissibility(lib, part, rho, cell)
+            == set(successors[indptr[cell - 1]:indptr[cell]].tolist()))
 
 
-def test_ball_successors_rejects_cells_outside_the_cover(linear_three_center_library):
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 6), st.lists(st.floats(-1.0, 2.0), min_size=2,
+                                                      max_size=2), st.integers(0, 2 ** 16))
+def test_linear_enclosure_holds_every_sampled_transition(d, n, rates, seed):
+    # LinearDiagonal maps B(c, delta) into B(phi_T(c), rho delta), rho the
+    # largest e^(-a T): at slack 1 the enclosure holds every sampled landing
+    rng = np.random.default_rng(seed)
+    model, cfg, horizon = LinearDiagonal(rates=rates[:d]), IntegratorConfig(step=0.01), 0.5
+    sites = np.indices((6,) if d == 1 else (3, 3)).reshape(d, -1).T
+    cover = Cover(centers=rng.permutation(sites)[:n] * 1.0, radii=rng.uniform(0.3, 0.8, size=n))
+    part = Partition(cover=cover)
+    lib = build_segments(model, cover, horizon, 3, cfg)
+    rho = jacobian_norms(model, cover.centers, horizon, cfg)
+    _, itins = sample_itineraries(model, part, horizon, 1, 50, cfg, rng_seed=seed)
+    landed = itins[itins[:, 1] > 0]
+    assert landed.shape[0] > 0
+    for src, dst in {tuple(pair) for pair in landed.tolist()}:
+        assert dst in ball_admissibility(lib, part, rho, src), (src, dst)
+
+
+def test_ball_admissibility_rejects_cells_outside_the_cover(linear_three_center_library):
     model, cfg, part, lib = linear_three_center_library
     with pytest.raises(ValueError, match=r"cell id 4 out of range 1\.\.3"):
-        ball_successors(lib, part, np.ones(3), [1, 4])
+        ball_admissibility(lib, part, np.ones(3), 4)
     with pytest.raises(ValueError, match=r"cell id 0 out of range"):
         ball_admissibility(lib, part, np.ones(3), 0)
+
+
+@pytest.mark.parametrize("rho", [[1.0, np.nan, 1.0], [1.0, -0.5, 1.0]], ids=["nan", "negative"])
+def test_ball_successors_rejects_rho_below_zero_or_nan(linear_three_center_library, rho):
+    model, cfg, part, lib = linear_three_center_library
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        ball_successors(lib, part, rho)
 
 
 def test_transitions_json_roundtrip_sparse():

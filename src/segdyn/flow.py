@@ -423,9 +423,13 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     No model's rows depend on each other, so decided rows leave the batch
     and the walk ends when none is open. Each interval is one
     :func:`advance_many` call with the substeps of :func:`sample_path`; a
-    BlowupError there names the caller's row and the time from times[k - 1]
-    (0 when times is None). Returns the number of rows that left the batch
-    before the last grid point; an empty batch is never visited.
+    BlowupError there names the caller's row and the time counted from
+    times[k - 1], which defaults to (k - 1) * interval, so the time is the
+    orbit's, not the interval's. A caller that walks its rows in blocks
+    offsets the row itself; when rows of several blocks blow up, the first
+    such block's row is named, and the exit code stays 2. Returns the
+    number of rows that left the batch before the last grid point; an
+    empty batch is never visited.
     """
     if not 0 <= interval < math.inf:
         raise ValueError(f"interval must be nonnegative and finite, got {interval}")
@@ -438,7 +442,7 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
         if k:
             try:
                 y = advance_many(model, y, interval, cfg,
-                                 t_start=0.0 if times is None else times[k - 1])
+                                 t_start=(k - 1) * interval if times is None else times[k - 1])
             except BlowupError as err:
                 raise BlowupError(time=err.time, batch_index=int(rows[err.batch_index])) from None
         done = visit(k, rows, y)

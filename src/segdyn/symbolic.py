@@ -187,8 +187,7 @@ def _shadow_walk(model: FlowModel, x0s: Array, segments: Array, horizon: float,
         return ~inside
 
     interval = horizon / last
-    walk_open_rows(model, x0s, interval, length * last, cfg, visit,
-                   times=np.arange(length * last + 1) * interval)
+    walk_open_rows(model, x0s, interval, length * last, cfg, visit)
     return cells, errors
 
 
@@ -372,13 +371,15 @@ class _StateGraph:
         states with depth >= length - 1 - j, so every prefix completes; a
         layer keeps its first cap + 1 prefixes, cut from each state's count
         of such edges before they are expanded. A prefix is its parent's
-        index in the previous layer and its last symbol. The table is read
-        back along the parents one column at a time, so it is laid out in
-        Fortran order."""
+        index in the previous layer and its last symbol, each layer kept in
+        the narrowest unsigned type that holds it. The table is read back
+        along the parents one column at a time, so it is laid out in Fortran
+        order."""
         if depth[self.start] < length - 1:
             return np.empty((0, length), dtype=np.int64), False
         frontier = np.array([self.start])
         parents, labels = [], []
+        label_type = np.min_scalar_type(int(self.last.max()))
         for j in range(1, length):
             alive = depth >= length - 1 - j
             kept = self._kept_counts(alive)
@@ -398,8 +399,8 @@ class _StateGraph:
             shift = offset[frontier[:m]] - before[:m]
             edge = edges[np.arange(parent.size) + shift[parent]]
             frontier = self.dst[edge]
-            parents.append(parent)
-            labels.append(self.last[frontier])
+            parents.append(parent.astype(np.min_scalar_type(m - 1)))
+            labels.append(self.last[frontier].astype(label_type))
         rows = min(frontier.size, cap)
         table = np.empty((length, rows), dtype=np.int64)
         table[0] = self.last[self.start]

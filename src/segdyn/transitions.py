@@ -18,7 +18,7 @@ import numpy as np
 
 from ._rng import STREAM_TRANSITIONS, derive_rng
 from .cover import Partition, _BallGrid, _squared_distances
-from .errors import SamplingError
+from .errors import BlowupError, SamplingError
 from .flow import FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
 
@@ -42,9 +42,11 @@ __all__ = [
 ]
 
 _INT64_MAX = 2 ** 63 - 1
-# the rejection sampler takes cells in consecutive groups whose first-round
-# draws, the largest of any round, add up to at most this many points
-_ROUND_POINTS = 1 << 18
+# the row budget of the sampling stage: the rejection sampler takes cells in
+# consecutive groups whose first-round draws, the largest of any round, add
+# up to at most this many points, and the walk advances this many starts at
+# a time, so its RK4 batches stay cache-sized
+_BLOCK_ROWS = 1 << 13
 # the slack s of the image-ball enclosure (ball_successors): cell m's image
 # is taken as a ball of s times its first-order radius
 ENCLOSURE_SLACK = 1.0
@@ -215,10 +217,12 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
     n) in rounds of m points, normals for the directions and then uniforms
     for the radii, until it holds ``count`` hits or has drawn
     max_draw_factor * count points; it keeps its first hits in draw order.
-    Cells go in consecutive groups of at most about _ROUND_POINTS draws per
-    round, and each round of a group assigns the draws of all its unfinished
-    cells in one :meth:`Partition.assign_many` call, so the result is that
-    of sampling each cell alone. The lowest cell left short raises a
+    Cells go in consecutive groups whose rounds draw at most _BLOCK_ROWS
+    points (one cell whose first round is larger forms a group alone), and
+    each round of a group assigns the draws of all its unfinished cells in
+    one :meth:`Partition.assign_many` call. So the transient memory is
+    bounded by the block, not by n_cells * count, and the result is that of
+    sampling each cell alone. The lowest cell left short raises a
     SamplingError. When ``counters`` is given, "start_draws" (points drawn)
     and "start_hits" (draws in their own cell, kept or not) are added to it.
     """
@@ -227,7 +231,7 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
     budget = max_draw_factor * count
     out = np.empty((n_cells, count, d))
     n_draws = n_hits = 0
-    group = max(1, _ROUND_POINTS // max(1, min(max(4 * count, 64), budget)))
+    group = max(1, _BLOCK_ROWS // max(1, min(max(4 * count, 64), budget)))
     for lo in range(0, n_cells, group):
         ids = np.arange(lo + 1, min(lo + group, n_cells) + 1)
         rngs = [derive_rng(rng_seed, STREAM_TRANSITIONS, cell) for cell in ids.tolist()]
@@ -281,21 +285,34 @@ def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
     ``counters`` is given, "rows_dropped" (samples that stopped before the
     last hop) and the start sampler's "start_draws" and "start_hits" are
     added to it.
+
+    The starts are walked _BLOCK_ROWS rows at a time. No row's RK4 bits
+    depend on its batch, so the result is that of one walk of every start.
+    A BlowupError names the global row and the orbit's time; when rows of
+    several blocks blow up, the first such block's row is named, which need
+    not be the first to blow up. The exit code stays 2.
     """
     n_cells = partition.n_cells
     starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor,
                                counters)
     itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
     itins[:, 0] = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
+    dropped = 0
+    for lo in range(0, starts.shape[0], _BLOCK_ROWS):
+        block = itins[lo:lo + _BLOCK_ROWS]
 
-    def visit(k, rows, y):
-        if k == 0:
-            return None
-        cells = partition.assign_many(y)
-        itins[rows, k] = cells
-        return cells == 0
+        def visit(k, rows, y):
+            if k == 0:
+                return None
+            cells = partition.assign_many(y)
+            block[rows, k] = cells
+            return cells == 0
 
-    dropped = walk_open_rows(model, starts, horizon, n_steps, cfg, visit)
+        try:
+            dropped += walk_open_rows(model, starts[lo:lo + _BLOCK_ROWS], horizon, n_steps,
+                                      cfg, visit)
+        except BlowupError as err:
+            raise BlowupError(time=err.time, batch_index=lo + err.batch_index) from None
     if counters is not None:
         counters["rows_dropped"] = counters.get("rows_dropped", 0) + dropped
     return starts, itins

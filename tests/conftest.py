@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def zero_field_1d():
 def rotation2d():
     return QuadraticGeneric(linear=[[0.0, -1.0], [1.0, 0.0]],
                             quadratic=np.zeros((2, 2, 2)), forcing=[0.0, 0.0])
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran, in
+    bytes; everything fn allocates counts, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def literal_memberships(points, centers, radii) -> np.ndarray:

@@ -12,7 +12,6 @@ LinearDiagonal pipeline and on the orbit-seeded Lorenz cover of run 4.
 from __future__ import annotations
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from conftest import (
     dense,
     make_markov_tensors,
     markov,
+    traced_peak,
 )
 from segdyn import (
     Cover,
@@ -253,12 +253,7 @@ def test_lorenz_grid_assignment_stays_within_a_small_memory_bound(run1):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = cover.centers[ball] + (cover.radii[ball] * rng.random(n) ** (1 / 3))[:, None] * u
     partition.assign_many(pts[:1])  # the grid is built on first use
-    tracemalloc.start()
-    try:
-        cells = partition.assign_many(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cells, peak = traced_peak(lambda: partition.assign_many(pts))
     assert peak < 8 * 2 ** 20
     assert np.all(cells > 0)
     assert np.array_equal(cells[::64], brute_force_cells(pts[::64], cover.centers, cover.radii))

@@ -12,13 +12,12 @@ the stored entries, must match to rounding, and match bit for bit the same
 iteration over the stored entries that makes all of its steps.
 """
 import json
-import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
+from conftest import dense, traced_peak
 from segdyn import symbolic
 from segdyn.artifacts import read_json, write_json
 from segdyn.symbolic import SymbolSequence, cylinder_measure, ks_entropy, reachable_symbols
@@ -230,14 +229,13 @@ def test_transition_tables_stay_within_a_small_memory_bound(tmp_path):
     src = np.repeat(np.arange(1, n + 1), 2)
     dst = np.where(rng.random(src.size) < 0.2, 0, rng.integers(1, n + 1, size=src.size))
     itins = np.stack([src, dst], axis=1)
-    tracemalloc.start()
-    try:
+
+    def round_trip():
         tm, mm, _ = transitions_from_itineraries(itins, n)
         write_json(tmp_path / "transitions.json", transitions_to_json(tm, mm, 1, 2))
-        tm2, mm2 = transitions_from_json(read_json(tmp_path / "transitions.json"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return tm, mm, transitions_from_json(read_json(tmp_path / "transitions.json"))
+
+    (tm, mm, (tm2, mm2)), peak = traced_peak(round_trip)
     assert peak < 4 * 2 ** 20
     assert np.array_equal(tm2.counts, tm.counts) and mm2.p.tobytes() == mm.p.tobytes()
     assert tm2.landed.sum() + tm2.escapes.sum() == src.size

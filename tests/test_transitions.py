@@ -219,13 +219,13 @@ def _sampled_or_error(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.sampled_from([3, 40, 158]),
        st.integers(1, 12), st.sampled_from([200, 30]), st.booleans(),
-       st.sampled_from([1 << 18, 500, 1]), st.integers(0, 2 ** 32 - 1))
-def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_points, seed):
+       st.sampled_from([1 << 18, 1 << 13, 500, 1]), st.integers(0, 2 ** 32 - 1))
+def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, block_rows, seed):
     # overlapping balls on a jittered lattice, so that every cell keeps a
     # core of its own; the last ball leaves only a thin shell (2% of its
     # volume) of the one before it, whose cell then needs many rounds or
     # runs out of draws; ball 1 may be 50x larger. Covers of 3 to 158 balls
-    # are assigned through the grid index, and small round sizes split the
+    # are assigned through the grid index, and small row budgets split the
     # cells into several groups.
     rng = np.random.default_rng(seed)
     side = int(np.ceil(n ** (1.0 / d)))
@@ -240,7 +240,7 @@ def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_
     ref_counters, counters = {}, {}
     expected = _sampled_or_error(
         lambda: _reference_starts(part, count, seed, factor, ref_counters))
-    with mock.patch.object(transitions, "_ROUND_POINTS", round_points):
+    with mock.patch.object(transitions, "_BLOCK_ROWS", block_rows):
         got = _sampled_or_error(
             lambda: transitions._draw_cell_starts(part, count, seed, factor, counters))
     if isinstance(expected, str):
@@ -250,12 +250,12 @@ def test_batched_sampler_matches_per_cell_loop(d, n, count, factor, huge, round_
         assert counters == ref_counters
 
 
-@pytest.mark.parametrize("round_points", [1 << 18, 1])
-def test_sampling_error_names_the_lowest_failing_cell(round_points):
+@pytest.mark.parametrize("block_rows", [1 << 18, 1 << 13, 1])
+def test_sampling_error_names_the_lowest_failing_cell(block_rows):
     # cells 2 and 4 are shadowed by identical later balls and never get a
     # point: 10 points at a budget of 20 per point are 64 + 64 + 64 + 8 draws
     part = _partition([[0.0], [3.0], [3.0], [6.0], [6.0]], np.full(5, 0.5))
-    with mock.patch.object(transitions, "_ROUND_POINTS", round_points):
+    with mock.patch.object(transitions, "_BLOCK_ROWS", block_rows):
         with pytest.raises(SamplingError) as err:
             transitions._draw_cell_starts(part, 10, 3, 20)
     assert str(err.value) == ("cell 2: rejection sampling produced 0/10 points after 200 "

@@ -9,12 +9,14 @@ The shadowing reference is the two-pass check: encode, then integrate each
 word length's orbits again over the pseudo-orbit's grid.
 """
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from segdyn import (
     BlowupError,
     CalibrationError,
@@ -34,6 +36,7 @@ from segdyn import (
     shadowing_error,
     shadowing_report,
 )
+from segdyn import transitions
 from segdyn._rng import STREAM_CALIBRATION, derive_rng
 from segdyn.config import load_config
 from segdyn.cover import _NARROW_ROWS, _probe_directions, diameters
@@ -546,6 +549,90 @@ def test_itineraries_quadratic_drop_escaped_rows(rotation2d, cfg):
     assert np.array_equal(itins, ref_itins)
     assert np.any(itins == 0) and counters["rows_dropped"] > 0
     assert counters["rows_dropped"] == np.count_nonzero(itins[:, 2] == 0)
+
+
+@pytest.mark.parametrize("block_rows", [7, 64])
+@pytest.mark.parametrize("model_name", ["lorenz", "quadratic"])
+def test_itineraries_in_row_blocks_match_reference(model_name, block_rows, rotation2d, cfg):
+    # blocks of 7 or 64 rows split cells' samples (12 and 20 per cell),
+    # end in a partial block and hold escapes in several blocks, whose
+    # rows_dropped add up
+    if model_name == "lorenz":
+        model, partition = Lorenz(), _lorenz_partition(60, 2.5)
+        horizon, samples, icfg = 0.1, 12, IntegratorConfig(step=0.005)
+    else:
+        centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 2.0]])
+        model, partition = rotation2d, Partition(cover=Cover(centers=centers,
+                                                             radii=np.full(5, 0.6)))
+        horizon, samples, icfg = 0.8, 20, cfg
+    counters = {}
+    with mock.patch.object(transitions, "_BLOCK_ROWS", block_rows):
+        starts, itins = sample_itineraries(model, partition, horizon, 3, samples, icfg, 21,
+                                           counters=counters)
+    ref_starts, ref_itins = ref_sample_itineraries(model, partition, horizon, 3, samples,
+                                                   icfg, 21)
+    assert np.array_equal(starts, ref_starts) and np.array_equal(itins, ref_itins)
+    m = itins.shape[0]
+    assert np.any(np.arange(block_rows, m, block_rows) % samples) and m % block_rows
+    escaped = np.flatnonzero(itins[:, -1] == 0)
+    assert np.unique(escaped // block_rows).size >= 2
+    assert counters["rows_dropped"] == np.count_nonzero(itins[:, 2] == 0) > 0
+
+
+def test_blowup_in_a_later_block_names_its_global_row_and_the_orbits_time():
+    # x' = x^2 blows up at t = 1/x0. Cell 1's samples shrink and leave the
+    # cover at T = 0.5; cell 2's (x0 in [0.56, 0.64]) pass through cells 3,
+    # 4 and 5 at t = 0.5, 1 and 1.5 and blow up in the fourth hop. In blocks
+    # of 3 rows cell 2's first samples are rows 4 and 5 of the second
+    # block, which blows up before the blocks of cells 3-5's own samples
+    model = QuadraticGeneric(linear=[[0.0]], quadratic=[[[1.0]]], forcing=[0.0])
+    partition = Partition(cover=Cover(centers=np.array([[-0.5], [0.6], [0.86], [1.55], [15.0]]),
+                                      radii=np.array([0.05, 0.04, 0.1, 0.35, 12.0])))
+    cfg = IntegratorConfig(step=0.001)
+    with mock.patch.object(transitions, "_BLOCK_ROWS", 3):
+        with pytest.raises(BlowupError) as err:
+            sample_itineraries(model, partition, 0.5, 4, 4, cfg, 7)
+    starts = _draw_cell_starts(partition, 4, 7)
+    with pytest.raises(BlowupError) as ref:
+        ref_sample_path(model, starts[3:6], 2.0, 5, cfg)
+    assert err.value.batch_index == 3 + ref.value.batch_index
+    assert err.value.batch_index in (4, 5)
+    assert err.value.time == ref.value.time
+    assert 1.5 < err.value.time < 1 / starts[err.value.batch_index, 0] + 0.01
+
+
+def test_encoding_blowup_reports_the_orbits_time():
+    # x' = x^2 from 0.6 reaches cell 2 at t = 1 and blows up at t = 1/0.6 in
+    # the second window; the error gives that time, not the time within
+    # the window (about 0.669)
+    model = QuadraticGeneric(linear=[[0.0]], quadratic=[[[1.0]]], forcing=[0.0])
+    partition = Partition(cover=Cover(centers=np.array([[0.6], [1.5]]),
+                                      radii=np.array([0.1, 0.5])))
+    cfg = IntegratorConfig(step=0.001)
+    with pytest.raises(BlowupError) as err:
+        encode_many(model, partition, [[0.6]], 3, 1.0, cfg)
+    with pytest.raises(BlowupError) as ref:
+        ref_sample_path(model, [[0.6]], 2.0, 3, cfg)
+    assert err.value.time == ref.value.time
+    assert abs(err.value.time - 1 / 0.6) < 0.01
+
+
+def test_itinerary_sampling_memory_does_not_grow_with_samples_per_cell():
+    # the starts are drawn and walked _BLOCK_ROWS rows at a time, so past
+    # the returned starts and itineraries the peak stays near 2.5 MiB from
+    # 3,000 to 48,000 samples; drawing and walking them whole took 8.6 MiB
+    # at 48,000
+    partition = _lorenz_partition(150, 1.5)
+    partition.assign_many(partition.cover.centers[:1])  # the grid is built on first use
+    cfg = IntegratorConfig(step=0.005)
+    excess = []
+    for samples in (20, 320):
+        (starts, itins), peak = traced_peak(
+            lambda: sample_itineraries(Lorenz(), partition, 0.1, 2, samples, cfg, 4))
+        assert itins.shape == (150 * samples, 3)
+        excess.append(peak - starts.nbytes - itins.nbytes)
+    assert excess[1] < excess[0] + 2 ** 19
+    assert excess[1] < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("model_name", ["lorenz", "quadratic"])

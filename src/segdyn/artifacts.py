@@ -67,6 +67,9 @@ def require(outdir: Path, relpath: str, needed_by: str) -> Path:
 
 
 def load_manifest(outdir: Path) -> dict:
+    """The manifest of an output directory, or an empty one. A manifest that
+    does not parse, or whose stage entries, or their "outputs" or "summary",
+    are not JSON objects, is a ManifestError naming the stage and field."""
     path = outdir / MANIFEST_JSON
     if path.exists():
         try:
@@ -75,6 +78,14 @@ def load_manifest(outdir: Path) -> dict:
             raise ManifestError(f"{path} is not a readable manifest: {err}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("stages"), dict):
             raise ManifestError(f"{path} is not a readable manifest: no 'stages' object")
+        for stage, entry in doc["stages"].items():
+            if not isinstance(entry, dict):
+                raise ManifestError(f"{path} is not a readable manifest: "
+                                    f"stage {stage!r} is not an object")
+            for field in ("outputs", "summary"):
+                if not isinstance(entry.get(field, {}), dict):
+                    raise ManifestError(f"{path} is not a readable manifest: "
+                                        f"stage {stage!r} field {field!r} is not an object")
         return doc
     return {"tool_version": None, "rng_seed": None, "config_echo": None, "stages": {}}
 

@@ -36,8 +36,8 @@ from .quantities import quantity_to_json, reachable_bounds, segment_envelope
 from .segments import build_segments, max_difference, save_library, write_max_difference_csv
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
-    ENCLOSURE_SLACK, ball_successors, expanding_to_depth, row_sensitivity, sample_itineraries,
-    tensor_to_json, transitions_from_itineraries, transitions_to_json,
+    ENCLOSURE_SLACK, _entry_rows, ball_successors, expanding_to_depth, row_sensitivity,
+    sample_itineraries, tensor_to_json, transitions_from_itineraries, transitions_to_json,
 )
 
 
@@ -137,7 +137,7 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
     }
     enclosure = _enclosure(cfg, lib, partition)
     # Gamma's edges outside the enclosure; any means an image radius was under-estimated
-    edges = [np.repeat(np.arange(n), np.diff(indptr)) * n + ids for indptr, ids in
+    edges = [_entry_rows(indptr) * n + ids for indptr, ids in
              ((tm.indptr, tm.indices + 1), (enclosure["indptr"], enclosure["successors"]))]
     misses = int(np.count_nonzero(~np.isin(*edges)))
     write_json(outdir / TRANSITIONS_JSON, doc)
@@ -168,6 +168,12 @@ def _enclosure(cfg: PipelineConfig, lib, partition: Partition) -> dict:
             "indptr": indptr, "successors": successors}
 
 
+def _requested_points(cfg: PipelineConfig) -> int:
+    """How many starts encode and shadow ask for: the listed initial points,
+    or else encode_points drawn from the covered part of the domain."""
+    return cfg.encode_points if cfg.initial_points is None else len(cfg.initial_points)
+
+
 def _initial_points(cfg: PipelineConfig, partition: Partition, stream: int):
     if cfg.initial_points is not None:
         return (np.asarray(cfg.initial_points, dtype=float),
@@ -190,7 +196,7 @@ def stage_encode(cfg: PipelineConfig, outdir: Path, cover):
     n_complete = sum(1 for e in entries if e["complete"])
     write_json(outdir / WORDS_JSON, {
         "horizon": cfg.horizon, "length": cfg.word_length,
-        "requested": cfg.encode_points if cfg.initial_points is None else len(entries),
+        "requested": _requested_points(cfg),
         "found_starts": len(entries), "complete": n_complete, "words": entries,
     })
     print(f"encode: {len(entries)} starts, {n_complete} complete length-{cfg.word_length} words")
@@ -204,7 +210,7 @@ def stage_shadow(cfg: PipelineConfig, outdir: Path, cover, lib):
     x0s, counters = _initial_points(cfg, partition, STREAM_SHADOW)
     report = shadowing_report(cfg.model, lib, partition, x0s, cfg.word_length,
                               cfg.integrator)
-    report["requested_points"] = cfg.encode_points
+    report["requested_points"] = _requested_points(cfg)
     write_json(outdir / SHADOW_REPORT_JSON, report)
     print(f"shadow: {report['orbits']} orbits ({report['complete_orbits']} complete), "
           f"max error {report['max_error']} vs epsilon {report['epsilon']}")

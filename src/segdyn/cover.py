@@ -55,11 +55,9 @@ _BUCKETS_PER_BALL = 64
 _MIN_REGISTRATIONS = 1 << 18
 # calibration walks as many probe clouds at once as fit in this many rows
 _CALIBRATE_ROWS = 1 << 14
-# a calibration with fewer probe rows per radius than this is narrow and
-# speculates; wider ones walk once per bisection round
-_NARROW_ROWS = 512
-# a narrow calibration evaluates as many bisection rounds per walk as keep
-# the walk within this many probe rows (BENCH_12.json, speculation_depth)
+# a calibration pass evaluates as many bisection rounds as keep its walk
+# within this many probe rows, and at least one (BENCH_12.json,
+# speculation_depth)
 _SPECULATE_ROWS = 2048
 # bisection rounds per calibration, at most
 _MAX_ROUNDS = 200
@@ -458,14 +456,15 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     The center's orbit is the same for every radius, so it is integrated
     once. A pass walks the other probes of a set of clouds with
     :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
-    first sample time its diameter exceeds epsilon. When the call is narrow
-    (fewer than ``_NARROW_ROWS`` probe rows per radius), a pass carries
-    every mid that the next s rounds can ask for, as many rounds as fit in
-    ``_SPECULATE_ROWS`` probe rows, and the first pass also carries the cap
-    and floor radii; the rounds then replay from those verdicts, so the
-    radii are those of one pass per round. When ``counters`` is given,
-    "bisection_rounds", "probe_passes" and "rows_dropped" (probe rows that
-    stopped before the horizon) are added to it.
+    first sample time its diameter exceeds epsilon. Pass 1 walks every
+    center's cap radius. Pass 2 walks the floor radius of the centers that
+    failed it, and every pass from pass 2 on carries each still-active
+    center's mids of the next s rounds, as many rounds as fit in
+    ``_SPECULATE_ROWS`` probe rows and at least one; the rounds then replay
+    from those verdicts, so the radii are those of one pass per round. When
+    ``counters`` is given, "bisection_rounds", "probe_passes" and
+    "rows_dropped" (probe rows that stopped before the horizon) are added to
+    it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -495,7 +494,6 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     interval = horizon / (time_samples - 1)
     per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
     tally = {"bisection_rounds": 0, "probe_passes": 0, "rows_dropped": 0}
-    speculate = n * (p - 1) < _NARROW_ROWS
 
     def feasible(idx: Array, deltas: Array) -> Array:
         """Whether the cloud of radius deltas[i, c] about center idx[i] stays
@@ -530,12 +528,11 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
 
     def depth(idx: Array, fixed: int) -> int:
         """Rounds one pass answers for the centers idx, which also carry
-        ``fixed`` radii each: 1, or on a speculating call the most that fit,
-        but no more than the rounds the widest bracket still needs to reach
-        rel_tol. That count is a floating-point estimate: one round too few
-        costs one more pass, never a different radius."""
-        if not speculate:
-            return 1
+        ``fixed`` radii each: the most that fit in _SPECULATE_ROWS probe
+        rows, at least 1, but no more than the rounds the widest bracket
+        still needs to reach rel_tol. That count is a floating-point
+        estimate: one round too few costs one more pass, never a different
+        radius."""
         spread = (math.log(float(np.max(hi[idx] / lo[idx]))) / math.log1p(rel_tol)
                   if rel_tol > 0 else math.inf)
         s = 1
@@ -544,52 +541,41 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
             s += 1
         return s
 
-    everyone = np.arange(n)
     lo, hi = np.full(n, delta_min), np.full(n, delta_max)
-    radii = [hi[:, None]]
-    if speculate:
-        radii += [lo[:, None], _mid_tree(lo, hi, depth(everyone, 2))]
-    verdicts = feasible(everyone, np.concatenate(radii, axis=1))
-    result = np.full(n, delta_max)
-    todo = ~verdicts[:, 0]
-    if np.any(todo):
-        # tree holds each center's verdicts on the mids of _mid_tree
-        if speculate:
-            floor_ok, tree = verdicts[:, 1], verdicts[:, 2:]
-        else:
-            floor_ok, tree = np.ones(n, dtype=bool), None
-            floor_ok[todo] = feasible(everyone[todo], lo[todo, None])[:, 0]
-        bad = todo & ~floor_ok
-        if np.any(bad):
-            first = int(np.flatnonzero(bad)[0])
+    todo = ~feasible(np.arange(n), hi[:, None])[:, 0]
+    active = todo.copy()
+    # the first pass over the centers that failed at the cap also walks their floor
+    floor = 1
+    while np.any(active) and tally["bisection_rounds"] < _MAX_ROUNDS:
+        idx = np.flatnonzero(active)
+        s = depth(idx, floor)
+        verdicts = feasible(idx, np.concatenate(
+            [lo[idx, None]] * floor + [_mid_tree(lo[idx], hi[idx], s)], axis=1))
+        if floor and not np.all(verdicts[:, 0]):
+            first = int(idx[np.argmin(verdicts[:, 0])])
             raise CalibrationError(
                 f"center {first + 1} at {centers[first].tolist()}: evolved-ball diameter "
                 f"exceeds epsilon={epsilon} even at the minimum radius {delta_min}")
-        active = todo.copy()
-        while np.any(active) and tally["bisection_rounds"] < _MAX_ROUNDS:
-            if tree is None:
-                idx = np.flatnonzero(active)
-                s = depth(idx, 0)
-                tree = np.zeros((n, 2 ** s - 1), dtype=bool)
-                tree[idx] = feasible(idx, _mid_tree(lo[idx], hi[idx], s))
-            # replay the rounds the tree answers; pos is each center's next mid
-            pos = np.zeros(n, dtype=np.int64)
-            for _ in range(tree.shape[1].bit_length()):
-                if not np.any(active) or tally["bisection_rounds"] == _MAX_ROUNDS:
-                    break
-                tally["bisection_rounds"] += 1
-                mid = np.sqrt(lo * hi)
-                ok = tree[everyone, pos]
-                lo = np.where(active & ok, mid, lo)
-                hi = np.where(active & ~ok, mid, hi)
-                active &= (hi / lo) > 1.0 + rel_tol
-                pos = 2 * pos + 1 + ok
-            tree = None
-        result[todo] = lo[todo]
+        # tree holds each center's verdicts on the mids of _mid_tree
+        tree = np.zeros((n, 2 ** s - 1), dtype=bool)
+        tree[idx] = verdicts[:, floor:]
+        floor = 0
+        # replay the rounds the tree answers; pos is each center's next mid
+        pos = np.zeros(n, dtype=np.int64)
+        for _ in range(s):
+            if not np.any(active):
+                break
+            tally["bisection_rounds"] += 1
+            mid = np.sqrt(lo * hi)
+            ok = tree[np.arange(n), pos]
+            lo = np.where(active & ok, mid, lo)
+            hi = np.where(active & ~ok, mid, hi)
+            active &= (hi / lo) > 1.0 + rel_tol
+            pos = 2 * pos + 1 + ok
     if counters is not None:
         for key, value in tally.items():
             counters[key] = counters.get(key, 0) + value
-    return result
+    return np.where(todo, lo, delta_max)
 
 
 def minimal_cover(centers: Array, radii: Array, domain_samples: Array) -> Cover:

@@ -13,12 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .cover import _PAIR_CHUNK, Partition
+from .cover import _PAIR_CHUNK, Partition, _blocks, _expand
 from .errors import EncodingError
 from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
 from .segments import SegmentLibrary
 from .transitions import (
-    MarkovMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows,
+    MarkovMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows, cell_itineraries,
 )
 
 Array = np.ndarray
@@ -83,24 +83,6 @@ class PseudoOrbit:
     states: Array
 
 
-def _window_states(model: FlowModel, partition: Partition, x0s: Array, length: int,
-                   horizon: float, cfg: IntegratorConfig) -> Array:
-    """Cell ids at times 0, T, ..., (length-1) T for a batch of points,
-    computed by one continuous integration per point. A word ends at its
-    first 0 (no cell): the orbit stops being integrated there
-    (:func:`~segdyn.flow.walk_open_rows`) and the entries after it stay 0."""
-    states = np.asarray(x0s, dtype=float)
-    cells = np.zeros((states.shape[0], length), dtype=np.int64)
-
-    def visit(k, rows, y):
-        found = partition.assign_many(y)
-        cells[rows, k] = found
-        return found == 0
-
-    walk_open_rows(model, states, horizon, length - 1, cfg, visit)
-    return cells
-
-
 def _truncate(cells: Array, horizon: float) -> SymbolSequence:
     word = cells.tolist()
     if 0 in word:
@@ -116,22 +98,21 @@ def encode_orbit(model: FlowModel, partition: Partition, x0, length: int,
     The word truncates (complete=False) at the first window whose state is
     in no cell. A start point outside every cell cannot be encoded at all.
     """
-    if length < 1:
-        raise ValueError(f"length must be at least 1, got {length}")
     x0 = np.asarray(x0, dtype=float)
-    cells = _window_states(model, partition, x0[None, :], length, horizon, cfg)[0]
-    if cells[0] == 0:
+    word = encode_many(model, partition, x0[None, :], length, horizon, cfg)[0]
+    if word is None:
         raise EncodingError(f"initial point {x0.tolist()} lies outside every cell")
-    return _truncate(cells, horizon)
+    return word
 
 
 def encode_many(model: FlowModel, partition: Partition, x0s: Array, length: int,
                 horizon: float, cfg: IntegratorConfig) -> list[SymbolSequence | None]:
-    """Batched encoding; entries are None for points outside every cell."""
+    """Batched encoding; entries are None for points outside every cell.
+    The cells are those of :func:`~segdyn.transitions.cell_itineraries`,
+    which walks the points _BLOCK_ROWS rows at a time."""
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    cells = _window_states(model, partition, np.asarray(x0s, dtype=float),
-                           length, horizon, cfg)
+    cells, _ = cell_itineraries(model, partition, x0s, length - 1, horizon, cfg)
     return [None if row[0] == 0 else _truncate(row, horizon) for row in cells]
 
 
@@ -352,15 +333,10 @@ class _StateGraph:
         order, read in blocks of about _PAIR_CHUNK edges."""
         start = self.indptr[states]
         deg = self.indptr[states + 1] - start
-        end = np.cumsum(deg)
         found = []
-        a = 0
-        while a < states.size:
-            b = max(a + 1, int(np.searchsorted(end, end[a] - deg[a] + _PAIR_CHUNK, side="right")))
-            edges = (np.arange(end[a] - deg[a], end[b - 1])
-                     + np.repeat(start[a:b] - end[a:b] + deg[a:b], deg[a:b]))
+        for rows in _blocks(deg, _PAIR_CHUNK):
+            edges = _expand(start[rows], deg[rows])
             found.append(edges[alive[self.dst[edges]]])
-            a = b
         return np.concatenate(found)
 
     def words(self, length: int, depth: Array, cap: int) -> tuple[Array, bool]:

@@ -29,6 +29,7 @@ __all__ = [
     "MarkovMatrix",
     "TransitionTensor",
     "ExpansionVerdict",
+    "cell_itineraries",
     "sample_itineraries",
     "transitions_from_itineraries",
     "row_sensitivity",
@@ -44,8 +45,8 @@ __all__ = [
 _INT64_MAX = 2 ** 63 - 1
 # the row budget of the sampling stage: the rejection sampler takes cells in
 # consecutive groups whose first-round draws, the largest of any round, add
-# up to at most this many points, and the walk advances this many starts at
-# a time, so its RK4 batches stay cache-sized
+# up to at most this many points, and the itinerary walk advances this many
+# starts at a time, so its RK4 batches stay cache-sized
 _BLOCK_ROWS = 1 << 13
 # the slack s of the image-ball enclosure (ball_successors): cell m's image
 # is taken as a ball of s times its first-order radius
@@ -270,49 +271,58 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
     return out.reshape(n_cells * count, d)
 
 
+def cell_itineraries(model: FlowModel, partition: Partition, starts: Array, n_hops: int,
+                     horizon: float, cfg: IntegratorConfig) -> tuple[Array, int]:
+    """The cells of each start at times 0, T, ..., n_hops T, and the number
+    of rows that stopped before the last hop.
+
+    Returns an (M, n_hops + 1) int64 table; 0 marks a state outside every
+    cell. An itinerary is only trusted up to its first 0, so a row stops
+    being integrated there (:func:`~segdyn.flow.walk_open_rows`) and the
+    entries after it stay 0. The starts are walked _BLOCK_ROWS rows at a
+    time. No row's RK4 bits depend on its batch, so the result is that of
+    one walk of every start. A BlowupError names the global row and the
+    orbit's time; when rows of several blocks blow up, the first such
+    block's row is named, which need not be the first to blow up. The exit
+    code stays 2.
+    """
+    starts = np.asarray(starts, dtype=float)
+    itins = np.zeros((starts.shape[0], n_hops + 1), dtype=np.int64)
+    dropped = 0
+    for lo in range(0, starts.shape[0], _BLOCK_ROWS):
+        block = itins[lo:lo + _BLOCK_ROWS]
+
+        def visit(k, rows, y):
+            cells = partition.assign_many(y)
+            block[rows, k] = cells
+            return cells == 0
+
+        try:
+            dropped += walk_open_rows(model, starts[lo:lo + _BLOCK_ROWS], horizon, n_hops,
+                                      cfg, visit)
+        except BlowupError as err:
+            raise BlowupError(time=err.time, batch_index=lo + err.batch_index) from None
+    return itins, dropped
+
+
 def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
                        n_steps: int, samples_per_cell: int, cfg: IntegratorConfig,
                        rng_seed: int, max_draw_factor: int = 200,
                        counters: dict | None = None) -> tuple[Array, Array]:
     """Seeded cell samples and their cell itineraries over ``n_steps`` hops of T.
 
-    Returns (starts of shape (M, d), itineraries of shape (M, n_steps + 1));
-    itinerary entry 0 is the source cell and 0 marks an escape. Entries after
-    the first escape are 0: an itinerary is only trusted up to the time it
-    leaves the partition, so a sample stops being integrated there
-    (:func:`~segdyn.flow.walk_open_rows`). Start points depend only on
-    (rng_seed, cell), so different n_steps see identical samples. When
-    ``counters`` is given, "rows_dropped" (samples that stopped before the
-    last hop) and the start sampler's "start_draws" and "start_hits" are
-    added to it.
-
-    The starts are walked _BLOCK_ROWS rows at a time. No row's RK4 bits
-    depend on its batch, so the result is that of one walk of every start.
-    A BlowupError names the global row and the orbit's time; when rows of
-    several blocks blow up, the first such block's row is named, which need
-    not be the first to blow up. The exit code stays 2.
+    Returns (starts of shape (M, d), itineraries of shape (M, n_steps + 1))
+    from :func:`_draw_cell_starts` and :func:`cell_itineraries`; itinerary
+    entry 0 is the source cell, as every start is drawn inside its own
+    cell, and 0 marks an escape, after which the entries stay 0. Start
+    points depend only on (rng_seed, cell), so different n_steps see
+    identical samples. When ``counters`` is given, "rows_dropped" (samples
+    that stopped before the last hop) and the start sampler's "start_draws"
+    and "start_hits" are added to it.
     """
-    n_cells = partition.n_cells
     starts = _draw_cell_starts(partition, samples_per_cell, rng_seed, max_draw_factor,
                                counters)
-    itins = np.zeros((starts.shape[0], n_steps + 1), dtype=np.int64)
-    itins[:, 0] = np.repeat(np.arange(1, n_cells + 1), samples_per_cell)
-    dropped = 0
-    for lo in range(0, starts.shape[0], _BLOCK_ROWS):
-        block = itins[lo:lo + _BLOCK_ROWS]
-
-        def visit(k, rows, y):
-            if k == 0:
-                return None
-            cells = partition.assign_many(y)
-            block[rows, k] = cells
-            return cells == 0
-
-        try:
-            dropped += walk_open_rows(model, starts[lo:lo + _BLOCK_ROWS], horizon, n_steps,
-                                      cfg, visit)
-        except BlowupError as err:
-            raise BlowupError(time=err.time, batch_index=lo + err.batch_index) from None
+    itins, dropped = cell_itineraries(model, partition, starts, n_steps, horizon, cfg)
     if counters is not None:
         counters["rows_dropped"] = counters.get("rows_dropped", 0) + dropped
     return starts, itins

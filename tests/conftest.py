@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from segdyn import IntegratorConfig, LinearDiagonal, Lorenz, QuadraticGeneric
+from segdyn.artifacts import file_digest
 from segdyn.transitions import MarkovMatrix, TransitionMatrix, TransitionTensor
 
 # one line per acceptance criterion, printed after the run
@@ -49,6 +50,13 @@ def zero_field_1d():
 def rotation2d():
     return QuadraticGeneric(linear=[[0.0, -1.0], [1.0, 0.0]],
                             quadratic=np.zeros((2, 2, 2)), forcing=[0.0, 0.0])
+
+
+def output_digests(out) -> dict:
+    """SHA-256 of every file under an output directory but manifest.json,
+    which holds wall times, by its path relative to the directory."""
+    return {p.relative_to(out).as_posix(): file_digest(p)
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
 
 
 def traced_peak(fn):

@@ -24,6 +24,7 @@ from conftest import (
     dense,
     make_markov_tensors,
     markov,
+    output_digests,
     traced_peak,
 )
 from segdyn import (
@@ -293,9 +294,45 @@ def test_orbit_cover_enclosure_holds_gamma_and_fresh_orbits(run4):
     assert len(pairs) > 10_000 and outside == 0, f"{outside} of {len(pairs)} pairs outside"
 
 
-def test_lorenz_grid_enclosure_holds_gamma(run1):
+@pytest.fixture(scope="module")
+def run1_outputs(run1):
+    """run 1's output directory after the stages it does not run itself: every
+    stage of configs/lorenz.json has run there, bounds exiting 2 (no
+    admissible word of length 20 starts at its start cell)."""
     out = run1["outdir"]
-    assert cli_main(["transitions", "--config", str(LORENZ_CONFIG), "--out", str(out)]) == 0
+    for stage in ("transitions", "encode", "enumerate", "entropy", "bounds", "report"):
+        rc = cli_main([stage, "--config", str(LORENZ_CONFIG), "--out", str(out)])
+        assert rc == (2 if stage == "bounds" else 0), f"stage {stage} exited with {rc}"
+    return out
+
+
+# every output of configs/lorenz.json but manifest.json, which holds wall
+# times; bounds writes no file
+LORENZ_DIGESTS = {
+    "cover.json": "10f8c2c0a89452b0e8b2873c1cf7b67ad2edd45338e625cc1ae0e98be58feace",
+    "enclosure.json": "2f940b5e7fd90fcc406f993d291a1e81eaec280f102f4a924839f02405822fec",
+    "entropy.json": "4c266af7def26cf8ccf9581e3c0b1027e99238ab1bd4f419b9cf499aca5c90e5",
+    "enumeration.json": "bcac4df571baf7011768687d490e7c0dd55b3b85e18b0cfea3f11ebf266617d5",
+    "library/library.json": "1874b931adaf88224daad4fc5668bc84738e2f18a31982e41b18919192de7089",
+    "library/segments.csv": "5c668d8947d1b6262543bd27af60bac0887ac57f8e23f6cd2ddaef9d3992b7d7",
+    "max_difference.csv": "f2c5023c9c8ecb0ebc8dfa78bbae60b2f5a746a0f4717182e8de0b27a956ad27",
+    "report.json": "6d2ee22508147f452fb9ab545b70c1fdf499612af4cdb8d9ba67e67f5326a29b",
+    "shadow_report.json": "e85dc9a685c2a831aa48af020d4533d084b5356a7fa8de8a05c4fb830872beb3",
+    "tensors.json": "692675c9f60c038a7ba3ceb613a05b49736f44f0b595192b090e781c0b0ff326",
+    "transitions.json": "1720c1ade58fa8f6e2abe8afc264db2611bd6898af5d1ef3f9552fbbe467fc90",
+    "words.json": "1b4f55fdad16854099cac6ce549dbb450e6124e0e1961b3ce54c1a77c3792ac9",
+}
+
+
+def test_bundled_lorenz_outputs_keep_their_bytes(run1_outputs):
+    found = output_digests(run1_outputs)
+    assert sorted(found) == sorted(LORENZ_DIGESTS)
+    changed = [name for name, digest in LORENZ_DIGESTS.items() if found[name] != digest]
+    assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_lorenz_grid_enclosure_holds_gamma(run1_outputs):
+    out = run1_outputs
     tm, _ = transitions_from_json(read_json(out / "transitions.json"))
     doc = read_json(out / "enclosure.json")
     assert _edges(tm.indptr, tm.indices + 1) <= _edges(doc["indptr"], doc["successors"])

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
-from segdyn.artifacts import check_artifacts, file_digest, load_manifest, read_json, write_json
+from conftest import dense, output_digests
+from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
 from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, write_atomic
 from segdyn.cli import main
 from segdyn.config import load_config
@@ -304,9 +305,12 @@ def test_single_cell_fixture_has_zero_entropies(tmp_path):
 
 def test_encode_with_explicit_initial_points(tmp_path):
     config = _write_config(tmp_path, {"initial_points": [[0.5], [-0.25], [8.0]]})
-    assert main(["calibrate", "--config", str(config)]) == 0
-    assert main(["encode", "--config", str(config)]) == 0
-    doc = read_json(Path(json.loads(config.read_text())["output_dir"]) / "words.json")
+    for stage in ("calibrate", "segments", "encode", "shadow"):
+        assert main([stage, "--config", str(config)]) == 0
+    out = Path(json.loads(config.read_text())["output_dir"])
+    doc = read_json(out / "words.json")
+    # both stages ask for the listed points, not encode_points (20)
+    assert doc["requested"] == read_json(out / "shadow_report.json")["requested_points"] == 3
     assert doc["found_starts"] == 3
     assert doc["words"][0]["complete"]
     assert doc["words"][2]["word"] == []  # 8.0 is outside every cell
@@ -353,17 +357,38 @@ def test_bounds_dead_start_is_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no admissible word of length 6 starts at 8\n"
 
 
+def _assert_manifest_refused(config, manifest, capsys, names=""):
+    # exit 1 and one line naming the manifest, never a traceback
+    for argv in (["report", "--check"], ["report"], ["segments"]):
+        capsys.readouterr()
+        assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest} ") and names in err
+        assert err.count("\n") == 1
+
+
 def test_corrupt_manifest_is_check_error(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["calibrate", "--config", str(config)]) == 0
     manifest = tmp_path / "out" / "manifest.json"
     manifest.write_text("{not json")
-    for argv in (["report", "--check"], ["segments"]):
-        capsys.readouterr()
-        assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest} ")
-        assert err.count("\n") == 1
+    _assert_manifest_refused(config, manifest, capsys)
+
+
+@pytest.mark.parametrize("entry, names", [
+    (5, "stage 'calibrate' is not an object"),
+    ({"outputs": []}, "stage 'calibrate' field 'outputs' is not an object"),
+    ({"summary": []}, "stage 'calibrate' field 'summary' is not an object"),
+], ids=["entry-not-object", "outputs-list", "summary-list"])
+def test_malformed_manifest_entry_is_check_error(tmp_path, capsys, entry, names):
+    config = _write_config(tmp_path)
+    assert main(["calibrate", "--config", str(config)]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    doc = read_json(manifest)
+    calibrate = doc["stages"]["calibrate"]
+    doc["stages"]["calibrate"] = {**calibrate, **entry} if isinstance(entry, dict) else entry
+    manifest.write_text(json.dumps(doc))
+    _assert_manifest_refused(config, manifest, capsys, names)
 
 
 def test_usage_error_exit_code_is_one(capsys):
@@ -688,8 +713,9 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
     calibrate = stages["calibrate"]["counters"]
     assert set(calibrate) == {"bisection_rounds", "probe_passes", "rows_dropped"}
     assert calibrate["bisection_rounds"] > 0
-    # the eight narrow LinearDiagonal clouds answer several rounds per walk
-    assert calibrate["probe_passes"] < calibrate["bisection_rounds"] + 2
+    # the eight LinearDiagonal clouds of 34 probe rows: the cap's pass, the
+    # floor's with rounds 1-2, then one pass per three rounds
+    assert calibrate["probe_passes"] == 2 + math.ceil((calibrate["bisection_rounds"] - 2) / 3)
     transitions = stages["transitions"]
     assert set(transitions["counters"]) == {"rows_dropped", "start_draws", "start_hits"}
     # every cell keeps samples_per_cell of its hits; a round may hit more
@@ -736,9 +762,7 @@ def linear1d(tmp_path_factory):
 
 
 def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
-    _, out = linear1d
-    found = {p.relative_to(out).as_posix(): file_digest(p)
-             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+    found = output_digests(linear1d[1])
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"

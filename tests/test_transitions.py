@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense, make_markov_tensors, tables
@@ -488,7 +488,9 @@ def test_ball_successors_match_per_cell_loop(d, n, seed):
                                                       max_size=2), st.integers(0, 2 ** 16))
 def test_linear_enclosure_holds_every_sampled_transition(d, n, rates, seed):
     # LinearDiagonal maps B(c, delta) into B(phi_T(c), rho delta), rho the
-    # largest e^(-a T): at slack 1 the enclosure holds every sampled landing
+    # largest e^(-a T): at slack 1 the enclosure holds every sampled landing.
+    # A strong contraction can carry every sample out of the cover (rate 2
+    # and two balls away from 0); such an example has no landing to check
     rng = np.random.default_rng(seed)
     model, cfg, horizon = LinearDiagonal(rates=rates[:d]), IntegratorConfig(step=0.01), 0.5
     sites = np.indices((6,) if d == 1 else (3, 3)).reshape(d, -1).T
@@ -498,7 +500,7 @@ def test_linear_enclosure_holds_every_sampled_transition(d, n, rates, seed):
     rho = jacobian_norms(model, cover.centers, horizon, cfg)
     _, itins = sample_itineraries(model, part, horizon, 1, 50, cfg, rng_seed=seed)
     landed = itins[itins[:, 1] > 0]
-    assert landed.shape[0] > 0
+    assume(landed.shape[0] > 0)
     for src, dst in {tuple(pair) for pair in landed.tolist()}:
         assert dst in ball_admissibility(lib, part, rho, src), (src, dst)
 

@@ -8,6 +8,7 @@ once per bisection round. The fast paths must reproduce them bit for bit.
 The shadowing reference is the two-pass check: encode, then integrate each
 word length's orbits again over the pseudo-orbit's grid.
 """
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -39,10 +40,9 @@ from segdyn import (
 from segdyn import transitions
 from segdyn._rng import STREAM_CALIBRATION, derive_rng
 from segdyn.config import load_config
-from segdyn.cover import _NARROW_ROWS, _probe_directions, diameters
+from segdyn.cover import _SPECULATE_ROWS, _probe_directions, diameters
 from segdyn.flow import sample_path, walk_open_rows
-from segdyn.symbolic import _window_states
-from segdyn.transitions import _draw_cell_starts
+from segdyn.transitions import _draw_cell_starts, cell_itineraries
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -366,8 +366,9 @@ def test_calibrate_matches_reference_on_the_bench_grid():
                                cfg.integrator, 4, **kwargs)
     assert np.array_equal(radii, ref)
     assert counters["bisection_rounds"] > 0 and counters["rows_dropped"] > 0
-    # a wide call walks once for the cap, once for the floor and once per round
-    assert counters["probe_passes"] == counters["bisection_rounds"] + 2
+    # 1,728 clouds fit no second round in a pass: one pass walks the cap, and
+    # one per round follows, the first also walking the floor
+    assert counters["probe_passes"] == counters["bisection_rounds"] + 1
 
 
 def test_calibrate_matches_reference_on_linear1d():
@@ -381,9 +382,12 @@ def test_calibrate_matches_reference_on_linear1d():
     ref = ref_calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon,
                                cfg.integrator, cfg.boundary_samples, **kwargs)
     assert np.array_equal(radii, ref)
-    # a narrow call answers several rounds per walk
-    assert counters["bisection_rounds"] > 0
-    assert counters["probe_passes"] < counters["bisection_rounds"] + 2
+    # eight clouds of 34 probe rows fit two rounds beside the floor and three
+    # after it, so the passes are the cap, the floor with rounds 1-2, and one
+    # per three rounds
+    rounds = counters["bisection_rounds"]
+    assert rounds > 2
+    assert counters["probe_passes"] == 2 + math.ceil((rounds - 2) / 3)
 
 
 def test_calibrate_clouds_failing_at_t0(linear1, cfg):
@@ -415,8 +419,9 @@ def test_calibrate_quadratic_matches_reference(expanding1d, cfg):
 
 
 def _calibration_case(kind, wide, rng):
-    """A model and centers whose probe rows per radius, n (p - 1), lie on
-    the given side of _NARROW_ROWS."""
+    """A model and centers on the given side of _SPECULATE_ROWS: wide, one
+    center's p - 1 probe rows are too many for two rounds' mids to fit in a
+    pass; narrow, the floor and two rounds' mids of every center fit."""
     if kind == "lorenz":
         model, d = Lorenz(), 3
         centers = rng.uniform([-15, -20, 5], [15, 20, 40], size=(8, 3))
@@ -427,10 +432,11 @@ def _calibration_case(kind, wide, rng):
                  QuadraticGeneric(linear=[[-a]], quadratic=[[[b]]], forcing=[0.0]))
         centers = rng.uniform(-1, 1, size=(8, 1))
     if wide:
-        n, boundary = 8, 64 - 2 * d
+        n, boundary = 8, _SPECULATE_ROWS // 3 + 1 - 2 * d
     else:
         n, boundary = int(rng.integers(1, 7)), int(rng.integers(0, 7))
-    assert (n * (2 * d + boundary) >= _NARROW_ROWS) == wide
+    rows = 2 * d + boundary
+    assert 3 * rows > _SPECULATE_ROWS if wide else n * rows * 4 <= _SPECULATE_ROWS
     return model, centers[:n], boundary
 
 
@@ -462,14 +468,16 @@ def test_calibrate_matches_reference_bitwise(kind, wide, seed, rel_tol, epsilon,
     bisected = bool(np.any(radii < delta_max))
     if rel_tol == 0 and bisected:
         assert counters["bisection_rounds"] == 200
+    # the cap's pass, then at least one round per pass; exactly one when wide
+    assert counters["probe_passes"] <= counters["bisection_rounds"] + 1
     if wide:
-        assert counters["probe_passes"] == counters["bisection_rounds"] + (2 if bisected else 1)
+        assert counters["probe_passes"] == counters["bisection_rounds"] + 1
 
 
 @pytest.mark.parametrize("model_name", ["quadratic", "lorenz"])
 def test_calibrate_mixes_cap_feasible_and_bisected_centers(model_name, cfg):
     # clouds near the unstable point 1 of dx/dt = -x + x^2, or far out on the
-    # Lorenz attractor, spread more; both narrow calls speculate
+    # Lorenz attractor, spread more; both calls evaluate several rounds per walk
     if model_name == "quadratic":
         model = QuadraticGeneric(linear=[[-1.0]], quadratic=[[[1.0]]], forcing=[0.0])
         centers, epsilon = np.array([[-0.5], [0.2], [0.6], [0.9]]), 0.2
@@ -556,7 +564,7 @@ def test_itineraries_quadratic_drop_escaped_rows(rotation2d, cfg):
 def test_itineraries_in_row_blocks_match_reference(model_name, block_rows, rotation2d, cfg):
     # blocks of 7 or 64 rows split cells' samples (12 and 20 per cell),
     # end in a partial block and hold escapes in several blocks, whose
-    # rows_dropped add up
+    # rows_dropped add up; encoding the starts walks the same blocks
     if model_name == "lorenz":
         model, partition = Lorenz(), _lorenz_partition(60, 2.5)
         horizon, samples, icfg = 0.1, 12, IntegratorConfig(step=0.005)
@@ -577,6 +585,10 @@ def test_itineraries_in_row_blocks_match_reference(model_name, block_rows, rotat
     escaped = np.flatnonzero(itins[:, -1] == 0)
     assert np.unique(escaped // block_rows).size >= 2
     assert counters["rows_dropped"] == np.count_nonzero(itins[:, 2] == 0) > 0
+    with mock.patch.object(transitions, "_BLOCK_ROWS", block_rows):
+        words = encode_many(model, partition, starts, 4, horizon, icfg)
+    assert words == encode_many(model, partition, starts, 4, horizon, icfg)
+    assert [w.word for w in words] == [tuple(row[row > 0].tolist()) for row in itins]
 
 
 def test_blowup_in_a_later_block_names_its_global_row_and_the_orbits_time():
@@ -584,7 +596,8 @@ def test_blowup_in_a_later_block_names_its_global_row_and_the_orbits_time():
     # cover at T = 0.5; cell 2's (x0 in [0.56, 0.64]) pass through cells 3,
     # 4 and 5 at t = 0.5, 1 and 1.5 and blow up in the fourth hop. In blocks
     # of 3 rows cell 2's first samples are rows 4 and 5 of the second
-    # block, which blows up before the blocks of cells 3-5's own samples
+    # block, which blows up before the blocks of cells 3-5's own samples;
+    # encoding the same starts walks the same blocks
     model = QuadraticGeneric(linear=[[0.0]], quadratic=[[[1.0]]], forcing=[0.0])
     partition = Partition(cover=Cover(centers=np.array([[-0.5], [0.6], [0.86], [1.55], [15.0]]),
                                       radii=np.array([0.05, 0.04, 0.1, 0.35, 12.0])))
@@ -599,6 +612,10 @@ def test_blowup_in_a_later_block_names_its_global_row_and_the_orbits_time():
     assert err.value.batch_index in (4, 5)
     assert err.value.time == ref.value.time
     assert 1.5 < err.value.time < 1 / starts[err.value.batch_index, 0] + 0.01
+    with mock.patch.object(transitions, "_BLOCK_ROWS", 3):
+        with pytest.raises(BlowupError) as enc:
+            encode_many(model, partition, starts, 5, 0.5, cfg)
+    assert (enc.value.batch_index, enc.value.time) == (err.value.batch_index, err.value.time)
 
 
 def test_encoding_blowup_reports_the_orbits_time():
@@ -648,7 +665,7 @@ def test_window_states_match_reference(model_name, rotation2d, cfg):
             centers=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
             radii=np.full(4, 0.7)))
         x0s = np.random.default_rng(9).uniform(-1.2, 1.2, size=(40, 2))
-    cells = _window_states(model, partition, x0s, 8, horizon, icfg)
+    cells, _ = cell_itineraries(model, partition, x0s, 7, horizon, icfg)
     ref = ref_window_states(model, partition, x0s, 8, horizon, icfg)
     assert np.array_equal(cells, _zero_after_first_zero(ref))
     assert np.any(ref[:, 1:] == 0) and np.any(cells[:, -1] > 0)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .atomic import write_json
+from .atomic import side_path, write_json
 from .cover import cover_from_json
 from .errors import ManifestError, MissingArtifactError
 from .segments import load_library
@@ -25,7 +25,7 @@ __all__ = [
     "ENCLOSURE_JSON", "TENSORS_JSON", "WORDS_JSON", "SHADOW_REPORT_JSON", "ENUMERATION_JSON",
     "ENTROPY_JSON", "BOUNDS_JSON", "REPORT_JSON", "MANIFEST_JSON",
     "write_json", "read_json", "file_digest", "require",
-    "load_manifest", "record_stage", "Reader", "READERS", "check_artifacts",
+    "load_manifest", "record_stage", "Reader", "READERS", "artifact_files", "check_artifacts",
 ]
 
 COVER_JSON = "cover.json"
@@ -62,15 +62,26 @@ def require(outdir: Path, relpath: str, needed_by: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(
             f"stage '{needed_by}' needs artifact '{relpath}' "
-            f"(not found in {outdir}); run the producing stage first")
+            f"(not found in {outdir}{_side_note(path)}); run the producing stage first")
     return path
 
 
+def _side_note(path: Path) -> str:
+    """For a missing file, a note naming the side file an interrupted write
+    left with its previous bytes, if there is one."""
+    side = side_path(path)
+    return f"; an interrupted write left its previous bytes in {side.name}" if side.exists() else ""
+
+
 def load_manifest(outdir: Path) -> dict:
-    """The manifest of an output directory, or an empty one. A manifest that
-    does not parse, or whose stage entries, or their "outputs" or "summary",
-    are not JSON objects, is a ManifestError naming the stage and field."""
+    """The manifest of an output directory, or an empty one. A write killed
+    between its two renames leaves the manifest only under its side name,
+    which is then read. A manifest that does not parse, or whose stage
+    entries, or their "outputs" or "summary", are not JSON objects, is a
+    ManifestError naming the stage and field."""
     path = outdir / MANIFEST_JSON
+    if not path.exists():
+        path = side_path(path)
     if path.exists():
         try:
             doc = read_json(path)
@@ -98,15 +109,8 @@ def record_stage(outdir: Path, stage: str, wall_time_s: float, outputs: list,
     manifest["tool_version"] = tool_version
     manifest["rng_seed"] = rng_seed
     manifest["config_echo"] = config_echo
-    digests = {}
-    for rel in outputs:
-        path = outdir / rel
-        if path.is_dir():
-            for sub in sorted(path.rglob("*")):
-                if sub.is_file():
-                    digests[str(sub.relative_to(outdir))] = file_digest(sub)
-        else:
-            digests[rel] = file_digest(path)
+    digests = {rel: file_digest(outdir / rel)
+               for name in outputs for rel in artifact_files(name)}
     entry = {"wall_time_s": round(wall_time_s, 6), "outputs": digests}
     if extra:
         entry.update(extra)
@@ -150,6 +154,13 @@ READERS = {
 }
 
 
+def artifact_files(name: str) -> tuple:
+    """The files, relative to the output directory, that make up an artifact:
+    its reader's ``files``, or else the artifact's own path."""
+    reader = READERS.get(name)
+    return (reader.files if reader else ()) or (name,)
+
+
 def check_artifacts(outdir: Path) -> list:
     """Re-validate artifacts against the manifest without recomputation.
 
@@ -160,7 +171,7 @@ def check_artifacts(outdir: Path) -> list:
     outdir = Path(outdir)
     problems: list[str] = []
     manifest_path = outdir / MANIFEST_JSON
-    if not manifest_path.exists():
+    if not manifest_path.exists() and not side_path(manifest_path).exists():
         return [f"no manifest at {manifest_path}"]
     manifest = load_manifest(outdir)
     seen: set[str] = set()
@@ -168,7 +179,7 @@ def check_artifacts(outdir: Path) -> list:
         for rel, digest in sorted(entry.get("outputs", {}).items()):
             path = outdir / rel
             if not path.exists():
-                problems.append(f"{stage}: {rel} is missing")
+                problems.append(f"{stage}: {rel} is missing{_side_note(path)}")
                 continue
             if file_digest(path) != digest:
                 problems.append(f"{stage}: {rel} does not match its recorded digest")

@@ -8,6 +8,7 @@ the manifest. Identical config and seed reproduce identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -20,8 +21,8 @@ from ._rng import STREAM_ENCODE, STREAM_MEASURE, STREAM_SHADOW, derive_rng
 from .artifacts import (
     BOUNDS_JSON, COVER_JSON, ENCLOSURE_JSON, ENTROPY_JSON, ENUMERATION_JSON, LIBRARY_DIR,
     MAX_DIFFERENCE_CSV, READERS, REPORT_JSON, SHADOW_REPORT_JSON, TENSORS_JSON,
-    TRANSITIONS_JSON, WORDS_JSON, check_artifacts, load_manifest, record_stage,
-    require, write_json,
+    TRANSITIONS_JSON, WORDS_JSON, artifact_files, check_artifacts, load_manifest,
+    record_stage, require, write_json,
 )
 from .config import PipelineConfig, load_config
 from .cover import (
@@ -46,7 +47,7 @@ def _load(cfg: PipelineConfig, outdir: Path, stage: str, name: str):
     not parse, or a cover whose dimension is not the model's, exits 1 with
     one line that names it."""
     reader = READERS[name]
-    for rel in reader.files or (name,):
+    for rel in artifact_files(name):
         require(outdir, rel, stage)
     path = outdir / name
     try:
@@ -360,6 +361,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built once per process: building takes about 50 times as long as a parse,
+# and the benchmark and the tests call main() many times in one process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="segdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=f"segdyn {__version__}")

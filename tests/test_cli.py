@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import dense, output_digests
 from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
-from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, write_atomic
-from segdyn.cli import main
+from segdyn import __version__
+from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, side_path, write_atomic
+from segdyn.cli import _build_parser, main
 from segdyn.config import load_config
 from segdyn.cover import Partition, cover_from_json
 from segdyn.errors import ConfigError
@@ -391,9 +393,89 @@ def test_malformed_manifest_entry_is_check_error(tmp_path, capsys, entry, names)
     _assert_manifest_refused(config, manifest, capsys, names)
 
 
-def test_usage_error_exit_code_is_one(capsys):
+def test_usage_error_exit_code_is_one(tmp_path, capsys):
+    # one process builds one parser, and a usage error leaves it usable
+    assert _build_parser() is _build_parser()
     assert main(["calibrate"]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"segdyn {__version__}\n"
+    config = _write_config(tmp_path)
+    assert main(["calibrate", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "cover.json").exists()
+
+
+@pytest.fixture
+def renames(monkeypatch):
+    """Every rename made while the test runs, as (target, existed) pairs: a
+    rename over an existing name makes ext4 flush the new file first."""
+    made = []
+    replace = os.replace
+
+    def counting_replace(src, dst):
+        made.append((Path(dst), os.path.exists(dst)))
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return made
+
+
+def _dot_files(out) -> list:
+    """Temporary and side files under an output directory."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob(".*"))
+
+
+def test_stray_files_in_the_library_are_not_recorded(tmp_path):
+    config = _write_config(tmp_path)
+    assert main(["calibrate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    stray = out / "library" / ".library.json.4242.tmp"  # as a killed write leaves it
+    stray.parent.mkdir()
+    stray.write_text("{")
+    assert main(["segments", "--config", str(config)]) == 0
+    assert sorted(load_manifest(out)["stages"]["segments"]["outputs"]) == [
+        "library/library.json", "library/segments.csv", "max_difference.csv"]
+    stray.unlink()
+    assert main(["report", "--config", str(config), "--check"]) == 0
+
+
+def test_write_killed_between_its_renames_leaves_the_side_file(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    for stage in ("calibrate", "segments"):
+        assert main([stage, "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    recorded = load_manifest(out)["stages"]
+    # a kill between the renames leaves the previous file under its side name
+    for name in ("manifest.json", "cover.json"):
+        os.replace(out / name, side_path(out / name))
+    assert load_manifest(out)["stages"] == recorded
+    capsys.readouterr()
+    assert main(["segments", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: stage 'segments' needs artifact 'cover.json' (not found in {out}; an "
+        "interrupted write left its previous bytes in .cover.json.prev); "
+        "run the producing stage first\n")
+    assert check_artifacts(out) == [
+        "calibrate: cover.json is missing; an interrupted write left its previous "
+        "bytes in .cover.json.prev"]
+    # the next write of each file consumes its side file and keeps every stage
+    assert main(["calibrate", "--config", str(config)]) == 0
+    assert set(load_manifest(out)["stages"]) == {"calibrate", "segments"}
+    assert load_manifest(out)["stages"]["segments"] == recorded["segments"]
+    assert _dot_files(out) == []
+    assert main(["report", "--config", str(config), "--check"]) == 0
+
+
+def test_write_killed_after_its_renames_leaves_a_stale_side_file(tmp_path, renames):
+    config = _write_config(tmp_path)
+    assert main(["calibrate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    # a kill after the second rename leaves the previous file next to the new one
+    side_path(out / "manifest.json").write_text('{"stages": {}}')
+    assert set(load_manifest(out)["stages"]) == {"calibrate"}
+    assert main(["segments", "--config", str(config)]) == 0
+    assert set(load_manifest(out)["stages"]) == {"calibrate", "segments"}
+    # the stale side file is removed, not renamed over
+    assert _dot_files(out) == [] and not any(existed for _, existed in renames)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -590,6 +672,34 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["segments.csv"]
 
 
+@pytest.mark.parametrize("step", ["aside", "in", "unlink"])
+def test_write_failing_at_each_step_keeps_previous_file(tmp_path, monkeypatch, step):
+    # the steps: rename the target to its side name, rename the temporary
+    # file in, unlink the side file
+    target = tmp_path / "doc.json"
+    write_json(target, {"a": 1})
+    before = target.read_bytes()
+    side = side_path(target)
+    replace, unlink = os.replace, Path.unlink
+
+    def failing_replace(src, dst):
+        if ((step == "aside" and Path(dst) == side)
+                or (step == "in" and Path(src).name.endswith(".tmp"))):
+            raise OSError(f"{step} failed")
+        replace(src, dst)
+
+    def failing_unlink(self, missing_ok=False):
+        if step == "unlink" and self == side and self.exists():
+            raise OSError(f"{step} failed")
+        unlink(self, missing_ok=missing_ok)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(Path, "unlink", failing_unlink)
+    with pytest.raises(OSError, match=f"{step} failed"):
+        write_json(target, {"a": 2})
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 _NUMBERS = st.one_of(
     st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
     st.floats(),
@@ -766,6 +876,19 @@ def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_no_rename_goes_over_an_existing_file(tmp_path, renames):
+    config = Path(__file__).resolve().parent.parent / "configs" / "linear1d.json"
+    out = tmp_path / "out"
+    for run in range(2):  # a fresh directory, then every stage again into it
+        for stage in ALL_STAGES:
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert renames, f"run {run} made no rename"
+        assert [dst for dst, existed in renames if existed] == [], f"run {run}"
+        renames.clear()
+    assert _dot_files(out) == []
+    assert output_digests(out) == LINEAR1D_DIGESTS
 
 
 def test_bundled_linear1d_enclosure_holds_gamma(linear1d):

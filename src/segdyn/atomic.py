@@ -9,9 +9,10 @@ temporary file is renamed onto the free name, and the side file is unlinked.
 which cost most of a small pipeline's time.) A process killed between the two
 renames leaves the side file and no target; the side file then holds the
 last complete bytes, the manifest is read from it, and the next write of that
-file consumes it. A side file appears only after such a crash. Nothing here
-calls ``fsync``, so a file is not guaranteed to survive a power loss; the
-ext4 flush only ever guarded against that by accident.
+file consumes it. A side file appears only after such a crash. The next
+write of a file also unlinks the temporary files that killed writes of it
+left. Nothing here calls ``fsync``, so a file is not guaranteed to survive a
+power loss; the ext4 flush only ever guarded against that by accident.
 
 JSON artifacts hold the bytes of ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` plus a final newline. With ``indent`` that call always runs
@@ -26,11 +27,14 @@ is joined from one vocabulary of their decimal strings, and otherwise it is
 written as its ``tolist()``. A 1-D integer array, such as a CSR index
 array, is written as its ``tolist()`` would be, in blocks of items, so no
 list of all its items is built. Only the containers around them are walked
-in Python, and anything else is left to the stdlib encoder. The document is
+in Python, and anything else is left to the stdlib encoder, as are the
+blocks of a list of small records (dicts of scalars and number lists), which
+it writes in fewer Python steps than the pieces would. The document is
 written as a stream of such pieces, never built as one string.
 """
 from __future__ import annotations
 
+import glob
 import json
 import os
 from functools import lru_cache
@@ -46,6 +50,8 @@ _INDENT = "  "
 _NUMBER = frozenset((int, float))
 _SEQUENCE = frozenset((list, tuple))
 _KEY = frozenset((str,))
+_DICT = frozenset((dict,))
+_RECORD_VALUE = frozenset((str, int, float, bool, type(None), list))
 # rows per C-encoder call in a table: blocks of 16 to 256 rows wrote in the
 # same time and at the same benchmark peak memory, 1024-row blocks were
 # slower and peaked higher
@@ -75,10 +81,15 @@ def write_atomic(path, pieces) -> None:
     back under ``path`` and neither file is left. A kill between the renames
     leaves only the side file; the next write consumes it, and a side file
     next to its target (a kill after the second rename) is removed. One
-    writer per file at a time, as the manifest's read-modify-write assumes."""
+    writer per file at a time, as the manifest's read-modify-write assumes,
+    so a temporary file of ``path`` from any process id, ``.<name>.<pid>.tmp``,
+    is a killed write's and is unlinked first."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     side = side_path(path)
+    for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        if stale.name[len(path.name) + 2:-4].isdigit():
+            stale.unlink(missing_ok=True)
     aside = False
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -150,6 +161,14 @@ def _pieces(obj, indent: str):
             yield sep + encode(obj[lo:lo + _ROWS_PER_BLOCK])[2:-2].replace(boundary, rows)
             sep = rows
         yield "\n" + inner + "]\n" + indent + "]"
+    elif _records(obj):
+        # the stdlib text of each block of records, less its brackets and
+        # their line breaks, at this depth
+        sep = "[\n" + inner
+        for lo in range(0, len(obj), _ROWS_PER_BLOCK):
+            yield sep + _stdlib(obj[lo:lo + _ROWS_PER_BLOCK])[4:-2].replace("\n", "\n" + indent)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
     else:
         sep = "[\n" + inner
         for item in obj:
@@ -157,6 +176,20 @@ def _pieces(obj, indent: str):
             yield from _pieces(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "]"
+
+
+def _records(obj: list) -> bool:
+    """Whether obj is a list of dicts of scalars and number lists, such as
+    cover balls or encoded words. It holds no ndarray or number table, so
+    the stdlib encoder writes it, a block of records at a time, in half the
+    time of its pieces."""
+    if set(map(type, obj)) != _DICT:
+        return False
+    values = list(chain.from_iterable(map(dict.values, obj)))
+    if not set(map(type, values)) <= _RECORD_VALUE:
+        return False
+    items = chain.from_iterable(v for v in values if type(v) is list)
+    return set(map(type, items)) <= _NUMBER
 
 
 def _int_table(table, lo: int, hi: int, indent: str):

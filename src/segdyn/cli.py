@@ -41,6 +41,16 @@ from .transitions import (
     sample_itineraries, tensor_to_json, transitions_from_itineraries, transitions_to_json,
 )
 
+try:
+    import resource
+except ImportError:  # not on every platform; the fault counter is then left out
+    resource = None
+
+
+def _minor_faults() -> int | None:
+    """The process's minor page faults so far, or None without ``resource``."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
+
 
 def _load(cfg: PipelineConfig, outdir: Path, stage: str, name: str):
     """One input artifact of a stage. A missing file exits 3; a file that does
@@ -400,11 +410,16 @@ def main(argv=None) -> int:
         # the one place a config changes what a stage reads: in tensor mode,
         # enumerate walks the tensor set instead of the transition table
         tensor_mode = args.command == "enumerate" and cfg.enumerate_mode == "tensor"
+        faults = _minor_faults()
         started = time.perf_counter()
         inputs = [_load(cfg, outdir, args.command, name)
                   for name in ((TENSORS_JSON,) if tensor_mode else stage.reads)]
         extra = stage.fn(cfg, outdir, *inputs)
-        record_stage(outdir, args.command, time.perf_counter() - started, stage.writes,
+        wall = time.perf_counter() - started
+        if faults is not None:
+            # manifest only: the report leaves counters out, so no digest moves
+            extra.setdefault("counters", {})["minor_faults"] = _minor_faults() - faults
+        record_stage(outdir, args.command, wall, stage.writes,
                      tool_version=__version__, rng_seed=cfg.rng_seed,
                      config_echo=cfg.raw, extra=extra)
         return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
 from .errors import BlowupError, CalibrationError, CoverageError, DimensionExplosionError
-from .flow import FlowModel, IntegratorConfig, sample_path, walk_open_rows
+from .flow import _BLOCK_ROWS, FlowModel, IntegratorConfig, sample_path, walk_open_rows
 
 Array = np.ndarray
 
@@ -53,8 +53,6 @@ _PRUNE_MIN_POINTS = 128
 # exceed this many per ball and _MIN_REGISTRATIONS in all
 _BUCKETS_PER_BALL = 64
 _MIN_REGISTRATIONS = 1 << 18
-# calibration walks as many probe clouds at once as fit in this many rows
-_CALIBRATE_ROWS = 1 << 14
 # a calibration pass evaluates as many bisection rounds as keep its walk
 # within this many probe rows, and at least one (BENCH_12.json,
 # speculation_depth)
@@ -408,17 +406,51 @@ def collocate(domain: BoxDomain, resolution: Sequence[int] | int,
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-def _probe_directions(dimension: int, boundary_samples: int, rng: np.random.Generator) -> Array:
-    """Zero vector (the center), the 2d axis points, and random unit vectors."""
-    dirs = [np.zeros((1, dimension))]
+def _probe_directions(n: int, dimension: int, boundary_samples: int, seed: int) -> Array:
+    """The probe directions of n centers, (n, p, d): the zero vector (the
+    center), the 2d axis points, and ``boundary_samples`` random unit
+    vectors, center i's drawn as normals from derive_rng(seed,
+    STREAM_CALIBRATION, i) and normalised row by row."""
+    dirs = np.zeros((n, 1 + 2 * dimension + boundary_samples, dimension))
     eye = np.eye(dimension)
-    dirs.append(eye)
-    dirs.append(-eye)
+    dirs[:, 1:1 + dimension] = eye
+    dirs[:, 1 + dimension:1 + 2 * dimension] = -eye
     if boundary_samples > 0:
-        g = rng.normal(size=(boundary_samples, dimension))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dirs.append(g)
-    return np.concatenate(dirs, axis=0)
+        g = dirs[:, 1 + 2 * dimension:]
+        for i in range(n):
+            g[i] = derive_rng(seed, STREAM_CALIBRATION, i).normal(
+                size=(boundary_samples, dimension))
+        g /= np.linalg.norm(g, axis=2, keepdims=True)
+    return dirs
+
+
+def _clouds_within(centers_t: Array, probes_t: Array, epsilon: float) -> Array:
+    """Whether each cloud's diameter is within epsilon, bitwise
+    ``diameters(clouds) <= epsilon`` for the clouds made of center
+    centers_t[:, i] and then the probes probes_t[:, i], given
+    coordinate-first as (d, n) and (d, n, q).
+
+    The center's distances are pairs of the pairwise search, computed from
+    the same operands. A cloud with one of them above epsilon fails, as
+    does one with a NaN among them. A cloud whose two largest add up to at
+    most epsilon (1 - 1e-9) passes: by the triangle inequality no pair is
+    farther apart, and the slack is far above the rounding of the
+    distances. Between 1e-140 and 1e140 it also covers the absolute error
+    of squares that underflow, and no squared pair distance can overflow;
+    outside that range of epsilon no cloud passes this way. Only the
+    clouds left undecided are searched pairwise (:func:`diameters`).
+    """
+    c2 = _squared_distances(probes_t, centers_t[:, :, None])
+    c2.sort(axis=1)      # a NaN sorts last
+    far = np.sqrt(c2[:, -1])
+    near = np.sqrt(c2[:, -2]) if c2.shape[1] > 1 else 0.0
+    limit = epsilon * (1.0 - 1e-9) if 1e-140 < epsilon < 1e140 else -math.inf
+    out = far + near <= limit
+    rest = np.flatnonzero(~out & (far <= epsilon))
+    if rest.size:
+        clouds = np.concatenate([centers_t[:, rest, None], probes_t[:, rest]], axis=2)
+        out[rest] = diameters(clouds.transpose(1, 2, 0)) <= epsilon
+    return out
 
 
 def _mid_tree(lo: Array, hi: Array, depth: int) -> Array:
@@ -455,16 +487,18 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
 
     The center's orbit is the same for every radius, so it is integrated
     once. A pass walks the other probes of a set of clouds with
-    :func:`~segdyn.flow.walk_open_rows`, a cloud leaving the batch at the
-    first sample time its diameter exceeds epsilon. Pass 1 walks every
-    center's cap radius. Pass 2 walks the floor radius of the centers that
-    failed it, and every pass from pass 2 on carries each still-active
-    center's mids of the next s rounds, as many rounds as fit in
-    ``_SPECULATE_ROWS`` probe rows and at least one; the rounds then replay
-    from those verdicts, so the radii are those of one pass per round. When
-    ``counters`` is given, "bisection_rounds", "probe_passes" and
-    "rows_dropped" (probe rows that stopped before the horizon) are added to
-    it.
+    :func:`~segdyn.flow.walk_open_rows`, whole clouds of at most
+    ``_BLOCK_ROWS`` probe rows at a time, a cloud leaving the batch at the
+    first sample time its diameter exceeds epsilon; most of those verdicts
+    are read off the distances to the center (:func:`_clouds_within`).
+    Pass 1 walks every center's cap radius. Pass 2 walks the floor radius
+    of the centers that failed it, and every pass from pass 2 on carries
+    each still-active center's mids of the next s rounds, as many rounds as
+    fit in ``_SPECULATE_ROWS`` probe rows and at least one; the rounds then
+    replay from those verdicts, so the radii are those of one pass per
+    round. When ``counters`` is given, "bisection_rounds", "probe_passes"
+    and "rows_dropped" (probe rows that stopped before the horizon) are
+    added to it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -474,10 +508,7 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
         raise ValueError(f"need 0 < delta_min < delta_max, got {delta_min}, {delta_max}")
     centers = np.asarray(centers, dtype=float)
     n, d = centers.shape
-    dirs = np.stack([
-        _probe_directions(d, boundary_samples, derive_rng(seed, STREAM_CALIBRATION, i))
-        for i in range(n)
-    ])
+    dirs = _probe_directions(n, d, boundary_samples, seed)
     p = dirs.shape[1]
 
     def blowup(err: BlowupError, center: int) -> BlowupError:
@@ -492,38 +523,37 @@ def calibrate_deltas(model: FlowModel, centers: Array, horizon: float, epsilon: 
     except BlowupError as err:
         raise blowup(err, err.batch_index) from None
     interval = horizon / (time_samples - 1)
-    per_chunk = max(1, _CALIBRATE_ROWS // (p - 1))
+    per_block = max(1, _BLOCK_ROWS // (p - 1))
     tally = {"bisection_rounds": 0, "probe_passes": 0, "rows_dropped": 0}
 
     def feasible(idx: Array, deltas: Array) -> Array:
         """Whether the cloud of radius deltas[i, c] about center idx[i] stays
-        within epsilon, for every column c; one pass, in chunks of clouds."""
+        within epsilon, for every column c; one pass, in blocks of clouds."""
         tally["probe_passes"] += 1
         owner = np.repeat(idx, deltas.shape[1])
         radius = deltas.ravel()
         out = np.empty(owner.size, dtype=bool)
-        for start in range(0, owner.size, per_chunk):
-            part = owner[start:start + per_chunk]
+        for start in range(0, owner.size, per_block):
+            part = owner[start:start + per_block]
             ok = np.ones(part.size, dtype=bool)
 
             def visit(k, rows, y):
                 # rows hold whole clouds, p - 1 probes each, in order
                 live = rows[::p - 1] // (p - 1)
-                clouds = np.concatenate([center_paths[part[live], k][:, None],
-                                         y.reshape(live.size, p - 1, d)], axis=1)
-                failed = ~(diameters(clouds) <= epsilon)
+                failed = ~_clouds_within(center_paths[part[live], k].T,
+                                         y.T.reshape(d, live.size, p - 1), epsilon)
                 ok[live[failed]] = False
                 return np.repeat(failed, p - 1)
 
             probes = (centers[part, None, :]
-                      + radius[start:start + per_chunk, None, None] * dirs[part, 1:])
+                      + radius[start:start + per_block, None, None] * dirs[part, 1:])
             try:
                 tally["rows_dropped"] += walk_open_rows(
                     model, probes.reshape(-1, d), interval, time_samples - 1, cfg, visit,
                     times=times)
             except BlowupError as err:
                 raise blowup(err, int(part[err.batch_index // (p - 1)])) from None
-            out[start:start + per_chunk] = ok
+            out[start:start + per_block] = ok
         return out.reshape(deltas.shape)
 
     def depth(idx: Array, fixed: int) -> int:

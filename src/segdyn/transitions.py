@@ -19,7 +19,7 @@ import numpy as np
 from ._rng import STREAM_TRANSITIONS, derive_rng
 from .cover import Partition, _BallGrid, _squared_distances
 from .errors import BlowupError, SamplingError
-from .flow import FlowModel, IntegratorConfig, walk_open_rows
+from .flow import _BLOCK_ROWS, FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
 
 Array = np.ndarray
@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 _INT64_MAX = 2 ** 63 - 1
-# the row budget of the sampling stage: the rejection sampler takes cells in
-# consecutive groups whose first-round draws, the largest of any round, add
-# up to at most this many points, and the itinerary walk advances this many
-# starts at a time, so its RK4 batches stay cache-sized
-_BLOCK_ROWS = 1 << 13
 # the slack s of the image-ball enclosure (ball_successors): cell m's image
 # is taken as a ball of s times its first-order radius
 ENCLOSURE_SLACK = 1.0
@@ -246,11 +241,14 @@ def _draw_cell_starts(partition: Partition, count: int, rng_seed: int,
             drawn[todo] += m
             stops = np.cumsum(m)
             pts = np.empty((int(stops[-1]), d))
+            u = np.empty(pts.shape[0])
             for i, a, b in zip(todo.tolist(), (stops - m).tolist(), stops.tolist()):
-                u = rngs[i].normal(size=(b - a, d))
-                u /= np.linalg.norm(u, axis=1, keepdims=True)
-                r = radii[lo + i] * rngs[i].random(b - a) ** (1.0 / d)
-                np.add(centers[lo + i], r[:, None] * u, out=pts[a:b])
+                pts[a:b] = rngs[i].normal(size=(b - a, d))
+                u[a:b] = rngs[i].random(b - a)
+            # each row takes the operations its cell's draws would alone
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            pts *= (np.repeat(radii[lo + todo], m) * u ** (1.0 / d))[:, None]
+            pts += centers[np.repeat(lo + todo, m)]
             hits = np.flatnonzero(partition.assign_many(pts) == np.repeat(ids[todo], m))
             n_draws += pts.shape[0]
             n_hits += hits.shape[0]

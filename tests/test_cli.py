@@ -45,6 +45,8 @@ BASE_CONFIG = {
 
 ALL_STAGES = ["calibrate", "segments", "transitions", "encode", "shadow",
               "enumerate", "entropy", "bounds", "report"]
+# the counter cli.main adds to every stage's entry where ``resource`` exists
+FAULTS = {"minor_faults"} if importlib.util.find_spec("resource") else set()
 
 
 def _write_config(tmp_path, overrides=None, name="config.json"):
@@ -292,7 +294,9 @@ def test_no_covered_start_gives_empty_words_and_shadow(tmp_path):
         "requested_length": 6, "per_orbit": [], "requested_points": 20}
     stages = load_manifest(out)["stages"]
     for stage in ("encode", "shadow"):
-        assert stages[stage]["counters"] == {"domain_draws": 1, "covered_starts": 0}
+        counters = stages[stage]["counters"]
+        assert set(counters) == {"domain_draws", "covered_starts"} | FAULTS
+        assert (counters["domain_draws"], counters["covered_starts"]) == (1, 0)
 
 
 def test_single_cell_fixture_has_zero_entropies(tmp_path):
@@ -428,7 +432,8 @@ def test_stray_files_in_the_library_are_not_recorded(tmp_path):
     config = _write_config(tmp_path)
     assert main(["calibrate", "--config", str(config)]) == 0
     out = tmp_path / "out"
-    stray = out / "library" / ".library.json.4242.tmp"  # as a killed write leaves it
+    # a dot file that no artifact write owns, so none removes it
+    stray = out / "library" / ".notes.tmp"
     stray.parent.mkdir()
     stray.write_text("{")
     assert main(["segments", "--config", str(config)]) == 0
@@ -436,6 +441,27 @@ def test_stray_files_in_the_library_are_not_recorded(tmp_path):
         "library/library.json", "library/segments.csv", "max_difference.csv"]
     stray.unlink()
     assert main(["report", "--config", str(config), "--check"]) == 0
+
+
+def test_writes_remove_the_temporary_files_of_killed_writes(tmp_path):
+    # temporary files as writes killed in other processes leave them; the
+    # next write of each target unlinks them, and no output changes
+    config = Path(__file__).resolve().parent.parent / "configs" / "linear1d.json"
+    out = tmp_path / "out"
+    stale = [out / "library" / ".library.json.4242.tmp", out / ".cover.json.4242.tmp"]
+    stale[0].parent.mkdir(parents=True)
+    for path in stale:
+        path.write_text("{")
+    other = out / ".cover.json.x.tmp"   # not a process id: not a write's file
+    other.write_text("{")
+    for stage in ("calibrate", "segments"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    assert _dot_files(out) == [other.name]
+    other.unlink()
+    for stage in ALL_STAGES[2:]:
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    assert _dot_files(out) == []
+    assert output_digests(out) == LINEAR1D_DIGESTS
 
 
 def test_write_killed_between_its_renames_leaves_the_side_file(tmp_path, capsys):
@@ -740,6 +766,26 @@ def test_write_json_writes_the_stdlib_indent_2_bytes(tmp_path_factory, doc):
     assert target.read_bytes() == expected.encode("utf-8")
 
 
+# lists of small records, dicts of scalars and number lists such as cover
+# balls, with record counts on both sides of the encoder's block size, at
+# two depths
+_RECORD = st.dictionaries(_STRINGS, st.one_of(
+    _NUMBERS, st.booleans(), st.none(), _STRINGS, st.lists(_NUMBERS, max_size=3)), max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(_RECORD, min_size=1, max_size=3),
+       count=st.sampled_from([1, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+                              2 * _ROWS_PER_BLOCK + 1]))
+def test_write_json_writes_record_lists_as_the_stdlib(tmp_path_factory, records, count):
+    rows = [records[i % len(records)] for i in range(count)]
+    doc = {"balls": rows, "deeper": {"words": rows[:3], "n": count}}
+    target = tmp_path_factory.mktemp("records") / "doc.json"
+    write_json(target, doc)
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
 # 2-D integer arrays: empty, single-row and block-boundary row counts; small
 # and wide value ranges, negative values and values past 10^12
 _INT_TABLES = st.tuples(
@@ -821,20 +867,24 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
     _, _, out = pipeline
     stages = load_manifest(out)["stages"]
     calibrate = stages["calibrate"]["counters"]
-    assert set(calibrate) == {"bisection_rounds", "probe_passes", "rows_dropped"}
+    assert set(calibrate) == {"bisection_rounds", "probe_passes", "rows_dropped"} | FAULTS
     assert calibrate["bisection_rounds"] > 0
     # the eight LinearDiagonal clouds of 34 probe rows: the cap's pass, the
     # floor's with rounds 1-2, then one pass per three rounds
     assert calibrate["probe_passes"] == 2 + math.ceil((calibrate["bisection_rounds"] - 2) / 3)
     transitions = stages["transitions"]
-    assert set(transitions["counters"]) == {"rows_dropped", "start_draws", "start_hits"}
+    assert set(transitions["counters"]) == {"rows_dropped", "start_draws", "start_hits"} | FAULTS
     # every cell keeps samples_per_cell of its hits; a round may hit more
     assert (transitions["counters"]["start_draws"] >= transitions["counters"]["start_hits"]
             >= transitions["n_cells"] * BASE_CONFIG["samples_per_cell"])
     for stage in ("encode", "shadow"):
         draws = stages[stage]["counters"]
-        assert set(draws) == {"domain_draws", "covered_starts"}
+        assert set(draws) == {"domain_draws", "covered_starts"} | FAULTS
         assert draws["covered_starts"] == 20 and draws["domain_draws"] >= 20
+    # every stage records its minor page faults, a count of the process's own
+    for stage in ALL_STAGES:
+        faults = stages[stage].get("counters", {}).get("minor_faults")
+        assert (type(faults) is int and faults >= 0) if FAULTS else faults is None
     report = read_json(out / "report.json")["stages"]
     assert all("counters" not in entry for entry in report.values())
 

@@ -37,10 +37,10 @@ from segdyn import (
     shadowing_error,
     shadowing_report,
 )
-from segdyn import transitions
+from segdyn import cover, transitions
 from segdyn._rng import STREAM_CALIBRATION, derive_rng
 from segdyn.config import load_config
-from segdyn.cover import _SPECULATE_ROWS, _probe_directions, diameters
+from segdyn.cover import _SPECULATE_ROWS, _clouds_within, diameters
 from segdyn.flow import sample_path, walk_open_rows
 from segdyn.transitions import _draw_cell_starts, cell_itineraries
 
@@ -106,12 +106,23 @@ def ref_sample_path(model, states, horizon, n_samples, cfg):
     return times, out
 
 
+def ref_probe_directions(dimension, boundary_samples, rng):
+    """One center's probe directions: the zero vector (the center), the 2d
+    axis points, and random unit vectors."""
+    dirs = [np.zeros((1, dimension)), np.eye(dimension), -np.eye(dimension)]
+    if boundary_samples > 0:
+        g = rng.normal(size=(boundary_samples, dimension))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        dirs.append(g)
+    return np.concatenate(dirs, axis=0)
+
+
 def ref_calibrate_deltas(model, centers, horizon, epsilon, cfg, boundary_samples, *,
                          delta_max, delta_min=1e-9, time_samples=17, rel_tol=0.01, seed=0):
     centers = np.asarray(centers, dtype=float)
     n, d = centers.shape
-    dirs = np.stack([_probe_directions(d, boundary_samples,
-                                       derive_rng(seed, STREAM_CALIBRATION, i))
+    dirs = np.stack([ref_probe_directions(d, boundary_samples,
+                                          derive_rng(seed, STREAM_CALIBRATION, i))
                      for i in range(n)])
 
     def evolved_diameters(c, deltas, dr):
@@ -352,6 +363,35 @@ def test_walker_drops_decided_quadratic_rows(rotation2d, cfg):
         assert np.array_equal(y, path[rows, k])
 
 
+def test_walker_blowup_after_compaction_names_the_callers_row():
+    # dx/dt = 40 x: the even rows leave at t = 0, before the walk's buffers
+    # exist, and rows 1, 3 and 11 at t = 0.4, so the open rows are compacted
+    # in place; row 11 would overflow near t = 0.6 had it stayed. Rows 7 and
+    # 9 overflow in the interval (1.4, 1.6], 7 a few substeps first, and the
+    # error names the caller's row 7 at the time the reference integration
+    # of those two rows finds
+    model = LinearDiagonal(rates=[-40.0])
+    states = np.full((20, 1), 1e-3)
+    states[7], states[9], states[11] = 1e280, 1e279, 1e295
+    times = np.linspace(0.0, 2.0, 11)
+    cfg = IntegratorConfig(step=0.01)
+    seen = []
+
+    def visit(k, rows, y):
+        seen.append(rows.tolist())
+        if k == 0:
+            return rows % 2 == 0
+        return np.isin(rows, [1, 3, 11]) if k == 2 else None
+
+    with pytest.raises(BlowupError) as exc:
+        walk_open_rows(model, states, 0.2, 10, cfg, visit, times=times)
+    with pytest.raises(BlowupError) as ref:
+        ref_sample_path(model, states[[7, 9]], 2.0, 11, cfg)
+    assert seen[3] == [5, 7, 9, 13, 15, 17, 19] and len(seen) == 8
+    assert exc.value.batch_index == 7 and ref.value.batch_index == 0
+    assert exc.value.time == ref.value.time and 1.4 < exc.value.time < 1.6
+
+
 # ---- calibration --------------------------------------------------------
 
 def test_calibrate_matches_reference_on_the_bench_grid():
@@ -490,6 +530,74 @@ def test_calibrate_mixes_cap_feasible_and_bisected_centers(model_name, cfg):
     ref = ref_calibrate_deltas(model, centers, 0.5, epsilon, cfg, 4, **kwargs)
     assert np.array_equal(radii, ref)
     assert np.any(radii == 0.1) and np.any(radii < 0.1)
+
+
+@pytest.mark.parametrize("block_rows", [7, 64])
+@pytest.mark.parametrize("kind,wide", [("lorenz", True), ("lorenz", False),
+                                       ("quadratic", False), ("linear", True)])
+def test_calibrate_walks_its_clouds_in_blocks(kind, wide, block_rows):
+    # every cap cloud is wider than epsilon at t = 0, so every center
+    # bisects; a pass's clouds are split across blocks of 7 or 64 probe rows,
+    # and a wide cloud is a block alone
+    model, centers, boundary = _calibration_case(kind, wide, np.random.default_rng(11))
+    cfg = IntegratorConfig(step=0.02)
+    kwargs = dict(delta_max=0.5, delta_min=1e-4, time_samples=3, seed=5)
+    ref = ref_calibrate_deltas(model, centers, 0.2, 0.8, cfg, boundary, **kwargs)
+    counters = {}
+    with mock.patch.object(cover, "_BLOCK_ROWS", block_rows):
+        radii = calibrate_deltas(model, centers, 0.2, 0.8, cfg, boundary, counters=counters,
+                                 **kwargs)
+    assert np.array_equal(radii, ref) and np.all(radii < 0.4)
+    assert counters["rows_dropped"] > 0
+
+
+@pytest.mark.parametrize("block_rows", [7, 64])
+def test_calibration_floor_failure_in_blocks(block_rows):
+    # dx/dt = 3 x spreads a floor cloud of radius 0.2 past epsilon = 0.5
+    # after t = 0; the error names the same center as the reference's
+    model = LinearDiagonal(rates=[-3.0])
+    centers = np.linspace(-1.0, 1.0, 9)[:, None]
+    cfg = IntegratorConfig(step=0.01)
+    kwargs = dict(delta_max=1.0, delta_min=0.2, time_samples=5, seed=2)
+    with pytest.raises(CalibrationError) as ref:
+        ref_calibrate_deltas(model, centers, 1.0, 0.5, cfg, 3, **kwargs)
+    with mock.patch.object(cover, "_BLOCK_ROWS", block_rows), \
+            pytest.raises(CalibrationError) as exc:
+        calibrate_deltas(model, centers, 1.0, 0.5, cfg, 3, **kwargs)
+    assert str(exc.value) == str(ref.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(2, 40), d=st.sampled_from([1, 2, 3, 9]), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), epsilon=st.floats(1e-3, 1e3),
+       shape=st.sampled_from(["spread", "at_epsilon", "half_epsilon", "nan"]))
+def test_center_distance_verdicts_match_the_diameters(p, d, n, seed, epsilon, shape):
+    # clouds about the origin: spread ones pass, fail and stay undecided;
+    # "at_epsilon" puts two points exactly epsilon apart and "half_epsilon"
+    # every probe on the axes at epsilon / 2, both in the slack band that
+    # only the pairwise scan decides; a NaN must fail
+    rng = np.random.default_rng(seed)
+    clouds = rng.normal(size=(n, p, d)) * rng.uniform(0.05, 0.8, size=(n, 1, 1)) * epsilon
+    clouds[:, 0] = 0.0
+    if shape == "at_epsilon":
+        # probes within 0.4 epsilon of the center, and the last one epsilon
+        # from the center (p = 2) or from the first probe
+        clouds[:, 1:] *= 0.4 * epsilon / np.max(np.linalg.norm(clouds[:, 1:], axis=2))
+        clouds[:, -1] = 0.0
+        clouds[:, -1, 0] = epsilon / 2 if p > 2 else epsilon
+        if p > 2:
+            clouds[:, 1] = -clouds[:, -1]
+    elif shape == "half_epsilon":
+        axis = rng.integers(0, d, size=(n, p - 1))
+        sign = rng.choice([-1.0, 1.0], size=(n, p - 1))
+        clouds[:, 1:] = 0.0
+        np.put_along_axis(clouds[:, 1:], axis[:, :, None], (sign * epsilon / 2)[:, :, None],
+                          axis=2)
+    elif shape == "nan":
+        clouds[rng.integers(n), rng.integers(p), rng.integers(d)] = np.nan
+    xt = np.ascontiguousarray(clouds.transpose(2, 0, 1))
+    got = _clouds_within(xt[:, :, 0], xt[:, :, 1:], epsilon)
+    assert np.array_equal(got, diameters(clouds) <= epsilon)
 
 
 @pytest.mark.parametrize("model_name", ["linear", "quadratic"])

@@ -334,32 +334,22 @@ def _rk4_kernel(model, yt: Array, dt: float):
     return step
 
 
-class _NonFinite(Exception):
-    """A walk's batch turned non-finite within a block of substeps."""
-
-
-def _checked_steps(step, y: Array, n_steps: int, dt: float, t_start: float,
-                   exact: bool = True) -> None:
+def _checked_steps(step, y: Array, y0: Array, n_steps: int, dt: float, t_start: float) -> None:
     """n_steps calls of step, which advances the (d, M) batch y by dt in
     place, checking finiteness every _FINITE_CHECK_EVERY substeps.
 
-    When exact, each block starts from a copy of y, and a block that ends
-    non-finite is rerun from it one checked substep at a time, so the
-    BlowupError names the substep and the first row exactly. Otherwise no
-    copy is kept, and such a block raises _NonFinite.
+    Each block starts by copying y into y0, a buffer of its shape, and a
+    block that ends non-finite is rerun from it one checked substep at a
+    time, so the BlowupError names the substep and the first row exactly.
     """
-    y0 = np.empty_like(y) if exact else None
     # overflow surfaces as a non-finite state, caught below; silence the
     # intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for block in range(0, n_steps, _FINITE_CHECK_EVERY):
-            if exact:
-                np.copyto(y0, y)
+            np.copyto(y0, y)
             for _ in range(min(_FINITE_CHECK_EVERY, n_steps - block)):
                 step()
             if not np.all(np.isfinite(y)):
-                if not exact:
-                    raise _NonFinite
                 np.copyto(y, y0)
                 for i in range(block, n_steps):
                     step()
@@ -373,7 +363,7 @@ def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: floa
     """n_steps RK4 substeps of dt from the (M, d) batch states, into a new
     array; states itself is never written."""
     yt = states.T.copy()
-    _checked_steps(_rk4_kernel(model, yt, dt), yt, n_steps, dt, t_start)
+    _checked_steps(_rk4_kernel(model, yt, dt), yt, np.empty_like(yt), n_steps, dt, t_start)
     return np.ascontiguousarray(yt.T)
 
 
@@ -387,16 +377,16 @@ def _as_batch(model: FlowModel, states) -> Array:
 class _LiveRows:
     """The live states of one walk (:func:`walk_open_rows`), held
     coordinate-first as a (d, width) view of the first d * width entries of
-    a buffer allocated once, beside a spare of the same size that dropping
-    rows gathers the survivors into. ``states`` is their (width, d) view.
+    a buffer allocated once, beside a spare of the same size. ``states`` is
+    their (width, d) view. The spare holds the finiteness check's copy
+    while the rows advance, and dropping rows gathers the survivors into it.
 
     RK4's stage, acc and k are allocated for each interval and freed before
     the walk's visit, which can then reuse their memory: held through the
-    visits too, they raised the benchmark's peak resident set by 0.3 MB and
-    saved no time. No copy is kept for the finiteness check: a block of
-    substeps that ends non-finite raises _NonFinite."""
+    visits too, they raised the benchmark's peak resident set by 0.36 MB
+    and saved no time."""
 
-    def __init__(self, model: FlowModel, states: Array):
+    def __init__(self, states: Array):
         m, d = states.shape
         self.dimension = d
         self.buffers = list(np.empty((2, m * d)))
@@ -405,6 +395,7 @@ class _LiveRows:
 
     def _resize(self, width: int) -> None:
         self.yt = self.buffers[0][:self.dimension * width].reshape(self.dimension, width)
+        self.spare = self.buffers[1][:self.dimension * width].reshape(self.dimension, width)
         self.states = self.yt.T
 
     def keep(self, cols: Array) -> None:
@@ -423,8 +414,7 @@ def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfi
 
     ``_live`` is a walk's own buffers, whose ``states`` view is passed as
     states: the batch is then advanced in those buffers, in place, and
-    states is returned; a non-finite state raises _NonFinite, not a
-    BlowupError."""
+    states is returned."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     states = _as_batch(model, states)
@@ -432,8 +422,8 @@ def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfi
         return states if _live is not None else states.copy()
     n = _substep_count(t, cfg.step)
     if _live is not None:
-        _checked_steps(_rk4_kernel(model, _live.yt, t / n), _live.yt, n, t / n, t_start,
-                       exact=False)
+        _checked_steps(_rk4_kernel(model, _live.yt, t / n), _live.yt, _live.spare, n, t / n,
+                       t_start)
         return states
     return _rk4(model, states, t / n, n, t_start=t_start)
 
@@ -487,16 +477,13 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     coordinate-first and moved to the front as rows leave, and from k = 1
     on y is an (M, d) view of them, valid only during the visit. Each
     interval is one :func:`advance_many` call with the substeps of
-    :func:`sample_path`. The walk keeps no copy to rerun a non-finite block
-    from, so a blow-up integrates the open rows again from their starts
-    through the checked path, bitwise as in the walk; the BlowupError names
-    the caller's row and the time counted from times[k - 1], which
-    defaults to (k - 1) * interval, so the time is the orbit's, not the
-    interval's. A caller that walks its rows in blocks offsets the row
-    itself; when rows of several blocks blow up, the first such block's row
-    is named, and the exit code stays 2. Returns the number of rows that
-    left the batch before the last grid point; an empty batch is never
-    visited.
+    :func:`sample_path`; a BlowupError there names the caller's row and
+    the time counted from times[k - 1], which defaults to
+    (k - 1) * interval, so the time is the orbit's, not the interval's. A
+    caller that walks its rows in blocks offsets the row itself; when rows
+    of several blocks blow up, the first such block's row is named, and the
+    exit code stays 2. Returns the number of rows that left the batch
+    before the last grid point; an empty batch is never visited.
     """
     if not 0 <= interval < math.inf:
         raise ValueError(f"interval must be nonnegative and finite, got {interval}")
@@ -505,9 +492,6 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
         return 0
     rows = np.arange(y.shape[0])
 
-    def start(j: int) -> float:
-        return (j - 1) * interval if times is None else times[j - 1]
-
     # allocated once the rows still open after t = 0 are known, so that the
     # first visit runs beside no buffer
     live = None
@@ -515,19 +499,12 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     for k in range(n_intervals + 1):
         if k:
             if live is None:
-                live = _LiveRows(model, y)
+                live = _LiveRows(y)
                 y = live.states
             try:
-                try:
-                    advance_many(model, y, interval, cfg, t_start=start(k), _live=live)
-                except _NonFinite:
-                    # the replay raises at the exact substep and row; were it
-                    # to come through, its states carry the walk on
-                    y = _as_batch(model, states)[rows]
-                    for j in range(1, k + 1):
-                        y = advance_many(model, y, interval, cfg, t_start=start(j))
-                    live = _LiveRows(model, y)
-                    y = live.states
+                advance_many(model, y, interval, cfg,
+                             t_start=(k - 1) * interval if times is None else times[k - 1],
+                             _live=live)
             except BlowupError as err:
                 raise BlowupError(time=err.time, batch_index=int(rows[err.batch_index])) from None
         done = visit(k, rows, y)

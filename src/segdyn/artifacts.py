@@ -139,7 +139,7 @@ class Reader(NamedTuple):
 READERS = {
     COVER_JSON: Reader("cover", lambda p: cover_from_json(read_json(p))),
     LIBRARY_DIR: Reader("segment library", lambda p: load_library(p),
-                        (f"{LIBRARY_DIR}/library.json", f"{LIBRARY_DIR}/segments.csv")),
+                        (f"{LIBRARY_DIR}/library.json", f"{LIBRARY_DIR}/segments.npy")),
     MAX_DIFFERENCE_CSV: Reader("max-difference profile",
                                lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)),
     TRANSITIONS_JSON: Reader("transition table", lambda p: transitions_from_json(read_json(p))),

@@ -71,9 +71,11 @@ def side_path(path) -> Path:
 
 
 def write_atomic(path, pieces) -> None:
-    """Write the strings ``pieces`` to ``path`` through a temporary file in the
-    same directory that takes the name ``path`` only once it is complete.
-    Newlines are written as given.
+    """Write ``pieces`` to ``path`` through a temporary file in the same
+    directory that takes the name ``path`` only once it is complete. A piece
+    is a string, written as UTF-8 with its newlines as given, or a bytes-like
+    object (bytes, a C-contiguous ndarray), whose bytes are written as they
+    are.
 
     No rename goes over an existing file: an existing ``path`` is renamed to
     ``side_path(path)``, the temporary file onto the free ``path``, and the
@@ -92,8 +94,8 @@ def write_atomic(path, pieces) -> None:
             stale.unlink(missing_ok=True)
     aside = False
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        with open(tmp, "wb") as fh:
+            fh.writelines(p.encode("utf-8") if type(p) is str else p for p in pieces)
         if path.exists():
             side.unlink(missing_ok=True)
             os.replace(path, side)

@@ -2,16 +2,20 @@
 
 Segment n starts at cover center n and is sampled on a uniform grid over
 [0, T]; every segment in a library shares the same grid.
+
+A saved library is a directory of two files: ``library.json``, the metadata
+and the K grid times as JSON numbers, and ``segments.npy``, the (N, K, d)
+states as one NPY v1.0 array of little-endian float64 in C order, written
+from the array's buffer and read back into one, so both round-trip bitwise.
+Any NPY reader reads the states: ``np.load(path, allow_pickle=False)``.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-import warnings
+import os
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +37,9 @@ __all__ = [
 ]
 
 _LIBRARY_JSON = "library.json"
-_SEGMENTS_CSV = "segments.csv"
-# rows of segments.csv per written block
-_CSV_ROWS = 1 << 12
+_SEGMENTS_NPY = "segments.npy"
+# the one layout segments.npy holds: little-endian float64
+_DTYPE = "<f8"
 
 
 @dataclass(eq=False)
@@ -116,7 +120,9 @@ def max_difference(lib: SegmentLibrary) -> Array:
 
 
 def save_library(lib: SegmentLibrary, directory) -> None:
-    """Persist as library.json (metadata) plus segments.csv (samples)."""
+    """Persist as library.json (metadata and the time grid) plus segments.npy
+    (the states: one NPY v1.0 array, little-endian float64, C order, shape
+    (N, K, d)), which ``np.load(path, allow_pickle=False)`` reads."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -127,96 +133,65 @@ def save_library(lib: SegmentLibrary, directory) -> None:
         "epsilon": None if math.isnan(lib.epsilon) else lib.epsilon,
         "model_id": lib.model_id,
         "integrator_step": lib.step,
+        "times": lib.times.tolist(),
     }
     write_json(directory / _LIBRARY_JSON, meta)
-    header = ",".join(["cell", "k", "t"] + [f"coord_{i}" for i in range(lib.dimension)])
-    write_atomic(directory / _SEGMENTS_CSV, chain((header + "\r\n",), _segment_rows(lib)))
+    states = np.ascontiguousarray(lib.states, dtype=_DTYPE)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": _DTYPE, "fortran_order": False, "shape": states.shape})
+    write_atomic(directory / _SEGMENTS_NPY, (header.getvalue(), states))
 
 
-def _segment_rows(lib: SegmentLibrary):
-    """The rows of segments.csv, about _CSV_ROWS at a time, in the bytes
-    csv.writer would write: fields are reprs, which it never quotes, and
-    rows end in \r\n."""
-    times = [repr(t) for t in lib.times.tolist()]
-    cells = max(1, _CSV_ROWS // max(1, lib.n_times))
-    for lo in range(0, lib.n_segments, cells):
-        yield "".join(f"{n},{k},{times[k]}," + ",".join(map(repr, state)) + "\r\n"
-                      for n, segment in enumerate(lib.states[lo:lo + cells].tolist(),
-                                                  start=lo + 1)
-                      for k, state in enumerate(segment))
-
-
-def _lines(fh) -> int:
-    """The lines of a text file, read from its start in blocks: its line
-    breaks, plus one for a last line without one."""
-    fh.seek(0)
-    breaks, last = 0, ""
-    for block in iter(lambda: fh.read(1 << 16), ""):
-        breaks += block.count("\n")
-        last = block[-1]
-    return breaks + (last != "\n")
-
-
-def _first_unparsable_row(path: Path, fields: int) -> None:
-    """Raise a ValueError naming the first row of segments.csv that has the
-    wrong number of fields or a field that is not a number."""
-    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
-    next(reader, None)
-    for line, row in enumerate(reader, start=2):
-        if len(row) != fields:
-            raise ValueError(f"segments.csv line {line}: {len(row)} fields, expected {fields}")
-        [float(v) for v in row]
+def _read_states(path: Path, shape: tuple) -> Array:
+    """The states array of segments.npy, which must be an NPY v1.0 file of a
+    little-endian float64 C-order array of ``shape`` and nothing after it."""
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"NPY version {version[0]}.{version[1]}, not 1.0")
+            stored, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as err:
+            raise ValueError(f"segments.npy: {err}") from None
+        if dtype.str != _DTYPE or fortran:
+            raise ValueError(f"segments.npy holds {dtype.str} in "
+                             f"{'Fortran' if fortran else 'C'} order, not {_DTYPE} in C order")
+        if stored != shape:
+            raise ValueError(f"segments.npy has shape {stored}, library.json says {shape}")
+        states = np.empty(shape, dtype=_DTYPE)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != states.nbytes:
+            raise ValueError(f"segments.npy holds {size} data bytes, not {states.nbytes}")
+        fh.readinto(states)
+    return states
 
 
 def load_library(directory) -> SegmentLibrary:
-    """Read a saved library. segments.csv must hold every (cell, k) row
-    exactly once, with 3 + d fields each; anything else is a ValueError."""
+    """Read a saved library. library.json must give the shape (N, K, d) as
+    JSON integers and K finite times as JSON numbers; segments.npy must hold
+    exactly that array (see save_library), every sample finite. Anything
+    else is a ValueError."""
     directory = Path(directory)
     with open(directory / _LIBRARY_JSON, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    n, k, d = meta["n_cells"], meta["segment_samples"], meta["dimension"]
-    path = directory / _SEGMENTS_CSV
-    with open(path, "r", encoding="utf-8") as fh:
-        header = next(csv.reader([fh.readline().partition("\n")[0]]), [])
-        if header[:3] != ["cell", "k", "t"]:
-            raise ValueError(f"unexpected segments.csv header: {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            _first_unparsable_row(path, 3 + d)
-            raise
-        rows = _lines(fh) - 1
-    # loadtxt skips blank lines; each one is a row of 0 fields
-    if data.shape[0] != rows:
-        _first_unparsable_row(path, 3 + d)
-    if data.size == 0:
-        data = data.reshape(0, 3 + d)
-    elif data.shape[1] != 3 + d:
-        raise ValueError(f"segments.csv line 2: {data.shape[1]} fields, expected {3 + d}")
-    cell, kk = data[:, 0], data[:, 1]
-    valid = ((cell == np.floor(cell)) & (kk == np.floor(kk))
-             & (1 <= cell) & (cell <= n) & (0 <= kk) & (kk < k))
-    row = np.where(valid, (cell - 1) * k + kk, -1.0 - np.arange(data.shape[0]))
-    order = np.argsort(row, kind="stable")
-    # a repeat is every occurrence of a (cell, k) row after its first
-    valid[order[1:][row[order[1:]] == row[order[:-1]]]] = False
-    if not valid.all():
-        bad = int(np.flatnonzero(~valid)[0])
-        raise ValueError(f"segments.csv line {bad + 2}: (cell {cell[bad]:g}, k {kk[bad]:g}) "
-                         f"is out of range or repeated")
-    if data.shape[0] != n * k:
-        raise ValueError(f"segments.csv holds {data.shape[0]} of the {n * k} (cell, k) rows")
-    cells, ks = cell.astype(np.int64) - 1, kk.astype(np.int64)
-    states = np.empty((n, k, d))
-    times = np.empty(k)
-    times[ks] = data[:, 2]
-    states[cells, ks] = data[:, 3:]
+    shape = (meta["n_cells"], meta["segment_samples"], meta["dimension"])
+    if not all(type(v) is int and v >= 0 for v in shape):
+        raise ValueError(f"library.json shape {shape} is not three nonnegative JSON integers")
+    times = meta["times"]
+    if (type(times) is not list or len(times) != shape[1]
+            or not set(map(type, times)) <= {int, float} or not np.isfinite(times).all()):
+        raise ValueError(f"library.json times are not {shape[1]} finite JSON numbers")
+    states = _read_states(directory / _SEGMENTS_NPY, shape)
+    finite = np.isfinite(states)
+    if not finite.all():
+        n, k, i = np.argwhere(~finite)[0]
+        raise ValueError(f"segments.npy: cell {n + 1}, sample {k}, coordinate {i} "
+                         f"is {states[n, k, i]}")
     eps = meta["epsilon"]
     return SegmentLibrary(
-        cells=np.arange(1, n + 1),
-        times=times,
+        cells=np.arange(1, shape[0] + 1),
+        times=np.array(times, dtype=float),
         states=states,
         horizon=float(meta["horizon"]),
         epsilon=math.nan if eps is None else float(eps),
@@ -226,6 +201,7 @@ def load_library(directory) -> SegmentLibrary:
 
 
 def write_max_difference_csv(path, times: Array, values: Array) -> None:
-    """t, M_d rows, in the bytes csv.writer would write (see save_library)."""
+    """t, M_d rows, in the bytes csv.writer would write: fields are reprs,
+    which it never quotes, and rows end in \\r\\n."""
     rows = zip(np.asarray(times, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
     write_atomic(path, ["t,M_d\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows)])

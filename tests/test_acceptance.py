@@ -307,14 +307,15 @@ def run1_outputs(run1):
 
 
 # every output of configs/lorenz.json but manifest.json, which holds wall
-# times; bounds writes no file
+# times; bounds writes no file; the library's files re-pinned when
+# segments.npy replaced segments.csv and library.json gained the times
 LORENZ_DIGESTS = {
     "cover.json": "10f8c2c0a89452b0e8b2873c1cf7b67ad2edd45338e625cc1ae0e98be58feace",
     "enclosure.json": "2f940b5e7fd90fcc406f993d291a1e81eaec280f102f4a924839f02405822fec",
     "entropy.json": "4c266af7def26cf8ccf9581e3c0b1027e99238ab1bd4f419b9cf499aca5c90e5",
     "enumeration.json": "bcac4df571baf7011768687d490e7c0dd55b3b85e18b0cfea3f11ebf266617d5",
-    "library/library.json": "1874b931adaf88224daad4fc5668bc84738e2f18a31982e41b18919192de7089",
-    "library/segments.csv": "5c668d8947d1b6262543bd27af60bac0887ac57f8e23f6cd2ddaef9d3992b7d7",
+    "library/library.json": "38b981d32421982c2c2f337ef0a3f0cc7678f63edcb9874639ff94213e294634",
+    "library/segments.npy": "053dc4ae1fd87c2806425722256c5a32d018281c66c5d2dd7d6cd0e65c8a8a99",
     "max_difference.csv": "f2c5023c9c8ecb0ebc8dfa78bbae60b2f5a746a0f4717182e8de0b27a956ad27",
     "report.json": "6d2ee22508147f452fb9ab545b70c1fdf499612af4cdb8d9ba67e67f5326a29b",
     "shadow_report.json": "e85dc9a685c2a831aa48af020d4533d084b5356a7fa8de8a05c4fb830872beb3",

@@ -69,7 +69,7 @@ def pipeline(tmp_path_factory):
 
 def test_pipeline_writes_all_artifacts(pipeline):
     _, _, out = pipeline
-    for name in ["cover.json", "library/library.json", "library/segments.csv",
+    for name in ["cover.json", "library/library.json", "library/segments.npy",
                  "max_difference.csv", "transitions.json", "enclosure.json", "tensors.json",
                  "words.json", "shadow_report.json", "enumeration.json",
                  "entropy.json", "bounds.json", "report.json", "manifest.json"]:
@@ -187,17 +187,17 @@ STAGE_INPUTS = [
     ("segments", "cover.json", "markov"),
     ("transitions", "cover.json", "markov"),
     ("transitions", "library/library.json", "markov"),
-    ("transitions", "library/segments.csv", "markov"),
+    ("transitions", "library/segments.npy", "markov"),
     ("encode", "cover.json", "markov"),
     ("shadow", "cover.json", "markov"),
     ("shadow", "library/library.json", "markov"),
-    ("shadow", "library/segments.csv", "markov"),
+    ("shadow", "library/segments.npy", "markov"),
     ("enumerate", "transitions.json", "markov"),
     ("enumerate", "tensors.json", "tensor"),
     ("entropy", "cover.json", "markov"),
     ("entropy", "transitions.json", "markov"),
     ("bounds", "library/library.json", "markov"),
-    ("bounds", "library/segments.csv", "markov"),
+    ("bounds", "library/segments.npy", "markov"),
     ("bounds", "transitions.json", "markov"),
 ]
 
@@ -438,7 +438,7 @@ def test_stray_files_in_the_library_are_not_recorded(tmp_path):
     stray.write_text("{")
     assert main(["segments", "--config", str(config)]) == 0
     assert sorted(load_manifest(out)["stages"]["segments"]["outputs"]) == [
-        "library/library.json", "library/segments.csv", "max_difference.csv"]
+        "library/library.json", "library/segments.npy", "max_difference.csv"]
     stray.unlink()
     assert main(["report", "--config", str(config), "--check"]) == 0
 
@@ -559,10 +559,24 @@ def _sparse_with_first_triplet(triplet):
     return _edit_json(edit)
 
 
-def _edit_lines(edit):
+def _edit_bytes(edit):
     def apply(path):
-        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        path.write_bytes(edit(path.read_bytes()))
     return apply
+
+
+def _edit_states(edit):
+    """Save edit(states) over an .npy file as np.save writes it."""
+    def apply(path):
+        np.save(path, edit(np.load(path)), allow_pickle=True)
+    return apply
+
+
+def _with_nan_at(index):
+    def edit(states):
+        states[index] = np.nan
+        return states
+    return edit
 
 
 @pytest.mark.parametrize("target, named, corrupt, mode, stages, message", [
@@ -588,29 +602,42 @@ def _edit_lines(edit):
      "tensor", ["enumerate"],
      "is not a readable tensor set: "
      "ValueError('tuples entry 0: [true, 2, 4] is not a list of integer cell ids')"),
-    ("library/segments.csv", "library", _edit_lines(lambda lines: lines[:-3]),
-     "markov", ["shadow", "bounds"],
-     "is not a readable segment library: ValueError('segments.csv holds 69 of the 72 "
-     "(cell, k) rows')"),
-    ("library/segments.csv", "library", _edit_lines(lambda lines: lines[:-1] + lines[1:2]),
-     "markov", ["shadow", "bounds"],
-     "is not a readable segment library: ValueError('segments.csv line 73: (cell 1, k 0) "
-     "is out of range or repeated')"),
-    ("library/segments.csv", "library",
-     _edit_lines(lambda lines: [lines[0], "0" + lines[1][1:]] + lines[2:]),
-     "markov", ["shadow", "bounds"],
-     "is not a readable segment library: ValueError('segments.csv line 2: (cell 0, k 0) "
-     "is out of range or repeated')"),
-    ("library/segments.csv", "library",
-     _edit_lines(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
-     "markov", ["shadow", "bounds"],
-     "is not a readable segment library: ValueError('segments.csv line 2: 3 fields, "
-     "expected 4')"),
-    ("library/segments.csv", "library",
-     _edit_lines(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",abc\n"] + lines[2:]),
-     "markov", ["shadow", "bounds"],
-     "is not a readable segment library: ValueError(\"could not convert string to float: "
-     "'abc'\")"),
+    ("library/segments.npy", "library", _edit_bytes(lambda raw: raw[:-8]),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy holds 568 data bytes, not 576')"),
+    ("library/segments.npy", "library", _edit_bytes(lambda raw: raw + raw[-8:]),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy holds 584 data bytes, not 576')"),
+    ("library/segments.npy", "library", _edit_bytes(lambda raw: b""),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy: EOF: reading magic string, expected 8 bytes got 0')"),
+    ("library/segments.npy", "library", _edit_states(lambda s: s.astype(">f8")),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy holds >f8 in C order, not <f8 in C order')"),
+    ("library/segments.npy", "library", _edit_states(lambda s: s.astype(object)),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy holds |O in C order, not <f8 in C order')"),
+    ("library/segments.npy", "library", _edit_states(np.asfortranarray),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy holds <f8 in Fortran order, not <f8 in C order')"),
+    ("library/segments.npy", "library", _edit_states(lambda s: s[:-1]),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy has shape (7, 9, 1), library.json says (8, 9, 1)')"),
+    ("library/segments.npy", "library", _edit_states(_with_nan_at((2, 3, 0))),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('segments.npy: cell 3, sample 3, coordinate 0 is nan')"),
+    ("library/library.json", "library", _edit_json(lambda d: d["times"].__setitem__(2, None)),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('library.json times are not 9 finite JSON numbers')"),
     ("transitions.json", "transitions.json", _sparse_with_first_triplet([1, 2, 2.5]),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
@@ -652,8 +679,9 @@ def _edit_lines(edit):
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: ValueError('format \"dense\" is not \"sparse\"')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
-        "symbol-out-of-range", "boolean-symbol", "truncated-csv", "repeated-csv-row",
-        "csv-cell-out-of-range", "short-csv-row", "malformed-csv-row", "fractional-count",
+        "symbol-out-of-range", "boolean-symbol", "truncated-npy", "over-long-npy",
+        "empty-npy", "big-endian-npy", "pickled-npy", "fortran-order-npy",
+        "npy-shape-not-library-json", "nan-sample", "null-time", "fractional-count",
         "string-col", "string-p-value",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
         "n_cells-not-escapes", "n_cells-not-table-side", "transitions-n_cells-not-int",
@@ -894,15 +922,17 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
 # transitions.json when (row, col, value) triplets became its only form, and
 # again when the gradient-ball rule moved out of it; enclosure.json and
 # report.json when the image-ball enclosure replaced that rule and the report
-# gained enclosure_misses; manifest.json holds wall times, so it is left out
+# gained enclosure_misses; the library's files when segments.npy replaced
+# segments.csv and library.json gained the times; manifest.json holds wall
+# times, so it is left out
 LINEAR1D_DIGESTS = {
     "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
     "cover.json": "fec37611c9674cb66080d0faefb939764a40485799b985695c3a2baf0ae2072e",
     "enclosure.json": "5e93c1c06ebf6d2bd932ac9b521afe79727a3bd8a6585dc68c0efee4c59eb001",
     "entropy.json": "bf1c2b8bc36aa1d89ffa4b2b565c9d4f90945fdb09f535c00eeaebaf7817b07f",
     "enumeration.json": "b0d03a54969f29d0acbbd6d86518a01609898e7c935671601554a298d76238bb",
-    "library/library.json": "62fec790033700ce40a30487edca657eae69472af3d990ee5c86919893942600",
-    "library/segments.csv": "5804f84f976cbd4f848981e863480093da9d1fac87ee26d540d951e3048b99f8",
+    "library/library.json": "e3688b769c4f84f86bd38d4d9baba9a7d33b714fc691bf4ccec6335571b8d089",
+    "library/segments.npy": "33faf16648cbd1058f7b8d884fca0272e59f83ae69613250a6ba0e89e845db4f",
     "max_difference.csv": "81fd9d2c7e531ad4bb40a7aa1c7dbcce0503bc1563b8b3f62ef7b25f2dafdeba",
     "report.json": "5b51c0c8c0601a47548bd89a650734afa3eabb46e74e75327b29630022aa89a2",
     "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",

@@ -1,8 +1,14 @@
 import csv
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from segdyn import (
     BlowupError,
@@ -110,20 +116,99 @@ def test_library_persistence_roundtrip(lorenz, cfg, tmp_path):
     assert back.step == cfg.step
 
 
+_SPECIAL = [-0.0, 0.0, 5e-324, -2.0 ** -1060, 1e300, -1e300, 1.0 / 3.0, 0.1 + 0.2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))),
+        st.lists(st.one_of(st.sampled_from(_SPECIAL),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=shape[1], max_size=shape[1]))))
+def test_library_roundtrip_is_bitwise(data):
+    states, times = data
+    lib = SegmentLibrary(cells=np.arange(1, states.shape[0] + 1), times=times, states=states,
+                         horizon=1.0, epsilon=np.nan, model_id="test", step=0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_library(lib, tmp)
+        raw = (Path(tmp) / "segments.npy").read_bytes()
+        back = load_library(tmp)
+    assert back.states.tobytes() == states.tobytes()
+    assert back.times.tobytes() == np.array(times, dtype=float).tobytes()
+    # the file is what np.save writes, so any NPY reader reads it
+    expected = io.BytesIO()
+    np.save(expected, states)
+    assert raw == expected.getvalue()
+    assert np.load(io.BytesIO(raw), allow_pickle=False).tobytes() == states.tobytes()
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _with_sample(value):
+    def edit(raw, states):
+        states = states.copy()
+        states[1, 2, 0] = value
+        return _npy(states)
+    return edit
+
+
+# edits of segments.npy, as functions of its bytes and the saved states
+# (2 cells, 4 samples, 3 coordinates: 96 data bytes)
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:3] + ["\r\n"] + lines[3:], "line 4: 0 fields, expected 6"),
-    (lambda lines: [lines[0], "1.5" + lines[1][1:]] + lines[2:],
-     r"line 2: \(cell 1.5, k 0\) is out of range or repeated"),
-    (lambda lines: lines[:5] + ["2,4" + lines[5][3:]] + lines[6:],
-     r"line 6: \(cell 2, k 4\) is out of range or repeated"),
-    (lambda lines: lines[:1], "holds 0 of the 8"),
+    pytest.param(lambda raw, s: b"", "segments.npy: EOF: reading magic string", id="empty"),
+    pytest.param(lambda raw, s: raw[:40], "segments.npy: EOF: reading array header",
+                 id="cut-in-header"),
+    pytest.param(lambda raw, s: raw[:-8], "holds 184 data bytes, not 192", id="truncated"),
+    pytest.param(lambda raw, s: raw + raw[-8:], "holds 200 data bytes, not 192",
+                 id="over-long"),
+    pytest.param(lambda raw, s: b"\x93NUMPX" + raw[6:], "segments.npy: the magic string",
+                 id="bad-magic"),
+    pytest.param(lambda raw, s: raw[:6] + b"\x02" + raw[7:], r"NPY version 2\.0, not 1\.0",
+                 id="version-2"),
+    pytest.param(lambda raw, s: _npy(s.astype(">f8")), "holds >f8 in C order", id="big-endian"),
+    pytest.param(lambda raw, s: _npy(s.astype(np.float32)), "holds <f4 in C order",
+                 id="float32"),
+    pytest.param(lambda raw, s: _npy(s.astype(object)), r"holds \|O in C order",
+                 id="pickled-objects"),
+    pytest.param(lambda raw, s: _npy(np.asfortranarray(s)), "holds <f8 in Fortran order",
+                 id="fortran-order"),
+    pytest.param(lambda raw, s: _npy(s[:1]),
+                 r"has shape \(1, 4, 3\), library.json says \(2, 4, 3\)", id="fewer-cells"),
+    pytest.param(lambda raw, s: _npy(s.reshape(2, 3, 4)),
+                 r"has shape \(2, 3, 4\), library.json says \(2, 4, 3\)", id="reshaped"),
+    pytest.param(_with_sample(np.nan), "cell 2, sample 2, coordinate 0 is nan", id="nan"),
+    pytest.param(_with_sample(-np.inf), "cell 2, sample 2, coordinate 0 is -inf", id="inf"),
 ])
-def test_load_library_rejects_bad_rows(lorenz, cfg, tmp_path, edit, message):
+def test_load_library_rejects_a_malformed_states_file(lorenz, cfg, tmp_path, edit, message):
     lib = build_segments(lorenz, _cover([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 0.7, 4, cfg)
     save_library(lib, tmp_path)
-    path = tmp_path / "segments.csv"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(edit(lines)), encoding="utf-8")
+    path = tmp_path / "segments.npy"
+    path.write_bytes(edit(path.read_bytes(), lib.states))
+    with pytest.raises(ValueError, match=message):
+        load_library(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("times", [0.0, 0.35, 0.7], "times are not 4 finite JSON numbers"),
+    ("times", [0.0, 0.35, "0.5", 0.7], "times are not 4 finite JSON numbers"),
+    ("times", [0.0, 0.35, True, 0.7], "times are not 4 finite JSON numbers"),
+    ("times", [0.0, 0.35, float("nan"), 0.7], "times are not 4 finite JSON numbers"),
+    ("times", [0.0, 0.35, float("inf"), 0.7], "times are not 4 finite JSON numbers"),
+    ("times", None, "times are not 4 finite JSON numbers"),
+    ("n_cells", 2.0, r"shape \(2.0, 4, 3\) is not three nonnegative JSON integers"),
+    ("dimension", -3, r"shape \(2, 4, -3\) is not three nonnegative JSON integers"),
+])
+def test_load_library_rejects_malformed_metadata(lorenz, cfg, tmp_path, key, value, message):
+    lib = build_segments(lorenz, _cover([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 0.7, 4, cfg)
+    save_library(lib, tmp_path)
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
     with pytest.raises(ValueError, match=message):
         load_library(tmp_path)
 
@@ -143,22 +228,7 @@ def _csv_writer_bytes(rows) -> bytes:
 
 def test_csv_files_are_the_csv_writer_bytes(tmp_path):
     # 17-digit values, signed zeros, subnormal-range and huge magnitudes
-    rng = np.random.default_rng(5)
-    states = rng.normal(size=(3, 4, 2)) * 10.0 ** rng.integers(-20, 20, size=(3, 4, 2))
-    states[0, 0] = [-0.0, 0.0]
-    states[1, 2] = [1e-300, -1e300]
-    states[2, 3] = [0.1 + 0.2, 2.0 ** -1074]
     times = np.array([0.0, 0.1, 1.0 / 3.0, 0.30000000000000004])
-    lib = SegmentLibrary(cells=np.arange(1, 4), times=times, states=states, horizon=1.0,
-                         epsilon=np.nan, model_id="test", step=0.1)
-    save_library(lib, tmp_path)
-    expected = _csv_writer_bytes(
-        [["cell", "k", "t", "coord_0", "coord_1"]]
-        + [[n + 1, k, repr(float(times[k]))] + [repr(float(v)) for v in states[n, k]]
-           for n in range(3) for k in range(4)])
-    assert (tmp_path / "segments.csv").read_bytes() == expected
-    assert np.array_equal(load_library(tmp_path).states, states)
-
     values = np.array([12.5, -0.0, 1e-300, 0.1 + 0.2])
     write_max_difference_csv(tmp_path / "md.csv", times, values)
     expected = _csv_writer_bytes([["t", "M_d"]] + [[repr(float(t)), repr(float(v))]

@@ -58,7 +58,6 @@ from .quantities import (
 )
 from .segments import SegmentLibrary, build_segments, load_library, max_difference, save_library
 from .symbolic import (
-    CylinderSet,
     EnumerationResult,
     KSEntropyResult,
     PseudoOrbit,
@@ -77,7 +76,6 @@ from .symbolic import (
 )
 from .transitions import (
     ExpansionVerdict,
-    MarkovMatrix,
     TransitionMatrix,
     TransitionTensor,
     ball_admissibility,

@@ -71,6 +71,17 @@ def _load(cfg: PipelineConfig, outdir: Path, stage: str, name: str):
     return value
 
 
+def _check_cell_counts(outdir: Path, names, inputs) -> None:
+    """Exit 1 with one line naming both files when two inputs of a stage
+    disagree on the number of cells."""
+    cells = {COVER_JSON: "n_balls", LIBRARY_DIR: "n_segments", TRANSITIONS_JSON: "n_cells"}
+    counted = [(name, getattr(value, cells[name]))
+               for name, value in zip(names, inputs) if name in cells]
+    for (a, m), (b, n) in zip(counted, counted[1:]):
+        if m != n:
+            raise ArtifactError(f"{outdir / a} has {m} cells, but {outdir / b} has {n}")
+
+
 def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
                          stream: int) -> tuple[np.ndarray, dict]:
     """Uniform points of the domain box that lie in some cell, up to budget,
@@ -133,11 +144,11 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
         cfg.samples_per_cell, cfg.integrator, cfg.rng_seed, counters=counters)
     # one sampling pass serves every tensor order: each is a prefix of the
     # same itineraries, as if estimated from scratch with the same seed
-    tm, mm, tensors = transitions_from_itineraries(itins, n, range(2, cfg.tensor_order + 1))
+    tm, tensors = transitions_from_itineraries(itins, n, range(2, cfg.tensor_order + 1))
 
     sensitive = row_sensitivity(tm)
     verdict = expanding_to_depth(tensors, m_max=cfg.expansion_m_max)
-    doc = transitions_to_json(tm, mm, cfg.rng_seed, cfg.samples_per_cell)
+    doc = transitions_to_json(tm, cfg.rng_seed, cfg.samples_per_cell)
     doc["verdicts"] = {
         "row_sensitivity": bool(sensitive),
         "expanding_up_to_depth": bool(verdict.expanding_up_to_depth),
@@ -239,14 +250,13 @@ def _check_start_cell(field: str, cell: int, n_cells: int) -> None:
 
 
 def stage_enumerate(cfg: PipelineConfig, outdir: Path, table):
-    # table is the tensor set in tensor mode, else (transitions, probabilities)
+    # table is the tensor set in tensor mode, else the transition table
+    system = table
     if cfg.enumerate_mode == "tensor":
         if cfg.tensor_order not in table:
             raise MissingArtifactError(
                 f"stage 'enumerate' needs the order-{cfg.tensor_order} tensor in {TENSORS_JSON}")
         system = table[cfg.tensor_order]
-    else:
-        system, _ = table
     _check_start_cell("enumerate_from", cfg.enumerate_from, system.n_cells)
     res = enumerate_admissible(system, cfg.enumerate_from, cfg.word_length,
                                cap=cfg.enumeration_cap)
@@ -266,14 +276,13 @@ def stage_enumerate(cfg: PipelineConfig, outdir: Path, table):
                                         "overflowed": res.overflowed, "reachable": reachable}}}
 
 
-def stage_entropy(cfg: PipelineConfig, outdir: Path, cover, transitions):
-    _, mm = transitions
+def stage_entropy(cfg: PipelineConfig, outdir: Path, cover, tm):
     partition = Partition(cover=cover)
     rng = derive_rng(cfg.rng_seed, STREAM_MEASURE)
     samples = cfg.domain.sample(rng, cfg.measure_samples)
     mu = cell_measure(partition, samples)
     h = metric_entropy(mu)
-    ks = ks_entropy(mm)
+    ks = ks_entropy(tm)
     write_json(outdir / ENTROPY_JSON, {
         "metric_entropy": h,
         "ks_entropy_unweighted": ks.unweighted,
@@ -291,8 +300,7 @@ def stage_entropy(cfg: PipelineConfig, outdir: Path, cover, transitions):
                                     "ks_entropy_stationary_weighted": ks.stationary_weighted}}}
 
 
-def stage_bounds(cfg: PipelineConfig, outdir: Path, lib, transitions):
-    tm, _ = transitions
+def stage_bounds(cfg: PipelineConfig, outdir: Path, lib, tm):
     _check_start_cell("bounds_from", cfg.bounds_from, tm.n_cells)
     blocks = []
     for q in cfg.quantities:
@@ -412,8 +420,9 @@ def main(argv=None) -> int:
         tensor_mode = args.command == "enumerate" and cfg.enumerate_mode == "tensor"
         faults = _minor_faults()
         started = time.perf_counter()
-        inputs = [_load(cfg, outdir, args.command, name)
-                  for name in ((TENSORS_JSON,) if tensor_mode else stage.reads)]
+        names = (TENSORS_JSON,) if tensor_mode else stage.reads
+        inputs = [_load(cfg, outdir, args.command, name) for name in names]
+        _check_cell_counts(outdir, names, inputs)
         extra = stage.fn(cfg, outdir, *inputs)
         wall = time.perf_counter() - started
         if faults is not None:

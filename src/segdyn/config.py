@@ -45,6 +45,10 @@ _NUMBERS = (
     ("bounds_from", 1, 1, False, True),
     ("measure_samples", 20_000, 1, False, True),
 )
+# every top-level field a config may hold; any other is refused, so that a
+# misspelt field is not silently replaced by its default
+_FIELDS = {"model", "domain", "resolution", "enumerate_mode", "output_dir", "quantities",
+           "initial_points"} | {row[0] for row in _NUMBERS}
 
 
 @dataclass(eq=False)
@@ -114,6 +118,9 @@ def _get_number(doc: dict, problems: list, key: str, default, minimum,
 def parse_config(doc: dict) -> PipelineConfig:
     """Validate a configuration document, reporting every problem at once."""
     problems: list[str] = []
+    unknown = sorted(set(doc) - _FIELDS)
+    if unknown:
+        problems.append(f"unknown fields: {', '.join(map(json.dumps, unknown))}")
 
     model = None
     try:

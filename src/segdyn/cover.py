@@ -35,8 +35,6 @@ __all__ = [
     "metric_entropy",
     "cover_to_json",
     "cover_from_json",
-    "write_points_csv",
-    "read_points_csv",
 ]
 
 DEFAULT_COLLOCATION_CAP = 2_000_000
@@ -693,13 +691,3 @@ def cover_from_json(doc: dict) -> Cover:
     centers = np.asarray([balls[i]["center"] for i in order], dtype=float)
     radii = np.asarray([balls[i]["radius"] for i in order], dtype=float)
     return Cover(centers=centers, radii=radii)
-
-
-def write_points_csv(path, points: Array) -> None:
-    """One point per row, comma-separated coordinates."""
-    np.savetxt(path, np.asarray(points, dtype=float), delimiter=",")
-
-
-def read_points_csv(path) -> Array:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(pts, dtype=float)

@@ -18,14 +18,13 @@ from .errors import EncodingError
 from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
 from .segments import SegmentLibrary
 from .transitions import (
-    MarkovMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows, cell_itineraries,
+    TransitionMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows, cell_itineraries,
 )
 
 Array = np.ndarray
 
 __all__ = [
     "SymbolSequence",
-    "CylinderSet",
     "PseudoOrbit",
     "EnumerationResult",
     "KSEntropyResult",
@@ -57,17 +56,6 @@ class SymbolSequence:
 
     def __len__(self) -> int:
         return len(self.word)
-
-
-@dataclass(frozen=True)
-class CylinderSet:
-    """All sequences agreeing with a fixed nonempty prefix."""
-
-    prefix: SymbolSequence
-
-    def __post_init__(self):
-        if len(self.prefix) < 1:
-            raise ValueError("cylinder prefix must be nonempty")
 
 
 @dataclass(eq=False)
@@ -425,16 +413,17 @@ def reachable_symbols(gamma_or_tensor, n0: int, length: int | None) -> set:
     return graph.reachable(length, graph.depths(length))
 
 
-def cylinder_measure(p: MarkovMatrix, prefix: SymbolSequence) -> float:
+def cylinder_measure(tm: TransitionMatrix, prefix: SymbolSequence) -> float:
     """Markov measure of the cylinder fixed by the prefix: the product of
     consecutive landing probabilities. A length-1 prefix has measure 1."""
     if len(prefix) < 1:
         raise ValueError("prefix must be nonempty")
+    p = tm.p
     out = 1.0
     for a, b in zip(prefix.word, prefix.word[1:]):
-        lo, hi = p.indptr[a - 1], p.indptr[a]
-        k = lo + int(np.searchsorted(p.indices[lo:hi], b - 1))
-        out *= float(p.p[k]) if k < hi and p.indices[k] == b - 1 else 0.0
+        lo, hi = tm.indptr[a - 1], tm.indptr[a]
+        k = lo + int(np.searchsorted(tm.indices[lo:hi], b - 1))
+        out *= float(p[k]) if k < hi and tm.indices[k] == b - 1 else 0.0
     return out
 
 
@@ -452,12 +441,13 @@ class KSEntropyResult:
     stationary: Array
 
 
-def _stationary_distribution(p: MarkovMatrix, iterations: int = 2000) -> Array:
-    """Stationary row vector by power iteration with running (Cesaro)
-    averaging, which also settles periodic chains such as permutations.
-    Each step x @ p adds the stored entries of a column in row order."""
-    n = p.n_cells
-    rows, cols, values = _entry_rows(p.indptr), p.indices, p.p
+def _stationary_distribution(tm: TransitionMatrix, iterations: int = 2000) -> Array:
+    """Stationary row vector of the landing probabilities p by power
+    iteration with running (Cesaro) averaging, which also settles periodic
+    chains such as permutations. Each step x @ p adds the stored entries of
+    a column in row order."""
+    n = tm.n_cells
+    rows, cols, values = _entry_rows(tm.indptr), tm.indices, tm.p
     bincount, total_of = np.bincount, np.add.reduce
     x = np.full(n, 1.0 / n)
     acc = np.zeros(n)
@@ -510,15 +500,15 @@ def _dense_row_sums(rows: Array, cols: Array, values: Array, lo: int, n: int,
                               n_rows))
 
 
-def ks_entropy(p: MarkovMatrix) -> KSEntropyResult:
-    """Both entropy readings of the landing-probability matrix, from its
+def ks_entropy(tm: TransitionMatrix) -> KSEntropyResult:
+    """Both entropy readings of the landing probabilities p, from their
     stored entries; each row entropy has the bits of the sum over the
     row's dense table."""
-    n = p.n_cells
+    n, p = tm.n_cells, tm.p
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p.p > 0, p.p * np.log(np.where(p.p > 0, p.p, 1.0)), 0.0)
-    row_entropy = -_dense_row_sums(_entry_rows(p.indptr), p.indices, plogp, 0, n, n)
-    pi = _stationary_distribution(p)
+        plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    row_entropy = -_dense_row_sums(_entry_rows(tm.indptr), tm.indices, plogp, 0, n, n)
+    pi = _stationary_distribution(tm)
     return KSEntropyResult(
         unweighted=float(row_entropy.sum()),
         stationary_weighted=float((pi * row_entropy).sum()),

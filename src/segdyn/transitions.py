@@ -26,7 +26,6 @@ Array = np.ndarray
 
 __all__ = [
     "TransitionMatrix",
-    "MarkovMatrix",
     "TransitionTensor",
     "ExpansionVerdict",
     "cell_itineraries",
@@ -54,7 +53,9 @@ class TransitionMatrix:
     m landed in the cells ``indices[indptr[m-1]:indptr[m]] + 1`` (ascending),
     ``counts`` of them in each. Gamma is this pattern: cell m -> n is
     admissible when n - 1 is stored in row m - 1. ``escapes`` counts, per
-    cell, the samples that left the partition."""
+    cell, the samples that left the partition. ``p`` holds the landing
+    probabilities on the same pattern: each count over its row's landed
+    samples, so supported rows sum to 1 and escapes are left out."""
 
     indptr: Array
     indices: Array
@@ -83,6 +84,10 @@ class TransitionMatrix:
         return _row_totals(self.indptr, self.counts)
 
     @property
+    def p(self) -> Array:
+        return self.counts / self.landed[_entry_rows(self.indptr)]
+
+    @property
     def unsupported_rows(self) -> set[int]:
         return {int(m) + 1 for m in np.flatnonzero(np.diff(self.indptr) == 0)}
 
@@ -91,29 +96,6 @@ class TransitionMatrix:
         with np.errstate(invalid="ignore"):
             frac = np.where(total > 0, self.escapes / np.maximum(total, 1), 0.0)
         return frac
-
-
-@dataclass(eq=False)
-class MarkovMatrix:
-    """Landing probabilities in the CSR layout of :class:`TransitionMatrix`:
-    row m - 1 holds p for the cells ``indices[indptr[m-1]:indptr[m]] + 1``;
-    every other entry is 0. Supported rows sum to 1."""
-
-    indptr: Array
-    indices: Array
-    p: Array
-
-    def __post_init__(self):
-        self.indptr, self.indices = _checked_pattern(self.indptr, self.indices)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.shape != self.indices.shape:
-            raise ValueError("p must have one entry per stored cell pair")
-        if not np.all(self.p >= 0):
-            raise ValueError("p must be nonnegative")
-
-    @property
-    def n_cells(self) -> int:
-        return self.indptr.shape[0] - 1
 
 
 def _checked_pattern(indptr, indices) -> tuple[Array, Array]:
@@ -327,15 +309,15 @@ def sample_itineraries(model: FlowModel, partition: Partition, horizon: float,
 
 
 def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[int] = ()
-                                 ) -> tuple[TransitionMatrix, MarkovMatrix, list]:
-    """Ulam-style transition matrix, landing probabilities and tensors.
+                                 ) -> tuple[TransitionMatrix, list]:
+    """Ulam-style transition matrix and tensors.
 
     Gamma[m][n] is set when at least one itinerary goes from cell m to cell n
-    in its first hop. Probabilities divide by the landed samples of each
-    row; escapes are tallied separately and excluded from the denominator.
-    The order-k tensor for each k in ``orders`` holds the alive length-k
-    prefixes, so tensors built from one set of itineraries are prefix closed
-    by construction.
+    in its first hop. The matrix's landing probabilities divide by the
+    landed samples of each row; escapes are tallied separately and excluded
+    from the denominator. The order-k tensor for each k in ``orders`` holds
+    the alive length-k prefixes, so tensors built from one set of
+    itineraries are prefix closed by construction.
     """
     src, dst = itins[:, 0] - 1, itins[:, 1] - 1
     landed = dst >= 0
@@ -343,11 +325,9 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
     # each landed (source, landing) pair once, in row-major order, with its count
     pairs, counts = np.unique(src[landed] * n_cells + dst[landed], return_counts=True)
     indptr, indices = _csr_pattern(pairs, n_cells)
-    p = counts / _row_totals(indptr, counts)[_entry_rows(indptr)]
     tensors = [TransitionTensor(order=k, tuples=itins[np.all(itins[:, :k] > 0, axis=1), :k],
                                 n_cells=n_cells) for k in orders]
-    return (TransitionMatrix(indptr, indices, counts, escapes),
-            MarkovMatrix(indptr, indices, p), tensors)
+    return TransitionMatrix(indptr, indices, counts, escapes), tensors
 
 
 def _gamma_pattern(gamma) -> tuple[Array, Array]:
@@ -450,13 +430,10 @@ def ball_admissibility(lib: SegmentLibrary, partition: Partition,
     return set(successors[indptr[cell - 1]:indptr[cell]].tolist())
 
 
-def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
-                        samples_per_cell: int) -> dict:
-    """JSON document for Gamma, counts, p and escape fractions; p must be
-    stored on the pattern of the counts. counts and p are (row, col, value)
-    triplets of the stored entries, in row-major order."""
-    if not (np.array_equal(tm.indptr, mm.indptr) and np.array_equal(tm.indices, mm.indices)):
-        raise ValueError("p must be stored on the pattern of the counts")
+def transitions_to_json(tm: TransitionMatrix, rng_seed: int, samples_per_cell: int) -> dict:
+    """JSON document for Gamma, counts, p and escape fractions. counts and p
+    are (row, col, value) triplets of the stored entries, in row-major
+    order."""
     rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
     return {
         "n_cells": tm.n_cells,
@@ -467,52 +444,79 @@ def transitions_to_json(tm: TransitionMatrix, mm: MarkovMatrix, rng_seed: int,
         "escape_fractions": [round(v, 12) for v in tm.escape_fractions().tolist()],
         "format": "sparse",
         "counts": np.stack([rows, cols, tm.counts], axis=1).tolist(),
-        "p": [list(t) for t in zip(rows.tolist(), cols.tolist(), mm.p.tolist())],
+        "p": _p_triplets(tm),
     }
 
 
-def _triplets(entries, n: int, what: str, counts: bool = False) -> tuple[Array, Array, Array]:
-    """The keys (row - 1) * n + (col - 1) and the values of sparse (row, col,
-    value) triplets, and the order that sorts the keys; ids must be JSON
-    integers in 1..n, no (row, col) pair may repeat, and values must be
-    nonnegative JSON numbers (for ``counts``, JSON integers that fit in
-    int64); every refusal names the entry."""
+def _p_triplets(tm: TransitionMatrix) -> list:
+    """The (row, col, p) triplets of the stored entries, in row-major order."""
+    rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
+    return [list(t) for t in zip(rows.tolist(), cols.tolist(), tm.p.tolist())]
+
+
+def _count_triplets(entries, n: int) -> tuple[Array, Array, Array]:
+    """The keys (row - 1) * n + (col - 1) and the int64 counts of sparse
+    (row, col, count) triplets, and the order that sorts the keys; ids must
+    be JSON integers in 1..n, no (row, col) pair may repeat, and counts must
+    be nonnegative JSON integers that fit in int64; every refusal names the
+    entry."""
     if not (type(entries) is list and set(map(type, entries)) <= {list}
             and set(map(len, entries)) <= {3}):
-        raise ValueError(f"{what} must be a list of (row, col, value) triplets")
-    # JSON types first, so that no string or boolean reaches the conversion
-    kinds = ({int}, {int}, {int} if counts else {int, float})
-    if not all(set(map(type, map(itemgetter(k), entries))) <= kinds[k] for k in range(3)):
+        raise ValueError("counts must be a list of (row, col, value) triplets")
+    # JSON types first, so that no float, string or boolean reaches the conversion
+    if not set(map(type, chain.from_iterable(entries))) <= {int}:
         i, k = next((i, k) for i, e in enumerate(entries) for k in range(3)
-                    if type(e[k]) not in kinds[k])
-        should = (f"a cell id in 1..{n}" if k < 2
-                  else "an int64 count" if counts else "a nonnegative number")
-        raise ValueError(f"{what} entry {i}: {('row', 'col', 'value')[k]} "
+                    if type(e[k]) is not int)
+        should = f"a cell id in 1..{n}" if k < 2 else "an int64 count"
+        raise ValueError(f"counts entry {i}: {('row', 'col', 'value')[k]} "
                          f"{json.dumps(entries[i][k])} is not {should}")
     t = np.asarray(entries, dtype=float).reshape(len(entries), 3)
     ids = t[:, :2]
     bad = ~((ids >= 1) & (ids <= n))
     if np.any(bad):
         i, k = np.argwhere(bad)[0]
-        raise ValueError(f"{what} entry {i}: {('row', 'col')[k]} {ids[i, k]:g} "
+        raise ValueError(f"counts entry {i}: {('row', 'col')[k]} {ids[i, k]:g} "
                          f"is not a cell id in 1..{n}")
     if not np.all(t[:, 2] >= 0):
         i = int(np.argmin(t[:, 2] >= 0))
-        raise ValueError(f"{what} entry {i}: value {t[i, 2]:g} is not a nonnegative number")
-    values = t[:, 2]
-    if counts:
-        try:
-            values = np.array(list(map(itemgetter(2), entries)), dtype=np.int64)
-        except OverflowError:
-            i = next(i for i, e in enumerate(entries) if e[2] > _INT64_MAX)
-            raise ValueError(f"{what} entry {i}: value {entries[i][2]} is not an int64 count")
+        raise ValueError(f"counts entry {i}: value {t[i, 2]:g} is not a nonnegative number")
+    try:
+        values = np.array(list(map(itemgetter(2), entries)), dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, e in enumerate(entries) if e[2] > _INT64_MAX)
+        raise ValueError(f"counts entry {i}: value {entries[i][2]} is not an int64 count")
     key = (ids[:, 0].astype(np.int64) - 1) * n + (ids[:, 1].astype(np.int64) - 1)
     _, first = np.unique(key, return_index=True)
     if first.size < key.size:
         i = int(np.setdiff1d(np.arange(key.size), first)[0])
-        raise ValueError(f"{what} entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
+        raise ValueError(f"counts entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
                          f"repeats an earlier entry")
     return key, values, first
+
+
+def _check_p(entries, tm: TransitionMatrix) -> None:
+    """Refuse a ``p`` list other than the (row, col, p) triplets of tm that
+    :func:`transitions_to_json` writes, naming the first entry that differs
+    and its first field that does; a boolean is never a JSON number here."""
+    if not (type(entries) is list and set(map(type, entries)) <= {list}
+            and set(map(len, entries)) <= {3}):
+        raise ValueError("p must be a list of (row, col, value) triplets")
+    want = _p_triplets(tm)
+    if entries == want and bool not in set(map(type, chain.from_iterable(entries))):
+        return
+    for i, (e, w) in enumerate(zip(entries, want)):
+        for k, kinds in enumerate(({int}, {int}, {int, float})):
+            if type(e[k]) not in kinds:
+                raise ValueError(f"p entry {i}: {('row', 'col', 'value')[k]} {json.dumps(e[k])} "
+                                 f"is not a JSON {'number' if k == 2 else 'integer'}")
+        if e[:2] != w[:2]:
+            raise ValueError(f"p entry {i}: cell pair ({e[0]}, {e[1]}) is not "
+                             f"({w[0]}, {w[1]}), the next pair with a count")
+        if e[2] != w[2]:
+            raise ValueError(f"p entry {i}: value {json.dumps(e[2])} is not {w[2]!r}, "
+                             f"the p that its counts give")
+    raise ValueError(f"the number of p entries, {len(entries)}, is not the number of "
+                     f"cell pairs with a count, {len(want)}")
 
 
 def _json_counts(values, what: str) -> Array:
@@ -536,12 +540,12 @@ def _csr_pattern(keys: Array, n: int) -> tuple[Array, Array]:
     return indptr, np.remainder(keys, n, out=keys)
 
 
-def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
-    """The tables of a ``transitions.json`` document, built straight into
-    CSR arrays. ``format`` must be "sparse", and ``n_cells`` a JSON integer
+def transitions_from_json(doc: dict) -> TransitionMatrix:
+    """The table of a ``transitions.json`` document, built straight into CSR
+    arrays. ``format`` must be "sparse", and ``n_cells`` a JSON integer
     equal to the number of escapes, both checked before any table is read.
-    Escapes are checked as the counts are; p may be stored only where a
-    count is."""
+    Escapes are checked as the counts are, and ``p`` must be the landing
+    probabilities that the counts give (:func:`_check_p`)."""
     if doc["format"] != "sparse":
         raise ValueError(f"format {json.dumps(doc['format'])} is not \"sparse\"")
     n = doc["n_cells"]
@@ -550,22 +554,12 @@ def transitions_from_json(doc: dict) -> tuple[TransitionMatrix, MarkovMatrix]:
     if type(doc["escapes"]) is list and len(doc["escapes"]) != n:
         raise ValueError(f"n_cells {n} does not match the {len(doc['escapes'])} escapes")
     escapes = _json_counts(doc["escapes"], "escapes")
-    key, v, order = _triplets(doc["counts"], n, "counts", counts=True)
+    key, v, order = _count_triplets(doc["counts"], n)
     # a zero count stores nothing
     order = order[v[order] > 0]
-    keys, counts = key[order], v[order]
-    key, v, _ = _triplets(doc["p"], n, "p")
-    at = np.searchsorted(keys, key)
-    stored = np.append(keys, -1)[at] == key
-    if not np.all(stored):
-        i = int(np.argmin(stored))
-        raise ValueError(f"p entry {i}: cell pair ({key[i] // n + 1}, {key[i] % n + 1}) "
-                         f"has count 0")
-    p = np.zeros(keys.shape[0])
-    p[at] = v
-    indptr, indices = _csr_pattern(keys, n)
-    return (TransitionMatrix(indptr, indices, counts, escapes),
-            MarkovMatrix(indptr, indices, p))
+    tm = TransitionMatrix(*_csr_pattern(key[order], n), v[order], escapes)
+    _check_p(doc["p"], tm)
+    return tm
 
 
 def tensor_to_json(tensor: TransitionTensor) -> dict:

@@ -8,7 +8,7 @@ import pytest
 
 from segdyn import IntegratorConfig, LinearDiagonal, Lorenz, QuadraticGeneric
 from segdyn.artifacts import file_digest
-from segdyn.transitions import MarkovMatrix, TransitionMatrix, TransitionTensor
+from segdyn.transitions import TransitionMatrix, TransitionTensor
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -97,28 +97,21 @@ def csr(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.searchsorted(rows, np.arange(table.shape[0] + 1)), cols, table[rows, cols]
 
 
-def dense(table) -> np.ndarray:
-    """The n x n table of a TransitionMatrix's counts or a MarkovMatrix's p."""
-    values = table.counts if isinstance(table, TransitionMatrix) else table.p
-    out = np.zeros((table.n_cells, table.n_cells), dtype=values.dtype)
-    out[np.repeat(np.arange(table.n_cells), np.diff(table.indptr)), table.indices] = values
+def dense(tm: TransitionMatrix, values=None) -> np.ndarray:
+    """The n x n table holding ``values`` (by default tm's counts; tm.p for
+    the landing probabilities) at tm's stored entries, and 0 elsewhere."""
+    values = tm.counts if values is None else values
+    out = np.zeros((tm.n_cells, tm.n_cells), dtype=values.dtype)
+    out[np.repeat(np.arange(tm.n_cells), np.diff(tm.indptr)), tm.indices] = values
     return out
 
 
-def markov(p) -> MarkovMatrix:
-    """The MarkovMatrix storing the nonzero entries of a dense table."""
-    return MarkovMatrix(*csr(np.asarray(p, dtype=float)))
-
-
-def tables(counts, escapes=None) -> tuple[TransitionMatrix, MarkovMatrix]:
-    """The tables of a dense count table; p divides each row by its landed
-    samples, and escapes default to zeros."""
+def from_counts(counts, escapes=None) -> TransitionMatrix:
+    """The TransitionMatrix storing the nonzero entries of a dense count
+    table; escapes default to zeros."""
     counts = np.asarray(counts, dtype=np.int64)
-    indptr, indices, values = csr(counts)
-    landed = np.repeat(counts.sum(axis=1), np.diff(indptr))
     escapes = np.zeros(counts.shape[0], dtype=np.int64) if escapes is None else escapes
-    return (TransitionMatrix(indptr, indices, values, escapes),
-            MarkovMatrix(indptr, indices, values / landed))
+    return TransitionMatrix(*csr(counts), escapes)
 
 
 def make_markov_tensors(gamma: np.ndarray, depth: int) -> list[TransitionTensor]:

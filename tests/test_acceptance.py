@@ -22,8 +22,8 @@ from conftest import (
     brute_force_cells,
     brute_force_words,
     dense,
+    from_counts,
     make_markov_tensors,
-    markov,
     output_digests,
     traced_peak,
 )
@@ -128,7 +128,7 @@ def run4():
 
     _, itins = sample_itineraries(model, partition, horizon, 2, 200, cfg,
                                   rng_seed=seed)
-    tm, mm, tensors = transitions_from_itineraries(itins, partition.n_cells, (2, 3))
+    tm, tensors = transitions_from_itineraries(itins, partition.n_cells, (2, 3))
 
     covered = fresh_pool[partition.assign_many(fresh_pool) > 0]
     assert covered.shape[0] >= 1000, "fresh pool too sparse for 1000 encoded orbits"
@@ -137,7 +137,7 @@ def run4():
     return {
         "model": model, "cfg": cfg, "horizon": horizon, "epsilon": epsilon,
         "seed": seed, "partition": partition, "library": lib,
-        "tm": tm, "mm": mm, "tensors": tensors,
+        "tm": tm, "tensors": tensors,
         "fresh": fresh, "words": words,
     }
 
@@ -334,7 +334,7 @@ def test_bundled_lorenz_outputs_keep_their_bytes(run1_outputs):
 
 def test_lorenz_grid_enclosure_holds_gamma(run1_outputs):
     out = run1_outputs
-    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    tm = transitions_from_json(read_json(out / "transitions.json"))
     doc = read_json(out / "enclosure.json")
     assert _edges(tm.indptr, tm.indices + 1) <= _edges(doc["indptr"], doc["successors"])
     summary = load_manifest(out)["stages"]["transitions"]["summary"]["transitions"]
@@ -342,10 +342,10 @@ def test_lorenz_grid_enclosure_holds_gamma(run1_outputs):
 
 
 def test_criterion_04_transition_consistency(run4):
-    tm, mm, tensors = run4["tm"], run4["mm"], run4["tensors"]
+    tm, tensors = run4["tm"], run4["tensors"]
     gamma = dense(tm) > 0
     landed = tm.landed
-    sums = dense(mm).sum(axis=1)
+    sums = dense(tm, tm.p).sum(axis=1)
     rows_ok = bool(np.all(np.abs(sums[landed > 0] - 1.0) <= 1e-9)
                    and np.all(sums[landed == 0] == 0.0))
 
@@ -356,9 +356,9 @@ def test_criterion_04_transition_consistency(run4):
 
     _, itins = sample_itineraries(run4["model"], run4["partition"], run4["horizon"], 1,
                                   200, run4["cfg"], rng_seed=run4["seed"])
-    tm2, mm2, _ = transitions_from_itineraries(itins, run4["partition"].n_cells)
-    doc_a = json.dumps(transitions_to_json(tm, mm, run4["seed"], 200), sort_keys=True)
-    doc_b = json.dumps(transitions_to_json(tm2, mm2, run4["seed"], 200), sort_keys=True)
+    tm2, _ = transitions_from_itineraries(itins, run4["partition"].n_cells)
+    doc_a = json.dumps(transitions_to_json(tm, run4["seed"], 200), sort_keys=True)
+    doc_b = json.dumps(transitions_to_json(tm2, run4["seed"], 200), sort_keys=True)
     determinism_ok = doc_a == doc_b
 
     pairs = violations = 0
@@ -410,10 +410,10 @@ def test_criterion_06_entropy_closed_forms():
     checks = []
     checks.append(abs(metric_entropy(np.full(7, 1 / 7)) - np.log(7)) <= 1e-12)
     checks.append(metric_entropy(np.array([1.0, 0.0, 0.0])) == 0.0)
-    perm = markov(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    perm = from_counts([[0, 1], [1, 0]])
     checks.append(ks_entropy(perm).unweighted == 0.0)
     n = 6
-    uniform = ks_entropy(markov(np.full((n, n), 1.0 / n)))
+    uniform = ks_entropy(from_counts(np.ones((n, n))))
     checks.append(abs(uniform.unweighted - n * np.log(n)) <= 1e-12)
     checks.append(abs(uniform.stationary_weighted - np.log(n)) <= 1e-12)
     record(6, all(checks),

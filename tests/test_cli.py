@@ -20,7 +20,7 @@ from segdyn.config import load_config
 from segdyn.cover import Partition, cover_from_json
 from segdyn.errors import ConfigError
 from segdyn.flow import jacobian_norms
-from segdyn.segments import load_library
+from segdyn.segments import SegmentLibrary, load_library, save_library
 from segdyn.transitions import (
     ENCLOSURE_SLACK, TransitionTensor, ball_successors, tensor_to_json, transitions_from_json,
 )
@@ -96,7 +96,7 @@ def test_enclosure_holds_each_cells_successors_as_csr(pipeline):
 def _gamma_outside_enclosure(out) -> list:
     """The sampled transitions (cell, successor) of an output directory that
     its enclosure.json leaves out."""
-    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    tm = transitions_from_json(read_json(out / "transitions.json"))
     doc = read_json(out / "enclosure.json")
     return [(row + 1, int(col) + 1) for row in range(tm.n_cells)
             for col in tm.indices[tm.indptr[row]:tm.indptr[row + 1]]
@@ -242,6 +242,18 @@ def test_config_rejects_non_finite_numbers(tmp_path):
         load_config(config)
     assert exc.value.problems == ["epsilon: expected a finite number, got nan",
                                   "samples_per_cell: expected a finite number, got inf"]
+
+
+def test_config_refuses_unknown_fields(tmp_path, capsys):
+    # a misspelt field would otherwise run with the default of the one it means
+    config = _write_config(tmp_path, {"sample_per_cell": 5, "Epsilon": 0.5})
+    with pytest.raises(ConfigError) as exc:
+        load_config(config)
+    assert exc.value.problems == ['unknown fields: "Epsilon", "sample_per_cell"']
+    assert main(["calibrate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == ("error: invalid configuration:\n"
+                                       '  - unknown fields: "Epsilon", "sample_per_cell"\n')
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -650,7 +662,7 @@ def _with_nan_at(index):
      _edit_json(lambda d: d["p"][0].__setitem__(2, "abc")),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: "
-     "ValueError('p entry 0: value \"abc\" is not a nonnegative number')"),
+     "ValueError('p entry 0: value \"abc\" is not a JSON number')"),
     ("tensors.json", "tensors.json",
      _edit_json(lambda d: d["tensors"][1]["tuples"].insert(0, [1, 2])),
      "tensor", ["enumerate"],
@@ -699,6 +711,58 @@ def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, ta
         err = capsys.readouterr().err
         assert err.startswith(f"error: {copy / named} {message}")
         assert err.count("\n") == 1
+
+
+def test_p_that_disagrees_with_the_counts_is_refused(linear1d, tmp_path, capsys):
+    # p's first entry at 0.9 instead of its counts' 0.4: row 1 sums to 1.3
+    config, out = linear1d
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    doc = read_json(copy / "transitions.json")
+    assert doc["p"][0] == [1, 3, 0.4]
+    doc["p"][0][2] = 0.9
+    (copy / "transitions.json").write_text(json.dumps(doc))
+    for stage in ("enumerate", "entropy", "bounds"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {copy / 'transitions.json'} is not a readable transition table: "
+            "ValueError('p entry 0: value 0.9 is not 0.4, the p that its counts give')\n")
+
+
+def _drop_last_segment(out):
+    lib = load_library(out / "library")
+    save_library(SegmentLibrary(cells=lib.cells[:-1], times=lib.times, states=lib.states[:-1],
+                                horizon=lib.horizon, epsilon=lib.epsilon,
+                                model_id=lib.model_id, step=lib.step), out / "library")
+
+
+def _drop_last_ball(out):
+    doc = read_json(out / "cover.json")
+    doc["balls"].pop()
+    write_json(out / "cover.json", doc)
+
+
+@pytest.mark.parametrize("drop, first, second, stage", [
+    (_drop_last_segment, ("cover.json", 8), ("library", 7), "transitions"),
+    (_drop_last_segment, ("cover.json", 8), ("library", 7), "shadow"),
+    (_drop_last_segment, ("library", 7), ("transitions.json", 8), "bounds"),
+    (_drop_last_ball, ("cover.json", 7), ("library", 8), "transitions"),
+    (_drop_last_ball, ("cover.json", 7), ("library", 8), "shadow"),
+    (_drop_last_ball, ("cover.json", 7), ("transitions.json", 8), "entropy"),
+], ids=["library-transitions", "library-shadow", "library-bounds", "cover-transitions",
+        "cover-shadow", "cover-entropy"])
+def test_inputs_that_disagree_on_the_cell_count_are_refused(pipeline, tmp_path, capsys, drop,
+                                                            first, second, stage):
+    _, _, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    drop(copy)
+    config = _write_config(tmp_path)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (f"error: {copy / first[0]} has {first[1]} cells, "
+                                       f"but {copy / second[0]} has {second[1]}\n")
 
 
 def test_write_json_failure_keeps_previous_file(tmp_path):
@@ -973,7 +1037,7 @@ def test_no_rename_goes_over_an_existing_file(tmp_path, renames):
 
 def test_bundled_linear1d_enclosure_holds_gamma(linear1d):
     _, out = linear1d
-    tm, _ = transitions_from_json(read_json(out / "transitions.json"))
+    tm = transitions_from_json(read_json(out / "transitions.json"))
     assert tm.indices.shape[0] == 12 and read_json(out / "enclosure.json")["indptr"][-1] == 22
     assert _gamma_outside_enclosure(out) == []
     assert read_json(out / "report.json")["summary"]["transitions"]["enclosure_misses"] == 0
@@ -996,8 +1060,8 @@ def test_benchmark_checks_accept_the_bundled_linear1d_outputs(linear1d):
     doc = read_json(out / "transitions.json")
     assert checks.check_transitions(doc) == []
     gamma, p = checks.gamma_and_p(doc)
-    tm, mm = transitions_from_json(doc)
-    assert np.array_equal(gamma, dense(tm) > 0) and np.array_equal(p, dense(mm))
+    tm = transitions_from_json(doc)
+    assert np.array_equal(gamma, dense(tm) > 0) and np.array_equal(p, dense(tm, tm.p))
     for name, check in checks.pipeline_checks(out, load_config(config).epsilon):
         assert check() == [], name
 

@@ -28,8 +28,6 @@ from segdyn.cover import (
     _BallGrid,
     cover_from_json,
     cover_to_json,
-    read_points_csv,
-    write_points_csv,
 )
 
 
@@ -269,13 +267,6 @@ def test_cover_json_roundtrip(tmp_path):
     assert np.array_equal(back.radii, cover.radii)
     with pytest.raises(ValueError, match="consecutive"):
         cover_from_json({"balls": [{"index": 2, "center": [0.0], "radius": 1.0}]})
-
-
-def test_points_csv_roundtrip(tmp_path):
-    pts = np.array([[0.25, -1.5], [3.0, 4.0]])
-    path = tmp_path / "cloud.csv"
-    write_points_csv(path, pts)
-    assert np.allclose(read_points_csv(path), pts)
 
 
 def test_cover_rejects_non_finite_balls():

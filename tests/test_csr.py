@@ -17,12 +17,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, traced_peak
+from conftest import dense, from_counts, traced_peak
 from segdyn import symbolic
 from segdyn.artifacts import read_json, write_json
 from segdyn.symbolic import SymbolSequence, cylinder_measure, ks_entropy, reachable_symbols
 from segdyn.transitions import (
-    MarkovMatrix,
     row_sensitivity,
     transitions_from_itineraries,
     transitions_from_json,
@@ -67,15 +66,15 @@ def ref_stationary(p, iterations=2000):
     return acc / acc.sum()
 
 
-def ref_sparse_stationary(mm, iterations=2000):
+def ref_sparse_stationary(tm, iterations=2000):
     """ref_stationary with each column sum of x @ p taken over the stored
     entries in row order, every one of the 2000 steps made."""
-    n = mm.n_cells
-    rows = np.repeat(np.arange(n), np.diff(mm.indptr))
+    n, p = tm.n_cells, tm.p
+    rows = np.repeat(np.arange(n), np.diff(tm.indptr))
     x = np.full(n, 1.0 / n)
     acc = np.zeros(n)
     for _ in range(iterations):
-        x = np.bincount(mm.indices, x[rows] * mm.p, n)
+        x = np.bincount(tm.indices, x[rows] * p, n)
         total = x.sum()
         if total <= 0:
             break
@@ -154,26 +153,25 @@ def itineraries(draw):
 @given(itineraries())
 def test_csr_tables_match_the_dense_reference(case):
     n, itins, rng = case
-    tm, mm, _ = transitions_from_itineraries(itins, n)
+    tm, _ = transitions_from_itineraries(itins, n)
     counts, gamma, p, escapes = ref_tables(itins, n)
     assert np.array_equal(dense(tm), counts) and np.array_equal(tm.escapes, escapes)
-    assert dense(mm).tobytes() == p.tobytes()
+    assert dense(tm, tm.p).tobytes() == p.tobytes()
     assert tm.unsupported_rows == set((np.flatnonzero(counts.sum(axis=1) == 0) + 1).tolist())
 
     # the triplet form, with the bytes of the writer over dense tables, read back
-    doc = transitions_to_json(tm, mm, rng_seed=7, samples_per_cell=3)
+    doc = transitions_to_json(tm, rng_seed=7, samples_per_cell=3)
     assert json.dumps(doc, sort_keys=True) == json.dumps(
         ref_transitions_to_json(counts, p, escapes, 7, 3), sort_keys=True)
-    tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
-    for a, b in ((tm, tm2), (mm, mm2)):
-        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    tm2 = transitions_from_json(json.loads(json.dumps(doc)))
+    assert np.array_equal(tm.indptr, tm2.indptr) and np.array_equal(tm.indices, tm2.indices)
     assert np.array_equal(tm2.counts, tm.counts) and np.array_equal(tm2.escapes, escapes)
-    assert mm2.p.tobytes() == mm.p.tobytes()
+    assert tm2.p.tobytes() == tm.p.tobytes()
 
-    res = ks_entropy(mm)
+    res = ks_entropy(tm)
     rows = ref_row_entropies(p)
     assert res.unweighted == float(rows.sum())
-    assert res.stationary.tobytes() == ref_sparse_stationary(mm).tobytes()
+    assert res.stationary.tobytes() == ref_sparse_stationary(tm).tobytes()
     pi = ref_stationary(p)
     assert np.allclose(res.stationary, pi, rtol=1e-9, atol=1e-13)
     assert abs(res.stationary_weighted - float((pi * rows).sum())) <= 1e-12
@@ -190,7 +188,7 @@ def test_csr_tables_match_the_dense_reference(case):
         out = 1.0
         for a, b in zip(word, word[1:]):
             out *= float(p[a - 1, b - 1])
-        assert cylinder_measure(mm, SymbolSequence(word=word)) == out
+        assert cylinder_measure(tm, SymbolSequence(word=word)) == out
     n0 = int(rng.integers(1, n + 1))
     for length in (1, 2, 5, None):
         assert reachable_symbols(tm, n0, length) == ref_reachable(gamma, n0, length)
@@ -214,10 +212,11 @@ def test_row_sums_follow_the_dense_pairwise_sum(n, n_rows, density, seed):
 def test_stationary_vector_of_an_absorbing_chain_keeps_every_step():
     # the mass in cell 1 halves each step and underflows to 0 after about
     # 1075 steps; x then stays (0, 1), and the steps left only add it
-    mm = MarkovMatrix([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
-    pi = ks_entropy(mm).stationary
-    assert pi.tobytes() == ref_sparse_stationary(mm).tobytes()
-    assert pi.tobytes() == ref_stationary(dense(mm)).tobytes()
+    tm = from_counts([[1, 1], [0, 1]])
+    assert tm.p.tolist() == [0.5, 0.5, 1.0]
+    pi = ks_entropy(tm).stationary
+    assert pi.tobytes() == ref_sparse_stationary(tm).tobytes()
+    assert pi.tobytes() == ref_stationary(dense(tm, tm.p)).tobytes()
 
 
 def test_transition_tables_stay_within_a_small_memory_bound(tmp_path):
@@ -231,11 +230,11 @@ def test_transition_tables_stay_within_a_small_memory_bound(tmp_path):
     itins = np.stack([src, dst], axis=1)
 
     def round_trip():
-        tm, mm, _ = transitions_from_itineraries(itins, n)
-        write_json(tmp_path / "transitions.json", transitions_to_json(tm, mm, 1, 2))
-        return tm, mm, transitions_from_json(read_json(tmp_path / "transitions.json"))
+        tm, _ = transitions_from_itineraries(itins, n)
+        write_json(tmp_path / "transitions.json", transitions_to_json(tm, 1, 2))
+        return tm, transitions_from_json(read_json(tmp_path / "transitions.json"))
 
-    (tm, mm, (tm2, mm2)), peak = traced_peak(round_trip)
+    (tm, tm2), peak = traced_peak(round_trip)
     assert peak < 4 * 2 ** 20
-    assert np.array_equal(tm2.counts, tm.counts) and mm2.p.tobytes() == mm.p.tobytes()
+    assert np.array_equal(tm2.counts, tm.counts) and tm2.p.tobytes() == tm.p.tobytes()
     assert tm2.landed.sum() + tm2.escapes.sum() == src.size

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_tensor_words, brute_force_words, markov
+from conftest import brute_force_tensor_words, brute_force_words, from_counts
 from segdyn import (
     Cover,
     EncodingError,
@@ -31,7 +31,6 @@ from segdyn import (
     shadowing_report,
 )
 from segdyn.cover import BoxDomain
-from segdyn.symbolic import CylinderSet
 from segdyn.transitions import TransitionTensor
 
 
@@ -300,10 +299,10 @@ def test_symbol_sequence_normalises_numpy_ints():
 
 
 def test_cylinder_measure_examples():
-    p = markov(np.array([[0.25, 0.75], [0.5, 0.5]]))
-    assert cylinder_measure(p, SymbolSequence(word=(2,))) == 1.0
-    assert cylinder_measure(p, SymbolSequence(word=(1, 2))) == 0.75
-    uniform = markov(np.full((4, 4), 0.25))
+    tm = from_counts([[1, 3], [1, 1]])
+    assert cylinder_measure(tm, SymbolSequence(word=(2,))) == 1.0
+    assert cylinder_measure(tm, SymbolSequence(word=(1, 2))) == 0.75
+    uniform = from_counts(np.ones((4, 4)))
     for j in (2, 3, 5):
         prefix = SymbolSequence(word=tuple([1] * j))
         assert abs(cylinder_measure(uniform, prefix) - 4.0 ** (-(j - 1))) <= 1e-15
@@ -313,32 +312,29 @@ def test_cylinder_measure_examples():
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_cylinder_measure_additive_over_extensions(n, seed):
     rng = np.random.default_rng(seed)
-    p = rng.random((n, n))
-    p /= p.sum(axis=1, keepdims=True)
-    mm = markov(p)
+    tm = from_counts(rng.integers(1, 2 ** 20, size=(n, n)))
     prefix_word = tuple(rng.integers(1, n + 1, size=3).tolist())
     prefix = SymbolSequence(word=prefix_word)
-    total = sum(cylinder_measure(mm, SymbolSequence(word=prefix_word + (s,)))
+    total = sum(cylinder_measure(tm, SymbolSequence(word=prefix_word + (s,)))
                 for s in range(1, n + 1))
-    assert abs(total - cylinder_measure(mm, prefix)) <= 1e-12
+    assert abs(total - cylinder_measure(tm, prefix)) <= 1e-12
 
 
 def test_ks_entropy_single_cell():
-    res = ks_entropy(markov(np.array([[1.0]])))
+    res = ks_entropy(from_counts([[1]]))
     assert res.unweighted == 0.0
     assert res.stationary_weighted == 0.0
 
 
 def test_ks_entropy_permutation_is_zero():
-    p = markov(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    res = ks_entropy(p)
+    res = ks_entropy(from_counts([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     assert res.unweighted == 0.0
     assert res.stationary_weighted == 0.0
 
 
 def test_ks_entropy_uniform_both_conventions():
     n = 5
-    res = ks_entropy(markov(np.full((n, n), 1.0 / n)))
+    res = ks_entropy(from_counts(np.ones((n, n))))
     assert abs(res.unweighted - n * np.log(n)) <= 1e-12
     assert abs(res.stationary_weighted - np.log(n)) <= 1e-12
     assert np.allclose(res.stationary, 1.0 / n)
@@ -353,7 +349,7 @@ def test_ks_entropy_row_blocks_match_one_table():
     p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    assert ks_entropy(markov(p)).unweighted == float((-plogp.sum(axis=1)).sum())
+    assert ks_entropy(from_counts(counts)).unweighted == float((-plogp.sum(axis=1)).sum())
 
 
 def test_commutation_frozen_flow(zero_field_1d, cfg):
@@ -385,8 +381,3 @@ def test_sensitivity_witness_requires_branching():
         sensitivity_witness(np.eye(2, dtype=bool), (1,))
     with pytest.raises(ValueError, match="not admissible"):
         sensitivity_witness(np.eye(2, dtype=bool), (1, 2))
-
-
-def test_cylinder_set_requires_nonempty_prefix():
-    with pytest.raises(ValueError, match="nonempty"):
-        CylinderSet(prefix=SymbolSequence(word=()))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, make_markov_tensors, tables
+from conftest import dense, from_counts, make_markov_tensors
 from segdyn import (
     Cover,
     IntegratorConfig,
@@ -29,7 +29,6 @@ from segdyn._rng import STREAM_TRANSITIONS, derive_rng
 from segdyn.artifacts import read_json, write_json
 from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
-    MarkovMatrix,
     TransitionMatrix,
     TransitionTensor,
     tensor_from_json,
@@ -45,18 +44,17 @@ def _partition(centers, radii):
 
 
 def _one_hop(model, partition, horizon, samples_per_cell, cfg, rng_seed, **kwargs):
-    """Transition table and landing probabilities from one hop of T."""
+    """Transition table from one hop of T."""
     _, itins = sample_itineraries(model, partition, horizon, 1, samples_per_cell, cfg,
                                   rng_seed, **kwargs)
-    tm, mm, _ = transitions_from_itineraries(itins, partition.n_cells)
-    return tm, mm
+    return transitions_from_itineraries(itins, partition.n_cells)[0]
 
 
 def _tensor(model, partition, horizon, order, samples_per_cell, cfg, rng_seed):
     """Order-k tensor from samples_per_cell itineraries of k - 1 hops per cell."""
     _, itins = sample_itineraries(model, partition, horizon, order - 1, samples_per_cell,
                                   cfg, rng_seed)
-    return transitions_from_itineraries(itins, partition.n_cells, (order,))[2][0]
+    return transitions_from_itineraries(itins, partition.n_cells, (order,))[1][0]
 
 
 @pytest.fixture(scope="module")
@@ -68,28 +66,28 @@ def sink_partition():
 
 def test_single_cell_self_map(linear1, cfg):
     part = _partition([[0.0]], [0.5])
-    tm, mm = _one_hop(linear1, part, 1.0, 40, cfg, rng_seed=1)
+    tm = _one_hop(linear1, part, 1.0, 40, cfg, rng_seed=1)
     assert (dense(tm) > 0).tolist() == [[True]]
-    assert dense(mm).tolist() == [[1.0]]
+    assert dense(tm, tm.p).tolist() == [[1.0]]
     assert tm.escapes.tolist() == [0]
 
 
 def test_zero_horizon_gives_identity(linear1, sink_partition, cfg):
-    tm, mm = _one_hop(linear1, sink_partition, 0.0, 25, cfg, rng_seed=2)
+    tm = _one_hop(linear1, sink_partition, 0.0, 25, cfg, rng_seed=2)
     assert np.array_equal(dense(tm) > 0, np.eye(2, dtype=bool))
-    assert np.array_equal(dense(mm), np.eye(2))
+    assert np.array_equal(dense(tm, tm.p), np.eye(2))
 
 
 def test_contraction_funnels_into_sink_cell(linear1, sink_partition, cfg):
     # oracle: e^{-3} * x keeps every point of both balls within [-0.041, 0.041],
     # inside both balls, so the largest-index rule lands everything in cell 2
-    tm, mm = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
+    tm = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
     assert np.array_equal(dense(tm) > 0, [[False, True], [False, True]])
-    assert np.array_equal(dense(mm), [[0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(dense(tm, tm.p), [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_tensor_order2_equals_gamma_same_seed(linear1, sink_partition, cfg):
-    tm, _ = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
+    tm = _one_hop(linear1, sink_partition, 3.0, 60, cfg, rng_seed=3)
     t2 = _tensor(linear1, sink_partition, 3.0, 2, 60, cfg, rng_seed=3)
     assert t2.tuples.tolist() == (np.argwhere(dense(tm)) + 1).tolist()
 
@@ -117,30 +115,30 @@ def test_prefix_closure_across_orders(linear1, cfg):
 
 def test_markov_rows_sum_to_one(linear1, cfg):
     part = _partition([[-0.7], [0.0], [0.7]], [0.45, 0.45, 0.45])
-    tm, mm = _one_hop(linear1, part, 0.6, 50, cfg, rng_seed=8)
+    tm = _one_hop(linear1, part, 0.6, 50, cfg, rng_seed=8)
     landed = dense(tm).sum(axis=1)
     for m in range(3):
-        row = dense(mm)[m].sum()
+        row = dense(tm, tm.p)[m].sum()
         if landed[m] > 0:
             assert abs(row - 1.0) <= 1e-9
         else:
             assert row == 0.0
-    assert np.array_equal(dense(mm) > 0, dense(tm) > 0)
+    assert np.array_equal(dense(tm, tm.p) > 0, dense(tm) > 0)
 
 
 def test_escaping_cell_is_unsupported(expanding1d, cfg):
     part = _partition([[1.0]], [0.1])
-    tm, mm = _one_hop(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
+    tm = _one_hop(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
     assert tm.unsupported_rows == {1}
     assert tm.escape_fractions().tolist() == [1.0]
-    assert np.array_equal(dense(mm), [[0.0]])
+    assert np.array_equal(dense(tm, tm.p), [[0.0]])
 
 
 def test_seed_determinism_bytes(linear1, sink_partition, cfg):
     docs = []
     for _ in range(2):
-        tm, mm = _one_hop(linear1, sink_partition, 1.0, 40, cfg, rng_seed=12)
-        docs.append(json.dumps(transitions_to_json(tm, mm, 12, 40), sort_keys=True))
+        tm = _one_hop(linear1, sink_partition, 1.0, 40, cfg, rng_seed=12)
+        docs.append(json.dumps(transitions_to_json(tm, 12, 40), sort_keys=True))
     assert docs[0] == docs[1]
 
 
@@ -160,7 +158,7 @@ def test_sampled_start_pairs_are_admissible(linear1, sink_partition, cfg):
     # that Gamma marks admissible
     from segdyn import encode_orbit
     starts, itins = sample_itineraries(linear1, sink_partition, 1.0, 1, 30, cfg, rng_seed=14)
-    tm, _ = _one_hop(linear1, sink_partition, 1.0, 30, cfg, rng_seed=14)
+    tm = _one_hop(linear1, sink_partition, 1.0, 30, cfg, rng_seed=14)
     for x0, itin in zip(starts[:20], itins[:20]):
         if itin[1] == 0:
             continue
@@ -529,12 +527,11 @@ def test_transitions_json_roundtrip_sparse():
     counts[rows, cols] += 7
     landed = counts.sum(axis=1)
     p = np.where(landed[:, None] > 0, counts / np.maximum(landed, 1)[:, None], 0.0)
-    tm, mm = tables(counts)
-    doc = transitions_to_json(tm, mm, rng_seed=1, samples_per_cell=7)
+    doc = transitions_to_json(from_counts(counts), rng_seed=1, samples_per_cell=7)
     assert doc["format"] == "sparse"
-    tm2, mm2 = transitions_from_json(json.loads(json.dumps(doc)))
+    tm2 = transitions_from_json(json.loads(json.dumps(doc)))
     assert np.array_equal(dense(tm2), counts)
-    assert np.array_equal(dense(mm2), p)
+    assert np.array_equal(dense(tm2, tm2.p), p)
 
 
 def _sparse_doc(n=600):
@@ -543,9 +540,9 @@ def _sparse_doc(n=600):
 
 
 def test_sparse_transitions_read_their_triplets():
-    tm, mm = transitions_from_json(_sparse_doc())
+    tm = transitions_from_json(_sparse_doc())
     assert np.array_equal(np.argwhere(dense(tm)), [[0, 1], [599, 599]])
-    assert dense(tm)[0, 1] == 3 and dense(mm)[599, 599] == 1.0
+    assert dense(tm)[0, 1] == 3 and dense(tm, tm.p)[599, 599] == 1.0
     with pytest.raises(ValueError, match=r"counts must be a list of \(row, col, value\)"):
         transitions_from_json(dict(_sparse_doc(), counts=[[1, 2], [3, 4]]))
 
@@ -556,19 +553,26 @@ def test_sparse_transitions_read_their_triplets():
     ("counts", [1, 0, 3], "counts entry 1: col 0 is not a cell id in 1..600"),
     ("counts", [1, 2.5, 3], "counts entry 1: col 2.5 is not a cell id in 1..600"),
     ("counts", [1, 2, -1], "counts entry 1: value -1 is not a nonnegative number"),
-    ("p", [1, 601, 0.5], "p entry 1: col 601 is not a cell id in 1..600"),
-    ("p", [1, 2, float("nan")], "p entry 1: value nan is not a nonnegative number"),
+    ("p", [1, 601, 0.5], "p entry 1: cell pair (1, 601) is not (600, 600), the next pair "
+                         "with a count"),
+    ("p", [1, 2, float("nan")], "p entry 1: cell pair (1, 2) is not (600, 600), the next pair "
+                                "with a count"),
     ("counts", [1, 2.0, 3], "counts entry 1: col 2.0 is not a cell id in 1..600"),
     ("counts", [True, "2", 3], "counts entry 1: row true is not a cell id in 1..600"),
     ("counts", [1, "2", 3], 'counts entry 1: col "2" is not a cell id in 1..600'),
-    ("p", [1, False, 0.5], "p entry 1: col false is not a cell id in 1..600"),
+    ("p", [1, False, 0.5], "p entry 1: col false is not a JSON integer"),
     ("counts", [1, 2, 2.5], "counts entry 1: value 2.5 is not an int64 count"),
     ("counts", [1, 2, 1e30], "counts entry 1: value 1e+30 is not an int64 count"),
     ("counts", [1, 2, 2 ** 63], "counts entry 1: value 9223372036854775808 is not an int64 count"),
     ("counts", [1, 2, True], "counts entry 1: value true is not an int64 count"),
     ("counts", [1, 2, 4], "counts entry 1: cell pair (1, 2) repeats an earlier entry"),
-    ("p", [1, 2, 0.5], "p entry 1: cell pair (1, 2) repeats an earlier entry"),
-    ("p", [3, 4, 0.5], "p entry 1: cell pair (3, 4) has count 0"),
+    ("p", [1, 2, 0.5], "p entry 1: cell pair (1, 2) is not (600, 600), the next pair with a "
+                       "count"),
+    ("p", [3, 4, 0.5], "p entry 1: cell pair (3, 4) is not (600, 600), the next pair with a "
+                       "count"),
+    ("p", [600, 600, float("nan")], "p entry 1: value NaN is not 1.0, the p that its counts "
+                                    "give"),
+    ("p", [600, 600, True], "p entry 1: value true is not a JSON number"),
 ])
 def test_sparse_transitions_reject_bad_triplets(key, entry, message):
     doc = _sparse_doc()
@@ -583,16 +587,17 @@ def test_sparse_transitions_reject_bad_triplets(key, entry, message):
 
 
 def test_dense_transitions_reject_mismatched_p_and_negative_counts():
-    doc = transitions_to_json(*tables(np.eye(2)), rng_seed=1, samples_per_cell=1)
+    doc = transitions_to_json(from_counts(np.eye(2)), rng_seed=1, samples_per_cell=1)
     assert doc["format"] == "sparse" and doc["counts"] == [[1, 1, 1], [2, 2, 1]]
-    with pytest.raises(ValueError, match=r"^p entry 0: cell pair \(1, 2\) has count 0$"):
+    with pytest.raises(ValueError, match=r"^p entry 0: cell pair \(1, 2\) is not \(1, 1\), "
+                                         r"the next pair with a count$"):
         transitions_from_json(dict(doc, p=[[1, 2, 1.0]]))
     with pytest.raises(ValueError, match="^counts entry 1: value -1 is not a nonnegative number$"):
         transitions_from_json(dict(doc, counts=[[1, 1, 1], [2, 2, -1]]))
 
 
 def _small_doc():
-    return transitions_to_json(*tables(2 * np.eye(2), escapes=[1, 0]), rng_seed=1,
+    return transitions_to_json(from_counts(2 * np.eye(2), escapes=[1, 0]), rng_seed=1,
                                samples_per_cell=3)
 
 
@@ -607,7 +612,13 @@ def _small_doc():
     ("escapes", [1, "0"], 'escapes must be nonnegative JSON integers; cell 2 holds "0"'),
     ("escapes", [-1, 0], "escapes must be nonnegative JSON integers; cell 1 holds -1"),
     ("escapes", 1, "escapes must be a list of counts"),
-    ("p", [[1, 1, 1.0], [1, 2, 0.0]], "p entry 1: cell pair (1, 2) has count 0"),
+    ("p", [[1, 1, 1.0], [1, 2, 0.0]],
+     "p entry 1: cell pair (1, 2) is not (2, 2), the next pair with a count"),
+    ("p", [[1, 1, 1.0]],
+     "the number of p entries, 1, is not the number of cell pairs with a count, 2"),
+    ("p", [[1, 1, 1.0], [2, 2, 1.0], [2, 2, 1.0]],
+     "the number of p entries, 3, is not the number of cell pairs with a count, 2"),
+    ("p", {"1": 1.0}, "p must be a list of (row, col, value) triplets"),
 ])
 def test_dense_transitions_reject_bad_cells(key, value, message):
     with pytest.raises(ValueError) as err:
@@ -692,8 +703,6 @@ def test_csr_tables_reject_bad_patterns(indptr, indices, message):
     counts = np.ones(len(indices), dtype=np.int64)
     with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
         TransitionMatrix(indptr, indices, counts, np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
-        MarkovMatrix(indptr, indices, np.ones(len(indices)))
 
 
 def test_csr_rows_may_start_below_the_row_before():
@@ -702,5 +711,4 @@ def test_csr_rows_may_start_below_the_row_before():
     assert tm.unsupported_rows == {2}
     assert tm.landed.tolist() == [3, 0, 3]
     assert tm.escape_fractions().tolist() == [0.0, 1.0, 0.0]
-    with pytest.raises(ValueError, match="p must be nonnegative"):
-        MarkovMatrix([0, 1], [0], [-0.5])
+    assert tm.p.tolist() == [1 / 3, 2 / 3, 1.0]

@@ -39,15 +39,11 @@ from .flow import (
     LinearDiagonal,
     Lorenz,
     QuadraticGeneric,
-    TrajectorySample,
     advance,
     advance_many,
-    jacobian_norm,
     jacobian_norms,
-    load_model,
     model_from_json,
     model_to_json,
-    sample_trajectory,
 )
 from .quantities import (
     QuantityEnvelope,
@@ -62,7 +58,6 @@ from .symbolic import (
     KSEntropyResult,
     PseudoOrbit,
     SymbolSequence,
-    commutation_check,
     cylinder_measure,
     encode_many,
     encode_orbit,
@@ -70,8 +65,6 @@ from .symbolic import (
     ks_entropy,
     reachable_symbols,
     reconstruct_pseudo_orbit,
-    sensitivity_witness,
-    shadowing_error,
     shadowing_report,
 )
 from .transitions import (

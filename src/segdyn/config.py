@@ -145,16 +145,15 @@ def parse_config(doc: dict) -> PipelineConfig:
     resolution = doc.get("resolution")
     if resolution is None:
         problems.append("resolution: missing")
+    elif type(resolution) is not list or not set(map(type, resolution)) <= {int}:
+        # int() would truncate a float entry and read a boolean as 0 or 1
+        problems.append(f"resolution: expected a list of integers, got {resolution!r}")
     else:
-        try:
-            resolution = [int(r) for r in resolution]
-            if any(r < 1 for r in resolution):
-                problems.append(f"resolution: entries must be >= 1, got {resolution}")
-            if model is not None and len(resolution) != model.dimension:
-                problems.append(
-                    f"resolution: needs {model.dimension} entries, got {len(resolution)}")
-        except (TypeError, ValueError):
-            problems.append(f"resolution: expected a list of integers, got {resolution!r}")
+        if any(r < 1 for r in resolution):
+            problems.append(f"resolution: entries must be >= 1, got {resolution}")
+        if model is not None and len(resolution) != model.dimension:
+            problems.append(
+                f"resolution: needs {model.dimension} entries, got {len(resolution)}")
 
     numbers.update((row[0], _get_number(doc, problems, *row)) for row in _NUMBERS[2:])
 
@@ -167,7 +166,11 @@ def parse_config(doc: dict) -> PipelineConfig:
         problems.append(f"output_dir: expected a nonempty string, got {output_dir!r}")
 
     quantities = []
-    for i, qdoc in enumerate(doc.get("quantities", [{"kind": "energy"}])):
+    qdocs = doc.get("quantities", [{"kind": "energy"}])
+    if type(qdocs) is not list:
+        problems.append(f"quantities: expected a list of objects, got {qdocs!r}")
+        qdocs = []
+    for i, qdoc in enumerate(qdocs):
         try:
             quantities.append(quantity_from_json(qdoc))
         except (ValueError, KeyError, TypeError) as err:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import ClassVar, Union
 
@@ -27,17 +27,13 @@ __all__ = [
     "Lorenz",
     "QuadraticGeneric",
     "FlowModel",
-    "TrajectorySample",
     "advance",
     "advance_many",
-    "sample_trajectory",
     "sample_path",
     "walk_open_rows",
-    "jacobian_norm",
     "jacobian_norms",
     "model_from_json",
     "model_to_json",
-    "load_model",
 ]
 
 
@@ -251,30 +247,6 @@ _MODEL_IDS = {
     "Lorenz": Lorenz,
     "QuadraticGeneric": QuadraticGeneric,
 }
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectorySample:
-    """States of one orbit on a uniform time grid starting at t=0."""
-
-    times: Array
-    states: Array
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.shape[0]:
-            raise ValueError(f"inconsistent trajectory shapes {t.shape} vs {s.shape}")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
 
 def _substep_count(duration: float, max_step: float) -> int:
@@ -525,14 +497,6 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     return dropped
 
 
-def sample_trajectory(model: FlowModel, x, horizon: float, n_samples: int,
-                      cfg: IntegratorConfig) -> TrajectorySample:
-    """Sampled orbit of a single point on a uniform grid over [0, horizon]."""
-    x = _as_vector(x)
-    times, states = sample_path(model, x[None, :], horizon, n_samples, cfg)
-    return TrajectorySample(times=times, states=states[0])
-
-
 def jacobian_norms(model: FlowModel, points: Array, t: float, cfg: IntegratorConfig,
                    fd_step: float = 1e-5) -> Array:
     """Operator 2-norm of the finite-difference Jacobian of F^t at each point.
@@ -555,21 +519,29 @@ def jacobian_norms(model: FlowModel, points: Array, t: float, cfg: IntegratorCon
     return np.linalg.svd(np.swapaxes(jac, 1, 2), compute_uv=False)[:, 0]
 
 
-def jacobian_norm(model: FlowModel, x, t: float, cfg: IntegratorConfig,
-                  fd_step: float = 1e-5) -> float:
-    """Operator 2-norm of the finite-difference Jacobian of y -> F^t(y) at x."""
-    x = _as_vector(x)
-    return float(jacobian_norms(model, x[None, :], t, cfg, fd_step=fd_step)[0])
-
-
 def model_from_json(doc: dict) -> FlowModel:
-    """Build a model from {"model_id": ..., "dimension": ..., "parameters": {...}}."""
+    """Build a model from {"model_id": ..., "dimension": ..., "parameters": {...}}.
+    A misspelt field or parameter is refused, not run as its default."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - {"model_id", "dimension", "parameters"})
+    if unknown:
+        raise ValueError(f"unknown fields: {', '.join(map(json.dumps, unknown))}")
     if "model_id" not in doc:
         raise ValueError("model document missing 'model_id'")
     model_id = doc["model_id"]
     if model_id not in _MODEL_IDS:
         raise ValueError(f"unknown model_id {model_id!r}; expected one of {sorted(_MODEL_IDS)}")
     params = doc.get("parameters", {})
+    if type(params) is not dict:
+        raise ValueError(f"parameters: expected an object, got {params!r}")
+    unknown = sorted(set(params) - {f.name for f in fields(_MODEL_IDS[model_id])})
+    if unknown:
+        raise ValueError(
+            f"unknown {model_id} parameters: {', '.join(map(json.dumps, unknown))}")
+    declared = doc.get("dimension")
+    if declared is not None and type(declared) is not int:
+        raise ValueError(f"dimension {declared!r} is not a JSON integer")
     if model_id == "LinearDiagonal":
         model: FlowModel = LinearDiagonal(rates=np.asarray(params["rates"], dtype=float))
     elif model_id == "Lorenz":
@@ -584,8 +556,7 @@ def model_from_json(doc: dict) -> FlowModel:
             quadratic=np.asarray(params["quadratic"], dtype=float),
             forcing=np.asarray(params["forcing"], dtype=float),
         )
-    declared = doc.get("dimension")
-    if declared is not None and int(declared) != model.dimension:
+    if declared is not None and declared != model.dimension:
         raise ValueError(
             f"declared dimension {declared} does not match parameters ({model.dimension})")
     return model
@@ -597,9 +568,3 @@ def model_to_json(model: FlowModel) -> dict:
         "dimension": model.dimension,
         "parameters": model.parameters(),
     }
-
-
-def load_model(path) -> FlowModel:
-    """Read a model definition from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))

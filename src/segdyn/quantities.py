@@ -6,6 +6,7 @@ encoded orbit over [0, mT].
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import NoAdmissibleWordError
 from .segments import SegmentLibrary
 from .symbolic import reachable_symbols
+from .transitions import TransitionMatrix
 
 Array = np.ndarray
 
@@ -114,14 +116,14 @@ def segment_envelope(lib: SegmentLibrary, q: QuantitySpec) -> QuantityEnvelope:
                             inf_per_cell=values.min(axis=1))
 
 
-def reachable_bounds(env: QuantityEnvelope, gamma, n0: int,
+def reachable_bounds(env: QuantityEnvelope, tm: TransitionMatrix, n0: int,
                      length: int | None) -> ReachableBounds:
     """Envelope bounds over every cell reachable within ``length`` symbols.
 
     The lower bound takes the min of the per-cell infima (so the bracket
     contains the orbit values); length=None propagates to the fixpoint.
     """
-    reach = reachable_symbols(gamma, n0, length)
+    reach = reachable_symbols(tm, n0, length)
     if not reach:
         raise NoAdmissibleWordError(f"no admissible word of length {length} starts at {n0}")
     idx = np.asarray(sorted(reach), dtype=np.int64) - 1
@@ -133,9 +135,17 @@ def reachable_bounds(env: QuantityEnvelope, gamma, n0: int,
 
 
 def quantity_from_json(doc: dict) -> QuantitySpec:
-    kind = doc.get("kind")
+    """The quantity of a {"kind": ..., "index": ..., "weight": ...} object;
+    a misspelt field is refused, not dropped."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - {"kind", "index", "weight"})
+    if unknown:
+        raise ValueError(f"unknown fields: {', '.join(map(json.dumps, unknown))}")
+    if doc.get("index") is not None and type(doc["index"]) is not int:
+        raise ValueError(f"index {doc['index']!r} is not a JSON integer")
     return QuantitySpec(
-        kind=kind,
+        kind=doc.get("kind"),
         index=doc.get("index"),
         weight=np.asarray(doc["weight"], dtype=float) if "weight" in doc else None,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from .atomic import write_atomic, write_json
 from .cover import Cover, diameters
 from .errors import BlowupError
-from .flow import FlowModel, IntegratorConfig, TrajectorySample, sample_path
+from .flow import FlowModel, IntegratorConfig, sample_path
 
 Array = np.ndarray
 
@@ -86,11 +86,6 @@ class SegmentLibrary:
 
     def ends(self) -> Array:
         return self.states[:, -1, :]
-
-    def segment(self, cell: int) -> TrajectorySample:
-        if not 1 <= cell <= self.n_segments:
-            raise ValueError(f"cell id {cell} out of range 1..{self.n_segments}")
-        return TrajectorySample(times=self.times, states=self.states[cell - 1])
 
 
 def build_segments(model: FlowModel, cover: Cover, horizon: float, n_samples: int,

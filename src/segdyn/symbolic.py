@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cover import _PAIR_CHUNK, Partition, _blocks, _expand
 from .errors import EncodingError
-from .flow import FlowModel, IntegratorConfig, advance_many, walk_open_rows
+from .flow import FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
 from .transitions import (
-    TransitionMatrix, TransitionTensor, _entry_rows, _gamma_pattern, _rank_rows, cell_itineraries,
+    TransitionMatrix, TransitionTensor, _entry_rows, _rank_rows, cell_itineraries,
 )
 
 Array = np.ndarray
@@ -31,14 +30,11 @@ __all__ = [
     "encode_orbit",
     "encode_many",
     "reconstruct_pseudo_orbit",
-    "shadowing_error",
     "shadowing_report",
     "enumerate_admissible",
     "reachable_symbols",
     "cylinder_measure",
     "ks_entropy",
-    "commutation_check",
-    "sensitivity_witness",
 ]
 
 
@@ -118,21 +114,26 @@ def reconstruct_pseudo_orbit(lib: SegmentLibrary, word: SymbolSequence) -> Pseud
     return PseudoOrbit(word=word, times=times, states=states)
 
 
-def _shadow_walk(model: FlowModel, x0s: Array, segments: Array, horizon: float,
-                 length: int, cfg: IntegratorConfig, assign) -> tuple[Array, Array]:
-    """Words of up to ``length`` windows and their shadowing errors, from one
-    integration per start on the segment grid: segments has shape (S, K, d),
-    and the walk steps horizon / (K - 1) at a time
-    (:func:`~segdyn.flow.walk_open_rows`).
+def shadowing_report(model: FlowModel, lib: SegmentLibrary, partition: Partition,
+                     x0s: Array, length: int, cfg: IntegratorConfig) -> dict:
+    """Encode a batch of points and verify their pseudo-orbits in one walk.
 
-    At the start of window j, assign(j, y) names each state's segment,
-    1..S, or 0 to end its word there. At every grid point the state is
+    Each start is integrated once on the segment grid, horizon / (K - 1) at
+    a time (:func:`~segdyn.flow.walk_open_rows`). At the start of each
+    window the partition names the state's cell, the segment it follows,
+    or 0, which ends its word there. At every grid point the state is
     compared with its segment's sample; at a junction, with the last sample
     of the outgoing segment and the first of the incoming one. An orbit
-    leaves the walk when its word ends. Returns the segment ids, 0 from a
-    word's end on, and each orbit's largest distance.
+    leaves the walk when its word ends, so incomplete encodings are
+    verified over their truncated prefix. Points outside every cell are
+    reported but carry no error value. The words are those of
+    :func:`encode_many` whenever the walk's substep, horizon / (K - 1) /
+    n_sub, has the same bits as encode's horizon / n.
     """
-    last = segments.shape[1] - 1
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
+    x0s = np.asarray(x0s, dtype=float).reshape(-1, lib.dimension)
+    segments, last = lib.states, lib.n_times - 1
     cells = np.zeros((x0s.shape[0], length), dtype=np.int64)
     errors = np.zeros(x0s.shape[0])
 
@@ -149,59 +150,26 @@ def _shadow_walk(model: FlowModel, x0s: Array, segments: Array, horizon: float,
             compare(rows, y, cells[rows, j - 1], last)
         if j == length:
             return None
-        found = assign(j, y)
+        found = partition.assign_many(y)
         cells[rows, j] = found
         inside = found > 0
         compare(rows[inside], y[inside], found[inside], 0)
         return ~inside
 
-    interval = horizon / last
-    walk_open_rows(model, x0s, interval, length * last, cfg, visit)
-    return cells, errors
-
-
-def shadowing_error(model: FlowModel, x0, pseudo: PseudoOrbit,
-                    cfg: IntegratorConfig) -> float:
-    """Max distance between the true orbit of x0 and the pseudo-orbit on the
-    global sample grid. The true orbit is integrated once, continuously; at
-    window junctions both retained pseudo-orbit values are compared."""
-    x0 = np.asarray(x0, dtype=float)
-    length = len(pseudo.word)
-    windows = pseudo.states.reshape(length, -1, pseudo.states.shape[1])
-    # window j of the pseudo-orbit is the walk's segment j + 1
-    _, errors = _shadow_walk(model, x0[None, :], windows,
-                             float(pseudo.times[windows.shape[1] - 1]), length, cfg,
-                             lambda j, y: np.array([j + 1]))
-    return float(errors[0])
-
-
-def shadowing_report(model: FlowModel, lib: SegmentLibrary, partition: Partition,
-                     x0s: Array, length: int, cfg: IntegratorConfig) -> dict:
-    """Encode a batch of points and verify their pseudo-orbits in one walk.
-
-    Incomplete encodings are verified over their truncated prefix. Points
-    outside every cell are reported but carry no error value. The words are
-    those of :func:`encode_many` whenever the walk's substep, horizon / (K -
-    1) / n_sub, has the same bits as encode's horizon / n.
-    """
-    if length < 1:
-        raise ValueError(f"length must be at least 1, got {length}")
-    x0s = np.asarray(x0s, dtype=float).reshape(-1, lib.dimension)
-    cells, errs = _shadow_walk(model, x0s, lib.states, lib.horizon, length, cfg,
-                               lambda j, y: partition.assign_many(y))
+    walk_open_rows(model, x0s, lib.horizon / last, length * last, cfg, visit)
     per_orbit = []
-    for x0, row, err in zip(x0s.tolist(), cells, errs.tolist()):
+    for x0, row, err in zip(x0s.tolist(), cells, errors.tolist()):
         if row[0] == 0:
             per_orbit.append({"x0": x0, "word_length": 0, "complete": False, "error": None})
             continue
         word = _truncate(row, lib.horizon)
         per_orbit.append({"x0": x0, "word_length": len(word), "complete": word.complete,
                           "error": err})
-    errors = [r["error"] for r in per_orbit if r["error"] is not None]
+    measured = [r["error"] for r in per_orbit if r["error"] is not None]
     n_complete = sum(1 for r in per_orbit if r["complete"])
     return {
         "epsilon": None if math.isnan(lib.epsilon) else lib.epsilon,
-        "max_error": max(errors) if errors else None,
+        "max_error": max(measured) if measured else None,
         "requested_length": length,
         "orbits": len(per_orbit),
         "complete_orbits": n_complete,
@@ -234,18 +202,14 @@ class _StateGraph:
     graph, shared rather than copied.
     """
 
-    def __init__(self, gamma_or_tensor, n0: int):
-        tensor = isinstance(gamma_or_tensor, TransitionTensor)
-        if tensor:
-            n_cells = gamma_or_tensor.n_cells
-        else:
-            self.indptr, self.dst = _gamma_pattern(gamma_or_tensor)
-            n_cells = self.indptr.shape[0] - 1
+    def __init__(self, gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: int):
+        n_cells = gamma_or_tensor.n_cells
         if not 1 <= n0 <= n_cells:
             raise ValueError(f"start symbol {n0} out of range 1..{n_cells}")
-        if tensor:
+        if isinstance(gamma_or_tensor, TransitionTensor):
             self._from_tuples(gamma_or_tensor, n0)
         else:
+            self.indptr, self.dst = gamma_or_tensor.indptr, gamma_or_tensor.indices
             self.n_states, self.start = n_cells, n0 - 1
             self.last = np.arange(1, n_cells + 1)
 
@@ -375,8 +339,8 @@ class _StateGraph:
         return table.T, frontier.size > cap
 
 
-def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
-                         cap: int = 100_000) -> EnumerationResult:
+def enumerate_admissible(gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: int,
+                         length: int, cap: int = 100_000) -> EnumerationResult:
     """All admissible words of the given length starting at n0.
 
     Under a transition matrix, consecutive pairs must be admissible; under an
@@ -397,7 +361,8 @@ def enumerate_admissible(gamma_or_tensor, n0: int, length: int,
                              overflowed=overflowed)
 
 
-def reachable_symbols(gamma_or_tensor, n0: int, length: int | None) -> set:
+def reachable_symbols(gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: int,
+                      length: int | None) -> set:
     """Symbols appearing in some admissible word of the given length from n0.
 
     Layer propagation with dead-end pruning: a symbol only counts if the
@@ -470,84 +435,17 @@ def _stationary_distribution(tm: TransitionMatrix, iterations: int = 2000) -> Ar
     return acc / acc.sum()
 
 
-def _dense_row_sums(rows: Array, cols: Array, values: Array, lo: int, n: int,
-                    n_rows: int) -> Array:
-    """Per row, the sum over columns lo .. lo+n-1 that numpy's pairwise
-    summation gives for an (n_rows, N) table holding ``values`` at (rows,
-    cols), in row-major order, and 0.0 elsewhere. No value may be -0.0:
-    then adding 0.0 changes no partial sum, so each stored value is added
-    where the dense sum adds it and the zeros are skipped.
-
-    Below 8 columns the sum runs left to right from 0.0; up to 128 it keeps
-    8 running sums of the columns in each residue mod 8, below the last
-    multiple of 8, combines them pairwise and adds the rest left to right;
-    above that it splits at half the columns, rounded down to a multiple of
-    8. A bincount adds its weights in order, so it runs each left-to-right
-    sum."""
-    if n < 8:
-        return np.bincount(rows, values, n_rows)
-    if n <= 128:
-        head = cols < lo + n - n % 8
-        r = np.bincount(rows[head] * 8 + (cols[head] - lo) % 8, values[head],
-                        8 * n_rows).reshape(n_rows, 8).T
-        first = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return np.bincount(np.concatenate([np.arange(n_rows), rows[~head]]),
-                           np.concatenate([first, values[~head]]), n_rows)
-    half = n // 2 - n // 2 % 8
-    left = cols < lo + half
-    return (_dense_row_sums(rows[left], cols[left], values[left], lo, half, n_rows)
-            + _dense_row_sums(rows[~left], cols[~left], values[~left], lo + half, n - half,
-                              n_rows))
-
-
 def ks_entropy(tm: TransitionMatrix) -> KSEntropyResult:
     """Both entropy readings of the landing probabilities p, from their
-    stored entries; each row entropy has the bits of the sum over the
-    row's dense table."""
+    stored entries; each row entropy sums its row's entries in stored
+    order."""
     n, p = tm.n_cells, tm.p
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    row_entropy = -_dense_row_sums(_entry_rows(tm.indptr), tm.indices, plogp, 0, n, n)
+    row_entropy = -np.bincount(_entry_rows(tm.indptr), plogp, n)
     pi = _stationary_distribution(tm)
     return KSEntropyResult(
         unweighted=float(row_entropy.sum()),
         stationary_weighted=float((pi * row_entropy).sum()),
         stationary=pi,
     )
-
-
-def commutation_check(model: FlowModel, partition: Partition, x0, length: int,
-                      horizon: float, cfg: IntegratorConfig) -> bool:
-    """Whether encoding commutes with the time-T map: the encoding of
-    F^T(x0) must equal the left shift of the encoding of x0, both complete."""
-    if length < 2:
-        raise ValueError(f"length must be at least 2, got {length}")
-    x0 = np.asarray(x0, dtype=float)
-    base = encode_orbit(model, partition, x0, length, horizon, cfg)
-    shifted_start = advance_many(model, x0[None, :], horizon, cfg)[0]
-    if partition.assign_many(shifted_start[None, :])[0] == 0:
-        raise EncodingError(
-            f"time-T image {shifted_start.tolist()} lies outside every cell")
-    shifted = encode_orbit(model, partition, shifted_start, length - 1, horizon, cfg)
-    return base.complete and shifted.complete and shifted.word == base.word[1:]
-
-
-def sensitivity_witness(gamma, prefix: Sequence[int]) -> tuple[SymbolSequence, SymbolSequence]:
-    """Two admissible continuations of the prefix that differ at the next
-    position, the separation mechanism behind sensitive dependence. Needs
-    the prefix's last symbol to have at least two admissible successors."""
-    indptr, indices = _gamma_pattern(gamma)
-    prefix = tuple(int(s) for s in prefix)
-    if not prefix:
-        raise ValueError("prefix must be nonempty")
-    for a, b in zip(prefix, prefix[1:]):
-        if b - 1 not in indices[indptr[a - 1]:indptr[a]]:
-            raise ValueError(f"prefix pair ({a}, {b}) is not admissible")
-    successors = indices[indptr[prefix[-1] - 1]:indptr[prefix[-1]]] + 1
-    if successors.size < 2:
-        raise ValueError(
-            f"symbol {prefix[-1]} has {successors.size} admissible successor(s); "
-            "need at least two to separate")
-    w1 = SymbolSequence(word=prefix + (int(successors[0]),), horizon=None)
-    w2 = SymbolSequence(word=prefix + (int(successors[1]),), horizon=None)
-    return w1, w2

@@ -330,23 +330,12 @@ def transitions_from_itineraries(itins: Array, n_cells: int, orders: Sequence[in
     return TransitionMatrix(indptr, indices, counts, escapes), tensors
 
 
-def _gamma_pattern(gamma) -> tuple[Array, Array]:
-    """The CSR pattern (indptr, column indices) of Gamma, given as a
-    :class:`TransitionMatrix` or as a square table read as booleans."""
-    if isinstance(gamma, TransitionMatrix):
-        return gamma.indptr, gamma.indices
-    table = np.asarray(gamma, dtype=bool)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"Gamma must be a square table, got shape {table.shape}")
-    return _csr_pattern(np.flatnonzero(table), table.shape[0])
-
-
-def row_sensitivity(gamma) -> bool:
+def row_sensitivity(tm: TransitionMatrix) -> bool:
     """Whether every supported row of Gamma has at least two admissible
     successors, the hypothesis under which the shift map has sensitive
     dependence. Rows with no successors at all carry no information and are
     skipped."""
-    degrees = np.diff(_gamma_pattern(gamma)[0])
+    degrees = np.diff(tm.indptr)
     return bool(np.all(degrees[degrees > 0] >= 2))
 
 

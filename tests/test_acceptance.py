@@ -390,7 +390,7 @@ def test_criterion_05_enumeration_oracle():
     failures = []
     for name, gamma, n0, m in fixtures:
         for length in range(1, m + 1):
-            res = enumerate_admissible(gamma, n0, length, cap=200_000)
+            res = enumerate_admissible(from_counts(gamma), n0, length, cap=200_000)
             brute = brute_force_words(gamma, n0, length)
             if set(map(tuple, res.words.tolist())) != brute:
                 failures.append(f"{name} m={length}: word sets differ")
@@ -398,7 +398,7 @@ def test_criterion_05_enumeration_oracle():
             if res.reachable != brute_reach:
                 failures.append(f"{name} m={length}: reachable sets differ")
     golden = np.array([[0, 1], [1, 1]], dtype=bool)
-    fib = [len(enumerate_admissible(golden, 2, m).words) for m in range(1, 7)]
+    fib = [len(enumerate_admissible(from_counts(golden), 2, m).words) for m in range(1, 7)]
     if fib != [1, 2, 3, 5, 8, 13]:
         failures.append(f"golden-mean counts {fib} are not Fibonacci")
     record(5, not failures,
@@ -500,9 +500,9 @@ def test_criterion_10_predicate_verdicts():
     identity = np.eye(2)
     full = np.ones((2, 2))
     golden = np.array([[0, 1], [1, 1]])
-    rs = (row_sensitivity(identity.astype(bool)),
-          row_sensitivity(full.astype(bool)),
-          row_sensitivity(golden.astype(bool)))
+    rs = (row_sensitivity(from_counts(identity)),
+          row_sensitivity(from_counts(full)),
+          row_sensitivity(from_counts(golden)))
     ex = (expanding_to_depth(make_markov_tensors(identity, 3), 2).expanding_up_to_depth,
           expanding_to_depth(make_markov_tensors(full, 3), 2).expanding_up_to_depth,
           expanding_to_depth(make_markov_tensors(golden, 3), 2).expanding_up_to_depth)

@@ -256,6 +256,44 @@ def test_config_refuses_unknown_fields(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+LORENZ_MODEL = {"model_id": "Lorenz", "dimension": 3, "parameters": {}}
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"quantities": "energy"}, "quantities: expected a list of objects, got 'energy'"),
+    ({"quantities": {"kind": "energy"}},
+     "quantities: expected a list of objects, got {'kind': 'energy'}"),
+    ({"quantities": ["energy"]}, "quantities[0]: expected an object, got 'energy'"),
+    ({"quantities": [{"kind": "weighted_quadratic", "wieght": [[1.0]]}]},
+     'quantities[0]: unknown fields: "wieght"'),
+    ({"quantities": [{"kind": "coordinate", "index": 0.5}]},
+     "quantities[0]: index 0.5 is not a JSON integer"),
+    ({"model": dict(LORENZ_MODEL, parameters=None)},
+     "model: parameters: expected an object, got None"),
+    ({"model": dict(LORENZ_MODEL, parameters={"rh0": 20.0})},
+     'model: unknown Lorenz parameters: "rh0"'),
+    ({"model": {"model_id": "Lorenz", "dimension": 3, "paramters": {"rho": 20.0}}},
+     'model: unknown fields: "paramters"'),
+    ({"model": dict(LORENZ_MODEL, dimension=3.7)},
+     "model: dimension 3.7 is not a JSON integer"),
+    ({"model": "Lorenz"}, "model: expected an object, got 'Lorenz'"),
+    ({"resolution": [12.9]}, "resolution: expected a list of integers, got [12.9]"),
+    ({"resolution": [True]}, "resolution: expected a list of integers, got [True]"),
+], ids=["quantities string", "quantities object", "quantity string", "quantity field",
+        "quantity index", "null parameters", "model parameter", "model field",
+        "float dimension", "model string", "float resolution", "boolean resolution"])
+def test_config_refuses_malformed_model_and_quantity_fields(tmp_path, capsys, overrides,
+                                                            problem):
+    # a misspelt or mistyped setting must not run as a default or a truncation
+    config = _write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError) as exc:
+        load_config(config)
+    assert exc.value.problems == [problem]
+    assert main(["calibrate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: invalid configuration:\n  - {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_error_exit_code(tmp_path):
     # dx/dt = x^2 blows up inside the calibration horizon
     config = _write_config(tmp_path, {

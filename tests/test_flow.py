@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -16,12 +15,9 @@ from segdyn import (
     QuadraticGeneric,
     advance,
     advance_many,
-    jacobian_norm,
     jacobian_norms,
-    load_model,
     model_from_json,
     model_to_json,
-    sample_trajectory,
 )
 from segdyn.flow import _MODEL_IDS, sample_path, walk_open_rows
 
@@ -71,36 +67,36 @@ def test_advance_rejects_nonfinite_state(linear1, cfg):
         advance(linear1, [np.inf], 1.0, cfg)
 
 
-def test_sample_trajectory_closed_form(linear1, cfg):
-    traj = sample_trajectory(linear1, [1.0], 1.0, 3, cfg)
+def test_sample_path_closed_form(linear1, cfg):
+    times, states = sample_path(linear1, [[1.0]], 1.0, 3, cfg)
     expected = np.array([1.0, np.exp(-0.5), np.exp(-1.0)])
-    assert np.abs(traj.states.ravel() - expected).max() <= 1e-8
-    assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
+    assert np.abs(states.ravel() - expected).max() <= 1e-8
+    assert np.array_equal(times, [0.0, 0.5, 1.0])
 
 
-def test_sample_trajectory_two_samples_is_endpoints(linear1, cfg):
-    traj = sample_trajectory(linear1, [1.0], 0.7, 2, cfg)
-    assert np.array_equal(traj.states[0], [1.0])
-    assert np.array_equal(traj.states[1], advance(linear1, [1.0], 0.7, cfg))
+def test_sample_path_two_samples_is_endpoints(linear1, cfg):
+    _, states = sample_path(linear1, [[1.0]], 0.7, 2, cfg)
+    assert np.array_equal(states[0, 0], [1.0])
+    assert np.array_equal(states[0, 1], advance(linear1, [1.0], 0.7, cfg))
 
 
 def test_lorenz_sampling_consistent_with_advance(lorenz, cfg):
     x0 = [1.0, 1.0, 1.0]
-    traj = sample_trajectory(lorenz, x0, 0.5, 6, cfg)
+    _, states = sample_path(lorenz, [x0], 0.5, 6, cfg)
     direct = advance(lorenz, x0, 0.5, cfg)
-    assert np.linalg.norm(traj.states[-1] - direct) <= 1e-12
+    assert np.linalg.norm(states[0, -1] - direct) <= 1e-12
 
 
 def test_jacobian_norm_linear(linear1, cfg):
-    assert abs(jacobian_norm(linear1, [0.4], 1.0, cfg) - np.exp(-1)) <= 1e-5
+    assert abs(jacobian_norms(linear1, [[0.4]], 1.0, cfg)[0] - np.exp(-1)) <= 1e-5
 
 
 def test_jacobian_norm_t0_is_identity(lorenz, cfg):
-    assert abs(jacobian_norm(lorenz, [3.0, -1.0, 20.0], 0.0, cfg) - 1.0) <= 1e-9
+    assert abs(jacobian_norms(lorenz, [[3.0, -1.0, 20.0]], 0.0, cfg)[0] - 1.0) <= 1e-9
 
 
 def test_jacobian_norm_rotation_is_isometry(rotation2d, cfg):
-    assert abs(jacobian_norm(rotation2d, [0.3, 0.4], 1.0, cfg) - 1.0) <= 1e-5
+    assert abs(jacobian_norms(rotation2d, [[0.3, 0.4]], 1.0, cfg)[0] - 1.0) <= 1e-5
 
 
 @settings(max_examples=20, deadline=None)
@@ -257,14 +253,6 @@ def test_model_json_validation():
         model_from_json({"model_id": "Rossler"})
     with pytest.raises(ValueError, match="dimension"):
         model_from_json({"model_id": "Lorenz", "dimension": 4, "parameters": {}})
-
-
-def test_load_model_from_file(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(LinearDiagonal(rates=[2.0]))))
-    model = load_model(path)
-    assert model.model_id == "LinearDiagonal"
-    assert np.array_equal(model.rates, [2.0])
 
 
 def test_quadratic_shape_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import from_counts
 from segdyn import (
     Cover,
     QuantitySpec,
@@ -47,27 +48,27 @@ def _envelope(inf, sup):
 
 def test_reachable_bounds_single_window():
     env = _envelope([0.0, 2.0], [1.0, 3.0])
-    rb = reachable_bounds(env, np.array([[0, 1], [1, 1]], dtype=bool), 1, 1)
+    rb = reachable_bounds(env, from_counts([[0, 1], [1, 1]]), 1, 1)
     assert (rb.lo, rb.hi) == (0.0, 1.0)
     assert rb.reachable == {1}
 
 
 def test_reachable_bounds_full_shift_is_global():
     env = _envelope([0.0, 2.0, -1.0], [1.0, 3.0, 0.5])
-    rb = reachable_bounds(env, np.ones((3, 3), dtype=bool), 2, 4)
+    rb = reachable_bounds(env, from_counts(np.ones((3, 3))), 2, 4)
     assert (rb.lo, rb.hi) == (-1.0, 3.0)
     assert rb.reachable == {1, 2, 3}
 
 
 def test_reachable_bounds_golden_mean_hand_case():
     env = _envelope([0.0, 2.0], [1.0, 3.0])
-    rb = reachable_bounds(env, np.array([[0, 1], [1, 1]], dtype=bool), 1, 2)
+    rb = reachable_bounds(env, from_counts([[0, 1], [1, 1]]), 1, 2)
     assert rb.reachable == {1, 2}
     assert (rb.lo, rb.hi) == (0.0, 3.0)
 
 
 def test_reachable_bounds_widen_with_length():
-    gamma = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
+    gamma = from_counts([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
     env = _envelope([0.0, -1.0, -5.0], [1.0, 2.0, 9.0])
     prev = None
     for m in (1, 2, 3, 4):
@@ -81,7 +82,7 @@ def test_reachable_bounds_widen_with_length():
 
 
 def test_reachable_bounds_rejects_dead_start():
-    gamma = np.array([[0, 1], [0, 0]], dtype=bool)
+    gamma = from_counts([[0, 1], [0, 0]])
     env = _envelope([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="no admissible word"):
         reachable_bounds(env, gamma, 1, 3)

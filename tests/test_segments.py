@@ -52,10 +52,6 @@ def test_library_shares_one_time_grid(linear1, cfg):
     lib = build_segments(linear1, _cover([[0.5], [1.0]]), 2.0, 7, cfg)
     assert lib.states.shape == (2, 7, 1)
     assert np.array_equal(lib.times, np.linspace(0, 2.0, 7))
-    seg = lib.segment(2)
-    assert np.array_equal(seg.states, lib.states[1])
-    with pytest.raises(ValueError, match="out of range"):
-        lib.segment(3)
 
 
 def test_max_difference_single_segment_is_zero(linear1, cfg):

@@ -17,7 +17,6 @@ from segdyn import (
     build_segments,
     calibrate_deltas,
     collocate,
-    commutation_check,
     cylinder_measure,
     encode_many,
     encode_orbit,
@@ -26,12 +25,11 @@ from segdyn import (
     minimal_cover,
     reachable_symbols,
     reconstruct_pseudo_orbit,
-    sensitivity_witness,
-    shadowing_error,
     shadowing_report,
 )
 from segdyn.cover import BoxDomain
 from segdyn.transitions import TransitionTensor
+from test_csr import ref_row_entropies
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +130,13 @@ def test_junction_discontinuity_bounded(linear_pipeline):
         assert jump <= bound
 
 
-def test_shadowing_error_zero_for_equilibrium(lorenz, cfg):
+def test_shadowing_report_zero_for_equilibrium(lorenz, cfg):
     cover = Cover(centers=np.array([[0.0, 0.0, 0.0]]), radii=np.array([0.5]))
     lib = build_segments(lorenz, cover, 0.5, 5, cfg)
-    pseudo = reconstruct_pseudo_orbit(lib, SymbolSequence(word=(1, 1, 1), horizon=0.5))
-    assert shadowing_error(lorenz, [0.0, 0.0, 0.0], pseudo, cfg) == 0.0
+    report = shadowing_report(lorenz, lib, Partition(cover=cover), [[0.0, 0.0, 0.0]], 3, cfg)
+    assert report["complete_orbits"] == 1
+    assert report["per_orbit"][0]["word_length"] == 3
+    assert report["max_error"] == 0.0
 
 
 def test_linear_pipeline_shadowing_within_epsilon(linear_pipeline):
@@ -161,21 +161,21 @@ GOLDEN = np.array([[0, 1], [1, 1]], dtype=bool)
 
 
 def test_enumerate_identity_single_word():
-    res = enumerate_admissible(np.eye(3, dtype=bool), 2, 4)
+    res = enumerate_admissible(from_counts(np.eye(3)), 2, 4)
     assert res.words.tolist() == [[2, 2, 2, 2]]
     assert res.reachable == {2}
     assert not res.overflowed
 
 
 def test_enumerate_full_shift_counts():
-    res = enumerate_admissible(np.ones((2, 2), dtype=bool), 1, 3)
+    res = enumerate_admissible(from_counts(np.ones((2, 2))), 1, 3)
     assert len(res.words) == 4
     assert res.reachable == {1, 2}
 
 
 @pytest.mark.parametrize("length,count", [(2, 2), (3, 3), (4, 5), (5, 8), (6, 13)])
 def test_enumerate_golden_mean_fibonacci(length, count):
-    res = enumerate_admissible(GOLDEN, 2, length)
+    res = enumerate_admissible(from_counts(GOLDEN), 2, length)
     assert len(res.words) == count
     assert set(map(tuple, res.words.tolist())) == brute_force_words(GOLDEN, 2, length)
 
@@ -184,17 +184,17 @@ def test_enumerate_dead_end_pruning():
     # symbol 2 has no successors: no length-3 words exist from 1, and the
     # reachable set must come out empty rather than {1, 2}
     gamma = np.array([[0, 1], [0, 0]], dtype=bool)
-    res = enumerate_admissible(gamma, 1, 3)
+    res = enumerate_admissible(from_counts(gamma), 1, 3)
     assert res.words.shape == (0, 3)
     assert res.reachable == set()
     assert brute_force_words(gamma, 1, 3) == set()
-    res2 = enumerate_admissible(gamma, 1, 2)
+    res2 = enumerate_admissible(from_counts(gamma), 1, 2)
     assert res2.words.tolist() == [[1, 2]]
     assert res2.reachable == {1, 2}
 
 
 def test_enumerate_overflow_flag_keeps_reachable_exact():
-    res = enumerate_admissible(np.ones((4, 4), dtype=bool), 1, 8, cap=10)
+    res = enumerate_admissible(from_counts(np.ones((4, 4))), 1, 8, cap=10)
     assert res.overflowed
     assert len(res.words) == 10
     assert res.reachable == {1, 2, 3, 4}
@@ -202,9 +202,9 @@ def test_enumerate_overflow_flag_keeps_reachable_exact():
 
 def test_enumerate_bad_start_errors():
     with pytest.raises(ValueError, match="out of range"):
-        enumerate_admissible(GOLDEN, 5, 3)
+        enumerate_admissible(from_counts(GOLDEN), 5, 3)
     with pytest.raises(ValueError, match="cap must be at least 0"):
-        enumerate_admissible(GOLDEN, 1, 3, cap=-1)
+        enumerate_admissible(from_counts(GOLDEN), 1, 3, cap=-1)
 
 
 def test_enumerate_tensor_mode_sliding_window():
@@ -220,13 +220,13 @@ def test_enumerate_tensor_mode_sliding_window():
 
 
 def test_reachable_fixpoint_is_transitive_closure():
-    gamma = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
+    gamma = from_counts([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
     assert reachable_symbols(gamma, 1, None) == {1, 2, 3}
     assert reachable_symbols(gamma, 3, None) == {3}
 
 
 @pytest.mark.parametrize("system", [
-    np.ones((2, 2), dtype=bool),
+    from_counts(np.ones((2, 2))),
     TransitionTensor(order=3, tuples=sorted(
         (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)), n_cells=2),
 ], ids=["gamma", "order-3 tensor"])
@@ -268,9 +268,10 @@ def test_state_graph_matches_brute_force(n, order, length, cap, seed):
     n0 = int(rng.integers(1, n + 1))
     density = rng.random()
     if order is None:
-        system = rng.random((n, n)) < density
-        tuples = {(int(a) + 1, int(b) + 1) for a, b in np.argwhere(system)}
-        brute = brute_force_words(system, n0, length)
+        gamma = rng.random((n, n)) < density
+        tuples = {(int(a) + 1, int(b) + 1) for a, b in np.argwhere(gamma)}
+        system = from_counts(gamma)
+        brute = brute_force_words(gamma, n0, length)
     else:
         tuples = {t for t in itertools.product(range(1, n + 1), repeat=order)
                   if rng.random() < density}
@@ -292,7 +293,7 @@ def test_symbol_sequence_normalises_numpy_ints():
     assert seq.word == (3, 1, 2)
     assert all(type(s) is int for s in seq.word)
     found = [SymbolSequence(word=w) for w in
-             enumerate_admissible(np.ones((3, 3), dtype=bool), 3, 3).words]
+             enumerate_admissible(from_counts(np.ones((3, 3))), 3, 3).words]
     assert seq in found
     assert hash(seq) == hash(found[found.index(seq)])
     assert all(type(s) is int for w in found for s in w.word)
@@ -341,43 +342,40 @@ def test_ks_entropy_uniform_both_conventions():
 
 
 def test_ks_entropy_row_blocks_match_one_table():
-    # 300 cells take two row blocks; empty rows and exact zeros included
+    # 300 cells with up to 14 entries a row; empty rows and exact zeros
+    # included. Each row entropy adds its row's entries in column order
     rng = np.random.default_rng(5)
     n = 300
     counts = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.03)
     counts[::7] = 0
-    p = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    assert ks_entropy(from_counts(counts)).unweighted == float((-plogp.sum(axis=1)).sum())
+    rows = ref_row_entropies(counts / np.maximum(counts.sum(axis=1), 1)[:, None])
+    res = ks_entropy(from_counts(counts))
+    assert res.unweighted == float(rows.sum())
+    assert res.stationary_weighted == float((res.stationary * rows).sum())
+
+
+def _commutes(model, partition, x0s, length, horizon, cfg) -> bool:
+    """Whether the encoding of each F^T(x0) is the left shift of the
+    encoding of x0, both complete: the property criterion 9 checks."""
+    x0s = np.asarray(x0s, dtype=float)
+    base = encode_many(model, partition, x0s, length, horizon, cfg)
+    shifted = encode_many(model, partition, advance_many(model, x0s, horizon, cfg),
+                          length - 1, horizon, cfg)
+    return all(a is not None and b is not None and a.complete and b.complete
+               and b.word == a.word[1:] for a, b in zip(base, shifted))
 
 
 def test_commutation_frozen_flow(zero_field_1d, cfg):
-    assert commutation_check(zero_field_1d, _frozen_partition(), [2.1], 5, 1.0, cfg)
+    assert _commutes(zero_field_1d, _frozen_partition(), [[2.1]], 5, 1.0, cfg)
 
 
 def test_commutation_linear_pipeline(linear_pipeline):
     model, cfg, partition, lib = linear_pipeline
     rng = np.random.default_rng(21)
-    for x0 in rng.uniform(-1, 1, size=(10, 1)):
-        assert commutation_check(model, partition, x0, 6, 1.0, cfg)
+    assert _commutes(model, partition, rng.uniform(-1, 1, size=(10, 1)), 6, 1.0, cfg)
 
 
 def test_commutation_needs_encodable_start(zero_field_1d, cfg):
+    assert not _commutes(zero_field_1d, _frozen_partition(), [[9.0]], 3, 1.0, cfg)
     with pytest.raises(EncodingError):
-        commutation_check(zero_field_1d, _frozen_partition(), [9.0], 3, 1.0, cfg)
-
-
-def test_sensitivity_witness_separates_at_next_position():
-    gamma = np.ones((3, 3), dtype=bool)
-    prefix = (2, 1, 3)
-    w1, w2 = sensitivity_witness(gamma, prefix)
-    assert w1.word[:3] == prefix and w2.word[:3] == prefix
-    assert w1.word[3] != w2.word[3]
-
-
-def test_sensitivity_witness_requires_branching():
-    with pytest.raises(ValueError, match="at least two"):
-        sensitivity_witness(np.eye(2, dtype=bool), (1,))
-    with pytest.raises(ValueError, match="not admissible"):
-        sensitivity_witness(np.eye(2, dtype=bool), (1, 2))
+        encode_orbit(zero_field_1d, _frozen_partition(), [9.0], 3, 1.0, cfg)

@@ -271,13 +271,13 @@ def test_sampling_error_names_the_lowest_failing_cell(block_rows):
 
 
 def test_row_sensitivity_examples():
-    assert row_sensitivity(np.ones((2, 2), dtype=bool)) is True
-    assert row_sensitivity(np.eye(2, dtype=bool)) is False
-    assert row_sensitivity(np.array([[1, 1], [0, 1]], dtype=bool)) is False
+    assert row_sensitivity(from_counts(np.ones((2, 2)))) is True
+    assert row_sensitivity(from_counts(np.eye(2))) is False
+    assert row_sensitivity(from_counts([[1, 1], [0, 1]])) is False
 
 
 def test_row_sensitivity_skips_unsupported_rows():
-    gamma = np.array([[1, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=bool)
+    gamma = from_counts([[1, 1, 0], [1, 0, 1], [0, 0, 0]])
     assert row_sensitivity(gamma) is True
 
 

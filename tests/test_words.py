@@ -12,10 +12,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import from_counts, traced_peak
 from segdyn import enumerate_admissible, symbolic
 from segdyn.symbolic import _StateGraph
-from segdyn.transitions import TransitionTensor
+from segdyn.transitions import TransitionMatrix, TransitionTensor
 
 
 def ref_words(graph, length, depth, cap):
@@ -47,7 +47,7 @@ def ref_words(graph, length, depth, cap):
 def _sparse_gamma():
     # 300 cells, about 1.4 successors each: 6,433 words of length 20 from cell 1
     rng = np.random.default_rng(3)
-    return rng.random((300, 300)) < 1.4 / 300
+    return from_counts(rng.random((300, 300)) < 1.4 / 300)
 
 
 def _order3_tensor():
@@ -84,7 +84,7 @@ def test_layered_words_match_the_dfs_around_the_true_count(system, n0, edge_bloc
 
 def test_layered_words_from_a_dead_start():
     # every path from cell 1 of this Gamma dies out before 20 symbols
-    gamma = np.random.default_rng(1).random((300, 300)) < 1.4 / 300
+    gamma = from_counts(np.random.default_rng(1).random((300, 300)) < 1.4 / 300)
     _check_against_ref(gamma, 1, 20, 100)
     res = enumerate_admissible(gamma, 1, 20)
     assert res.words.shape == (0, 20) and not res.overflowed and res.reachable == set()
@@ -102,21 +102,22 @@ def _all_ones_graph(n):
 
 
 def test_all_ones_graph_is_the_state_graph_of_the_all_ones_gamma():
-    built, direct = _StateGraph(np.ones((5, 5), dtype=bool), 1), _all_ones_graph(5)
+    built, direct = _StateGraph(from_counts(np.ones((5, 5))), 1), _all_ones_graph(5)
     for name in ("n_states", "start", "last", "indptr", "dst"):
         assert np.array_equal(getattr(built, name), getattr(direct, name)), name
 
 
 def test_dense_gamma_builds_its_state_graph_within_a_small_memory_bound():
-    # the graph of an all-ones 3000 x 3000 Gamma is Gamma's CSR pattern: its
-    # 9 million column indices (72 MB as int64) are the only large table
-    # built, where numbering key rows and sorting every edge once took
-    # 1.33 GB; measured peak 68.7 MiB
+    # the graph of an all-ones 3000 x 3000 Gamma is Gamma's CSR pattern,
+    # shared: its 9 million column indices (72 MB as int64) are not copied,
+    # where numbering key rows and sorting every edge once took 1.33 GB
     n = 3000
-    gamma = np.ones((n, n), dtype=bool)
-    graph, peak = traced_peak(lambda: _StateGraph(gamma, 1))
-    assert peak < 80 * 2 ** 20
     direct = _all_ones_graph(n)
+    gamma = TransitionMatrix(direct.indptr, direct.dst, np.ones(n * n, dtype=np.int64),
+                             np.zeros(n, dtype=np.int64))
+    graph, peak = traced_peak(lambda: _StateGraph(gamma, 1))
+    assert peak < 2 ** 20
+    assert graph.indptr is gamma.indptr and graph.dst is gamma.indices
     for name in ("n_states", "start", "last", "indptr", "dst"):
         assert np.array_equal(getattr(graph, name), getattr(direct, name)), name
 
@@ -140,7 +141,7 @@ def test_capped_words_keep_narrow_layers():
     # layer of a length-20 enumeration holds the cap's 25,001 prefixes.
     # Kept as int64 parents and labels they set a 9.6 MiB peak beside the
     # 3.8 MiB table; as uint16 the peak is 6.2 MiB
-    gamma = np.random.default_rng(5).random((300, 300)) < 3.0 / 300
+    gamma = from_counts(np.random.default_rng(5).random((300, 300)) < 3.0 / 300)
     graph = _StateGraph(gamma, 1)
     depth = graph.depths(20)
     (table, overflowed), peak = traced_peak(lambda: graph.words(20, depth, 25_000))

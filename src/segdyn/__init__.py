@@ -10,7 +10,6 @@ from .cover import (
     BoxDomain,
     CellMeasure,
     Cover,
-    CoverBall,
     Partition,
     calibrate_deltas,
     cell_measure,

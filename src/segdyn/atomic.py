@@ -14,30 +14,24 @@ write of a file also unlinks the temporary files that killed writes of it
 left. Nothing here calls ``fsync``, so a file is not guaranteed to survive a
 power loss; the ext4 flush only ever guarded against that by accident.
 
-JSON artifacts hold the bytes of ``json.dump(doc, fh, indent=2,
-sort_keys=True)`` plus a final newline. With ``indent`` that call always runs
-CPython's pure-Python encoder, one item at a time. Most of an artifact is
-number lists and tables of number rows (words, tensor tuples, sparse
-triplets, dense rows), and those go through the C encoder here: a number list
-in one ``json.dumps`` call whose item separator carries the indentation, a
-table in blocks of rows whose boundaries one ``str.replace`` rewrites. A 2-D
-integer array, such as the enumerated word table, is written as its rows of
-ints would be: when its values span fewer numbers than it holds, each block
-is joined from one vocabulary of their decimal strings, and otherwise it is
-written as its ``tolist()``. A 1-D integer array, such as a CSR index
-array, is written as its ``tolist()`` would be, in blocks of items, so no
-list of all its items is built. Only the containers around them are walked
-in Python, and anything else is left to the stdlib encoder, as are the
-blocks of a list of small records (dicts of scalars and number lists), which
-it writes in fewer Python steps than the pieces would. The document is
-written as a stream of such pieces, never built as one string.
+JSON artifacts follow one layout rule. A list, tuple or 1-D integer array
+whose items are all scalars is written on one line, as ``json.dumps`` writes
+it, e.g. ``[1, 5, 7]``; every other container is written as
+``json.dumps(doc, indent=2, sort_keys=True)`` writes it, so a table gets one
+row per line. A final newline ends the file. Lists and 1-D arrays are
+encoded by the C encoder a block of items at a time, and a table of number
+rows a block of rows at a time, one ``str.replace`` putting each row on its
+own line. A 2-D integer array, such as the enumerated word table, is
+written as its rows of ints would be: when its values span fewer numbers
+than it holds, each block of rows is joined from one vocabulary of their
+decimal strings, and otherwise it is written as its ``tolist()``. The
+document is written as a stream of such pieces, never built as one string.
 """
 from __future__ import annotations
 
 import glob
 import json
 import os
-from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -47,20 +41,21 @@ import numpy as np
 __all__ = ["side_path", "write_atomic", "write_json"]
 
 _INDENT = "  "
-_NUMBER = frozenset((int, float))
+_SCALAR = frozenset((str, int, float, bool, type(None)))
+# scalars whose JSON text holds no bracket or comma, so that a block of rows
+# of them splits into rows at each "], ["
+_NON_STRING = frozenset((int, float, bool, type(None)))
 _SEQUENCE = frozenset((list, tuple))
-_KEY = frozenset((str,))
-_DICT = frozenset((dict,))
-_RECORD_VALUE = frozenset((str, int, float, bool, type(None), list))
 # rows per C-encoder call in a table: blocks of 16 to 256 rows wrote in the
 # same time and at the same benchmark peak memory, 1024-row blocks were
 # slower and peaked higher
 _ROWS_PER_BLOCK = 64
-# items per C-encoder call in a 1-D integer array
+# items per C-encoder call in a list or 1-D integer array
 _ITEMS_PER_BLOCK = 1 << 12
 # most decimal strings an integer table's vocabulary holds
 _VOCABULARY = 1 << 16
-_stdlib = json.JSONEncoder(indent=2, sort_keys=True).encode
+# the C encoder, with the separators of json.dumps
+_encode = json.JSONEncoder().encode
 
 
 def side_path(path) -> Path:
@@ -112,63 +107,41 @@ def write_atomic(path, pieces) -> None:
 
 
 def write_json(path, doc: dict) -> None:
-    """Write doc atomically, as ``json.dumps(doc, indent=2, sort_keys=True)``
-    plus a newline; a 1-D or 2-D integer array in doc is written as its
+    """Write doc atomically in the layout of this module's docstring, plus a
+    newline; a 1-D or 2-D integer array in doc is written as its
     ``tolist()``."""
     write_atomic(path, chain(_pieces(doc, ""), ("\n",)))
 
 
-@lru_cache(maxsize=None)
-def _separated(indent: str):
-    """The C encoder, with items separated by a line break and ``indent``."""
-    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
-
-
 def _pieces(obj, indent: str):
-    """The text of ``obj`` as indented JSON, in pieces; ``indent`` is the
-    indentation of the line the value starts on."""
+    """The text of ``obj`` in the artifact layout, in pieces; ``indent`` is
+    the indentation of the line the value starts on."""
     kind = type(obj)
     inner = indent + _INDENT
     if kind is np.ndarray and obj.ndim == 1 and obj.dtype.kind in "iu":
-        encode = _separated(inner)
-        sep = "[\n" + inner
-        for lo in range(0, obj.shape[0], _ITEMS_PER_BLOCK):
-            yield sep + encode(obj[lo:lo + _ITEMS_PER_BLOCK].tolist())[1:-1]
-            sep = ",\n" + inner
-        yield "\n" + indent + "]" if obj.size else "[]"
+        yield from _line(obj)
     elif kind is np.ndarray and obj.ndim == 2 and obj.dtype.kind in "iu":
         lo, hi = (int(obj.min()), int(obj.max())) if obj.size else (0, _VOCABULARY)
         yield from (_int_table(obj, lo, hi, indent) if hi - lo < min(obj.size, _VOCABULARY)
                     else _pieces(obj.tolist(), indent))
-    elif kind is dict and obj and set(map(type, obj)) <= _KEY:
+    elif kind is dict and obj:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
-            yield sep + encode_basestring_ascii(key) + ": "
+            # the stdlib's key text: a non-string key is written as its JSON value
+            yield sep + encode_basestring_ascii(key if type(key) is str else _encode(key)) + ": "
             yield from _pieces(value, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
-    elif kind not in _SEQUENCE or not obj:
-        yield _stdlib(obj).replace("\n", "\n" + indent)
-    elif set(map(type, obj)) <= _NUMBER:
-        yield "[\n" + inner + _separated(inner)(obj)[1:-1] + "\n" + indent + "]"
-    elif (set(map(type, obj)) <= _SEQUENCE and all(obj)
-          and set(map(type, chain.from_iterable(obj))) <= _NUMBER):
-        # each block is encoded as rows separated like their items, then the
-        # row boundaries get their own lines and the rows' indentation
-        row = inner + _INDENT
-        encode = _separated(row)
-        boundary, rows = "],\n" + row + "[", "\n" + inner + "],\n" + inner + "[\n" + row
-        sep = "[\n" + inner + "[\n" + row
-        for lo in range(0, len(obj), _ROWS_PER_BLOCK):
-            yield sep + encode(obj[lo:lo + _ROWS_PER_BLOCK])[2:-2].replace(boundary, rows)
-            sep = rows
-        yield "\n" + inner + "]\n" + indent + "]"
-    elif _records(obj):
-        # the stdlib text of each block of records, less its brackets and
-        # their line breaks, at this depth
+    elif kind not in _SEQUENCE:
+        yield _encode(obj)
+    elif set(map(type, obj)) <= _SCALAR:
+        yield from _line(obj)
+    elif (set(map(type, obj)) <= _SEQUENCE
+          and set(map(type, chain.from_iterable(obj))) <= _NON_STRING):
+        rows = "],\n" + inner + "["
         sep = "[\n" + inner
         for lo in range(0, len(obj), _ROWS_PER_BLOCK):
-            yield sep + _stdlib(obj[lo:lo + _ROWS_PER_BLOCK])[4:-2].replace("\n", "\n" + indent)
+            yield sep + _encode(obj[lo:lo + _ROWS_PER_BLOCK])[1:-1].replace("], [", rows)
             sep = ",\n" + inner
         yield "\n" + indent + "]"
     else:
@@ -180,33 +153,29 @@ def _pieces(obj, indent: str):
         yield "\n" + indent + "]"
 
 
-def _records(obj: list) -> bool:
-    """Whether obj is a list of dicts of scalars and number lists, such as
-    cover balls or encoded words. It holds no ndarray or number table, so
-    the stdlib encoder writes it, a block of records at a time, in half the
-    time of its pieces."""
-    if set(map(type, obj)) != _DICT:
-        return False
-    values = list(chain.from_iterable(map(dict.values, obj)))
-    if not set(map(type, values)) <= _RECORD_VALUE:
-        return False
-    items = chain.from_iterable(v for v in values if type(v) is list)
-    return set(map(type, items)) <= _NUMBER
+def _line(items):
+    """A list of scalars or a 1-D integer array on one line, as ``json.dumps``
+    writes its list, a block of items at a time."""
+    sep = "["
+    for lo in range(0, len(items), _ITEMS_PER_BLOCK):
+        block = items[lo:lo + _ITEMS_PER_BLOCK]
+        yield sep + _encode(block.tolist() if type(block) is np.ndarray else block)[1:-1]
+        sep = ", "
+    yield "]" if len(items) else "[]"
 
 
 def _int_table(table, lo: int, hi: int, indent: str):
     """The text of a 2-D integer array with values in lo..hi, as its rows of
-    Python ints would be written: each block of rows is joined from one
-    vocabulary of the decimal strings of lo..hi."""
+    Python ints would be written, one row per line: each block of rows is
+    joined from one vocabulary of the decimal strings of lo..hi."""
     inner = indent + _INDENT
-    row = inner + _INDENT
-    item, rows = ",\n" + row, "\n" + inner + "],\n" + inner + "[\n" + row
+    rows = "],\n" + inner + "["
     vocab = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
     # offsets from lo, in a type wide enough for every value of the array
     wide = np.uint64 if table.dtype.kind == "u" else np.int64
-    sep = "[\n" + inner + "[\n" + row
+    sep = "[\n" + inner + "["
     for start in range(0, table.shape[0], _ROWS_PER_BLOCK):
         block = table[start:start + _ROWS_PER_BLOCK].astype(wide) - wide(lo)
-        yield sep + rows.join(map(item.join, vocab[block].tolist()))
+        yield sep + rows.join(map(", ".join, vocab[block].tolist()))
         sep = rows
-    yield "\n" + inner + "]\n" + indent + "]"
+    yield "]\n" + indent + "]"

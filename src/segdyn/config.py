@@ -172,9 +172,20 @@ def parse_config(doc: dict) -> PipelineConfig:
         qdocs = []
     for i, qdoc in enumerate(qdocs):
         try:
-            quantities.append(quantity_from_json(qdoc))
+            q = quantity_from_json(qdoc)
         except (ValueError, KeyError, TypeError) as err:
             problems.append(f"quantities[{i}]: {err}")
+            continue
+        quantities.append(q)
+        if model is None:
+            continue
+        d = model.dimension
+        if q.index is not None and q.index >= d:
+            problems.append(f"quantities[{i}]: index {q.index} is not below the model's "
+                            f"dimension {d}")
+        if q.weight is not None and q.weight.shape != (d, d):
+            problems.append(f"quantities[{i}]: weight has shape {q.weight.shape}, not "
+                            f"({d}, {d})")
 
     initial_points = None
     if doc.get("initial_points") is not None:

@@ -17,13 +17,13 @@ import numpy as np
 
 from ._rng import STREAM_CALIBRATION, derive_rng
 from .errors import BlowupError, CalibrationError, CoverageError, DimensionExplosionError
-from .flow import _BLOCK_ROWS, FlowModel, IntegratorConfig, sample_path, walk_open_rows
+from .flow import (_BLOCK_ROWS, FlowModel, IntegratorConfig, _finite_number, sample_path,
+                   walk_open_rows)
 
 Array = np.ndarray
 
 __all__ = [
     "BoxDomain",
-    "CoverBall",
     "Cover",
     "Partition",
     "CellMeasure",
@@ -98,13 +98,6 @@ class BoxDomain:
         return float(np.sqrt(np.sum(np.maximum(np.abs(self.lower), np.abs(self.upper)) ** 2)))
 
 
-@dataclass(frozen=True, eq=False)
-class CoverBall:
-    index: int
-    center: Array
-    radius: float
-
-
 @dataclass(eq=False)
 class Cover:
     """Ordered ball cover; ball n is centers[n-1] with radius radii[n-1]."""
@@ -131,11 +124,6 @@ class Cover:
     @property
     def dimension(self) -> int:
         return self.centers.shape[1]
-
-    @property
-    def balls(self) -> list[CoverBall]:
-        return [CoverBall(index=n + 1, center=self.centers[n], radius=float(self.radii[n]))
-                for n in range(self.n_balls)]
 
 
 def _expand(starts: Array, counts: Array) -> Array:
@@ -663,31 +651,30 @@ def metric_entropy(mu) -> float:
 
 
 def cover_to_json(cover: Cover) -> dict:
-    return {"balls": [
-        {"index": b.index, "center": b.center.tolist(), "radius": b.radius}
-        for b in cover.balls
-    ]}
+    """The ``cover.json`` document: ``centers``, one row per ball, and
+    ``radii``; ball n is row n and radius n, counting from 1."""
+    return {"centers": cover.centers.tolist(), "radii": cover.radii.tolist()}
 
 
 def cover_from_json(doc: dict) -> Cover:
-    """The cover of a ``cover.json`` document; each ball's ``index`` must be a
-    JSON integer, and its ``center`` coordinates and ``radius`` JSON numbers,
-    not strings or booleans."""
-    balls = doc["balls"]
-    for i, b in enumerate(balls):
-        if type(b["index"]) is not int:
-            raise ValueError(f"balls entry {i}: index {json.dumps(b['index'])} "
-                             f"is not a JSON integer")
-        if type(b["center"]) is not list or not set(map(type, b["center"])) <= {int, float}:
-            raise ValueError(f"balls entry {i}: center {json.dumps(b['center'])} "
-                             f"is not a list of JSON numbers")
-        if type(b["radius"]) not in (int, float):
-            raise ValueError(f"balls entry {i}: radius {json.dumps(b['radius'])} "
-                             f"is not a JSON number")
-    order = sorted(range(len(balls)), key=lambda i: balls[i]["index"])
-    indices = [balls[i]["index"] for i in order]
-    if indices != list(range(1, len(balls) + 1)):
-        raise ValueError(f"ball indices must be consecutive from 1, got {indices}")
-    centers = np.asarray([balls[i]["center"] for i in order], dtype=float)
-    radii = np.asarray([balls[i]["radius"] for i in order], dtype=float)
-    return Cover(centers=centers, radii=radii)
+    """The cover of a ``cover.json`` document. ``centers`` must be N rows of
+    d finite JSON numbers and ``radii`` N positive finite JSON numbers; a
+    string, a boolean, NaN, an infinity or a ragged row is refused, and the
+    refusal names its entry."""
+    centers, radii = doc["centers"], doc["radii"]
+    if type(centers) is not list or type(radii) is not list:
+        raise ValueError("centers and radii must be lists")
+    if len(radii) != len(centers):
+        raise ValueError(f"{len(radii)} radii for {len(centers)} centers")
+    for i, row in enumerate(centers):
+        if type(row) is not list or not all(map(_finite_number, row)):
+            raise ValueError(f"centers entry {i}: {json.dumps(row)} is not a list of finite "
+                             f"JSON numbers")
+        if len(row) != len(centers[0]):
+            raise ValueError(f"centers entry {i}: {json.dumps(row)} has {len(row)} "
+                             f"coordinates, entry 0 has {len(centers[0])}")
+    for i, r in enumerate(radii):
+        if not (_finite_number(r) and r > 0):
+            raise ValueError(f"radii entry {i}: {json.dumps(r)} is not a positive finite "
+                             f"JSON number")
+    return Cover(centers=np.array(centers, dtype=float), radii=np.array(radii, dtype=float))

@@ -543,23 +543,48 @@ def model_from_json(doc: dict) -> FlowModel:
     if declared is not None and type(declared) is not int:
         raise ValueError(f"dimension {declared!r} is not a JSON integer")
     if model_id == "LinearDiagonal":
-        model: FlowModel = LinearDiagonal(rates=np.asarray(params["rates"], dtype=float))
+        model: FlowModel = LinearDiagonal(rates=_json_numbers("rates", params["rates"]))
     elif model_id == "Lorenz":
-        model = Lorenz(
-            sigma=float(params.get("sigma", 10.0)),
-            rho=float(params.get("rho", 28.0)),
-            beta=float(params.get("beta", 8.0 / 3.0)),
-        )
+        model = Lorenz(**{name: _json_number(name, params.get(name, default))
+                          for name, default in (("sigma", 10.0), ("rho", 28.0),
+                                                ("beta", 8.0 / 3.0))})
     else:
-        model = QuadraticGeneric(
-            linear=np.asarray(params["linear"], dtype=float),
-            quadratic=np.asarray(params["quadratic"], dtype=float),
-            forcing=np.asarray(params["forcing"], dtype=float),
-        )
+        model = QuadraticGeneric(**{name: _json_numbers(name, params[name])
+                                    for name in ("linear", "quadratic", "forcing")})
     if declared is not None and declared != model.dimension:
         raise ValueError(
             f"declared dimension {declared} does not match parameters ({model.dimension})")
     return model
+
+
+def _finite_number(value) -> bool:
+    """Whether value is a JSON number, not a boolean, that a float holds
+    finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _json_number(name: str, value) -> float:
+    """A model parameter that must be a finite JSON number; a boolean or a
+    string is refused, not converted."""
+    if not _finite_number(value):
+        raise ValueError(f"{name}: {json.dumps(value)} is not a finite JSON number")
+    return float(value)
+
+
+def _json_numbers(name: str, value) -> Array:
+    """The float array of a model parameter given as nested lists of finite
+    JSON numbers, each checked as :func:`_json_number` checks one."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        else:
+            _json_number(name, item)
+    return np.asarray(value, dtype=float)
 
 
 def model_to_json(model: FlowModel) -> dict:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAdmissibleWordError
+from .flow import _json_numbers
 from .segments import SegmentLibrary
 from .symbolic import reachable_symbols
 from .transitions import TransitionMatrix
@@ -43,6 +44,10 @@ class QuantitySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        # each field is read by one kind only, so on any other it would be ignored
+        for name, reader in (("index", "coordinate"), ("weight", "weighted_quadratic")):
+            if getattr(self, name) is not None and self.kind != reader:
+                raise ValueError(f"{name} is read only by kind {reader!r}, not {self.kind!r}")
         if self.kind == "coordinate":
             if self.index is None or self.index < 0:
                 raise ValueError("coordinate quantity needs a nonnegative index")
@@ -147,7 +152,7 @@ def quantity_from_json(doc: dict) -> QuantitySpec:
     return QuantitySpec(
         kind=doc.get("kind"),
         index=doc.get("index"),
-        weight=np.asarray(doc["weight"], dtype=float) if "weight" in doc else None,
+        weight=_json_numbers("weight", doc["weight"]) if "weight" in doc else None,
     )
 
 

@@ -51,7 +51,6 @@ class SegmentLibrary:
     against (NaN when the cover was built some other way).
     """
 
-    cells: Array
     times: Array
     states: Array
     horizon: float
@@ -60,14 +59,11 @@ class SegmentLibrary:
     step: float
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int64)
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        n, k, _ = self.states.shape
-        if self.cells.shape != (n,) or self.times.shape != (k,):
+        _, k, _ = self.states.shape
+        if self.times.shape != (k,):
             raise ValueError("inconsistent library shapes")
-        if list(self.cells) != list(range(1, n + 1)):
-            raise ValueError("library must hold exactly one segment per cell, ids 1..N")
 
     @property
     def n_segments(self) -> int:
@@ -98,7 +94,6 @@ def build_segments(model: FlowModel, cover: Cover, horizon: float, n_samples: in
         raise BlowupError(time=err.time, message=(
             f"segment for cell {cell} became non-finite at t~{err.time:.6g}")) from err
     return SegmentLibrary(
-        cells=np.arange(1, cover.n_balls + 1),
         times=times,
         states=states,
         horizon=float(horizon),
@@ -185,7 +180,6 @@ def load_library(directory) -> SegmentLibrary:
                          f"is {states[n, k, i]}")
     eps = meta["epsilon"]
     return SegmentLibrary(
-        cells=np.arange(1, shape[0] + 1),
         times=np.array(times, dtype=float),
         states=states,
         horizon=float(meta["horizon"]),

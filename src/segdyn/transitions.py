@@ -87,10 +87,6 @@ class TransitionMatrix:
     def p(self) -> Array:
         return self.counts / self.landed[_entry_rows(self.indptr)]
 
-    @property
-    def unsupported_rows(self) -> set[int]:
-        return {int(m) + 1 for m in np.flatnonzero(np.diff(self.indptr) == 0)}
-
     def escape_fractions(self) -> Array:
         total = self.landed + self.escapes
         with np.errstate(invalid="ignore"):
@@ -420,17 +416,15 @@ def ball_admissibility(lib: SegmentLibrary, partition: Partition,
 
 
 def transitions_to_json(tm: TransitionMatrix, rng_seed: int, samples_per_cell: int) -> dict:
-    """JSON document for Gamma, counts, p and escape fractions. counts and p
-    are (row, col, value) triplets of the stored entries, in row-major
-    order."""
+    """JSON document for Gamma, counts, p and escapes. counts and p are
+    (row, col, value) triplets of the stored entries, in row-major order;
+    escape fractions and unsupported rows are left to readers to derive."""
     rows, cols = _entry_rows(tm.indptr) + 1, tm.indices + 1
     return {
         "n_cells": tm.n_cells,
         "rng_seed": rng_seed,
         "samples_per_cell": samples_per_cell,
-        "unsupported_rows": sorted(tm.unsupported_rows),
         "escapes": tm.escapes.tolist(),
-        "escape_fractions": [round(v, 12) for v in tm.escape_fractions().tolist()],
         "format": "sparse",
         "counts": np.stack([rows, cols, tm.counts], axis=1).tolist(),
         "p": _p_triplets(tm),

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 import tracemalloc
+import uuid
 
 import numpy as np
 import pytest
@@ -57,6 +60,30 @@ def output_digests(out) -> dict:
     which holds wall times, by its path relative to the directory."""
     return {p.relative_to(out).as_posix(): file_digest(p)
             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def layout_oracle(doc) -> str:
+    """The text write_json writes for doc: ``json.dumps(doc, indent=2,
+    sort_keys=True)`` with every innermost list of scalars (a list, tuple or
+    array with no container among its items) rewritten on one line as
+    ``json.dumps(list)`` writes it, plus a newline."""
+    token = uuid.uuid4().hex
+    lines = []
+
+    def mark(obj):
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        if isinstance(obj, dict):
+            return {key: mark(value) for key, value in obj.items()}
+        if not isinstance(obj, (list, tuple)):
+            return obj
+        if any(isinstance(item, (list, tuple, dict, np.ndarray)) for item in obj):
+            return [mark(item) for item in obj]
+        lines.append(json.dumps(list(obj)))
+        return f"{token}:{len(lines) - 1}"
+
+    text = json.dumps(mark(doc), indent=2, sort_keys=True)
+    return re.sub(f'"{token}:([0-9]+)"', lambda m: lines[int(m.group(1))], text) + "\n"
 
 
 def traced_peak(fn):

@@ -23,6 +23,7 @@ from conftest import (
     brute_force_words,
     dense,
     from_counts,
+    layout_oracle,
     make_markov_tensors,
     output_digests,
     traced_peak,
@@ -308,20 +309,23 @@ def run1_outputs(run1):
 
 # every output of configs/lorenz.json but manifest.json, which holds wall
 # times; bounds writes no file; the library's files re-pinned when
-# segments.npy replaced segments.csv and library.json gained the times
+# segments.npy replaced segments.csv and library.json gained the times; every
+# JSON file but the empty enumeration re-pinned when lists of scalars went on
+# one line, cover.json became a centers table and radii, and transitions.json
+# dropped escape_fractions and unsupported_rows
 LORENZ_DIGESTS = {
-    "cover.json": "10f8c2c0a89452b0e8b2873c1cf7b67ad2edd45338e625cc1ae0e98be58feace",
-    "enclosure.json": "2f940b5e7fd90fcc406f993d291a1e81eaec280f102f4a924839f02405822fec",
-    "entropy.json": "4c266af7def26cf8ccf9581e3c0b1027e99238ab1bd4f419b9cf499aca5c90e5",
+    "cover.json": "e8f517cda42c239019bb2fe7579449b1cda79ef7506eff5947e04232319cf3c3",
+    "enclosure.json": "92affbbfc7e44f8458e2629bb6c71fa0e850879b5c5d3e81f477789cdf3a7595",
+    "entropy.json": "1c2ecaf7005fd18948deb23a474b6eee463d4e527f00df54ee8407146f63ed5e",
     "enumeration.json": "bcac4df571baf7011768687d490e7c0dd55b3b85e18b0cfea3f11ebf266617d5",
-    "library/library.json": "38b981d32421982c2c2f337ef0a3f0cc7678f63edcb9874639ff94213e294634",
+    "library/library.json": "4b87c74887315826fb0d07f03369510840acc3988e3fda76b0b25fb693cab5fd",
     "library/segments.npy": "053dc4ae1fd87c2806425722256c5a32d018281c66c5d2dd7d6cd0e65c8a8a99",
     "max_difference.csv": "f2c5023c9c8ecb0ebc8dfa78bbae60b2f5a746a0f4717182e8de0b27a956ad27",
-    "report.json": "6d2ee22508147f452fb9ab545b70c1fdf499612af4cdb8d9ba67e67f5326a29b",
-    "shadow_report.json": "e85dc9a685c2a831aa48af020d4533d084b5356a7fa8de8a05c4fb830872beb3",
-    "tensors.json": "692675c9f60c038a7ba3ceb613a05b49736f44f0b595192b090e781c0b0ff326",
-    "transitions.json": "1720c1ade58fa8f6e2abe8afc264db2611bd6898af5d1ef3f9552fbbe467fc90",
-    "words.json": "1b4f55fdad16854099cac6ce549dbb450e6124e0e1961b3ce54c1a77c3792ac9",
+    "report.json": "4ff21cab352e39dd33a131ad17546764dad54aa6da33ce71245be6124642cf43",
+    "shadow_report.json": "b7f5d93488d7b23b5c907d6af4afedefcd226e298e736739884b451429c2cd30",
+    "tensors.json": "e5525fb82e75ea7c4613d95065ca415e33aebc357f3054a73aacbb17976f90b8",
+    "transitions.json": "ba01c9d2342ee959a7d999674f08302cdc7732642ecac4b73e9bd24ac120f98e",
+    "words.json": "870918d426cd1b04cf149a2bfbe2f670bbeb0d7d87b85d1aac4aed8bc25390b8",
 }
 
 
@@ -330,6 +334,14 @@ def test_bundled_lorenz_outputs_keep_their_bytes(run1_outputs):
     assert sorted(found) == sorted(LORENZ_DIGESTS)
     changed = [name for name, digest in LORENZ_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_every_json_file_of_the_bundled_lorenz_run_has_the_layout(run1_outputs):
+    files = sorted(run1_outputs.rglob("*.json"))
+    assert len(files) == len([n for n in LORENZ_DIGESTS if n.endswith(".json")]) + 1
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert text == layout_oracle(json.loads(text)), path.name
 
 
 def test_lorenz_grid_enclosure_holds_gamma(run1_outputs):

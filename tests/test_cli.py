@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, output_digests
+from conftest import dense, layout_oracle, output_digests
 from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
 from segdyn import __version__
 from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, side_path, write_atomic
@@ -279,9 +279,33 @@ LORENZ_MODEL = {"model_id": "Lorenz", "dimension": 3, "parameters": {}}
     ({"model": "Lorenz"}, "model: expected an object, got 'Lorenz'"),
     ({"resolution": [12.9]}, "resolution: expected a list of integers, got [12.9]"),
     ({"resolution": [True]}, "resolution: expected a list of integers, got [True]"),
+    ({"model": dict(LORENZ_MODEL, parameters={"rho": True})},
+     "model: rho: true is not a finite JSON number"),
+    ({"model": dict(LORENZ_MODEL, parameters={"sigma": "10"})},
+     'model: sigma: "10" is not a finite JSON number'),
+    ({"model": dict(BASE_CONFIG["model"], parameters={"rates": ["1"]})},
+     'model: rates: "1" is not a finite JSON number'),
+    ({"model": dict(BASE_CONFIG["model"], parameters={"rates": [True]})},
+     "model: rates: true is not a finite JSON number"),
+    ({"model": {"model_id": "QuadraticGeneric", "dimension": 1, "parameters": {
+        "linear": [[0.0]], "quadratic": [[[False]]], "forcing": [0.0]}}},
+     "model: quadratic: false is not a finite JSON number"),
+    ({"quantities": [{"kind": "energy", "index": 0}]},
+     "quantities[0]: index is read only by kind 'coordinate', not 'energy'"),
+    ({"quantities": [{"kind": "norm", "weight": [[1.0]]}]},
+     "quantities[0]: weight is read only by kind 'weighted_quadratic', not 'norm'"),
+    ({"quantities": [{"kind": "coordinate", "index": 1}]},
+     "quantities[0]: index 1 is not below the model's dimension 1"),
+    ({"quantities": [{"kind": "weighted_quadratic", "weight": [[1.0, 0.0], [0.0, 1.0]]}]},
+     "quantities[0]: weight has shape (2, 2), not (1, 1)"),
+    ({"quantities": [{"kind": "weighted_quadratic", "weight": [["1"]]}]},
+     'quantities[0]: weight: "1" is not a finite JSON number'),
 ], ids=["quantities string", "quantities object", "quantity string", "quantity field",
         "quantity index", "null parameters", "model parameter", "model field",
-        "float dimension", "model string", "float resolution", "boolean resolution"])
+        "float dimension", "model string", "float resolution", "boolean resolution",
+        "boolean Lorenz parameter", "string Lorenz parameter", "string rate", "boolean rate",
+        "boolean quadratic entry", "index on energy", "weight on norm", "index past dimension",
+        "weight of wrong shape", "string weight entry"])
 def test_config_refuses_malformed_model_and_quantity_fields(tmp_path, capsys, overrides,
                                                             problem):
     # a misspelt or mistyped setting must not run as a default or a truncation
@@ -389,7 +413,7 @@ def test_seed_override_changes_seeded_artifacts(tmp_path):
                                           ("bounds", "bounds_from")])
 def test_start_cell_beyond_cover_is_config_error(pipeline, tmp_path, capsys, stage, field):
     _, _, out = pipeline
-    n_cells = len(read_json(out / "cover.json")["balls"])
+    n_cells = len(read_json(out / "cover.json")["radii"])
     config = _write_config(tmp_path, {"output_dir": str(out), field: n_cells + 1})
     capsys.readouterr()
     assert main([stage, "--config", str(config)]) == 1
@@ -555,31 +579,35 @@ def test_write_killed_after_its_renames_leaves_a_stale_side_file(tmp_path, renam
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"balls": [{"index": 1, "center": [0.0, 0.0, 0.0], "radius": 1.0},
-                {"index": 2, "center": [5.0, 5.0, 5.0], "radius": 1.0}]},
+    ({"centers": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "radii": [1.0, 1.0]},
      "has dimension 3, but the config's model has dimension 1"),
-    ({"balls": [{"index": 1, "center": [float("nan")], "radius": 1.0}]},
-     "is not a readable cover: ValueError('centers and radii must be finite')"),
-    ({"cells": []}, "is not a readable cover: KeyError('balls')"),
-    ({"balls": [{"index": True, "center": ["1"], "radius": "0.5"}]},
-     "is not a readable cover: ValueError('balls entry 0: index true is not a JSON integer')"),
-    ({"balls": [{"index": 1, "center": [0.0], "radius": 1.0},
-                {"index": 2, "center": ["1"], "radius": 1.0}]},
+    ({"centers": [[0.0], [float("nan")]], "radii": [1.0, 1.0]},
      "is not a readable cover: "
-     "ValueError('balls entry 1: center [\"1\"] is not a list of JSON numbers')"),
-    ({"balls": [{"index": 1, "center": [True], "radius": 1.0}]},
+     "ValueError('centers entry 1: [NaN] is not a list of finite JSON numbers')"),
+    ({"balls": []}, "is not a readable cover: KeyError('centers')"),
+    ({"centers": [[True]], "radii": [1.0]},
      "is not a readable cover: "
-     "ValueError('balls entry 0: center [true] is not a list of JSON numbers')"),
-    ({"balls": [{"index": 1, "center": 0.5, "radius": 1.0}]},
+     "ValueError('centers entry 0: [true] is not a list of finite JSON numbers')"),
+    ({"centers": [[0.0], ["1"]], "radii": [1.0, 1.0]},
      "is not a readable cover: "
-     "ValueError('balls entry 0: center 0.5 is not a list of JSON numbers')"),
-    ({"balls": [{"index": 1, "center": [0.0], "radius": "0.5"}]},
+     "ValueError('centers entry 1: [\"1\"] is not a list of finite JSON numbers')"),
+    ({"centers": [[0.0], [1.0, 2.0]], "radii": [1.0, 1.0]},
      "is not a readable cover: "
-     "ValueError('balls entry 0: radius \"0.5\" is not a JSON number')"),
-    ({"balls": [{"index": 1, "center": [0.0], "radius": False}]},
-     "is not a readable cover: ValueError('balls entry 0: radius false is not a JSON number')"),
-    ({"balls": [{"index": 1.0, "center": [0.0], "radius": 1.0}]},
-     "is not a readable cover: ValueError('balls entry 0: index 1.0 is not a JSON integer')"),
+     "ValueError('centers entry 1: [1.0, 2.0] has 2 coordinates, entry 0 has 1')"),
+    ({"centers": [0.5], "radii": [1.0]},
+     "is not a readable cover: "
+     "ValueError('centers entry 0: 0.5 is not a list of finite JSON numbers')"),
+    ({"centers": [[0.0]], "radii": ["0.5"]},
+     "is not a readable cover: "
+     "ValueError('radii entry 0: \"0.5\" is not a positive finite JSON number')"),
+    ({"centers": [[0.0], [1.0]], "radii": [1.0, False]},
+     "is not a readable cover: "
+     "ValueError('radii entry 1: false is not a positive finite JSON number')"),
+    ({"centers": [[0.0], [1.0]], "radii": [1.0]},
+     "is not a readable cover: ValueError('1 radii for 2 centers')"),
+    ({"centers": [[0.0]], "radii": [float("nan")]},
+     "is not a readable cover: "
+     "ValueError('radii entry 0: NaN is not a positive finite JSON number')"),
 ])
 def test_cover_that_does_not_fit_is_check_error(tmp_path, capsys, doc, message):
     config = _write_config(tmp_path)
@@ -770,14 +798,15 @@ def test_p_that_disagrees_with_the_counts_is_refused(linear1d, tmp_path, capsys)
 
 def _drop_last_segment(out):
     lib = load_library(out / "library")
-    save_library(SegmentLibrary(cells=lib.cells[:-1], times=lib.times, states=lib.states[:-1],
-                                horizon=lib.horizon, epsilon=lib.epsilon,
-                                model_id=lib.model_id, step=lib.step), out / "library")
+    save_library(SegmentLibrary(times=lib.times, states=lib.states[:-1], horizon=lib.horizon,
+                                epsilon=lib.epsilon, model_id=lib.model_id, step=lib.step),
+                 out / "library")
 
 
 def _drop_last_ball(out):
     doc = read_json(out / "cover.json")
-    doc["balls"].pop()
+    doc["centers"].pop()
+    doc["radii"].pop()
     write_json(out / "cover.json", doc)
 
 
@@ -807,7 +836,7 @@ def test_write_json_failure_keeps_previous_file(tmp_path):
     target = tmp_path / "doc.json"
     write_json(target, {"b": [1, 2], "a": 0.5})
     before = target.read_bytes()
-    assert before == json.dumps({"a": 0.5, "b": [1, 2]}, indent=2).encode() + b"\n"
+    assert before == layout_oracle({"a": 0.5, "b": [1, 2]}).encode()
     with pytest.raises(TypeError):
         write_json(target, {"a": 1, "z": object()})
     assert target.read_bytes() == before
@@ -863,6 +892,7 @@ _NUMBERS = st.one_of(
                      2 ** 63, 2 ** 64 + 1]))
 _STRINGS = st.one_of(st.text(max_size=6),
                      st.sampled_from(["], [", ", ", "x, y", '"quoted"', "a\nb", "\u00e9\u2202"]))
+_SCALARS = st.one_of(_NUMBERS, st.booleans(), st.none(), _STRINGS)
 
 
 def _sequences(items, min_size=0):
@@ -870,52 +900,23 @@ def _sequences(items, min_size=0):
     return st.one_of(lists, lists.map(tuple))
 
 
-# rows of numbers, some with booleans mixed in, and tables of such rows with
-# row counts on both sides of the encoder's block size
-_ROW = st.one_of(_sequences(_NUMBERS, min_size=1), _sequences(st.one_of(_NUMBERS, st.booleans())))
-_TABLE = st.one_of(
-    _sequences(_ROW),
-    st.tuples(st.lists(_ROW, min_size=1, max_size=3),
-              st.sampled_from([_ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
-                               2 * _ROWS_PER_BLOCK + 1])).map(
-        lambda a: [a[0][i % len(a[0])] for i in range(a[1])]))
-_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), _STRINGS, _ROW, _TABLE,
-                    st.just([]), st.just({}), st.just(()))
-_DOCS = st.dictionaries(_STRINGS, st.recursive(_LEAVES, lambda inner: st.one_of(
-    _sequences(inner),
-    st.dictionaries(_STRINGS, inner, max_size=3),
-    st.dictionaries(st.integers(-3, 3), inner, max_size=2)), max_leaves=8), max_size=4)
+def _repeated(items, counts):
+    """Lists of 1 to 3 drawn items repeated to one of ``counts`` items."""
+    return st.tuples(st.lists(items, min_size=1, max_size=3), st.sampled_from(counts)).map(
+        lambda a: [a[0][i % len(a[0])] for i in range(a[1])])
 
 
-@settings(max_examples=300, deadline=None)
-@given(doc=_DOCS)
-def test_write_json_writes_the_stdlib_indent_2_bytes(tmp_path_factory, doc):
-    target = tmp_path_factory.mktemp("oracle") / "doc.json"
-    write_json(target, doc)
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert target.read_bytes() == expected.encode("utf-8")
-
-
-# lists of small records, dicts of scalars and number lists such as cover
-# balls, with record counts on both sides of the encoder's block size, at
-# two depths
-_RECORD = st.dictionaries(_STRINGS, st.one_of(
-    _NUMBERS, st.booleans(), st.none(), _STRINGS, st.lists(_NUMBERS, max_size=3)), max_size=3)
-
-
-@settings(max_examples=50, deadline=None)
-@given(records=st.lists(_RECORD, min_size=1, max_size=3),
-       count=st.sampled_from([1, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
-                              2 * _ROWS_PER_BLOCK + 1]))
-def test_write_json_writes_record_lists_as_the_stdlib(tmp_path_factory, records, count):
-    rows = [records[i % len(records)] for i in range(count)]
-    doc = {"balls": rows, "deeper": {"words": rows[:3], "n": count}}
-    target = tmp_path_factory.mktemp("records") / "doc.json"
-    write_json(target, doc)
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert target.read_bytes() == expected.encode("utf-8")
-
-
+_ROW_COUNTS = [1, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+               2 * _ROWS_PER_BLOCK + 1]
+_ITEM_COUNTS = [_ITEMS_PER_BLOCK - 1, _ITEMS_PER_BLOCK, _ITEMS_PER_BLOCK + 1,
+                2 * _ITEMS_PER_BLOCK + 1]
+# rows of scalars, some of numbers only, and tables of such rows with row
+# counts on both sides of the encoder's block size
+_ROW = st.one_of(_sequences(_NUMBERS, min_size=1), _sequences(_SCALARS))
+_TABLE = st.one_of(_sequences(_ROW), _repeated(_ROW, _ROW_COUNTS))
+# lists of small records, dicts of scalars and rows such as encoded words
+_RECORDS = _repeated(st.dictionaries(_STRINGS, st.one_of(_SCALARS, _ROW), max_size=3),
+                     _ROW_COUNTS)
 # 2-D integer arrays: empty, single-row and block-boundary row counts; small
 # and wide value ranges, negative values and values past 10^12
 _INT_TABLES = st.tuples(
@@ -937,16 +938,26 @@ def _int_table(spec):
                                                 endpoint=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(tables=st.lists(_INT_TABLES.map(_int_table), min_size=1, max_size=3))
-def test_write_json_writes_integer_arrays_as_their_rows(tmp_path_factory, tables):
+# 1-D integer arrays and long lists of scalars, with item counts on both
+# sides of the encoder's block size
+_INT_ARRAYS = st.tuples(st.sampled_from([np.int16, np.int64, np.uint64]),
+                        st.sampled_from([0, 1] + _ITEM_COUNTS), st.integers(0, 2 ** 32 - 1)).map(
+    lambda a: np.random.default_rng(a[2]).integers(np.iinfo(a[0]).min, np.iinfo(a[0]).max,
+                                                   size=a[1], dtype=a[0], endpoint=True))
+_LEAVES = st.one_of(_SCALARS, _ROW, _TABLE, _RECORDS, _INT_TABLES.map(_int_table), _INT_ARRAYS,
+                    _repeated(_SCALARS, _ITEM_COUNTS), st.just([]), st.just({}), st.just(()))
+_DOCS = st.dictionaries(_STRINGS, st.recursive(_LEAVES, lambda inner: st.one_of(
+    _sequences(inner),
+    st.dictionaries(_STRINGS, inner, max_size=3),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=2)), max_leaves=8), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_write_json_writes_the_layout_oracle_bytes(tmp_path_factory, doc):
     target = tmp_path_factory.mktemp("oracle") / "doc.json"
-    doc = {"words": tables[0], "nested": {"tables": tables[1:]}, "count": len(tables)}
     write_json(target, doc)
-    as_lists = {"words": tables[0].tolist(), "count": len(tables),
-                "nested": {"tables": [t.tolist() for t in tables[1:]]}}
-    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
-    assert target.read_bytes() == expected.encode("utf-8")
+    assert target.read_bytes() == layout_oracle(doc).encode("utf-8")
 
 
 # tensor tables: empty, one row, one spanning the vocabulary path's block
@@ -963,8 +974,7 @@ def test_write_json_writes_tensor_tables_as_their_rows(tmp_path, order, n_cells,
     write_json(tmp_path / "tensors.json", doc)
     as_lists = {"tensors": [{"order": order, "n_cells": n_cells,
                              "tuples": sorted(map(list, set(rows)))}]}
-    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "tensors.json").read_bytes() == expected.encode("utf-8")
+    assert (tmp_path / "tensors.json").read_bytes() == layout_oracle(as_lists).encode("utf-8")
 
 
 # 1-d integer arrays: empty, one item, on both sides of a block boundary and
@@ -980,8 +990,9 @@ def test_write_json_writes_tensor_tables_as_their_rows(tmp_path, order, n_cells,
 def test_write_json_writes_1d_integer_arrays_as_their_lists(tmp_path, array):
     write_json(tmp_path / "doc.json", {"b": {"indptr": array}, "a": array, "c": [array]})
     as_lists = {"b": {"indptr": array.tolist()}, "a": array.tolist(), "c": [array.tolist()]}
-    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "doc.json").read_bytes() == expected.encode("utf-8")
+    assert (tmp_path / "doc.json").read_bytes() == layout_oracle(as_lists).encode("utf-8")
+    # one line each, as json.dumps writes the list
+    assert f'"a": {json.dumps(array.tolist())},\n' in (tmp_path / "doc.json").read_text()
 
 
 @pytest.mark.parametrize("array", [np.zeros((2, 3)), np.ones((2, 3), dtype=bool),
@@ -1025,22 +1036,24 @@ def test_manifest_holds_work_counters_that_the_report_leaves_out(pipeline):
 # again when the gradient-ball rule moved out of it; enclosure.json and
 # report.json when the image-ball enclosure replaced that rule and the report
 # gained enclosure_misses; the library's files when segments.npy replaced
-# segments.csv and library.json gained the times; manifest.json holds wall
-# times, so it is left out
+# segments.csv and library.json gained the times; every JSON file when lists
+# of scalars went on one line, cover.json became a centers table and radii,
+# and transitions.json dropped escape_fractions and unsupported_rows;
+# manifest.json holds wall times, so it is left out
 LINEAR1D_DIGESTS = {
-    "bounds.json": "1e3104ed24c27c8eb0bf5843e43c408831a76379a8906a70ce62b905a7f3be07",
-    "cover.json": "fec37611c9674cb66080d0faefb939764a40485799b985695c3a2baf0ae2072e",
-    "enclosure.json": "5e93c1c06ebf6d2bd932ac9b521afe79727a3bd8a6585dc68c0efee4c59eb001",
-    "entropy.json": "bf1c2b8bc36aa1d89ffa4b2b565c9d4f90945fdb09f535c00eeaebaf7817b07f",
-    "enumeration.json": "b0d03a54969f29d0acbbd6d86518a01609898e7c935671601554a298d76238bb",
-    "library/library.json": "e3688b769c4f84f86bd38d4d9baba9a7d33b714fc691bf4ccec6335571b8d089",
+    "bounds.json": "df089f39efb950f0b0a1d28552b7494bbaa8bb872902d6ee5d7ba760ebd0c81e",
+    "cover.json": "b41b65df7fe7be64e2141c953f771cee6e120a02c120760570e364b2455e44e3",
+    "enclosure.json": "505ee0a7ccf57afd7a6297ac9eb0e44cc9feaeadbf71038e4aaf0cf2baa72cb0",
+    "entropy.json": "5aa34b8bb8173fa28acfe2f604d6a25fb90b64417e742c3e836bcf8ba1a14786",
+    "enumeration.json": "0505041bc1993e4f1bb7300a8617c09b722ff36cb1c5de1416388df6055823bf",
+    "library/library.json": "1c4bd4507ba5780f54add2cc24b7fa0bd12e4af0636a24c0b35a79fe335c7a4d",
     "library/segments.npy": "33faf16648cbd1058f7b8d884fca0272e59f83ae69613250a6ba0e89e845db4f",
     "max_difference.csv": "81fd9d2c7e531ad4bb40a7aa1c7dbcce0503bc1563b8b3f62ef7b25f2dafdeba",
-    "report.json": "5b51c0c8c0601a47548bd89a650734afa3eabb46e74e75327b29630022aa89a2",
-    "shadow_report.json": "51a31089c29508062ea8e283d000d8ab5c77c7058b5547120f30dd8a905d416c",
-    "tensors.json": "a3d681a496a63ce5e69c4e62d470f97f85348f3f376f4408074ff4d78cd17787",
-    "transitions.json": "a960567644d667bda08af3c407d2d3c433194891f3d6552cf52596eb5e201aa7",
-    "words.json": "b55bf9c41c357db2037fcf3d812de8309642641e93edda6bc3f6b3966b66fbf2",
+    "report.json": "62e1fb5a9e34dd2b3d226a9eca9cd3040e93288f2b3e2fbc35ad6cd4b561bc43",
+    "shadow_report.json": "e852507b7e55b21021fe1d68f41ea08c6cc939386ac6c53abca39623362aca66",
+    "tensors.json": "d1b954ea07317b62c50c7013a54565b3d4080570cbf59493e8a3b142ccc2c333",
+    "transitions.json": "d2125faefc29be6b15e45574075ec06baa0ca9c4a7faf2cd220f1bb84f4b86f2",
+    "words.json": "cc9ca209fddf061efed028a50ef080a7a9a68372ddb0e945abd6f9d86aef4309",
 }
 
 
@@ -1058,6 +1071,16 @@ def test_bundled_linear1d_outputs_keep_their_bytes(linear1d):
     assert sorted(found) == sorted(LINEAR1D_DIGESTS)
     changed = [name for name, digest in LINEAR1D_DIGESTS.items() if found[name] != digest]
     assert not changed, f"outputs whose bytes differ: {changed}"
+
+
+def test_every_json_file_of_the_bundled_linear1d_run_has_the_layout(linear1d):
+    out = linear1d[1]
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.json"))
+    assert files == sorted([n for n in LINEAR1D_DIGESTS if n.endswith(".json")]
+                           + ["manifest.json"])
+    for name in files:
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == layout_oracle(json.loads(text)), name
 
 
 def test_no_rename_goes_over_an_existing_file(tmp_path, renames):

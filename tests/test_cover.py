@@ -261,12 +261,19 @@ def test_metric_entropy_bounded_by_log_n(raw):
 def test_cover_json_roundtrip(tmp_path):
     cover = Cover(centers=np.array([[0.0, 1.0], [2.0, 3.0]]), radii=np.array([0.5, 0.25]))
     doc = cover_to_json(cover)
-    assert doc["balls"][0] == {"index": 1, "center": [0.0, 1.0], "radius": 0.5}
+    assert doc == {"centers": [[0.0, 1.0], [2.0, 3.0]], "radii": [0.5, 0.25]}
     back = cover_from_json(json.loads(json.dumps(doc)))
     assert np.array_equal(back.centers, cover.centers)
     assert np.array_equal(back.radii, cover.radii)
-    with pytest.raises(ValueError, match="consecutive"):
-        cover_from_json({"balls": [{"index": 2, "center": [0.0], "radius": 1.0}]})
+    # integers are JSON numbers too, unless no float holds them
+    back = cover_from_json({"centers": [[0, 1], [2, 3]], "radii": [1, 2]})
+    assert back.centers.tolist() == [[0.0, 1.0], [2.0, 3.0]] and back.radii.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError, match=r"^centers entry 1: \[0, Infinity\] is not"):
+        cover_from_json(json.loads('{"centers": [[0, 1], [0, 1e+400]], "radii": [1, 2]}'))
+    with pytest.raises(ValueError, match=r"^centers entry 0: \[0, 1000.*0\] is not"):
+        cover_from_json({"centers": [[0, 10 ** 400]], "radii": [1]})
+    with pytest.raises(ValueError, match=r"^radii entry 1: -1 is not a positive"):
+        cover_from_json({"centers": [[0], [1]], "radii": [1, -1]})
 
 
 def test_cover_rejects_non_finite_balls():

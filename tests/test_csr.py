@@ -87,16 +87,9 @@ def ref_sparse_stationary(tm, iterations=2000):
 
 
 def ref_transitions_to_json(counts, p, escapes, rng_seed, samples_per_cell):
-    n = counts.shape[0]
-    landed = counts.sum(axis=1)
-    total = landed + escapes
-    frac = np.where(total > 0, escapes / np.maximum(total, 1), 0.0)
     doc = {
-        "n_cells": n, "rng_seed": rng_seed, "samples_per_cell": samples_per_cell,
-        "unsupported_rows": [int(m) + 1 for m in np.flatnonzero(landed == 0)],
-        "escapes": escapes.tolist(),
-        "escape_fractions": [round(v, 12) for v in frac.tolist()],
-        "format": "sparse",
+        "n_cells": counts.shape[0], "rng_seed": rng_seed, "samples_per_cell": samples_per_cell,
+        "escapes": escapes.tolist(), "format": "sparse",
     }
     rows, cols = np.nonzero(counts)
     doc.update(counts=[[int(r) + 1, int(c) + 1, int(counts[r, c])] for r, c in zip(rows, cols)],
@@ -157,7 +150,7 @@ def test_csr_tables_match_the_dense_reference(case):
     counts, gamma, p, escapes = ref_tables(itins, n)
     assert np.array_equal(dense(tm), counts) and np.array_equal(tm.escapes, escapes)
     assert dense(tm, tm.p).tobytes() == p.tobytes()
-    assert tm.unsupported_rows == set((np.flatnonzero(counts.sum(axis=1) == 0) + 1).tolist())
+    assert np.array_equal(tm.landed, counts.sum(axis=1))
 
     # the triplet form, with the bytes of the writer over dense tables, read back
     doc = transitions_to_json(tm, rng_seed=7, samples_per_cell=3)

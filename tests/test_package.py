@@ -48,6 +48,15 @@ def test_every_name_the_package_exports_exists_in_its_module():
                 assert getattr(segdyn, alias.name) is getattr(module, alias.name)
 
 
+def test_names_that_only_restated_derivable_fields_are_gone():
+    # each restated what its owner holds: ball ids 1..N, the empty rows of
+    # the counts, and the segment ids 1..N
+    assert not hasattr(segdyn, "CoverBall") and not hasattr(segdyn.cover, "CoverBall")
+    assert not hasattr(segdyn.Cover, "balls")
+    assert not hasattr(segdyn.TransitionMatrix, "unsupported_rows")
+    assert "cells" not in segdyn.SegmentLibrary.__dataclass_fields__
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_does_not_use(name):
     tree = _tree(name)

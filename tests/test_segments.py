@@ -125,8 +125,8 @@ _SPECIAL = [-0.0, 0.0, 5e-324, -2.0 ** -1060, 1e300, -1e300, 1.0 / 3.0, 0.1 + 0.
                  min_size=shape[1], max_size=shape[1]))))
 def test_library_roundtrip_is_bitwise(data):
     states, times = data
-    lib = SegmentLibrary(cells=np.arange(1, states.shape[0] + 1), times=times, states=states,
-                         horizon=1.0, epsilon=np.nan, model_id="test", step=0.1)
+    lib = SegmentLibrary(times=times, states=states, horizon=1.0, epsilon=np.nan,
+                         model_id="test", step=0.1)
     with tempfile.TemporaryDirectory() as tmp:
         save_library(lib, tmp)
         raw = (Path(tmp) / "segments.npy").read_bytes()

@@ -129,7 +129,7 @@ def test_markov_rows_sum_to_one(linear1, cfg):
 def test_escaping_cell_is_unsupported(expanding1d, cfg):
     part = _partition([[1.0]], [0.1])
     tm = _one_hop(expanding1d, part, 3.0, 20, cfg, rng_seed=9)
-    assert tm.unsupported_rows == {1}
+    assert tm.landed.tolist() == [0]
     assert tm.escape_fractions().tolist() == [1.0]
     assert np.array_equal(dense(tm, tm.p), [[0.0]])
 
@@ -467,7 +467,7 @@ def test_ball_successors_match_per_cell_loop(d, n, seed):
                     rng.uniform(-4.0, 4.0, size=(n, d)))
     radii = rng.choice([0.5, 1.0, 1.5, rng.uniform(0.1, 2.0)], size=n)
     rho = rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0)], size=n)
-    lib = SegmentLibrary(cells=np.arange(1, n + 1), times=np.array([0.0, 1.0]),
+    lib = SegmentLibrary(times=np.array([0.0, 1.0]),
                          states=np.stack([centers, ends], axis=1), horizon=1.0,
                          epsilon=np.nan, model_id="test", step=0.1)
     part = Partition(cover=Cover(centers=centers, radii=radii))
@@ -708,7 +708,6 @@ def test_csr_tables_reject_bad_patterns(indptr, indices, message):
 def test_csr_rows_may_start_below_the_row_before():
     # row 1 ends at column 1 and row 2 starts at column 0; an empty row between
     tm = TransitionMatrix([0, 2, 2, 3], [0, 2, 1], [1, 2, 3], [0, 4, 0])
-    assert tm.unsupported_rows == {2}
     assert tm.landed.tolist() == [3, 0, 3]
     assert tm.escape_fractions().tolist() == [0.0, 1.0, 0.0]
     assert tm.p.tolist() == [1 / 3, 2 / 3, 1.0]

@@ -23,8 +23,10 @@ encoded by the C encoder a block of items at a time, and a table of number
 rows a block of rows at a time, one ``str.replace`` putting each row on its
 own line. A 2-D integer array, such as the enumerated word table, is
 written as its rows of ints would be: when its values span fewer numbers
-than it holds, each block of rows is joined from one vocabulary of their
-decimal strings, and otherwise it is written as its ``tolist()``. The
+than it holds, as bytes, each block of 256 rows gathered from a vocabulary
+of NUL-padded tokens, ``v, `` within a row and ``v],`` plus the next row's
+line break at its end, and stripped of the padding by one
+``bytes.translate``; otherwise it is written as its ``tolist()``. The
 document is written as a stream of such pieces, never built as one string.
 """
 from __future__ import annotations
@@ -52,8 +54,11 @@ _SEQUENCE = frozenset((list, tuple))
 _ROWS_PER_BLOCK = 64
 # items per C-encoder call in a list or 1-D integer array
 _ITEMS_PER_BLOCK = 1 << 12
-# most decimal strings an integer table's vocabulary holds
+# most values an integer table's vocabulary of tokens holds
 _VOCABULARY = 1 << 16
+# rows per gather of an integer table's tokens: 4,096-row blocks raised the
+# benchmark's peak memory
+_INT_ROWS_PER_BLOCK = 256
 # the C encoder, with the separators of json.dumps
 _encode = json.JSONEncoder().encode
 
@@ -165,17 +170,41 @@ def _line(items):
 
 
 def _int_table(table, lo: int, hi: int, indent: str):
-    """The text of a 2-D integer array with values in lo..hi, as its rows of
-    Python ints would be written, one row per line: each block of rows is
-    joined from one vocabulary of the decimal strings of lo..hi."""
-    inner = indent + _INDENT
-    rows = "],\n" + inner + "["
-    vocab = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    """The bytes of a 2-D integer array with values in lo..hi, as its rows of
+    Python ints would be written, one row per line.
+
+    Each value v is a token: ``v, `` inside a row, and ``v],`` plus the
+    newline, indent and ``[`` of the next row at a row's end. Tokens of each
+    kind are NUL-padded to one width, a multiple of 8 bytes, and read as
+    uint64 words, so a block of rows is one gather of tokens into a reused
+    buffer whose bytes lose their NULs in one ``bytes.translate``. The last
+    row's end drops the separator."""
+    inner = (indent + _INDENT).encode()
+    sep = b",\n" + inner + b"["
+    values = range(lo, hi + 1)
+    items = _tokens([b"%d, " % v for v in values])
+    ends = _tokens([b"%d]%s" % (v, sep) for v in values])
+    # a row is the item tokens of its values but the last, then that one's end
+    cols = table.shape[1] - 1
+    split = cols * items.shape[1]
+    buf = np.empty((min(table.shape[0], _INT_ROWS_PER_BLOCK), split + ends.shape[1]),
+                   dtype=np.uint64)
+    row_items = buf[:, :split].reshape(buf.shape[0], cols, items.shape[1])
     # offsets from lo, in a type wide enough for every value of the array
     wide = np.uint64 if table.dtype.kind == "u" else np.int64
-    sep = "[\n" + inner + "["
-    for start in range(0, table.shape[0], _ROWS_PER_BLOCK):
-        block = table[start:start + _ROWS_PER_BLOCK].astype(wide) - wide(lo)
-        yield sep + rows.join(map(", ".join, vocab[block].tolist()))
-        sep = rows
-    yield "]\n" + indent + "]"
+    yield b"[\n" + inner + b"["
+    for start in range(0, table.shape[0], _INT_ROWS_PER_BLOCK):
+        block = table[start:start + _INT_ROWS_PER_BLOCK].astype(wide) - wide(lo)
+        n = block.shape[0]
+        np.take(items, block[:, :-1], axis=0, out=row_items[:n], mode="clip")
+        np.take(ends, block[:, -1], axis=0, out=buf[:n, split:], mode="clip")
+        text = buf[:n].tobytes().translate(None, b"\0")
+        yield text if start + n < table.shape[0] else text[:-len(sep)]
+    yield "\n" + indent + "]"
+
+
+def _tokens(tokens: list) -> np.ndarray:
+    """The byte strings, NUL-padded to their longest length rounded up to 8
+    bytes, as an (n, width / 8) uint64 array."""
+    width = -(-max(map(len, tokens)) // 8) * 8
+    return np.array(tokens, dtype=f"S{width}").view(np.uint64).reshape(len(tokens), -1)

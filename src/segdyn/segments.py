@@ -159,9 +159,10 @@ def _read_states(path: Path, shape: tuple) -> Array:
 
 def load_library(directory) -> SegmentLibrary:
     """Read a saved library. library.json must give the shape (N, K, d) as
-    JSON integers and K finite times as JSON numbers; segments.npy must hold
-    exactly that array (see save_library), every sample finite. Anything
-    else is a ValueError."""
+    JSON integers, K finite times and a finite horizon, integrator_step and
+    epsilon as JSON numbers (epsilon may be null, read as NaN); segments.npy
+    must hold exactly that array (see save_library), every sample finite.
+    Anything else is a ValueError."""
     directory = Path(directory)
     with open(directory / _LIBRARY_JSON, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -172,6 +173,12 @@ def load_library(directory) -> SegmentLibrary:
     if (type(times) is not list or len(times) != shape[1]
             or not set(map(type, times)) <= {int, float} or not np.isfinite(times).all()):
         raise ValueError(f"library.json times are not {shape[1]} finite JSON numbers")
+    for field in ("horizon", "integrator_step", "epsilon"):
+        value = meta[field]
+        if not (type(value) in (int, float) and math.isfinite(value)
+                or field == "epsilon" and value is None):
+            raise ValueError(f"library.json {field} {json.dumps(value)} "
+                             f"is not a finite JSON number")
     states = _read_states(directory / _SEGMENTS_NPY, shape)
     finite = np.isfinite(states)
     if not finite.all():

@@ -240,23 +240,35 @@ class _StateGraph:
         out[self.dst[np.repeat(states, np.diff(self.indptr))]] = True
         return out
 
-    def depths(self, length: int) -> Array:
-        """Per state, the most steps (up to length-1) that some path takes
-        from it. Backward frontiers shrink, so depth >= r marks the r-th."""
-        depth = np.zeros(self.n_states, dtype=np.int64)
-        alive = np.ones(self.n_states, dtype=bool)
-        for _ in range(1, length):
-            alive = self._kept_counts(alive) > 0
-            depth += alive
-        return depth
+    def completions(self, length: int, cap: int) -> Array:
+        """C, a (length, n_states) table: C[r][s] is the number of r-step
+        paths from state s, saturated at cap + 1, so C[0] is all ones.
 
-    def reachable(self, length: int, depth: Array) -> set:
-        """Last symbols of the union over j of forward layer j and the
-        backward frontier L-1-j, the states at step j of a length-L path."""
+        One backward pass: C[r][s] sums C[r-1] over the edges of s, in
+        int64 and in blocks of about _PAIR_CHUNK edges, before the cap is
+        applied. The table is kept in the narrowest unsigned type that holds
+        cap + 1. A state has an r-step path iff C[r][s] > 0."""
+        counts = np.ones((length, self.n_states), dtype=np.min_scalar_type(cap + 1))
+        indptr = self.indptr
+        blocks = list(_blocks(np.diff(indptr), _PAIR_CHUNK))
+        for r in range(1, length):
+            below = counts[r - 1]
+            for rows in blocks:
+                ends = indptr[rows.start:rows.stop + 1]
+                running = np.zeros(ends[-1] - ends[0] + 1, dtype=np.int64)
+                np.cumsum(below[self.dst[ends[0]:ends[-1]]], dtype=np.int64, out=running[1:])
+                counts[r, rows] = np.minimum(np.diff(running[ends - ends[0]]), cap + 1)
+        return counts
+
+    def reachable(self, counts: Array) -> set:
+        """Last symbols of the states at step j of some path of len(counts)
+        symbols from the start: forward layer j, cut to the states with
+        len(counts) - 1 - j steps left (:meth:`completions`)."""
+        length = counts.shape[0]
         hit = np.zeros(self.n_states, dtype=bool)
         layer = np.arange(self.n_states) == self.start
         for j in range(length):
-            layer &= depth >= length - 1 - j
+            layer &= counts[length - 1 - j] > 0
             hit |= layer
             layer = self._forward(layer)
         return set(self.last[hit].tolist())
@@ -269,17 +281,6 @@ class _StateGraph:
                 return set(self.last[seen].tolist())
             seen = grown
 
-    def _kept_counts(self, alive: Array) -> Array:
-        """Per state, how many of its edges end in an alive state."""
-        starts = self.indptr[:-1]
-        has = self.indptr[1:] > starts
-        counts = np.zeros(self.n_states, dtype=np.int64)
-        # summed in the narrowest type that holds every out-degree, as
-        # reduceat first casts the whole edge mask to it
-        narrow = np.min_scalar_type(int(np.max(self.indptr[1:] - starts, initial=0)))
-        counts[has] = np.add.reduceat(alive[self.dst], starts[has], dtype=narrow)
-        return counts
-
     def _kept_edges(self, states: Array, alive: Array) -> Array:
         """The edges from states into alive states, state by state in label
         order, read in blocks of about _PAIR_CHUNK edges."""
@@ -291,52 +292,45 @@ class _StateGraph:
             found.append(edges[alive[self.dst[edges]]])
         return np.concatenate(found)
 
-    def words(self, length: int, depth: Array, cap: int) -> tuple[Array, bool]:
-        """The first ``cap`` words of the given length in lexicographic order,
-        as an (n, length) int64 table, and whether more exist.
+    def words(self, counts: Array, cap: int) -> tuple[Array, bool]:
+        """The first ``cap`` words of len(counts) symbols in lexicographic
+        order, as an (n, length) int64 table, and whether more exist;
+        ``counts`` is :meth:`completions` of the same length and cap.
 
-        Layer j extends the prefixes of layer j - 1 along the edges into
-        states with depth >= length - 1 - j, so every prefix completes; a
-        layer keeps its first cap + 1 prefixes, cut from each state's count
-        of such edges before they are expanded. A prefix is its parent's
-        index in the previous layer and its last symbol, each layer kept in
-        the narrowest unsigned type that holds it. The table is read back
-        along the parents one column at a time, so it is laid out in Fortran
-        order."""
-        if depth[self.start] < length - 1:
-            return np.empty((0, length), dtype=np.int64), False
-        frontier = np.array([self.start])
-        parents, labels = [], []
-        label_type = np.min_scalar_type(int(self.last.max()))
-        for j in range(1, length):
-            alive = depth >= length - 1 - j
-            kept = self._kept_counts(alive)
-            count = kept[frontier]
-            before = np.cumsum(count) - count
-            # the first m prefixes hold the first cap + 1 children
-            m = int(np.searchsorted(before, cap + 1))
-            mark = np.zeros(self.n_states, dtype=bool)
-            mark[frontier[:m]] = True
-            used = np.flatnonzero(mark)
-            edges = self._kept_edges(used, alive)
-            offset = np.zeros(self.n_states, dtype=np.int64)
-            offset[used] = np.cumsum(kept[used]) - kept[used]
-            # the kept edges of each state of the first m prefixes start at
-            # its offset in edges; child i is edge i - before of its parent's
-            parent = np.repeat(np.arange(m), count[:m])[:cap + 1]
-            shift = offset[frontier[:m]] - before[:m]
-            edge = edges[np.arange(parent.size) + shift[parent]]
-            frontier = self.dst[edge]
-            parents.append(parent.astype(np.min_scalar_type(m - 1)))
-            labels.append(self.last[frontier].astype(label_type))
-        rows = min(frontier.size, cap)
-        table = np.empty((length, rows), dtype=np.int64)
+        There are C[L-1][start] words, so the table holds need = min(cap,
+        C[L-1][start]) of them. Layer j extends the prefixes of layer j - 1
+        along their edges into states with C[L-1-j] > 0, so every prefix
+        completes, and keeps the shortest leading run of them whose C[L-1-j]
+        add up to need: the first need words pass through no other prefix.
+        Each kept prefix heads a run of consecutive words, as many as its
+        completions (the last one what is left of need), so column j of the
+        table is layer j's last symbols repeated that often. The columns are
+        filled one at a time, so the table is laid out in Fortran order."""
+        length = counts.shape[0]
+        total = int(counts[-1, self.start])
+        need = min(total, cap)
+        if need == 0:
+            return np.empty((0, length), dtype=np.int64), total > cap
+        table = np.empty((length, need), dtype=np.int64)
         table[0] = self.last[self.start]
-        at = np.arange(rows)
-        for j in range(length - 1, 0, -1):
-            table[j] = labels[j - 1][at]
-            at = parents[j - 1][at]
-        return table.T, frontier.size > cap
+        frontier = np.array([self.start])
+        for j in range(1, length):
+            left = counts[length - 1 - j]
+            mark = np.zeros(self.n_states, dtype=bool)
+            mark[frontier] = True
+            used = np.flatnonzero(mark)
+            edges = self._kept_edges(used, left > 0)
+            # the kept edges of state s are edges[first[s]:first[s + 1]]
+            first = np.zeros(self.n_states + 1, dtype=np.int64)
+            first[used] = np.searchsorted(edges, self.indptr[used])
+            first[used + 1] = np.searchsorted(edges, self.indptr[used + 1])
+            count = first[frontier + 1] - first[frontier]
+            child = self.dst[edges[_expand(first[frontier], count)]]
+            run = np.cumsum(left[child], dtype=np.int64)
+            m = int(np.searchsorted(run, need)) + 1
+            frontier, run[m - 1] = child[:m], need
+            table[j] = np.repeat(self.last[frontier], np.diff(run[:m], prepend=0))
+        return table.T, total > cap
 
 
 def enumerate_admissible(gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: int,
@@ -355,9 +349,9 @@ def enumerate_admissible(gamma_or_tensor: TransitionMatrix | TransitionTensor, n
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
     graph = _StateGraph(gamma_or_tensor, n0)
-    depth = graph.depths(length)
-    words, overflowed = graph.words(length, depth, cap)
-    return EnumerationResult(words=words, reachable=graph.reachable(length, depth),
+    counts = graph.completions(length, cap)
+    words, overflowed = graph.words(counts, cap)
+    return EnumerationResult(words=words, reachable=graph.reachable(counts),
                              overflowed=overflowed)
 
 
@@ -375,7 +369,7 @@ def reachable_symbols(gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: 
         return graph.closure()
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    return graph.reachable(length, graph.depths(length))
+    return graph.reachable(graph.completions(length, 0))
 
 
 def cylinder_measure(tm: TransitionMatrix, prefix: SymbolSequence) -> float:

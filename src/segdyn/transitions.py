@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +139,7 @@ class TransitionTensor:
         if self.order < 2:
             raise ValueError(f"tensor order must be at least 2, got {self.order}")
         try:
-            rows = np.asarray(self.tuples, dtype=np.int64)
+            rows = np.array(self.tuples, dtype=np.int64)
         except OverflowError:  # a symbol past int64 is outside 1..n_cells, named below
             rows = np.asarray(self.tuples, dtype=object)
         if rows.shape == (0,):
@@ -152,7 +151,17 @@ class TransitionTensor:
         if np.any(bad):
             raise ValueError(f"tuple {tuple(rows[np.argmax(bad)].tolist())} has a symbol "
                              f"outside 1..{self.n_cells}")
-        object.__setattr__(self, "tuples", _rank_rows(rows)[1])
+        # the writer's tables are already sorted and distinct
+        object.__setattr__(self, "tuples", rows if _ascending(rows) else _rank_rows(rows)[1])
+
+
+def _ascending(table: Array) -> bool:
+    """Whether the rows of a table ascend strictly in lexicographic order:
+    each row exceeds the one before it in the first column where they differ."""
+    below, above = table[:-1], table[1:]
+    differ = below != above
+    at = np.arange(below.shape[0]), np.argmax(differ, axis=1)
+    return bool(np.all(differ[at]) and np.all(above[at] > below[at]))
 
 
 def _rank_rows(table: Array) -> tuple[Array, Array]:
@@ -453,22 +462,25 @@ def _count_triplets(entries, n: int) -> tuple[Array, Array, Array]:
         should = f"a cell id in 1..{n}" if k < 2 else "an int64 count"
         raise ValueError(f"counts entry {i}: {('row', 'col', 'value')[k]} "
                          f"{json.dumps(entries[i][k])} is not {should}")
-    t = np.asarray(entries, dtype=float).reshape(len(entries), 3)
+    try:
+        t = np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries))
+    except OverflowError:  # an id or a count past int64, named below
+        t = np.array(entries, dtype=float)
+    t = t.reshape(len(entries), 3)
     ids = t[:, :2]
     bad = ~((ids >= 1) & (ids <= n))
     if np.any(bad):
         i, k = np.argwhere(bad)[0]
-        raise ValueError(f"counts entry {i}: {('row', 'col')[k]} {ids[i, k]:g} "
+        raise ValueError(f"counts entry {i}: {('row', 'col')[k]} {float(ids[i, k]):g} "
                          f"is not a cell id in 1..{n}")
     if not np.all(t[:, 2] >= 0):
         i = int(np.argmin(t[:, 2] >= 0))
-        raise ValueError(f"counts entry {i}: value {t[i, 2]:g} is not a nonnegative number")
-    try:
-        values = np.array(list(map(itemgetter(2), entries)), dtype=np.int64)
-    except OverflowError:
+        raise ValueError(f"counts entry {i}: value {float(t[i, 2]):g} is not a nonnegative number")
+    if t.dtype != np.int64:
         i = next(i for i, e in enumerate(entries) if e[2] > _INT64_MAX)
         raise ValueError(f"counts entry {i}: value {entries[i][2]} is not an int64 count")
-    key = (ids[:, 0].astype(np.int64) - 1) * n + (ids[:, 1].astype(np.int64) - 1)
+    values = t[:, 2]
+    key = (ids[:, 0] - 1) * n + (ids[:, 1] - 1)
     _, first = np.unique(key, return_index=True)
     if first.size < key.size:
         i = int(np.setdiff1d(np.arange(key.size), first)[0])
@@ -484,9 +496,16 @@ def _check_p(entries, tm: TransitionMatrix) -> None:
     if not (type(entries) is list and set(map(type, entries)) <= {list}
             and set(map(len, entries)) <= {3}):
         raise ValueError("p must be a list of (row, col, value) triplets")
+    if (len(entries) == tm.indices.shape[0]
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+        try:
+            got = np.fromiter(chain.from_iterable(entries), float, 3 * len(entries))
+        except OverflowError:  # an integer past float range, named below
+            got = None
+        want = np.stack([_entry_rows(tm.indptr) + 1, tm.indices + 1, tm.p], axis=1)
+        if got is not None and np.array_equal(got.reshape(-1, 3), want):
+            return
     want = _p_triplets(tm)
-    if entries == want and bool not in set(map(type, chain.from_iterable(entries))):
-        return
     for i, (e, w) in enumerate(zip(entries, want)):
         for k, kinds in enumerate(({int}, {int}, {int, float})):
             if type(e[k]) not in kinds:
@@ -506,6 +525,13 @@ def _json_counts(values, what: str) -> Array:
     """The int64 array of a list of per-cell counts; each must be a
     nonnegative JSON integer in int64 range, so a float, string or boolean
     is refused rather than truncated."""
+    if type(values) is list and set(map(type, values)) <= {int}:
+        try:
+            cells = np.array(values, dtype=np.int64)
+        except OverflowError:  # a count past int64, named below
+            cells = None
+        if cells is not None and not np.any(cells < 0):
+            return cells
     cells = np.asarray(values, dtype=object)
     if cells.ndim != 1:
         raise ValueError(f"{what} must be a list of counts")
@@ -565,4 +591,10 @@ def tensor_from_json(doc: dict) -> TransitionTensor:
     if not set(map(len, tuples)) <= {order}:
         i, t = next((i, t) for i, t in enumerate(tuples) if len(t) != order)
         raise ValueError(f"tuples entry {i}: {json.dumps(t)} does not have order {order}")
+    if type(tuples) is list and order >= 2:  # the tensor refuses anything else
+        try:
+            tuples = np.fromiter(chain.from_iterable(tuples), np.int64,
+                                 order * len(tuples)).reshape(len(tuples), order)
+        except OverflowError:  # a symbol past int64; the tensor names its tuple
+            pass
     return TransitionTensor(order=order, tuples=tuples, n_cells=doc["n_cells"])

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import dense, layout_oracle, output_digests
 from segdyn.artifacts import check_artifacts, load_manifest, read_json, write_json
 from segdyn import __version__
-from segdyn.atomic import _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, side_path, write_atomic
+from segdyn.atomic import (
+    _INT_ROWS_PER_BLOCK, _ITEMS_PER_BLOCK, _ROWS_PER_BLOCK, side_path, write_atomic,
+)
 from segdyn.cli import _build_parser, main
 from segdyn.config import load_config
 from segdyn.cover import Partition, cover_from_json
@@ -756,6 +758,14 @@ def _with_nan_at(index):
     ("transitions.json", "transitions.json", _edit_json(lambda d: d.update(format="dense")),
      "markov", ["enumerate", "entropy", "bounds"],
      "is not a readable transition table: ValueError('format \"dense\" is not \"sparse\"')"),
+    ("library/library.json", "library", _edit_json(lambda d: d.update(horizon="1.0")),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('library.json horizon \"1.0\" is not a finite JSON number')"),
+    ("library/library.json", "library", _edit_json(lambda d: d.update(integrator_step=True)),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('library.json integrator_step true is not a finite JSON number')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-npy", "over-long-npy",
         "empty-npy", "big-endian-npy", "pickled-npy", "fortran-order-npy",
@@ -763,7 +773,7 @@ def _with_nan_at(index):
         "string-col", "string-p-value",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
         "n_cells-not-escapes", "n_cells-not-table-side", "transitions-n_cells-not-int",
-        "format-dense"])
+        "format-dense", "string-horizon", "boolean-integrator-step"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline
@@ -918,14 +928,16 @@ _TABLE = st.one_of(_sequences(_ROW), _repeated(_ROW, _ROW_COUNTS))
 _RECORDS = _repeated(st.dictionaries(_STRINGS, st.one_of(_SCALARS, _ROW), max_size=3),
                      _ROW_COUNTS)
 # 2-D integer arrays: empty, single-row and block-boundary row counts; small
-# and wide value ranges, negative values and values past 10^12
+# and wide value ranges, negative values, values past 10^12 and near 2^64,
+# and values whose tokens cross an 8-byte width (999999 and 1000000)
 _INT_TABLES = st.tuples(
-    st.sampled_from([np.int8, np.uint16, np.int64]),
-    st.sampled_from([0, 1, 2, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
-                     2 * _ROWS_PER_BLOCK + 1]),
+    st.sampled_from([np.int8, np.uint16, np.int64, np.uint64]),
+    st.sampled_from([0, 1, 2, _INT_ROWS_PER_BLOCK - 1, _INT_ROWS_PER_BLOCK,
+                     _INT_ROWS_PER_BLOCK + 1, 2 * _INT_ROWS_PER_BLOCK + 1]),
     st.sampled_from([1, 3, 20]),
     st.sampled_from([(0, 9), (-5, 5), (0, 10 ** 4), (10 ** 12, 10 ** 12 + 9),
-                     (-(10 ** 13), 10 ** 13), (None, None)]),
+                     (-(10 ** 13), 10 ** 13), (999_995, 1_000_004),
+                     (-1_000_004, -999_995), (2 ** 64 - 10, None), (None, None)]),
     st.integers(0, 2 ** 32 - 1))
 
 
@@ -933,7 +945,7 @@ def _int_table(spec):
     dtype, rows, cols, (lo, hi), seed = spec
     info = np.iinfo(dtype)
     lo = info.min if lo is None else min(max(lo, info.min), info.max)
-    hi = info.max if hi is None else min(hi, info.max)
+    hi = info.max if hi is None else min(max(hi, info.min), info.max)
     return np.random.default_rng(seed).integers(lo, hi, size=(rows, cols), dtype=dtype,
                                                 endpoint=True)
 
@@ -975,6 +987,30 @@ def test_write_json_writes_tensor_tables_as_their_rows(tmp_path, order, n_cells,
     as_lists = {"tensors": [{"order": order, "n_cells": n_cells,
                              "tuples": sorted(map(list, set(rows)))}]}
     assert (tmp_path / "tensors.json").read_bytes() == layout_oracle(as_lists).encode("utf-8")
+
+
+# integer tables whose item tokens ("999999, " and "1000000, ") or row-end
+# tokens ("9999999],\n    [" and "10000000],\n    [" at the first depth)
+# sit on both sides of an 8-byte width, negative and near 2^64, with row
+# counts on both sides of the gather's block size, at two depths
+@pytest.mark.parametrize("dtype, values", [
+    (np.int64, [999_999, 1_000_000]),
+    (np.int32, [9_999_999, 10_000_000]),
+    (np.int64, [-100_000, -99_999]),
+    (np.int64, [-1_000_000, -999_999]),
+    (np.uint64, [2 ** 64 - 2, 2 ** 64 - 1]),
+], ids=["items-8-9", "row-ends-16-17", "negative-items-8-9", "negative-row-ends-15-16",
+        "uint64"])
+@pytest.mark.parametrize("rows", [_INT_ROWS_PER_BLOCK - 1, _INT_ROWS_PER_BLOCK,
+                                  _INT_ROWS_PER_BLOCK + 1])
+@pytest.mark.parametrize("cols", [1, 2, 20])
+def test_write_json_writes_integer_tables_across_token_widths(tmp_path, dtype, values, rows,
+                                                              cols):
+    table = np.random.default_rng(rows * cols).choice(np.array(values, dtype=dtype),
+                                                      size=(rows, cols))
+    write_json(tmp_path / "doc.json", {"w": table, "n": [{"w": table}]})
+    as_lists = {"w": table.tolist(), "n": [{"w": table.tolist()}]}
+    assert (tmp_path / "doc.json").read_bytes() == layout_oracle(as_lists).encode("utf-8")
 
 
 # 1-d integer arrays: empty, one item, on both sides of a block boundary and

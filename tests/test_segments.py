@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -199,6 +200,15 @@ def test_load_library_rejects_a_malformed_states_file(lorenz, cfg, tmp_path, edi
     ("times", None, "times are not 4 finite JSON numbers"),
     ("n_cells", 2.0, r"shape \(2.0, 4, 3\) is not three nonnegative JSON integers"),
     ("dimension", -3, r"shape \(2, 4, -3\) is not three nonnegative JSON integers"),
+    ("horizon", "1.0", 'horizon "1.0" is not a finite JSON number'),
+    ("horizon", True, "horizon true is not a finite JSON number"),
+    ("horizon", float("inf"), "horizon Infinity is not a finite JSON number"),
+    ("horizon", None, "horizon null is not a finite JSON number"),
+    ("integrator_step", True, "integrator_step true is not a finite JSON number"),
+    ("integrator_step", float("nan"), "integrator_step NaN is not a finite JSON number"),
+    ("epsilon", "0.5", 'epsilon "0.5" is not a finite JSON number'),
+    ("epsilon", False, "epsilon false is not a finite JSON number"),
+    ("epsilon", float("-inf"), "epsilon -Infinity is not a finite JSON number"),
 ])
 def test_load_library_rejects_malformed_metadata(lorenz, cfg, tmp_path, key, value, message):
     lib = build_segments(lorenz, _cover([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 0.7, 4, cfg)
@@ -207,6 +217,17 @@ def test_load_library_rejects_malformed_metadata(lorenz, cfg, tmp_path, key, val
     path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
     with pytest.raises(ValueError, match=message):
         load_library(tmp_path)
+
+
+@pytest.mark.parametrize("epsilon, expected", [(None, None), (2, 2.0), (0.25, 0.25)])
+def test_load_library_reads_a_null_epsilon_as_nan(lorenz, cfg, tmp_path, epsilon, expected):
+    lib = build_segments(lorenz, _cover([[1.0, 2.0, 3.0]]), 0.7, 4, cfg)
+    save_library(lib, tmp_path)
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), epsilon=epsilon, horizon=1)))
+    back = load_library(tmp_path)
+    assert back.horizon == 1.0 and type(back.horizon) is float
+    assert math.isnan(back.epsilon) if expected is None else back.epsilon == expected
 
 
 def test_blowup_names_cell(cfg):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_tensor_words, brute_force_words, from_counts
@@ -30,6 +30,7 @@ from segdyn import (
 from segdyn.cover import BoxDomain
 from segdyn.transitions import TransitionTensor
 from test_csr import ref_row_entropies
+from test_words import _all_ones_graph
 
 
 @pytest.fixture(scope="module")
@@ -262,8 +263,14 @@ def _closure_by_bfs(tuples, order: int, n0: int) -> set:
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.sampled_from([None, 2, 3, 4]), st.integers(1, 7),
        st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(3, None, 1, 0, 7)
+@example(3, 3, 1, 5, 7)
+@example(4, None, 2, 1, 8)
+@example(4, 3, 2, 2, 8)
 def test_state_graph_matches_brute_force(n, order, length, cap, seed):
-    # order None is a transition matrix; the others are tensors of that order
+    # order None is a transition matrix; the others are tensors of that order.
+    # Besides the drawn cap, every system is enumerated at caps 0 and 1 and
+    # on both sides of its exact word count
     rng = np.random.default_rng(seed)
     n0 = int(rng.integers(1, n + 1))
     density = rng.random()
@@ -277,15 +284,31 @@ def test_state_graph_matches_brute_force(n, order, length, cap, seed):
                   if rng.random() < density}
         system = TransitionTensor(order=order, tuples=sorted(tuples), n_cells=n)
         brute = brute_force_tensor_words(tuples, order, n, n0, length)
-    res = enumerate_admissible(system, n0, length, cap=cap)
-    words = res.words.tolist()
-    assert res.words.dtype == np.int64 and res.words.shape == (len(words), length)
-    assert list(map(tuple, words)) == sorted(brute)[:cap]
-    assert all(type(s) is int for w in words for s in w)
-    assert res.overflowed == (len(brute) > cap)
-    assert res.reachable == {s for w in brute for s in w}
+    count = len(brute)
+    for c in sorted({cap, 0, 1, count, count + 1, max(count - 1, 0)}):
+        res = enumerate_admissible(system, n0, length, cap=c)
+        words = res.words.tolist()
+        assert res.words.dtype == np.int64 and res.words.shape == (len(words), length)
+        assert list(map(tuple, words)) == sorted(brute)[:c]
+        assert all(type(s) is int for w in words for s in w)
+        assert res.overflowed == (count > c)
+        assert res.reachable == {s for w in brute for s in w}
     assert reachable_symbols(system, n0, length) == res.reachable
     assert reachable_symbols(system, n0, None) == _closure_by_bfs(tuples, order or 2, n0)
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_completion_sums_are_wider_than_the_counts(n):
+    # at cap 255 the counts are stored as uint16, since they saturate at
+    # 256; each of n states has n successors of count 256, so a length-3
+    # word count sums n * 256 = 65,536 or 76,800 completions, past uint16
+    graph = _all_ones_graph(n)
+    counts = graph.completions(3, 255)
+    assert counts.dtype == np.uint16
+    assert counts.tolist() == [[1] * n, [256] * n, [256] * n]
+    res = enumerate_admissible(from_counts(np.ones((n, n))), 1, 3, cap=255)
+    assert res.overflowed and res.reachable == set(range(1, n + 1))
+    assert res.words.tolist() == [[1, 1, k] for k in range(1, 256)]
 
 
 def test_symbol_sequence_normalises_numpy_ints():

@@ -31,6 +31,7 @@ from segdyn.segments import SegmentLibrary
 from segdyn.transitions import (
     TransitionMatrix,
     TransitionTensor,
+    _ascending,
     tensor_from_json,
     tensor_to_json,
     transitions_from_json,
@@ -389,6 +390,21 @@ def test_tensor_rows_are_distinct_and_sorted(spec):
     assert tensor.tuples.dtype == np.int64
     assert tensor.tuples.shape == (len(set(rows)), order)
     assert list(map(tuple, tensor.tuples.tolist())) == sorted(set(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(*[st.integers(1, 4)] * k), max_size=30))))
+def test_ascending_rows_are_kept_as_given(spec):
+    # the writer's strictly ascending rows skip the sort; any other table
+    # is sorted and its repeats dropped
+    order, rows = spec
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), order)
+    assert _ascending(table) == all(a < b for a, b in zip(rows, rows[1:]))
+    distinct = np.array(sorted(set(rows)), dtype=np.int64).reshape(-1, order)
+    assert _ascending(distinct)
+    tensor = TransitionTensor(order=order, tuples=distinct, n_cells=4)
+    assert np.array_equal(tensor.tuples, distinct) and tensor.tuples is not distinct
 
 
 @pytest.mark.parametrize("rows", [[], np.empty((0, 3), dtype=np.int64)], ids=["list", "array"])

@@ -4,7 +4,8 @@
 expanded a layer at a time: an iterative DFS with an explicit stack of edge
 iterators that enters only states with enough depth left and stops at the
 cap. The layered table must hold its words, in its order, with its overflow
-flag.
+flag. ``ref_depths`` and ``ref_completions`` are the depths and saturated
+path counts that the walk is cut by, computed one state at a time.
 """
 import itertools
 from unittest import mock
@@ -18,11 +19,33 @@ from segdyn.symbolic import _StateGraph
 from segdyn.transitions import TransitionMatrix, TransitionTensor
 
 
-def ref_words(graph, length, depth, cap):
+def ref_completions(graph, length, cap):
+    """Per r and state, the number of r-step paths, as exact Python ints,
+    and that number capped at cap + 1."""
+    indptr, dst = graph.indptr.tolist(), graph.dst.tolist()
+    exact = [[1] * graph.n_states]
+    for _ in range(1, length):
+        exact.append([sum(exact[-1][d] for d in dst[indptr[v]:indptr[v + 1]])
+                      for v in range(graph.n_states)])
+    return exact, [[min(c, cap + 1) for c in row] for row in exact]
+
+
+def ref_depths(graph, length):
+    """Per state, the most steps (up to length - 1) that some path takes."""
+    indptr, dst = graph.indptr.tolist(), graph.dst.tolist()
+    depth, alive = [0] * graph.n_states, [True] * graph.n_states
+    for _ in range(1, length):
+        alive = [any(alive[d] for d in dst[indptr[v]:indptr[v + 1]])
+                 for v in range(graph.n_states)]
+        depth = [d + a for d, a in zip(depth, alive)]
+    return depth
+
+
+def ref_words(graph, length, cap):
     # an edge's label is the last symbol of the state it enters
     indptr, dst = graph.indptr.tolist(), graph.dst.tolist()
     label = graph.last[graph.dst].tolist()
-    depth, found, word = depth.tolist(), [], []
+    depth, found, word = ref_depths(graph, length), [], []
     stack = [iter([(graph.start, int(graph.last[graph.start]))])]
     while stack:
         step = next(stack[-1], None)
@@ -58,9 +81,10 @@ def _order3_tensor():
 
 def _check_against_ref(system, n0, length, cap):
     graph = _StateGraph(system, n0)
-    depth = graph.depths(length)
-    table, overflowed = graph.words(length, depth, cap)
-    expected, ref_overflowed = ref_words(graph, length, depth, cap)
+    counts = graph.completions(length, cap)
+    assert counts.tolist() == ref_completions(graph, length, cap)[1]
+    table, overflowed = graph.words(counts, cap)
+    expected, ref_overflowed = ref_words(graph, length, cap)
     assert table.dtype == np.int64 and table.shape == (len(expected), length)
     rows = table.tolist()
     assert all(type(s) is int for row in rows for s in row)
@@ -75,7 +99,7 @@ def _check_against_ref(system, n0, length, cap):
                          ids=["gamma 300 cells", "order-3 tensor"])
 def test_layered_words_match_the_dfs_around_the_true_count(system, n0, edge_block):
     graph = _StateGraph(system, n0)
-    count = len(ref_words(graph, 20, graph.depths(20), 10 ** 9)[0])
+    count = len(ref_words(graph, 20, 10 ** 9)[0])
     assert count > 1000
     with mock.patch.object(symbolic, "_PAIR_CHUNK", edge_block or symbolic._PAIR_CHUNK):
         for cap in (count - 1, count, count + 1, 1):
@@ -124,28 +148,29 @@ def test_dense_gamma_builds_its_state_graph_within_a_small_memory_bound():
 
 def test_dense_graph_words_stay_within_a_small_memory_bound():
     # expanding every edge of a 1,001-prefix frontier would build tables of
-    # 1001 x 3000 entries per layer, about 100 MB; the cut comes first, and
-    # what remains is one mask over the 9 million edges and its cast to the
-    # uint16 the per-state counts are summed in, about 26 MB
+    # 1001 x 3000 entries per layer, about 100 MB. The count pass reads the
+    # 9 million edges a block of _PAIR_CHUNK at a time, and the walk keeps
+    # one prefix per layer until the last: the peak is about 1.1 MiB
     n, length, cap = 3000, 6, 1000
     graph = _all_ones_graph(n)
-    depth = np.full(n, length - 1)
-    (table, overflowed), peak = traced_peak(lambda: graph.words(length, depth, cap))
-    assert peak < 32 * 2 ** 20
+    (table, overflowed), peak = traced_peak(
+        lambda: graph.words(graph.completions(length, cap), cap))
+    assert peak < 4 * 2 ** 20
     assert overflowed
     assert table.tolist() == [[1, 1, 1, 1, 1, k] for k in range(1, cap + 1)]
 
 
 def test_capped_words_keep_narrow_layers():
-    # 300 cells, about 3 successors each: from the ninth layer on, each
-    # layer of a length-20 enumeration holds the cap's 25,001 prefixes.
-    # Kept as int64 parents and labels they set a 9.6 MiB peak beside the
-    # 3.8 MiB table; as uint16 the peak is 6.2 MiB
+    # 300 cells, about 3 successors each: from the tenth symbol on, a
+    # length-20 enumeration has more prefixes than the cap's 25,000 words
+    # pass through. Kept as int64 parents and labels they set a 9.6 MiB
+    # peak beside the 3.8 MiB table; each layer holding only the prefixes
+    # the words pass through, in narrow types, the peak is 4.7 MiB
     gamma = from_counts(np.random.default_rng(5).random((300, 300)) < 3.0 / 300)
     graph = _StateGraph(gamma, 1)
-    depth = graph.depths(20)
-    (table, overflowed), peak = traced_peak(lambda: graph.words(20, depth, 25_000))
-    assert peak < 7.5 * 2 ** 20
+    (table, overflowed), peak = traced_peak(
+        lambda: graph.words(graph.completions(20, 25_000), 25_000))
+    assert peak < 5.5 * 2 ** 20
     assert overflowed and table.dtype == np.int64 and table.shape == (25_000, 20)
-    expected, _ = ref_words(graph, 20, depth, 25_000)
+    expected, _ = ref_words(graph, 20, 25_000)
     assert table.tolist() == [list(w) for w in expected]

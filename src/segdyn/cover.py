@@ -86,10 +86,6 @@ class BoxDomain:
     def widths(self) -> Array:
         return self.upper - self.lower
 
-    def contains(self, points: Array) -> Array:
-        pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
-
     def sample(self, rng: np.random.Generator, count: int) -> Array:
         return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
 
@@ -343,11 +339,6 @@ class Partition:
     def _grid(self) -> _BallGrid:
         """The cover's grid index, built on first use."""
         return _BallGrid(self.cover.centers, self.cover.radii)
-
-    def assign(self, x) -> int | None:
-        """Cell id for a single point, or None when no ball contains it."""
-        cell = int(self.assign_many(np.asarray(x, dtype=float)[None, :])[0])
-        return cell if cell > 0 else None
 
 
 @dataclass(frozen=True, eq=False)

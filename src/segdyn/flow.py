@@ -33,7 +33,6 @@ __all__ = [
     "walk_open_rows",
     "jacobian_norms",
     "model_from_json",
-    "model_to_json",
 ]
 
 
@@ -48,16 +47,13 @@ def _as_vector(x, name: str = "state") -> Array:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings. ``step`` is the maximum step size."""
+    """Fixed-step RK4 settings. ``step`` is the maximum step size."""
 
     step: float = 1e-3
-    scheme: str = "rk4"
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive and finite, got {self.step}")
-        if self.scheme.lower() != "rk4":
-            raise ValueError(f"unsupported scheme {self.scheme!r}; only 'rk4' is available")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +96,6 @@ class LinearDiagonal:
             return rhs
 
         return [bind(xt, out) for xt, out in pairs]
-
-    def parameters(self) -> dict:
-        return {"rates": self.rates.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +142,6 @@ class Lorenz:
             return rhs
 
         return [bind(xt, out) for xt, out in pairs]
-
-    def parameters(self) -> dict:
-        return {"sigma": self.sigma, "rho": self.rho, "beta": self.beta}
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +222,6 @@ class QuadraticGeneric:
 
         return [bind(xt, out) for xt, out in pairs]
 
-    def parameters(self) -> dict:
-        return {
-            "linear": self.linear.tolist(),
-            "quadratic": self.quadratic.tolist(),
-            "forcing": self.forcing.tolist(),
-        }
-
 
 FlowModel = Union[LinearDiagonal, Lorenz, QuadraticGeneric]
 
@@ -261,6 +244,9 @@ def _substep_count(duration: float, max_step: float) -> int:
 # walk advances this many starts at a time. The (3, M) RK4 kernel holds 13 M
 # doubles, 852 kB here, so its batches stay within a 1 MB L2 cache.
 _BLOCK_ROWS = 1 << 13
+
+# the coordinate offset of jacobian_norms' central differences
+_FD_STEP = 1e-5
 
 # substeps between finiteness checks; a substep adds to the state, so a
 # non-finite entry never turns finite again and the check at the end of a
@@ -331,14 +317,6 @@ def _checked_steps(step, y: Array, y0: Array, n_steps: int, dt: float, t_start: 
                                           batch_index=int(np.flatnonzero(~finite)[0]))
 
 
-def _rk4(model: FlowModel, states: Array, dt: float, n_steps: int, t_start: float = 0.0) -> Array:
-    """n_steps RK4 substeps of dt from the (M, d) batch states, into a new
-    array; states itself is never written."""
-    yt = states.T.copy()
-    _checked_steps(_rk4_kernel(model, yt, dt), yt, np.empty_like(yt), n_steps, dt, t_start)
-    return np.ascontiguousarray(yt.T)
-
-
 def _as_batch(model: FlowModel, states) -> Array:
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != model.dimension:
@@ -347,7 +325,8 @@ def _as_batch(model: FlowModel, states) -> Array:
 
 
 class _LiveRows:
-    """The live states of one walk (:func:`walk_open_rows`), held
+    """The live states of one batch integration (a :func:`walk_open_rows`
+    walk, a :func:`sample_path` path or one :func:`advance_many` call), held
     coordinate-first as a (d, width) view of the first d * width entries of
     a buffer allocated once, beside a spare of the same size. ``states`` is
     their (width, d) view. The spare holds the finiteness check's copy
@@ -370,6 +349,12 @@ class _LiveRows:
         self.spare = self.buffers[1][:self.dimension * width].reshape(self.dimension, width)
         self.states = self.yt.T
 
+    def advance(self, model: FlowModel, dt: float, n_steps: int, t_start: float) -> None:
+        """n_steps RK4 substeps of dt, in place; a BlowupError names the
+        column and the time counted from t_start."""
+        _checked_steps(_rk4_kernel(model, self.yt, dt), self.yt, self.spare, n_steps, dt,
+                       t_start)
+
     def keep(self, cols: Array) -> None:
         """Keep only the live columns cols (ascending), moved to the front."""
         d, width = self.dimension, cols.shape[0]
@@ -384,20 +369,19 @@ def advance_many(model: FlowModel, states: Array, t: float, cfg: IntegratorConfi
     """Numerical F^t applied to a batch of points, shape (M, d) -> (M, d),
     into a new C-contiguous array; states itself is never written.
 
-    ``_live`` is a walk's own buffers, whose ``states`` view is passed as
-    states: the batch is then advanced in those buffers, in place, and
-    states is returned."""
+    The batch is advanced in buffers of its own (:class:`_LiveRows`), or,
+    when ``_live`` is given, in a walk's buffers, whose ``states`` view is
+    passed as states: that batch is advanced in place, and states is
+    returned."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     states = _as_batch(model, states)
     if t == 0:
         return states if _live is not None else states.copy()
     n = _substep_count(t, cfg.step)
-    if _live is not None:
-        _checked_steps(_rk4_kernel(model, _live.yt, t / n), _live.yt, _live.spare, n, t / n,
-                       t_start)
-        return states
-    return _rk4(model, states, t / n, n, t_start=t_start)
+    live = _LiveRows(states) if _live is None else _live
+    live.advance(model, t / n, n, t_start)
+    return states if _live is not None else np.ascontiguousarray(live.states)
 
 
 def advance(model: FlowModel, x, t: float, cfg: IntegratorConfig) -> Array:
@@ -426,10 +410,10 @@ def sample_path(model: FlowModel, states: Array, horizon: float, n_samples: int,
     n_sub = _substep_count(dt_grid, cfg.step)
     out = np.empty((states.shape[0], n_samples, states.shape[1]))
     out[:, 0] = states
-    y = states
+    live = _LiveRows(states)
     for k in range(1, n_samples):
-        y = _rk4(model, y, dt_grid / n_sub, n_sub, t_start=times[k - 1])
-        out[:, k] = y
+        live.advance(model, dt_grid / n_sub, n_sub, times[k - 1])
+        out[:, k] = live.states
     return times, out
 
 
@@ -497,24 +481,21 @@ def walk_open_rows(model: FlowModel, states: Array, interval: float, n_intervals
     return dropped
 
 
-def jacobian_norms(model: FlowModel, points: Array, t: float, cfg: IntegratorConfig,
-                   fd_step: float = 1e-5) -> Array:
+def jacobian_norms(model: FlowModel, points: Array, t: float, cfg: IntegratorConfig) -> Array:
     """Operator 2-norm of the finite-difference Jacobian of F^t at each point.
 
     Central differences: column j of the Jacobian comes from perturbing
-    coordinate j by +-fd_step and advancing both copies.
+    coordinate j by +-_FD_STEP and advancing both copies.
     """
-    if fd_step <= 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
     points = _as_batch(model, points)
     m, d = points.shape
-    eye = np.eye(d) * fd_step
+    eye = np.eye(d) * _FD_STEP
     # Layout: [p0+e0, p0-e0, p0+e1, ...] for each point, one batched advance.
     perturbed = np.empty((m, d, 2, d))
     perturbed[:, :, 0, :] = points[:, None, :] + eye[None, :, :]
     perturbed[:, :, 1, :] = points[:, None, :] - eye[None, :, :]
     images = advance_many(model, perturbed.reshape(-1, d), t, cfg).reshape(m, d, 2, d)
-    jac = (images[:, :, 0, :] - images[:, :, 1, :]) / (2.0 * fd_step)
+    jac = (images[:, :, 0, :] - images[:, :, 1, :]) / (2.0 * _FD_STEP)
     # jac[m, j, :] is dF/dx_j, i.e. the transpose of the Jacobian matrix.
     return np.linalg.svd(np.swapaxes(jac, 1, 2), compute_uv=False)[:, 0]
 
@@ -557,6 +538,10 @@ def model_from_json(doc: dict) -> FlowModel:
     return model
 
 
+# the largest JSON integer a count, a cell id or an integer config field may hold
+_INT64_MAX = 2 ** 63 - 1
+
+
 def _finite_number(value) -> bool:
     """Whether value is a JSON number, not a boolean, that a float holds
     finitely."""
@@ -567,7 +552,7 @@ def _finite_number(value) -> bool:
 
 
 def _json_number(name: str, value) -> float:
-    """A model parameter that must be a finite JSON number; a boolean or a
+    """A config value that must be a finite JSON number; a boolean or a
     string is refused, not converted."""
     if not _finite_number(value):
         raise ValueError(f"{name}: {json.dumps(value)} is not a finite JSON number")
@@ -575,8 +560,9 @@ def _json_number(name: str, value) -> float:
 
 
 def _json_numbers(name: str, value) -> Array:
-    """The float array of a model parameter given as nested lists of finite
-    JSON numbers, each checked as :func:`_json_number` checks one."""
+    """The float array of a value given as nested lists of finite JSON
+    numbers (a model parameter, a domain bound, the initial points), each
+    checked as :func:`_json_number` checks one."""
     pending = [value]
     while pending:
         item = pending.pop()
@@ -584,12 +570,7 @@ def _json_numbers(name: str, value) -> Array:
             pending.extend(item)
         else:
             _json_number(name, item)
-    return np.asarray(value, dtype=float)
-
-
-def model_to_json(model: FlowModel) -> dict:
-    return {
-        "model_id": model.model_id,
-        "dimension": model.dimension,
-        "parameters": model.parameters(),
-    }
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # numpy's message would not name the parameter
+        raise ValueError(f"{name}: nested lists of unequal lengths") from None

@@ -122,11 +122,12 @@ def segment_envelope(lib: SegmentLibrary, q: QuantitySpec) -> QuantityEnvelope:
 
 
 def reachable_bounds(env: QuantityEnvelope, tm: TransitionMatrix, n0: int,
-                     length: int | None) -> ReachableBounds:
-    """Envelope bounds over every cell reachable within ``length`` symbols.
+                     length: int) -> ReachableBounds:
+    """Envelope bounds over every cell on some admissible word of ``length``
+    symbols from n0 (:func:`~segdyn.symbolic.reachable_symbols`).
 
     The lower bound takes the min of the per-cell infima (so the bracket
-    contains the orbit values); length=None propagates to the fixpoint.
+    contains the orbit values).
     """
     reach = reachable_symbols(tm, n0, length)
     if not reach:

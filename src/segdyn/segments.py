@@ -23,7 +23,7 @@ import numpy as np
 from .atomic import write_atomic, write_json
 from .cover import Cover, diameters
 from .errors import BlowupError
-from .flow import FlowModel, IntegratorConfig, sample_path
+from .flow import FlowModel, IntegratorConfig, _finite_number, sample_path
 
 Array = np.ndarray
 
@@ -76,9 +76,6 @@ class SegmentLibrary:
     @property
     def dimension(self) -> int:
         return self.states.shape[2]
-
-    def starts(self) -> Array:
-        return self.states[:, 0, :]
 
     def ends(self) -> Array:
         return self.states[:, -1, :]
@@ -170,13 +167,11 @@ def load_library(directory) -> SegmentLibrary:
     if not all(type(v) is int and v >= 0 for v in shape):
         raise ValueError(f"library.json shape {shape} is not three nonnegative JSON integers")
     times = meta["times"]
-    if (type(times) is not list or len(times) != shape[1]
-            or not set(map(type, times)) <= {int, float} or not np.isfinite(times).all()):
+    if type(times) is not list or len(times) != shape[1] or not all(map(_finite_number, times)):
         raise ValueError(f"library.json times are not {shape[1]} finite JSON numbers")
     for field in ("horizon", "integrator_step", "epsilon"):
         value = meta[field]
-        if not (type(value) in (int, float) and math.isfinite(value)
-                or field == "epsilon" and value is None):
+        if not (_finite_number(value) or field == "epsilon" and value is None):
             raise ValueError(f"library.json {field} {json.dumps(value)} "
                              f"is not a finite JSON number")
     states = _read_states(directory / _SEGMENTS_NPY, shape)

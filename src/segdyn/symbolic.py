@@ -273,14 +273,6 @@ class _StateGraph:
             layer = self._forward(layer)
         return set(self.last[hit].tolist())
 
-    def closure(self) -> set:
-        seen = np.arange(self.n_states) == self.start
-        while True:
-            grown = seen | self._forward(seen)
-            if np.array_equal(grown, seen):
-                return set(self.last[seen].tolist())
-            seen = grown
-
     def _kept_edges(self, states: Array, alive: Array) -> Array:
         """The edges from states into alive states, state by state in label
         order, read in blocks of about _PAIR_CHUNK edges."""
@@ -356,17 +348,13 @@ def enumerate_admissible(gamma_or_tensor: TransitionMatrix | TransitionTensor, n
 
 
 def reachable_symbols(gamma_or_tensor: TransitionMatrix | TransitionTensor, n0: int,
-                      length: int | None) -> set:
+                      length: int) -> set:
     """Symbols appearing in some admissible word of the given length from n0.
 
     Layer propagation with dead-end pruning: a symbol only counts if the
-    word it sits in really extends to the full length. ``length=None`` is
-    the fixpoint surrogate and returns every symbol forward-reachable from
-    n0 in any number of steps.
+    word it sits in really extends to the full length.
     """
     graph = _StateGraph(gamma_or_tensor, n0)
-    if length is None:
-        return graph.closure()
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
     return graph.reachable(graph.completions(length, 0))

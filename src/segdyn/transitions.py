@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from ._rng import STREAM_TRANSITIONS, derive_rng
 from .cover import Partition, _BallGrid, _squared_distances
 from .errors import BlowupError, SamplingError
-from .flow import _BLOCK_ROWS, FlowModel, IntegratorConfig, walk_open_rows
+from .flow import _BLOCK_ROWS, _INT64_MAX, FlowModel, IntegratorConfig, walk_open_rows
 from .segments import SegmentLibrary
 
 Array = np.ndarray
@@ -40,10 +41,11 @@ __all__ = [
     "tensor_from_json",
 ]
 
-_INT64_MAX = 2 ** 63 - 1
 # the slack s of the image-ball enclosure (ball_successors): cell m's image
 # is taken as a ball of s times its first-order radius
 ENCLOSURE_SLACK = 1.0
+# the longest extension m that the transitions stage's expanding_to_depth tries
+EXPANSION_M_MAX = 2
 
 
 @dataclass(eq=False)
@@ -496,8 +498,10 @@ def _check_p(entries, tm: TransitionMatrix) -> None:
     if not (type(entries) is list and set(map(type, entries)) <= {list}
             and set(map(len, entries)) <= {3}):
         raise ValueError("p must be a list of (row, col, value) triplets")
-    if (len(entries) == tm.indices.shape[0]
-            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+    types = ({int}, {int}, {int, float})  # of a triplet's row, col and value
+    if len(entries) == tm.indices.shape[0] and all(
+            set(map(type, map(itemgetter(k), entries))) <= kinds
+            for k, kinds in enumerate(types)):
         try:
             got = np.fromiter(chain.from_iterable(entries), float, 3 * len(entries))
         except OverflowError:  # an integer past float range, named below
@@ -507,7 +511,7 @@ def _check_p(entries, tm: TransitionMatrix) -> None:
             return
     want = _p_triplets(tm)
     for i, (e, w) in enumerate(zip(entries, want)):
-        for k, kinds in enumerate(({int}, {int}, {int, float})):
+        for k, kinds in enumerate(types):
             if type(e[k]) not in kinds:
                 raise ValueError(f"p entry {i}: {('row', 'col', 'value')[k]} {json.dumps(e[k])} "
                                  f"is not a JSON {'number' if k == 2 else 'integer'}")

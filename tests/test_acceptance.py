@@ -233,7 +233,7 @@ def test_criterion_03_partition_correctness(run1):
 
     agree = np.array_equal(got, expected)
     disjoint = bool(np.all(multiplicity <= 1))
-    grid = collocate(cfg.domain, cfg.resolution, max_points=cfg.collocation_cap)
+    grid = collocate(cfg.domain, cfg.resolution)
     covered = bool(np.all(partition.assign_many(grid) > 0))
     record(3, agree and disjoint and covered,
            f"assign_cell matches the direct definition on 100000 points "

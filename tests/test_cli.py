@@ -302,12 +302,31 @@ LORENZ_MODEL = {"model_id": "Lorenz", "dimension": 3, "parameters": {}}
      "quantities[0]: weight has shape (2, 2), not (1, 1)"),
     ({"quantities": [{"kind": "weighted_quadratic", "weight": [["1"]]}]},
      'quantities[0]: weight: "1" is not a finite JSON number'),
+    ({"domain": {"lower": ["-1"], "upper": [1.0]}},
+     'domain: lower: "-1" is not a finite JSON number'),
+    ({"domain": {"lower": [-1.0], "upper": [True]}},
+     "domain: upper: true is not a finite JSON number"),
+    ({"initial_points": [["0.5"]]}, 'initial_points: "0.5" is not a finite JSON number'),
+    ({"initial_points": [[float("inf")]]},
+     "initial_points: Infinity is not a finite JSON number"),
+    ({"initial_points": [[0.5], [0.5, 0.5]]},
+     "initial_points: nested lists of unequal lengths"),
+    ({"epsilon": 10 ** 400}, f"epsilon: expected a finite number, got {10 ** 400}"),
+    ({"samples_per_cell": 2 ** 63},
+     f"samples_per_cell: must be <= {2 ** 63 - 1}, got {2 ** 63}"),
+    ({"resolution": [10 ** 400]},
+     f"resolution: entries must be <= {2 ** 63 - 1}, got [{10 ** 400}]"),
+    ({"collocation_cap": 10, "delta_floor": 1e-6, "expansion_m_max": 3},
+     'unknown fields: "collocation_cap", "delta_floor", "expansion_m_max"'),
 ], ids=["quantities string", "quantities object", "quantity string", "quantity field",
         "quantity index", "null parameters", "model parameter", "model field",
         "float dimension", "model string", "float resolution", "boolean resolution",
         "boolean Lorenz parameter", "string Lorenz parameter", "string rate", "boolean rate",
         "boolean quadratic entry", "index on energy", "weight on norm", "index past dimension",
-        "weight of wrong shape", "string weight entry"])
+        "weight of wrong shape", "string weight entry", "string lower bound",
+        "boolean upper bound", "string initial point", "infinite initial point",
+        "ragged initial points", "epsilon past float", "integer past int64",
+        "resolution past int64", "removed options"])
 def test_config_refuses_malformed_model_and_quantity_fields(tmp_path, capsys, overrides,
                                                             problem):
     # a misspelt or mistyped setting must not run as a default or a truncation
@@ -766,6 +785,20 @@ def _with_nan_at(index):
      "markov", ["transitions", "shadow", "bounds"],
      "is not a readable segment library: "
      "ValueError('library.json integrator_step true is not a finite JSON number')"),
+    ("library/library.json", "library", _edit_json(lambda d: d.update(horizon=10 ** 400)),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     f"ValueError('library.json horizon {10 ** 400} is not a finite JSON number')"),
+    ("library/library.json", "library",
+     _edit_json(lambda d: d["times"].__setitem__(2, 10 ** 400)),
+     "markov", ["transitions", "shadow", "bounds"],
+     "is not a readable segment library: "
+     "ValueError('library.json times are not 9 finite JSON numbers')"),
+    ("transitions.json", "transitions.json",
+     _edit_json(lambda d: d["p"][0].__setitem__(0, float(d["p"][0][0]))),
+     "markov", ["enumerate", "entropy", "bounds"],
+     "is not a readable transition table: "
+     "ValueError('p entry 0: row 1.0 is not a JSON integer')"),
 ], ids=["no-escapes", "ragged-counts", "sparse-row-out-of-range", "no-tuples",
         "symbol-out-of-range", "boolean-symbol", "truncated-npy", "over-long-npy",
         "empty-npy", "big-endian-npy", "pickled-npy", "fortran-order-npy",
@@ -773,7 +806,8 @@ def _with_nan_at(index):
         "string-col", "string-p-value",
         "short-tuple", "order-not-int", "n_cells-not-int", "dense-fractional-count",
         "n_cells-not-escapes", "n_cells-not-table-side", "transitions-n_cells-not-int",
-        "format-dense", "string-horizon", "boolean-integrator-step"])
+        "format-dense", "string-horizon", "boolean-integrator-step", "horizon-past-float",
+        "time-past-float", "p-float-row"])
 def test_corrupt_upstream_artifact_is_check_error(pipeline, tmp_path, capsys, target, named,
                                                   corrupt, mode, stages, message):
     _, _, out = pipeline

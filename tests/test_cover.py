@@ -161,18 +161,18 @@ def _three_ball_partition():
 
 def test_assign_single_membership():
     part = _three_ball_partition()
-    assert part.assign([2.1]) == 2
+    assert part.assign_many([[2.1]]).tolist() == [2]
 
 
 def test_assign_largest_index_wins():
     part = _three_ball_partition()
     # 0.05 is inside balls 1 and 3
-    assert part.assign([0.05]) == 3
+    assert part.assign_many([[0.05]]).tolist() == [3]
 
 
 def test_assign_outside_returns_none():
     part = _three_ball_partition()
-    assert part.assign([9.0]) is None
+    assert part.assign_many([[9.0]]).tolist() == [0]
 
 
 def test_assign_matches_direct_definition():

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -17,7 +18,6 @@ from segdyn import (
     advance_many,
     jacobian_norms,
     model_from_json,
-    model_to_json,
 )
 from segdyn.flow import _MODEL_IDS, sample_path, walk_open_rows
 
@@ -231,15 +231,20 @@ def test_empty_batch_keeps_its_shape(cfg, model):
 
 
 def test_model_json_roundtrip():
-    models = [
-        LinearDiagonal(rates=[1.0, 0.5]),
-        Lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0),
-        QuadraticGeneric(linear=[[0.0, -1.0], [1.0, 0.0]],
-                         quadratic=np.zeros((2, 2, 2)), forcing=[0.1, 0.0]),
+    cases = [
+        (LinearDiagonal(rates=[1.0, 0.5]),
+         {"model_id": "LinearDiagonal", "dimension": 2, "parameters": {"rates": [1.0, 0.5]}}),
+        (Lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0),
+         {"model_id": "Lorenz", "dimension": 3,
+          "parameters": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}}),
+        (QuadraticGeneric(linear=[[0.0, -1.0], [1.0, 0.0]],
+                          quadratic=np.zeros((2, 2, 2)), forcing=[0.1, 0.0]),
+         {"model_id": "QuadraticGeneric", "dimension": 2,
+          "parameters": {"linear": [[0.0, -1.0], [1.0, 0.0]],
+                         "quadratic": np.zeros((2, 2, 2)).tolist(), "forcing": [0.1, 0.0]}}),
     ]
-    for model in models:
-        doc = model_to_json(model)
-        back = model_from_json(doc)
+    for model, doc in cases:
+        back = model_from_json(json.loads(json.dumps(doc)))
         assert back.model_id == model.model_id
         assert back.dimension == model.dimension
         x = np.linspace(0.1, 0.9, model.dimension)
@@ -265,8 +270,6 @@ def test_quadratic_shape_validation():
 def test_integrator_config_validation():
     with pytest.raises(ValueError, match="step"):
         IntegratorConfig(step=0.0)
-    with pytest.raises(ValueError, match="scheme"):
-        IntegratorConfig(step=0.1, scheme="euler")
 
 
 # ---- every model on the one (d, M) kernel ---------------------------------

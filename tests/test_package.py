@@ -3,13 +3,16 @@ name it does not use, and the README's library example runs."""
 import ast
 import contextlib
 import importlib
+import inspect
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import segdyn
+from segdyn.config import _FIELDS, PipelineConfig, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "segdyn"
@@ -55,6 +58,37 @@ def test_names_that_only_restated_derivable_fields_are_gone():
     assert not hasattr(segdyn.Cover, "balls")
     assert not hasattr(segdyn.TransitionMatrix, "unsupported_rows")
     assert "cells" not in segdyn.SegmentLibrary.__dataclass_fields__
+
+
+def test_options_and_entry_points_that_no_caller_set_are_gone():
+    # none had a caller outside its own tests; the options are constants now
+    fields = set(PipelineConfig.__dataclass_fields__)
+    assert not {"collocation_cap", "delta_floor", "expansion_m_max"} & fields
+    assert "fd_step" not in inspect.signature(segdyn.jacobian_norms).parameters
+    assert "scheme" not in segdyn.IntegratorConfig.__dataclass_fields__
+    assert not hasattr(segdyn.flow, "_rk4") and not hasattr(segdyn.symbolic._StateGraph, "closure")
+    assert not hasattr(segdyn, "model_to_json") and not hasattr(segdyn.flow, "model_to_json")
+    for model in (segdyn.LinearDiagonal, segdyn.Lorenz, segdyn.QuadraticGeneric):
+        assert not hasattr(model, "parameters")
+    assert not hasattr(segdyn.Partition, "assign")
+    assert not hasattr(segdyn.SegmentLibrary, "starts")
+    assert not hasattr(segdyn.BoxDomain, "contains")
+
+
+def test_readme_lists_every_optional_config_field():
+    # the config example holds the required fields, each of which the parser
+    # needs, and the "Optional" paragraph names every other field it accepts
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config schema", 1)[1]
+    example = json.loads(re.sub(r"//.*", "", re.search(r"```jsonc\n(.*?)```", section, re.S)[1]))
+    parse_config(example)
+    for name in example:
+        with pytest.raises(segdyn.ConfigError):
+            parse_config({k: v for k, v in example.items() if k != name})
+    paragraph = section.split("Optional (defaults in parentheses):", 1)[1].split("\n\n", 1)[0]
+    optional = re.findall(r"`(\w+)`\s+\(", paragraph)
+    assert len(optional) == len(set(optional))
+    assert set(optional) == _FIELDS - set(example)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -76,9 +76,6 @@ def test_reachable_bounds_widen_with_length():
         if prev is not None:
             assert rb.lo <= prev.lo and rb.hi >= prev.hi
         prev = rb
-    fix = reachable_bounds(env, gamma, 1, None)
-    assert (fix.lo, fix.hi) == (prev.lo, prev.hi)
-    assert fix.reachable == {1, 2, 3}
 
 
 def test_reachable_bounds_rejects_dead_start():

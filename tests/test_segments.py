@@ -38,7 +38,7 @@ def test_build_segments_closed_form(linear1, cfg):
 def test_build_segments_two_samples_holds_endpoints(lorenz, cfg):
     cover = _cover([[1.0, 1.0, 1.0], [2.0, -1.0, 20.0]])
     lib = build_segments(lorenz, cover, 0.4, 2, cfg)
-    assert np.array_equal(lib.starts(), cover.centers)
+    assert np.array_equal(lib.states[:, 0], cover.centers)
     from segdyn import advance
     for i in range(2):
         assert np.array_equal(lib.ends()[i], advance(lorenz, cover.centers[i], 0.4, cfg))
@@ -198,12 +198,16 @@ def test_load_library_rejects_a_malformed_states_file(lorenz, cfg, tmp_path, edi
     ("times", [0.0, 0.35, float("nan"), 0.7], "times are not 4 finite JSON numbers"),
     ("times", [0.0, 0.35, float("inf"), 0.7], "times are not 4 finite JSON numbers"),
     ("times", None, "times are not 4 finite JSON numbers"),
+    pytest.param("times", [0.0, 0.35, 10 ** 400, 0.7], "times are not 4 finite JSON numbers",
+                 id="time-past-float"),
     ("n_cells", 2.0, r"shape \(2.0, 4, 3\) is not three nonnegative JSON integers"),
     ("dimension", -3, r"shape \(2, 4, -3\) is not three nonnegative JSON integers"),
     ("horizon", "1.0", 'horizon "1.0" is not a finite JSON number'),
     ("horizon", True, "horizon true is not a finite JSON number"),
     ("horizon", float("inf"), "horizon Infinity is not a finite JSON number"),
     ("horizon", None, "horizon null is not a finite JSON number"),
+    pytest.param("horizon", 10 ** 400, f"horizon {10 ** 400} is not a finite JSON number",
+                 id="horizon-past-float"),
     ("integrator_step", True, "integrator_step true is not a finite JSON number"),
     ("integrator_step", float("nan"), "integrator_step NaN is not a finite JSON number"),
     ("epsilon", "0.5", 'epsilon "0.5" is not a finite JSON number'),

@@ -272,7 +272,7 @@ def test_kernel_matches_reference_bitwise(kind, width, seed, d, t, step):
 
 def test_linear_rates_are_kept_as_given():
     model = LinearDiagonal(rates=[1.5, -0.25, 0.0])
-    assert model.parameters() == {"rates": [1.5, -0.25, 0.0]}
+    assert model.rates.tolist() == [1.5, -0.25, 0.0]
     x = np.array([[0.3, 2.0, -1.0]])
     assert np.array_equal(model.rhs(x), -model.rates * x)
 
@@ -396,8 +396,8 @@ def test_walker_blowup_after_compaction_names_the_callers_row():
 def test_calibrate_matches_reference_on_the_bench_grid():
     cfg = load_config(CONFIGS / "lorenz.json")
     centers = collocate(cfg.domain, cfg.resolution)
-    kwargs = dict(delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
-                  time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+    kwargs = dict(delta_max=cfg.delta_max(), time_samples=cfg.calibration_time_samples,
+                  seed=cfg.rng_seed)
     counters = {}
     radii = calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
                              4, counters=counters, **kwargs)
@@ -413,8 +413,8 @@ def test_calibrate_matches_reference_on_the_bench_grid():
 def test_calibrate_matches_reference_on_linear1d():
     cfg = load_config(CONFIGS / "linear1d.json")
     centers = collocate(cfg.domain, cfg.resolution)
-    kwargs = dict(delta_max=cfg.delta_max(), delta_min=cfg.delta_floor,
-                  time_samples=cfg.calibration_time_samples, seed=cfg.rng_seed)
+    kwargs = dict(delta_max=cfg.delta_max(), time_samples=cfg.calibration_time_samples,
+                  seed=cfg.rng_seed)
     counters = {}
     radii = calibrate_deltas(cfg.model, centers, cfg.horizon, cfg.epsilon, cfg.integrator,
                              cfg.boundary_samples, counters=counters, **kwargs)

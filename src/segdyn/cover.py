@@ -372,7 +372,7 @@ def collocate(domain: BoxDomain, resolution: Sequence[int] | int,
         raise ValueError(f"resolution must have length {d}, got shape {res.shape}")
     if np.any(res < 1):
         raise ValueError("resolution entries must be at least 1")
-    count = int(np.prod(res))
+    count = math.prod(res.tolist())  # in Python ints: an int64 product can wrap
     if count > max_points:
         raise DimensionExplosionError(
             f"collocation grid would hold {count} points (> cap {max_points}); "

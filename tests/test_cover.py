@@ -52,6 +52,9 @@ def test_collocate_cap():
     dom = BoxDomain(lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0])
     with pytest.raises(DimensionExplosionError, match="cap"):
         collocate(dom, [100, 100, 100], max_points=10_000)
+    # 2^22 * 2^21 * 2^21 points, a product that wraps to 0 in int64
+    with pytest.raises(DimensionExplosionError, match="cap"):
+        collocate(dom, [2 ** 22, 2 ** 21, 2 ** 21])
 
 
 def test_box_validation():
